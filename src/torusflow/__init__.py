@@ -52,10 +52,9 @@ from .interaction import (
     stability_constant,
     velocity_field,
 )
-from .jko import Problem, Trajectory, el_residual, run_jko, run_jko_system, trig_vector_field
+from .jko import Problem, Trajectory, el_residual, run_jko, trig_vector_field
 from .parabolic import CFLError, ParabolicState, cfl_bound, parabolic_step, run_parabolic
 from .transport import (
-    CostMatrix,
     TransportResult,
     cost_matrix,
     exact_w2_permutation,
@@ -86,7 +85,6 @@ __all__ = [
     "velocity_field",
     "estimate_constants",
     "stability_constant",
-    "CostMatrix",
     "TransportResult",
     "cost_matrix",
     "sinkhorn_w2",
@@ -95,7 +93,6 @@ __all__ = [
     "Problem",
     "Trajectory",
     "run_jko",
-    "run_jko_system",
     "el_residual",
     "trig_vector_field",
     "ParabolicState",

@@ -31,10 +31,10 @@ from . import __version__
 from .config import ConfigError, RunConfig, parse_config
 from .diagnostics import Ledger, StabilitySeries, energy_ledger, stability_compare
 from .grid import Density, make_grid, normalize
-from .interaction import estimate_constants, stability_constant
-from .jko import Problem, Trajectory, run_jko, run_jko_system
+from .interaction import as_velocity_model, estimate_constants
+from .jko import Problem, Trajectory, run_jko
 from .parabolic import run_parabolic
-from .transport import cost_matrix, sinkhorn_w2
+from .transport import sinkhorn_w2
 
 __all__ = ["main", "run_command", "emit_outputs", "read_states_csv"]
 
@@ -164,8 +164,7 @@ def run_command(cfg: RunConfig, strict: bool = False) -> int:
     traj_par: Trajectory | None = None
     try:
         if cfg.solver in ("jko", "both"):
-            runner = run_jko if l == 1 else run_jko_system
-            traj_jko = runner(
+            traj_jko = run_jko(
                 problem,
                 eps=cfg.jko_eps,
                 tol=cfg.jko_tol,
@@ -202,6 +201,13 @@ def run_command(cfg: RunConfig, strict: bool = False) -> int:
                     ("cross_l1", _fmt(traj_jko.times[ka]), i, _fmt(l1), "")
                 )
 
+    # One sampled pass; the kernel bounds were computed when the config loaded.
+    constants = {
+        "lip_x": cfg.load_constants.lip_x,
+        "lip_w2": estimate_constants(cfg.drift).lip_w2,
+        "lap_plus": cfg.load_constants.lap_plus,
+    }
+
     stability: StabilitySeries | None = None
     if cfg.stability_rho0 is not None:
         problem_b = Problem(
@@ -222,7 +228,11 @@ def run_command(cfg: RunConfig, strict: bool = False) -> int:
         except (RuntimeError, ValueError) as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
             return 3
-        c_hat = stability_constant(cfg.drift)
+        # lip_x of the velocity-kernel form bounds the spatial Lipschitz
+        # constant of the velocity itself.
+        velocity_lip_x = estimate_constants(as_velocity_model(cfg.drift), pairs=0).lip_x
+        c_hat = max(velocity_lip_x, constants["lip_w2"])
+        constants["c_hat"] = c_hat
         stability = stability_compare(
             stab_a,
             stab_b,
@@ -240,19 +250,6 @@ def run_command(cfg: RunConfig, strict: bool = False) -> int:
                     _fmt(stability.bounds[k]),
                 )
             )
-
-    constants: dict = {}
-    if np.any(cfg.drift.kernels != 0.0):
-        base = estimate_constants(cfg.drift)
-        constants = {
-            "lip_x": base.lip_x,
-            "lip_w2": base.lip_w2,
-            "lap_plus": base.lap_plus,
-        }
-        if stability is not None:
-            constants["c_hat"] = stability.c_hat
-    else:
-        constants = {"lip_x": 0.0, "lip_w2": 0.0, "lap_plus": 0.0}
 
     primary = traj_jko if traj_jko is not None else traj_par
     if cfg.output_directory is not None:
@@ -336,12 +333,19 @@ def _w2_command(args) -> int:
         print(f"cannot infer a {args.dim}-d grid from {cells} cells", file=sys.stderr)
         return 2
     grid = make_grid(args.dim, n)
-    cost = cost_matrix(grid)
     total = 0.0
     for i, (va, vb) in enumerate(zip(sa, sb)):
         rho_a = normalize(Density(grid, va.reshape(grid.shape)))
         rho_b = normalize(Density(grid, vb.reshape(grid.shape)))
-        res = sinkhorn_w2(rho_a, rho_b, eps=args.eps, tol=args.tol, cost=cost)
+        res = sinkhorn_w2(rho_a, rho_b, eps=args.eps, tol=args.tol)
+        if not res.converged:
+            print(
+                f"solver failure: species {i} transport did not converge "
+                f"(marginal error {res.plan_marginal_err:.3e} after "
+                f"{res.iterations} iterations, tol {args.tol:g})",
+                file=sys.stderr,
+            )
+            return 3
         total += res.w2_sq
         print(f"species {i} w2_sq {_fmt(res.w2_sq)}")
     print(f"total w2_sq {_fmt(total)}")

@@ -168,6 +168,12 @@ def _number(raw, where: str, positive: bool = False) -> float:
     return val
 
 
+def _integer(raw, where: str) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ConfigError(f"{where}: expected an integer")
+    return raw
+
+
 def _energy_from(raw: dict, where: str) -> InternalEnergy:
     kind = _require(raw, "kind", where + ".")
     C = _number(raw.get("C", 10.0), where + ".C", positive=True)
@@ -273,10 +279,12 @@ def parse_config_dict(raw: dict) -> RunConfig:
     jko_h = _number(jko_raw.get("h", 1e-3), "jko.h", positive=True)
     jko_eps = _number(jko_raw.get("eps", 5.0 * grid.dx**2), "jko.eps", positive=True)
     jko_tol = _number(jko_raw.get("tol", 1e-9), "jko.tol", positive=True)
-    jko_max_iter = int(jko_raw.get("max_iter", 20000))
+    jko_max_iter = _integer(jko_raw.get("max_iter", 20000), "jko.max_iter")
     if jko_max_iter <= 0:
         raise ConfigError("jko.max_iter: must be positive")
-    jko_debias = bool(jko_raw.get("debias", True))
+    jko_debias = jko_raw.get("debias", True)
+    if not isinstance(jko_debias, bool):
+        raise ConfigError("jko.debias: expected true or false")
 
     par_raw = raw.get("parabolic", {})
     eps_reg = _number(par_raw.get("eps_reg", 1e-3), "parabolic.eps_reg", positive=True)
@@ -291,7 +299,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
         )
 
     out_raw = raw.get("output", {})
-    cadence = int(out_raw.get("cadence", 1))
+    cadence = _integer(out_raw.get("cadence", 1), "output.cadence")
     if cadence < 1:
         raise ConfigError("output.cadence: must be a positive integer")
     directory = out_raw.get("directory")

@@ -21,7 +21,7 @@ from .energy import InternalEnergy
 from .grid import Density, Grid, grad_values, laplacian_values
 from .interaction import potential_from_kernel, velocity_field
 from .jko import Problem, Trajectory
-from .transport import cost_matrix, sinkhorn_w2
+from .transport import sinkhorn_w2
 
 __all__ = [
     "Ledger",
@@ -187,12 +187,11 @@ def holder_check(
     """
     if len(traj.states) < 2:
         raise ValueError("need at least two states")
-    cost = cost_matrix(traj.grid)
     worst = 0.0
     for i, j in _pair_indices(len(traj.states), sample_pairs):
         w2sq = 0.0
         for a, b in zip(traj.states[i], traj.states[j]):
-            res = sinkhorn_w2(a, b, eps=eps, tol=tol, cost=cost)
+            res = sinkhorn_w2(a, b, eps=eps, tol=tol)
             w2sq += max(res.w2_sq, 0.0)
         dt = abs(traj.times[j] - traj.times[i])
         worst = max(worst, float(np.sqrt(w2sq) / np.sqrt(dt + traj.h)))
@@ -341,11 +340,10 @@ def stability_compare(
         traj_a.times, traj_b.times
     ):
         raise ValueError("trajectories use different time grids")
-    cost = cost_matrix(traj_a.grid)
     sums = np.zeros(len(traj_a.times))
     for k in range(len(traj_a.times)):
         for a, b in zip(traj_a.states[k], traj_b.states[k]):
-            res = sinkhorn_w2(a, b, eps=eps, tol=tol, cost=cost)
+            res = sinkhorn_w2(a, b, eps=eps, tol=tol)
             sums[k] += max(res.w2_sq, 0.0)
     bounds = np.exp(4.0 * c_hat * traj_a.times) * sums[0] * (1.0 + margin)
     flags = sums > bounds

@@ -262,7 +262,7 @@ def estimate_constants(
     lip_w2 samples random smooth density pairs with a fixed seed, so repeated
     calls are deterministic.
     """
-    from .transport import cost_matrix, sinkhorn_w2
+    from .transport import sinkhorn_w2
 
     lip_x = _kernel_gradient_bound(model)
     lap_plus = _kernel_lap_plus_bound(model)
@@ -271,7 +271,6 @@ def estimate_constants(
     if np.any(model.kernels != 0.0) and pairs > 0:
         rng = np.random.default_rng(seed)
         grid = model.grid
-        cost = cost_matrix(grid)
         l = model.species_count
         for _ in range(pairs):
             rho = tuple(_random_smooth_density(grid, rng) for _ in range(l))
@@ -283,7 +282,7 @@ def estimate_constants(
             )
             w2_sum = 0.0
             for i in range(l):
-                res = sinkhorn_w2(rho[i], nu[i], eps=w2_eps, tol=w2_tol, cost=cost)
+                res = sinkhorn_w2(rho[i], nu[i], eps=w2_eps, tol=w2_tol)
                 w2_sum += np.sqrt(max(res.w2_sq, 0.0))
             if w2_sum > 1e-12:
                 lip_w2 = max(lip_w2, diff / w2_sum)

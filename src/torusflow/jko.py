@@ -26,13 +26,12 @@ from .grid import (
     minimal_image,
 )
 from .interaction import DriftModel, potential_from_kernel
-from .transport import CostMatrix, cost_matrix, jko_step
+from .transport import jko_step
 
 __all__ = [
     "Problem",
     "Trajectory",
     "run_jko",
-    "run_jko_system",
     "el_residual",
     "trig_vector_field",
 ]
@@ -116,17 +115,21 @@ def _potentials(drift: DriftModel, state: tuple[Density, ...]) -> tuple[ScalarFi
     return potential_from_kernel(drift, state)
 
 
-def _run_semi_implicit(
+def run_jko(
     problem: Problem,
     eps: float,
-    tol: float,
-    max_iter: int,
-    debias: bool,
-    keep_plans: bool,
+    tol: float = 1e-9,
+    max_iter: int = 20000,
+    debias: bool = True,
+    keep_plans: bool = False,
 ) -> Trajectory:
+    """Semi-implicit scheme with gradient drift for any number of species.
+
+    All potentials are frozen at the previous tuple, so the per-species
+    minimizations are independent within a step.
+    """
     grid = problem.grid
     vol = grid.cell_volume
-    cost = cost_matrix(grid)
     l = problem.species_count
     n_steps = problem.step_count
 
@@ -155,7 +158,6 @@ def _run_semi_implicit(
                     max_iter=max_iter,
                     debias=debias,
                     return_plan=keep_plans,
-                    cost=cost,
                 )
             except RuntimeError as exc:
                 raise RuntimeError(f"step {k} (species {i}) failed: {exc}") from exc
@@ -185,35 +187,6 @@ def _run_semi_implicit(
     )
 
 
-def run_jko(
-    problem: Problem,
-    eps: float,
-    tol: float = 1e-9,
-    max_iter: int = 20000,
-    debias: bool = True,
-    keep_plans: bool = False,
-) -> Trajectory:
-    """Single-species semi-implicit scheme with gradient drift."""
-    if problem.species_count != 1:
-        raise ValueError("run_jko expects a single species; use run_jko_system")
-    return _run_semi_implicit(problem, eps, tol, max_iter, debias, keep_plans)
-
-
-def run_jko_system(
-    problem: Problem,
-    eps: float,
-    tol: float = 1e-9,
-    max_iter: int = 20000,
-    debias: bool = True,
-    keep_plans: bool = False,
-) -> Trajectory:
-    """Multi-species variant; all potentials are frozen at the previous tuple,
-    so the per-species minimizations are independent within a step."""
-    if problem.species_count < 2:
-        raise ValueError("run_jko_system expects at least two species")
-    return _run_semi_implicit(problem, eps, tol, max_iter, debias, keep_plans)
-
-
 def trig_vector_field(grid: Grid, frequency: int = 1, phase: float = 0.0) -> VectorField:
     """Smooth built-in test field: each component sin(2 pi f x_axis + phase)."""
     coords = grid.coordinate_grids()
@@ -229,7 +202,6 @@ def el_residual(
     potential: ScalarField | None,
     xi: VectorField,
     plan: np.ndarray | None,
-    cost: CostMatrix | None = None,
 ) -> float:
     """First-variation residual of a minimizing-movement step.
 

@@ -21,6 +21,7 @@ alternation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -30,7 +31,6 @@ from .energy import InternalEnergy, kl_prox
 from .grid import Density, Grid, ScalarField, minimal_image, normalize
 
 __all__ = [
-    "CostMatrix",
     "TransportResult",
     "cost_matrix",
     "sinkhorn_w2",
@@ -44,19 +44,6 @@ _MASS_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
-class CostMatrix:
-    """Pairwise squared torus distances between cell centers."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-
-@dataclass(frozen=True)
 class TransportResult:
     w2_sq: float
     plan_marginal_err: float
@@ -66,7 +53,13 @@ class TransportResult:
     plan: np.ndarray | None = None
 
 
-def cost_matrix(grid: Grid) -> CostMatrix:
+@functools.lru_cache(maxsize=1)
+def cost_matrix(grid: Grid) -> np.ndarray:
+    """Pairwise squared torus distances between cell centers, read-only.
+
+    Only the most recent grid's matrix is kept, so a run's repeated solves
+    on one grid share a single array.
+    """
     if grid.cells > _MAX_COST_CELLS:
         raise ValueError(
             f"grid has {grid.cells} cells; dense cost matrices are limited to "
@@ -77,7 +70,8 @@ def cost_matrix(grid: Grid) -> CostMatrix:
     for a in range(grid.dim):
         diff = minimal_image(centers[:, a][:, None] - centers[:, a][None, :])
         c += diff**2
-    return CostMatrix(grid=grid, values=c)
+    c.setflags(write=False)
+    return c
 
 
 def exact_w2_permutation(xs, ys) -> float:
@@ -111,14 +105,6 @@ def _check_normalized(rho: Density, name: str) -> None:
         raise ValueError(f"{name} must be normalized to unit mass")
 
 
-def _cost_for(grid: Grid, cost: CostMatrix | None) -> np.ndarray:
-    if cost is None:
-        return cost_matrix(grid).values
-    if cost.grid != grid:
-        raise ValueError("cost matrix grid does not match the densities")
-    return cost.values
-
-
 def _eps_schedule(eps: float, c_max: float) -> list[float]:
     """Warm-start ladder; a single level when the kernel is representable."""
     if c_max / eps <= 200.0 or c_max == 0.0:
@@ -137,7 +123,6 @@ def sinkhorn_w2(
     tol: float = 1e-9,
     max_iter: int = 200000,
     return_plan: bool = False,
-    cost: CostMatrix | None = None,
 ) -> TransportResult:
     """Entropic estimate of W2^2 on the torus, deterministic given inputs."""
     if eps <= 0:
@@ -147,7 +132,7 @@ def sinkhorn_w2(
     _check_normalized(mu, "mu")
     _check_normalized(nu, "nu")
     grid = mu.grid
-    c = _cost_for(grid, cost)
+    c = cost_matrix(grid)
     vol = grid.cell_volume
     a = mu.values.ravel() * vol
     b = nu.values.ravel() * vol
@@ -231,7 +216,6 @@ def jko_step(
     max_iter: int = 20000,
     debias: bool = True,
     return_plan: bool = False,
-    cost: CostMatrix | None = None,
 ) -> tuple[Density, TransportResult]:
     """One semi-implicit minimizing-movement step via entropic scaling.
 
@@ -245,7 +229,7 @@ def jko_step(
         raise ValueError("eps must be positive")
     _check_normalized(rho_prev, "rho_prev")
     grid = rho_prev.grid
-    c = _cost_for(grid, cost)
+    c = cost_matrix(grid)
     if float(np.max(c)) / eps > 600.0:
         raise ValueError(
             "eps is too small for a dense Gibbs kernel on this grid; increase eps"

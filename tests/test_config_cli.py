@@ -1,4 +1,6 @@
 import json
+import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,9 @@ import torusflow as tf
 from torusflow import config as cfg_mod
 from torusflow.cli import main, read_states_csv
 from torusflow.config import ConfigError, parse_config, parse_config_dict
+from torusflow.transport import TransportResult
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def minimal_config(directory=None, **overrides):
@@ -23,6 +28,41 @@ def minimal_config(directory=None, **overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def stability_config(directory):
+    """Two-species velocity-drift run with a stability comparison."""
+    return {
+        "grid": {"dim": 1, "n": 16},
+        "species": [
+            {
+                "energy": {"kind": "power", "m": 2.0},
+                "initial": {"profile": "cosine", "amplitude": 0.4},
+            },
+            {
+                "energy": {"kind": "power", "m": 2.0},
+                "initial": {"profile": "bump", "center": 0.3, "width": 0.1},
+            },
+        ],
+        "drift": {
+            "mode": "velocity",
+            "kernels": [
+                [{"kind": "zero"}, {"kind": "cosine", "amplitude": 0.2}],
+                [{"kind": "cosine", "amplitude": -0.1, "frequency": 2}, {"kind": "zero"}],
+            ],
+        },
+        "solver": "parabolic",
+        "horizon": 4e-3,
+        "jko": {"h": 2e-3},
+        "stability": {
+            "initial": [
+                {"profile": "cosine", "amplitude": 0.35},
+                {"profile": "bump", "center": 0.35, "width": 0.1},
+            ],
+            "w2_eps": 1e-3,
+        },
+        "output": {"cadence": 1, "directory": directory},
+    }
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -125,6 +165,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown profile"):
             cfg_mod.build_profile(grid, {"profile": "sawtooth"})
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("jko", "debias", "false"),
+            ("jko", "debias", 0),
+            ("jko", "max_iter", 2.7),
+            ("jko", "max_iter", True),
+            ("output", "cadence", 1.5),
+            ("output", "cadence", "x"),
+            ("output", "cadence", False),
+        ],
+    )
+    def test_mistyped_field_rejected(self, tmp_path, capsys, section, key, value):
+        cfg = minimal_config()
+        cfg[section][key] = value
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+            parse_config(path)
+        assert main(["check", "--config", str(path)]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
     def test_resolved_round_trips(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, minimal_config()))
         again = parse_config_dict(json.loads(json.dumps(cfg.resolved)))
@@ -213,43 +274,49 @@ class TestRunCli:
 
     def test_stability_run_emits_series(self, tmp_path):
         out_dir = tmp_path / "out"
-        cfg = {
-            "grid": {"dim": 1, "n": 16},
-            "species": [
-                {
-                    "energy": {"kind": "power", "m": 2.0},
-                    "initial": {"profile": "cosine", "amplitude": 0.4},
-                },
-                {
-                    "energy": {"kind": "power", "m": 2.0},
-                    "initial": {"profile": "bump", "center": 0.3, "width": 0.1},
-                },
-            ],
-            "drift": {
-                "mode": "velocity",
-                "kernels": [
-                    [{"kind": "zero"}, {"kind": "cosine", "amplitude": 0.2}],
-                    [{"kind": "cosine", "amplitude": -0.1, "frequency": 2}, {"kind": "zero"}],
-                ],
-            },
-            "solver": "parabolic",
-            "horizon": 4e-3,
-            "jko": {"h": 2e-3},
-            "stability": {
-                "initial": [
-                    {"profile": "cosine", "amplitude": 0.35},
-                    {"profile": "bump", "center": 0.35, "width": 0.1},
-                ],
-                "w2_eps": 1e-3,
-            },
-            "output": {"cadence": 1, "directory": str(out_dir)},
-        }
+        cfg = stability_config(str(out_dir))
         path = write_config(tmp_path, cfg)
         assert main(["run", "--config", str(path)]) == 0
         series = (out_dir / "series.csv").read_text().strip().splitlines()
         assert any(row.startswith("stability_w2_sum") for row in series[1:])
         meta = json.loads((out_dir / "meta.json").read_text())
         assert "c_hat" in meta["constants"]
+
+    def test_stability_run_samples_constants_once(self, tmp_path, monkeypatch):
+        original = tf.transport.sinkhorn_w2
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "torusflow":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        path = write_config(tmp_path, stability_config(str(tmp_path / "out")))
+        assert main(["run", "--config", str(path)]) == 0
+        # 3 recorded times x 2 species compared, 8 sampled pairs x 2 species.
+        assert len(calls) == 3 * 2 + 8 * 2
+
+    @pytest.mark.parametrize(
+        "config, reference",
+        [("heat.json", "heat"), ("two_species_stability.json", "stability")],
+    )
+    def test_shipped_config_reproduces_tracked_outputs(
+        self, tmp_path, monkeypatch, config, reference
+    ):
+        # The configs name a relative output directory, and meta.json records it.
+        shutil.copytree(REPO / "configs", tmp_path / "configs")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", f"configs/{config}"]) == 0
+        tracked = REPO / "out" / reference
+        written = tmp_path / "out" / reference
+        names = sorted(p.name for p in tracked.iterdir())
+        assert sorted(p.name for p in written.iterdir()) == names
+        for name in names:
+            assert (written / name).read_bytes() == (tracked / name).read_bytes(), name
 
     def test_2d_run_end_to_end(self, tmp_path):
         out_dir = tmp_path / "out"
@@ -302,6 +369,26 @@ class TestRunCli:
         code = main(["w2", "--a", str(path), "--b", str(path), "--time", "0.5"])
         assert code == 2
         assert "not recorded" in capsys.readouterr().err
+
+    def test_w2_unconverged_solve_is_solver_failure(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "s.csv"
+        rows = ["time,species,cell_index,value"]
+        rows += [f"0.0,{s},{c},1.0" for s in (0, 1) for c in (0, 1)]
+        path.write_text("\n".join(rows) + "\n")
+        results = iter([True, False])
+
+        def fake(mu, nu, eps, tol):
+            return TransportResult(
+                w2_sq=0.0, plan_marginal_err=1.0, iterations=5, eps=eps,
+                converged=next(results),
+            )
+
+        monkeypatch.setattr("torusflow.cli.sinkhorn_w2", fake)
+        code = main(["w2", "--a", str(path), "--b", str(path), "--time", "0.0"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "solver failure: species 1" in captured.err
+        assert "total w2_sq" not in captured.out
 
     def test_read_states_csv_round_trip(self, tmp_path):
         out_dir = tmp_path / "out"

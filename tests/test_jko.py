@@ -110,12 +110,6 @@ class TestRunJko:
         for state in traj.states:
             assert abs(state[0].mass() - 1.0) <= 1e-12
 
-    def test_single_species_required(self):
-        grid = tf.make_grid(1, 16)
-        prob = two_species_problem(grid, np.zeros(16), np.zeros(16))
-        with pytest.raises(ValueError, match="single species"):
-            tf.run_jko(prob, eps=1e-3)
-
     def test_velocity_drift_rejected(self):
         grid = tf.make_grid(1, 16)
         prob = tf.Problem(
@@ -135,7 +129,7 @@ class TestRunJkoSystem:
         grid = tf.make_grid(1, 32)
         zero = np.zeros(32)
         system = two_species_problem(grid, zero, zero, shift=2.5)
-        traj_sys = tf.run_jko_system(system, eps=1e-3, tol=1e-10)
+        traj_sys = tf.run_jko(system, eps=1e-3, tol=1e-10)
         for i in range(2):
             single = tf.Problem(
                 grid=grid,
@@ -160,7 +154,7 @@ class TestRunJkoSystem:
         grid = tf.make_grid(1, 48)
         cross = gaussian_bump_kernel(grid, sigma=0.15, amplitude=0.5)
         prob = two_species_problem(grid, cross, cross, h=1e-3, horizon=0.01)
-        traj = tf.run_jko_system(prob, eps=5e-4, tol=1e-10)
+        traj = tf.run_jko(prob, eps=5e-4, tol=1e-10)
         vol = grid.cell_volume
 
         def joint(state):
@@ -184,16 +178,11 @@ class TestRunJkoSystem:
         w12 = gaussian_bump_kernel(grid, sigma=0.2, amplitude=0.6)
         w21 = gaussian_bump_kernel(grid, sigma=0.1, amplitude=-0.2)
         prob = two_species_problem(grid, w12, w21)
-        traj = tf.run_jko_system(prob, eps=1e-3)
+        traj = tf.run_jko(prob, eps=1e-3)
         for state in traj.states:
             for rho in state:
                 assert abs(rho.mass() - 1.0) <= 1e-12
                 assert np.min(rho.values) >= 0.0
-
-    def test_needs_two_species(self):
-        prob = heat_problem(n=16, horizon=2e-3, h=1e-3)
-        with pytest.raises(ValueError, match="two species"):
-            tf.run_jko_system(prob, eps=1e-3)
 
 
 class TestElResidual:

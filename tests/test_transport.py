@@ -20,19 +20,25 @@ class TestCostMatrix:
     def test_two_cells(self):
         g = tf.make_grid(1, 2)
         c = tf.cost_matrix(g)
-        np.testing.assert_allclose(c.values, [[0.0, 0.25], [0.25, 0.0]])
+        np.testing.assert_allclose(c, [[0.0, 0.25], [0.25, 0.0]])
 
     def test_diagonal_zero_and_symmetry(self):
         g = tf.make_grid(2, 4)
-        c = tf.cost_matrix(g).values
+        c = tf.cost_matrix(g)
         np.testing.assert_allclose(np.diag(c), 0.0)
         np.testing.assert_allclose(c, c.T)
         assert np.max(c) <= g.dim / 4 + 1e-15
 
     def test_neighbor_entry(self):
         g = tf.make_grid(1, 4)
-        c = tf.cost_matrix(g).values
+        c = tf.cost_matrix(g)
         assert c[0, 1] == pytest.approx(0.0625)
+
+    def test_read_only_and_shared(self):
+        g = tf.make_grid(1, 8)
+        c = tf.cost_matrix(g)
+        assert not c.flags.writeable
+        assert tf.cost_matrix(tf.make_grid(1, 8)) is c
 
     def test_size_guard(self):
         with pytest.raises(ValueError, match="cells"):
