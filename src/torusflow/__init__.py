@@ -60,6 +60,7 @@ from .transport import (
     exact_w2_permutation,
     jko_step,
     sinkhorn_w2,
+    species_w2_sq,
 )
 
 __all__ = [
@@ -88,6 +89,7 @@ __all__ = [
     "TransportResult",
     "cost_matrix",
     "sinkhorn_w2",
+    "species_w2_sq",
     "exact_w2_permutation",
     "jko_step",
     "Problem",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -31,10 +32,10 @@ from . import __version__
 from .config import ConfigError, RunConfig, parse_config
 from .diagnostics import Ledger, StabilitySeries, energy_ledger, stability_compare
 from .grid import Density, make_grid, normalize
-from .interaction import as_velocity_model, estimate_constants
+from .interaction import as_velocity_model, estimate_constants, stability_constant
 from .jko import Problem, Trajectory, run_jko
 from .parabolic import run_parabolic
-from .transport import sinkhorn_w2
+from .transport import species_w2_sq
 
 __all__ = ["main", "run_command", "emit_outputs", "read_states_csv"]
 
@@ -148,8 +149,9 @@ def _shared_time_indices(a: Trajectory, b: Trajectory) -> list[tuple[int, int]]:
     return pairs
 
 
-def run_command(cfg: RunConfig, strict: bool = False) -> int:
-    """Execute the configured solver(s); returns the process exit status."""
+def _solve_and_check(cfg: RunConfig):
+    """Run the configured solver(s) and diagnostics; returns (primary, extra
+    trajectory or None, ledger or None, stability or None, constants, rows)."""
     problem = Problem(
         grid=cfg.grid,
         energies=cfg.energies,
@@ -162,24 +164,20 @@ def run_command(cfg: RunConfig, strict: bool = False) -> int:
 
     traj_jko: Trajectory | None = None
     traj_par: Trajectory | None = None
-    try:
-        if cfg.solver in ("jko", "both"):
-            traj_jko = run_jko(
-                problem,
-                eps=cfg.jko_eps,
-                tol=cfg.jko_tol,
-                max_iter=cfg.jko_max_iter,
-                debias=cfg.jko_debias,
-            )
-        if cfg.solver in ("parabolic", "both"):
-            traj_par = run_parabolic(
-                problem,
-                eps_reg=cfg.parabolic_eps_reg,
-                cfl_safety=cfg.parabolic_cfl_safety,
-            )
-    except (RuntimeError, ValueError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
+    if cfg.solver in ("jko", "both"):
+        traj_jko = run_jko(
+            problem,
+            eps=cfg.jko_eps,
+            tol=cfg.jko_tol,
+            max_iter=cfg.jko_max_iter,
+            debias=cfg.jko_debias,
+        )
+    if cfg.solver in ("parabolic", "both"):
+        traj_par = run_parabolic(
+            problem,
+            eps_reg=cfg.parabolic_eps_reg,
+            cfl_safety=cfg.parabolic_cfl_safety,
+        )
 
     ledger = None
     if traj_jko is not None:
@@ -201,38 +199,25 @@ def run_command(cfg: RunConfig, strict: bool = False) -> int:
                     ("cross_l1", _fmt(traj_jko.times[ka]), i, _fmt(l1), "")
                 )
 
-    # One sampled pass; the kernel bounds were computed when the config loaded.
+    # One sampled pass, on the velocity-kernel form, feeds meta's lip_w2 and
+    # c_hat; the kernel bounds were computed when the config loaded.
+    sampled = estimate_constants(as_velocity_model(cfg.drift))
     constants = {
         "lip_x": cfg.load_constants.lip_x,
-        "lip_w2": estimate_constants(cfg.drift).lip_w2,
+        "lip_w2": sampled.lip_w2,
         "lap_plus": cfg.load_constants.lap_plus,
     }
 
     stability: StabilitySeries | None = None
     if cfg.stability_rho0 is not None:
-        problem_b = Problem(
-            grid=cfg.grid,
-            energies=cfg.energies,
-            drift=cfg.drift,
-            rho0=cfg.stability_rho0,
-            horizon=cfg.horizon,
-            h=cfg.jko_h,
+        problem_b = dataclasses.replace(problem, rho0=cfg.stability_rho0)
+        stab_a = traj_par or run_parabolic(
+            problem, eps_reg=cfg.parabolic_eps_reg, cfl_safety=cfg.parabolic_cfl_safety
         )
-        try:
-            stab_a = traj_par or run_parabolic(
-                problem, eps_reg=cfg.parabolic_eps_reg, cfl_safety=cfg.parabolic_cfl_safety
-            )
-            stab_b = run_parabolic(
-                problem_b, eps_reg=cfg.parabolic_eps_reg, cfl_safety=cfg.parabolic_cfl_safety
-            )
-        except (RuntimeError, ValueError) as exc:
-            print(f"solver failure: {exc}", file=sys.stderr)
-            return 3
-        # lip_x of the velocity-kernel form bounds the spatial Lipschitz
-        # constant of the velocity itself.
-        velocity_lip_x = estimate_constants(as_velocity_model(cfg.drift), pairs=0).lip_x
-        c_hat = max(velocity_lip_x, constants["lip_w2"])
-        constants["c_hat"] = c_hat
+        stab_b = run_parabolic(
+            problem_b, eps_reg=cfg.parabolic_eps_reg, cfl_safety=cfg.parabolic_cfl_safety
+        )
+        constants["c_hat"] = c_hat = stability_constant(sampled)
         stability = stability_compare(
             stab_a,
             stab_b,
@@ -252,6 +237,18 @@ def run_command(cfg: RunConfig, strict: bool = False) -> int:
             )
 
     primary = traj_jko if traj_jko is not None else traj_par
+    extra = traj_par if traj_jko is not None else None
+    return primary, extra, ledger, stability, constants, series_rows
+
+
+def run_command(cfg: RunConfig, strict: bool = False) -> int:
+    """Execute the configured solver(s); returns the process exit status."""
+    try:
+        primary, extra, ledger, stability, constants, series_rows = _solve_and_check(cfg)
+    except (RuntimeError, ValueError) as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 3
+
     if cfg.output_directory is not None:
         emit_outputs(
             primary,
@@ -259,7 +256,7 @@ def run_command(cfg: RunConfig, strict: bool = False) -> int:
             cfg.output_directory,
             cfg,
             constants,
-            extra_traj=traj_par if (traj_jko is not None and traj_par is not None) else None,
+            extra_traj=extra,
             series_rows=series_rows,
             warnings=cfg.warnings,
         )
@@ -332,23 +329,22 @@ def _w2_command(args) -> int:
     if n**args.dim != cells:
         print(f"cannot infer a {args.dim}-d grid from {cells} cells", file=sys.stderr)
         return 2
-    grid = make_grid(args.dim, n)
-    total = 0.0
-    for i, (va, vb) in enumerate(zip(sa, sb)):
-        rho_a = normalize(Density(grid, va.reshape(grid.shape)))
-        rho_b = normalize(Density(grid, vb.reshape(grid.shape)))
-        res = sinkhorn_w2(rho_a, rho_b, eps=args.eps, tol=args.tol)
-        if not res.converged:
-            print(
-                f"solver failure: species {i} transport did not converge "
-                f"(marginal error {res.plan_marginal_err:.3e} after "
-                f"{res.iterations} iterations, tol {args.tol:g})",
-                file=sys.stderr,
-            )
-            return 3
-        total += res.w2_sq
-        print(f"species {i} w2_sq {_fmt(res.w2_sq)}")
-    print(f"total w2_sq {_fmt(total)}")
+    try:
+        grid = make_grid(args.dim, n)
+        rho_a, rho_b = (
+            tuple(normalize(Density(grid, v.reshape(grid.shape))) for v in species)
+            for species in (sa, sb)
+        )
+        w2_sq = species_w2_sq(rho_a, rho_b, eps=args.eps, tol=args.tol)
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 3
+    for i, value in enumerate(w2_sq):
+        print(f"species {i} w2_sq {_fmt(value)}")
+    print(f"total w2_sq {_fmt(np.sum(w2_sq))}")
     return 0
 
 

@@ -42,8 +42,8 @@ def build_profile(grid: Grid, spec: dict) -> Density:
     if name == "uniform":
         vals = np.ones(grid.shape)
     elif name == "cosine":
-        amp = float(spec.get("amplitude", 0.5))
-        freq = int(spec.get("frequency", 1))
+        amp = _number(spec.get("amplitude", 0.5), "initial.amplitude")
+        freq = _integer(spec.get("frequency", 1), "initial.frequency")
         if not (0 <= abs(amp) <= 1):
             raise ConfigError("initial.amplitude: must lie in [-1, 1] for positivity")
         vals = np.ones(grid.shape)
@@ -53,9 +53,10 @@ def build_profile(grid: Grid, spec: dict) -> Density:
         vals = vals + amp * mode
     elif name in ("bump", "two_bumps"):
         def bump(center, width):
-            if width <= 0:
-                raise ConfigError("initial.width: must be positive")
-            center = np.atleast_1d(np.asarray(center, dtype=float))
+            try:
+                center = np.atleast_1d(np.asarray(center, dtype=float))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError("initial.center: expected numbers") from exc
             if center.size != grid.dim:
                 raise ConfigError("initial.center: needs one coordinate per axis")
             r2 = np.zeros(grid.shape)
@@ -64,23 +65,29 @@ def build_profile(grid: Grid, spec: dict) -> Density:
             return np.exp(-r2 / (2.0 * width**2))
 
         if name == "bump":
-            vals = bump(spec.get("center", 0.5), float(spec.get("width", 0.1)))
+            width = _number(spec.get("width", 0.1), "initial.width", positive=True)
+            vals = bump(spec.get("center", 0.5), width)
         else:
-            first = bump(spec.get("center_a", 0.25), float(spec.get("width_a", 0.05)))
-            second = bump(spec.get("center_b", 0.75), float(spec.get("width_b", 0.05)))
-            weight = float(spec.get("weight", 0.5))
+            width_a = _number(spec.get("width_a", 0.05), "initial.width_a", positive=True)
+            width_b = _number(spec.get("width_b", 0.05), "initial.width_b", positive=True)
+            first = bump(spec.get("center_a", 0.25), width_a)
+            second = bump(spec.get("center_b", 0.75), width_b)
+            weight = _number(spec.get("weight", 0.5), "initial.weight")
             if not (0 < weight < 1):
                 raise ConfigError("initial.weight: must lie in (0, 1)")
             vals = weight * first + (1.0 - weight) * second
     elif name == "inline":
-        vals = np.asarray(spec.get("values"), dtype=float)
+        vals = _array(spec.get("values"), "initial.values")
         if vals.shape != grid.shape:
             raise ConfigError(
                 f"initial.values: shape {vals.shape} does not match grid {grid.shape}"
             )
     else:
         raise ConfigError(f"initial.profile: unknown profile {name!r}")
-    return normalize(Density(grid, vals))
+    try:
+        return normalize(Density(grid, vals))
+    except ValueError as exc:
+        raise ConfigError(f"initial: {exc}") from exc
 
 
 def build_kernel(grid: Grid, spec: dict, where: str, vector: bool) -> np.ndarray:
@@ -93,20 +100,17 @@ def build_kernel(grid: Grid, spec: dict, where: str, vector: bool) -> np.ndarray
     elif kind == "cosine":
         scalar = cosine_kernel(
             grid,
-            amplitude=float(spec.get("amplitude", 1.0)),
-            frequency=int(spec.get("frequency", 1)),
+            amplitude=_number(spec.get("amplitude", 1.0), f"{where}.amplitude"),
+            frequency=_integer(spec.get("frequency", 1), f"{where}.frequency"),
         )
     elif kind == "gaussian_bump":
-        try:
-            scalar = gaussian_bump_kernel(
-                grid,
-                sigma=float(spec.get("sigma", 0.1)),
-                amplitude=float(spec.get("amplitude", 1.0)),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{where}.sigma: {exc}") from exc
+        scalar = gaussian_bump_kernel(
+            grid,
+            sigma=_number(spec.get("sigma", 0.1), f"{where}.sigma", positive=True),
+            amplitude=_number(spec.get("amplitude", 1.0), f"{where}.amplitude"),
+        )
     elif kind == "inline":
-        arr = np.asarray(spec.get("values"), dtype=float)
+        arr = _array(spec.get("values"), f"{where}.values")
         want = ((grid.dim,) + grid.shape) if vector else grid.shape
         if arr.shape != want:
             raise ConfigError(f"{where}.values: shape {arr.shape}, expected {want}")
@@ -174,7 +178,24 @@ def _integer(raw, where: str) -> int:
     return raw
 
 
+def _object(raw, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected an object")
+    return raw
+
+
+def _array(raw, where: str) -> np.ndarray:
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: expected an array of numbers") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{where}: must be finite")
+    return arr
+
+
 def _energy_from(raw: dict, where: str) -> InternalEnergy:
+    _object(raw, where)
     kind = _require(raw, "kind", where + ".")
     C = _number(raw.get("C", 10.0), where + ".C", positive=True)
     if kind == "entropy":
@@ -208,12 +229,12 @@ def parse_config_dict(raw: dict) -> RunConfig:
         raise ConfigError("config root must be an object")
     warnings: list[str] = []
 
-    grid_raw = _require(raw, "grid", "")
-    dim = _require(grid_raw, "dim", "grid.")
-    n = _require(grid_raw, "n", "grid.")
+    grid_raw = _object(_require(raw, "grid", ""), "grid")
+    dim = _integer(_require(grid_raw, "dim", "grid."), "grid.dim")
+    n = _integer(_require(grid_raw, "n", "grid."), "grid.n")
     try:
-        grid = make_grid(int(dim), int(n))
-    except (TypeError, ValueError) as exc:
+        grid = make_grid(dim, n)
+    except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
     species_raw = _require(raw, "species", "")
@@ -237,7 +258,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
             raise ConfigError(f"{where}.{exc}") from exc
     l = len(energies)
 
-    drift_raw = raw.get("drift", {"mode": "potential"})
+    drift_raw = _object(raw.get("drift", {"mode": "potential"}), "drift")
     mode = drift_raw.get("mode", "potential")
     if mode not in ("potential", "velocity"):
         raise ConfigError(f"drift.mode: unknown mode {mode!r}")
@@ -275,7 +296,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
 
     horizon = _number(_require(raw, "horizon", ""), "horizon", positive=True)
 
-    jko_raw = raw.get("jko", {})
+    jko_raw = _object(raw.get("jko", {}), "jko")
     jko_h = _number(jko_raw.get("h", 1e-3), "jko.h", positive=True)
     jko_eps = _number(jko_raw.get("eps", 5.0 * grid.dx**2), "jko.eps", positive=True)
     jko_tol = _number(jko_raw.get("tol", 1e-9), "jko.tol", positive=True)
@@ -286,7 +307,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
     if not isinstance(jko_debias, bool):
         raise ConfigError("jko.debias: expected true or false")
 
-    par_raw = raw.get("parabolic", {})
+    par_raw = _object(raw.get("parabolic", {}), "parabolic")
     eps_reg = _number(par_raw.get("eps_reg", 1e-3), "parabolic.eps_reg", positive=True)
     if not eps_reg < 1:
         raise ConfigError("parabolic.eps_reg: must lie in (0, 1)")
@@ -298,13 +319,15 @@ def parse_config_dict(raw: dict) -> RunConfig:
             "parabolic solver: zero-kind energies cannot be regularized (F'' = 0)"
         )
 
-    out_raw = raw.get("output", {})
+    out_raw = _object(raw.get("output", {}), "output")
     cadence = _integer(out_raw.get("cadence", 1), "output.cadence")
     if cadence < 1:
         raise ConfigError("output.cadence: must be a positive integer")
     directory = out_raw.get("directory")
+    if directory is not None and not isinstance(directory, str):
+        raise ConfigError("output.directory: expected a string or null")
 
-    diag_raw = raw.get("diagnostics", {})
+    diag_raw = _object(raw.get("diagnostics", {}), "diagnostics")
     ledger_slack_raw = diag_raw.get("ledger_slack")
     if ledger_slack_raw is None:
         from .diagnostics import default_ledger_slack

@@ -6,9 +6,11 @@ time-regularity ratio, the dissipated Sobolev norm of rho^(m/2), the weak
 form residual of the PDE, and the exponential stability bound between two
 trajectories of the same system.
 
-All Wasserstein evaluations here use a small entropic parameter (1e-4 scale)
-with the stabilized solver; diagnostics tolerate slower, more accurate
-transport solves than the inner scheme loop.
+All Wasserstein evaluations here go through ``species_w2_sq`` with a small
+entropic parameter (1e-4 scale); diagnostics tolerate slower, more accurate
+transport solves than the inner scheme loop.  A transport solve that does
+not converge raises RuntimeError naming the species instead of feeding an
+unconverged estimate into a ratio or a series.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .energy import InternalEnergy
 from .grid import Density, Grid, grad_values, laplacian_values
 from .interaction import potential_from_kernel, velocity_field
 from .jko import Problem, Trajectory
-from .transport import sinkhorn_w2
+from .transport import species_w2_sq
 
 __all__ = [
     "Ledger",
@@ -189,10 +191,7 @@ def holder_check(
         raise ValueError("need at least two states")
     worst = 0.0
     for i, j in _pair_indices(len(traj.states), sample_pairs):
-        w2sq = 0.0
-        for a, b in zip(traj.states[i], traj.states[j]):
-            res = sinkhorn_w2(a, b, eps=eps, tol=tol)
-            w2sq += max(res.w2_sq, 0.0)
+        w2sq = float(np.sum(species_w2_sq(traj.states[i], traj.states[j], eps, tol)))
         dt = abs(traj.times[j] - traj.times[i])
         worst = max(worst, float(np.sqrt(w2sq) / np.sqrt(dt + traj.h)))
     return worst
@@ -340,11 +339,8 @@ def stability_compare(
         traj_a.times, traj_b.times
     ):
         raise ValueError("trajectories use different time grids")
-    sums = np.zeros(len(traj_a.times))
-    for k in range(len(traj_a.times)):
-        for a, b in zip(traj_a.states[k], traj_b.states[k]):
-            res = sinkhorn_w2(a, b, eps=eps, tol=tol)
-            sums[k] += max(res.w2_sq, 0.0)
+    pairs = zip(traj_a.states, traj_b.states)
+    sums = np.array([np.sum(species_w2_sq(a, b, eps, tol)) for a, b in pairs])
     bounds = np.exp(4.0 * c_hat * traj_a.times) * sums[0] * (1.0 + margin)
     flags = sums > bounds
     return StabilitySeries(

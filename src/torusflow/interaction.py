@@ -253,8 +253,6 @@ def _random_smooth_density(grid: Grid, rng: np.random.Generator) -> Density:
 def estimate_constants(
     model: DriftModel,
     pairs: int = 8,
-    w2_eps: float = 1e-4,
-    w2_tol: float = 1e-9,
     seed: int = 12345,
 ) -> DriftConstants:
     """Numeric estimates of the drift regularity constants.
@@ -262,7 +260,7 @@ def estimate_constants(
     lip_w2 samples random smooth density pairs with a fixed seed, so repeated
     calls are deterministic.
     """
-    from .transport import sinkhorn_w2
+    from .transport import species_w2_sq
 
     lip_x = _kernel_gradient_bound(model)
     lap_plus = _kernel_lap_plus_bound(model)
@@ -280,10 +278,7 @@ def estimate_constants(
             diff = max(
                 float(np.max(np.abs(v_rho[i].values - v_nu[i].values))) for i in range(l)
             )
-            w2_sum = 0.0
-            for i in range(l):
-                res = sinkhorn_w2(rho[i], nu[i], eps=w2_eps, tol=w2_tol)
-                w2_sum += np.sqrt(max(res.w2_sq, 0.0))
+            w2_sum = float(np.sum(np.sqrt(species_w2_sq(rho, nu, eps=1e-4, tol=1e-9))))
             if w2_sum > 1e-12:
                 lip_w2 = max(lip_w2, diff / w2_sum)
     return DriftConstants(lip_x=lip_x, lip_w2=lip_w2, lap_plus=lap_plus)
@@ -302,11 +297,13 @@ def as_velocity_model(model: DriftModel) -> DriftModel:
     return DriftModel.velocity(grid, kernels)
 
 
-def stability_constant(model: DriftModel, **kwargs) -> float:
-    """Growth constant for the trajectory-stability bound.
+def stability_constant(drift: DriftModel | DriftConstants, **kwargs) -> float:
+    """Growth constant c_hat = max(lip_x, lip_w2) of the velocity-kernel form.
 
-    Uses the velocity-kernel form so lip_x bounds the spatial Lipschitz
-    constant of the velocity itself.
+    lip_x of that form bounds the spatial Lipschitz constant of the velocity
+    itself.  A model is sampled here (``kwargs`` go to ``estimate_constants``);
+    constants already estimated on the velocity form are used as given.
     """
-    consts = estimate_constants(as_velocity_model(model), **kwargs)
-    return max(consts.lip_x, consts.lip_w2)
+    if isinstance(drift, DriftModel):
+        drift = estimate_constants(as_velocity_model(drift), **kwargs)
+    return max(drift.lip_x, drift.lip_w2)

@@ -99,7 +99,6 @@ class Trajectory:
     energies: np.ndarray  # (len(times), species)
     w2_sq: np.ndarray | None = None  # (len(times) - 1, species)
     drift_work: np.ndarray | None = None  # (len(times) - 1, species)
-    plans: list[tuple[np.ndarray, ...]] | None = None
     kind: str = "jko"
     clipped_mass: float = 0.0
     jko_eps: float | None = None  # inner entropic parameter of the transport steps
@@ -121,7 +120,6 @@ def run_jko(
     tol: float = 1e-9,
     max_iter: int = 20000,
     debias: bool = True,
-    keep_plans: bool = False,
 ) -> Trajectory:
     """Semi-implicit scheme with gradient drift for any number of species.
 
@@ -137,7 +135,6 @@ def run_jko(
     energies = np.zeros((n_steps + 1, l))
     w2 = np.zeros((n_steps, l))
     work = np.zeros((n_steps, l))
-    plans: list[tuple[np.ndarray, ...]] = []
     for i in range(l):
         energies[0, i] = problem.energies[i].total(problem.rho0[i].values, vol)
 
@@ -145,7 +142,6 @@ def run_jko(
     for k in range(n_steps):
         potentials = _potentials(problem.drift, current)
         nxt: list[Density] = []
-        step_plans: list[np.ndarray] = []
         for i in range(l):
             try:
                 rho_i, res = jko_step(
@@ -157,7 +153,6 @@ def run_jko(
                     tol=tol,
                     max_iter=max_iter,
                     debias=debias,
-                    return_plan=keep_plans,
                 )
             except RuntimeError as exc:
                 raise RuntimeError(f"step {k} (species {i}) failed: {exc}") from exc
@@ -165,12 +160,8 @@ def run_jko(
             w2[k, i] = res.w2_sq
             work[k, i] = float(np.sum(potentials[i].values * rho_i.values) * vol)
             energies[k + 1, i] = problem.energies[i].total(rho_i.values, vol)
-            if keep_plans:
-                step_plans.append(res.plan)
         current = tuple(nxt)
         states.append(current)
-        if keep_plans:
-            plans.append(tuple(step_plans))
 
     times = problem.h * np.arange(n_steps + 1)
     return Trajectory(
@@ -181,7 +172,6 @@ def run_jko(
         energies=energies,
         w2_sq=w2,
         drift_work=work,
-        plans=plans if keep_plans else None,
         kind="jko",
         jko_eps=eps,
     )

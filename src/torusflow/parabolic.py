@@ -31,7 +31,6 @@ class CFLError(ValueError):
 class ParabolicState:
     densities: tuple[Density, ...]
     time: float
-    dt_last: float = 0.0
     clipped_mass: float = 0.0  # cumulative over the run
 
     def __post_init__(self) -> None:
@@ -143,7 +142,6 @@ def _advance(
     return ParabolicState(
         densities=tuple(new_densities),
         time=state.time + dt,
-        dt_last=dt,
         clipped_mass=state.clipped_mass + clipped,
     )
 
@@ -152,24 +150,21 @@ def run_parabolic(
     problem: Problem,
     eps_reg: float = 1e-3,
     cfl_safety: float = 0.9,
-    record_every: float | None = None,
 ) -> Trajectory:
     """March the regularized equation to the problem horizon.
 
     Velocities are re-evaluated from the current tuple once per step and
-    serve both the CFL bound and the update.  States are recorded on the
-    uniform grid of spacing ``record_every`` (default: the problem's h), so
-    trajectories are directly comparable with the minimizing-movement route.
+    serve both the CFL bound and the update.  States are recorded every
+    problem h (and at the horizon), so trajectories are directly comparable
+    with the minimizing-movement route.
     """
     if not (0 < cfl_safety <= 1):
         raise ValueError("cfl_safety must lie in (0, 1]")
     reg = tuple(regularize(e, eps_reg) for e in problem.energies)
     grid = problem.grid
     vol = grid.cell_volume
-    stride = problem.h if record_every is None else float(record_every)
-    if stride <= 0:
-        raise ValueError("record_every must be positive")
-    record_times = stride * np.arange(1, int(np.floor(problem.horizon / stride)) + 1)
+    h = problem.h
+    record_times = h * np.arange(1, int(np.floor(problem.horizon / h)) + 1)
     if record_times.size == 0 or record_times[-1] < problem.horizon - 1e-12:
         record_times = np.append(record_times, problem.horizon)
 
@@ -190,13 +185,12 @@ def run_parabolic(
     for k, tup in enumerate(states):
         for i in range(l):
             energies[k, i] = problem.energies[i].total(tup[i].values, vol)
-    traj = Trajectory(
+    return Trajectory(
         grid=grid,
-        h=stride,
+        h=h,
         times=np.asarray(times),
         states=states,
         energies=energies,
         kind="parabolic",
         clipped_mass=state.clipped_mass,
     )
-    return traj

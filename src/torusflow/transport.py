@@ -5,7 +5,9 @@ densities by alternating marginal scalings on the Gibbs kernel exp(-c/eps),
 with potential absorption for numerical stability and a deterministic
 eps-scaling warm start when the kernel would underflow.  The reported value
 is the primal transport cost <c, plan> of the computed plan, without the
-entropic term.
+entropic term.  ``sinkhorn_w2`` reports convergence; ``species_w2_sq``, the
+per-species distance every diagnostic uses, raises when a solve has not
+converged.
 
 ``jko_step`` solves one semi-implicit minimizing-movement step
 
@@ -34,6 +36,7 @@ __all__ = [
     "TransportResult",
     "cost_matrix",
     "sinkhorn_w2",
+    "species_w2_sq",
     "exact_w2_permutation",
     "jko_step",
 ]
@@ -116,6 +119,11 @@ def _eps_schedule(eps: float, c_max: float) -> list[float]:
     return levels
 
 
+def _gibbs(f: np.ndarray, g: np.ndarray, c: np.ndarray, level: float) -> np.ndarray:
+    """Kernel exp((f_i + g_j - c_ij) / level) with absorbed potentials f, g."""
+    return np.exp((f[:, None] + g[None, :] - c) / level)
+
+
 def sinkhorn_w2(
     mu: Density,
     nu: Density,
@@ -124,39 +132,37 @@ def sinkhorn_w2(
     max_iter: int = 200000,
     return_plan: bool = False,
 ) -> TransportResult:
-    """Entropic estimate of W2^2 on the torus, deterministic given inputs."""
+    """Entropic estimate of W2^2 on the torus, deterministic given inputs.
+
+    The scalings run on the supports of the two densities only; empty cells
+    carry no plan mass, and a returned plan is zero on their rows/columns.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if mu.grid != nu.grid:
         raise ValueError("densities live on different grids")
     _check_normalized(mu, "mu")
     _check_normalized(nu, "nu")
-    grid = mu.grid
-    c = cost_matrix(grid)
-    vol = grid.cell_volume
-    a = mu.values.ravel() * vol
-    b = nu.values.ravel() * vol
-    a_pos = a > 0
-    b_pos = b > 0
+    c_full = cost_matrix(mu.grid)
+    vol = mu.grid.cell_volume
+    a_full, b_full = mu.values.ravel() * vol, nu.values.ravel() * vol
+    rows, cols = np.flatnonzero(a_full), np.flatnonzero(b_full)
+    a, b = a_full[rows], b_full[cols]
+    # Indexing copies, so a fully supported pair keeps the shared cost array.
+    c = c_full if a.size * b.size == c_full.size else c_full[np.ix_(rows, cols)]
 
     f = np.zeros_like(a)
     g = np.zeros_like(b)
-    # Dead cells keep their plan rows/columns at zero through -inf potentials.
-    f[~a_pos] = -np.inf
-    g[~b_pos] = -np.inf
-
     total_iter = 0
-    err = np.inf
-    for level in _eps_schedule(eps, float(np.max(c))):
+    for level in _eps_schedule(eps, float(np.max(c_full))):
         level_tol = tol if level == eps else max(tol, 1e-7)
         level_budget = max_iter - total_iter if level == eps else min(5000, max_iter)
-        with np.errstate(over="ignore", invalid="ignore"):
-            kernel = np.exp((f[:, None] + g[None, :] - c) / level)
+        kernel = _gibbs(f, g, c, level)
         u = np.ones_like(a)
         v = np.ones_like(b)
         for _ in range(max(level_budget, 1)):
             kv = kernel @ v
-            if np.any((kv <= 0) & a_pos):
+            if np.any(kv <= 0):
                 # Row underflow despite absorbed potentials: tighten the ladder.
                 raise RuntimeError(
                     "sinkhorn kernel underflow; eps is too small for this cost"
@@ -165,37 +171,30 @@ def sinkhorn_w2(
             total_iter += 1
             if err <= level_tol and total_iter > 1:
                 break
-            u = np.where(a_pos, a / np.where(kv > 0, kv, 1.0), 0.0)
+            u = a / kv
             ktu = kernel.T @ u
-            v = np.where(b_pos, b / np.where(ktu > 0, ktu, 1.0), 0.0)
+            v = b / np.where(ktu > 0, ktu, 1.0)
             big = max(float(np.max(u)), float(np.max(v)))
-            small = min(
-                float(np.min(u[a_pos])) if a_pos.any() else 1.0,
-                float(np.min(v[b_pos])) if b_pos.any() else 1.0,
-            )
-            if big > _SCALING_BOUND or (small < 1.0 / _SCALING_BOUND and small > 0):
-                with np.errstate(divide="ignore"):
-                    f = f + level * np.log(np.where(u > 0, u, 1.0))
-                    g = g + level * np.log(np.where(v > 0, v, 1.0))
-                f[~a_pos] = -np.inf
-                g[~b_pos] = -np.inf
-                with np.errstate(over="ignore", invalid="ignore"):
-                    kernel = np.exp((f[:, None] + g[None, :] - c) / level)
+            small = min(float(np.min(u)), float(np.min(v)))
+            if big > _SCALING_BOUND or small < 1.0 / _SCALING_BOUND:
+                f = f + level * np.log(u)
+                g = g + level * np.log(v)
+                kernel = _gibbs(f, g, c, level)
                 u = np.ones_like(a)
                 v = np.ones_like(b)
         # Absorb before moving to the next (smaller) level.
-        with np.errstate(divide="ignore"):
-            f = f + level * np.log(np.where(u > 0, u, 1.0))
-            g = g + level * np.log(np.where(v > 0, v, 1.0))
-        f[~a_pos] = -np.inf
-        g[~b_pos] = -np.inf
+        f = f + level * np.log(u)
+        g = g + level * np.log(v)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        plan = np.exp((f[:, None] + g[None, :] - c) / eps)
+    plan = _gibbs(f, g, c, eps)
     row_err = float(np.max(np.abs(plan.sum(axis=1) - a)))
     col_err = float(np.max(np.abs(plan.sum(axis=0) - b)))
     err = max(row_err, col_err)
     w2_sq = float(np.sum(plan * c))
+    if return_plan and plan.shape != c_full.shape:
+        full = np.zeros(c_full.shape)
+        full[np.ix_(rows, cols)] = plan
+        plan = full
     return TransportResult(
         w2_sq=w2_sq,
         plan_marginal_err=err,
@@ -204,6 +203,27 @@ def sinkhorn_w2(
         converged=err <= tol,
         plan=plan if return_plan else None,
     )
+
+
+def species_w2_sq(
+    rho_a: tuple[Density, ...], rho_b: tuple[Density, ...], eps: float, tol: float
+) -> np.ndarray:
+    """Per-species squared W2 between two density tuples, one entry each.
+
+    Raises RuntimeError naming the species when its solve does not converge,
+    so no caller can sum an unconverged estimate.
+    """
+    out = np.zeros(len(rho_a))
+    for i, (a, b) in enumerate(zip(rho_a, rho_b, strict=True)):
+        res = sinkhorn_w2(a, b, eps=eps, tol=tol)
+        if not res.converged:
+            raise RuntimeError(
+                f"species {i} transport did not converge (marginal error "
+                f"{res.plan_marginal_err:.3e} after {res.iterations} iterations, "
+                f"tol {tol:g})"
+            )
+        out[i] = res.w2_sq
+    return out
 
 
 def jko_step(

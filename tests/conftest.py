@@ -3,8 +3,21 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 import torusflow as tf
+
+
+@pytest.fixture
+def unconverged_transport(monkeypatch):
+    """Every sinkhorn_w2 solve reports a marginal error of 1 after 7 iterations."""
+
+    def fake(mu, nu, eps, tol):
+        return tf.TransportResult(
+            w2_sq=0.0, plan_marginal_err=1.0, iterations=7, eps=eps, converged=False
+        )
+
+    monkeypatch.setattr("torusflow.transport.sinkhorn_w2", fake)
 
 
 def heat_values(grid: tf.Grid, amplitude: float, t: float, frequency: int = 1) -> np.ndarray:

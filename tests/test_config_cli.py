@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -175,16 +176,33 @@ class TestParseConfig:
             ("output", "cadence", 1.5),
             ("output", "cadence", "x"),
             ("output", "cadence", False),
+            pytest.param("", "drift", [1], id="drift-list"),
+            pytest.param("", "jko", [1], id="jko-list"),
+            ("species.0.initial", "amplitude", "x"),
+            ("species.0.initial", "frequency", "x"),
+            pytest.param(
+                "species.0",
+                "initial",
+                {"profile": "inline", "values": [-1.0] + [1.0] * 15},
+                id="species-0-initial-negative-inline",
+            ),
+            ("grid", "n", 64.7),
         ],
     )
     def test_mistyped_field_rejected(self, tmp_path, capsys, section, key, value):
+        # section is a dotted path into the config ("" for the root); list
+        # indices appear as numbers and are reported as [i].
         cfg = minimal_config()
-        cfg[section][key] = value
+        target = cfg
+        for part in filter(None, section.split(".")):
+            target = target[int(part)] if part.isdigit() else target[part]
+        target[key] = value
+        field = re.sub(r"\.(\d+)", r"[\1]", f"{section}.{key}".lstrip("."))
         path = write_config(tmp_path, cfg)
-        with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+        with pytest.raises(ConfigError, match=re.escape(field)):
             parse_config(path)
         assert main(["check", "--config", str(path)]) == 2
-        assert f"{section}.{key}" in capsys.readouterr().err
+        assert field in capsys.readouterr().err
 
     def test_resolved_round_trips(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, minimal_config()))
@@ -300,6 +318,15 @@ class TestRunCli:
         # 3 recorded times x 2 species compared, 8 sampled pairs x 2 species.
         assert len(calls) == 3 * 2 + 8 * 2
 
+    def test_stability_run_unconverged_solve_is_solver_failure(
+        self, tmp_path, capsys, unconverged_transport
+    ):
+        out_dir = tmp_path / "out"
+        path = write_config(tmp_path, stability_config(str(out_dir)))
+        assert main(["run", "--config", str(path)]) == 3
+        assert "solver failure: species 0 transport did not converge" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "config, reference",
         [("heat.json", "heat"), ("two_species_stability.json", "stability")],
@@ -383,11 +410,22 @@ class TestRunCli:
                 converged=next(results),
             )
 
-        monkeypatch.setattr("torusflow.cli.sinkhorn_w2", fake)
+        monkeypatch.setattr("torusflow.transport.sinkhorn_w2", fake)
         code = main(["w2", "--a", str(path), "--b", str(path), "--time", "0.0"])
         assert code == 3
         captured = capsys.readouterr()
         assert "solver failure: species 1" in captured.err
+        assert "total w2_sq" not in captured.out
+
+    def test_w2_grid_beyond_dense_cost_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        rows = ["time,species,cell_index,value"]
+        rows += [f"0.0,0,{c},1.0" for c in range(129 * 129)]
+        path.write_text("\n".join(rows) + "\n")
+        code = main(["w2", "--a", str(path), "--b", str(path), "--time", "0.0", "--dim", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "16641 cells" in captured.err
         assert "total w2_sq" not in captured.out
 
     def test_read_states_csv_round_trip(self, tmp_path):

@@ -84,6 +84,11 @@ class TestHolder:
         with pytest.raises(ValueError):
             tf.holder_check(traj)
 
+    def test_unconverged_solve_raises(self, unconverged_transport):
+        traj = tf.run_jko(uniform_problem(horizon=3e-3), eps=1e-3)
+        with pytest.raises(RuntimeError, match="species 0 transport did not converge"):
+            tf.holder_check(traj, sample_pairs=2)
+
 
 class TestSobolev:
     def test_uniform_zero(self):
@@ -238,6 +243,11 @@ class TestStability:
         )
         with pytest.raises(ValueError, match="time grids"):
             tf.stability_compare(traj_a, short, c_hat=1.0)
+
+    def test_unconverged_solve_raises(self, unconverged_transport):
+        traj_a, traj_b = self._two_trajectories(shift_cells=1)
+        with pytest.raises(RuntimeError, match="species 0 transport did not converge"):
+            tf.stability_compare(traj_a, traj_b, c_hat=1.0)
 
 
 class TestEntropyValue:

@@ -169,3 +169,10 @@ class TestConstants:
         vel = as_velocity_model(model)
         direct = tf.estimate_constants(vel, pairs=4)
         assert c_hat == pytest.approx(max(direct.lip_x, direct.lip_w2))
+        assert tf.stability_constant(direct) == c_hat
+
+    def test_unconverged_solve_raises(self, unconverged_transport):
+        grid = tf.make_grid(1, 16)
+        model = tf.DriftModel.potential(grid, cosine_kernel(grid)[None, None])
+        with pytest.raises(RuntimeError, match="species 0 transport did not converge"):
+            tf.estimate_constants(model, pairs=1)

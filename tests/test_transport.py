@@ -129,6 +129,46 @@ class TestSinkhorn:
         with pytest.raises(ValueError, match="normalized"):
             tf.sinkhorn_w2(rho, bad, eps=1e-3)
 
+    def test_plan_with_empty_cells_is_full_size(self):
+        # The solve runs on the supports; the plan is scattered back with
+        # exact zeros on the rows and columns of the empty cells.
+        g = tf.make_grid(1, 16)
+        mu_vals = 1 + 0.5 * np.cos(2 * np.pi * g.axis_centers)
+        nu_vals = 1 + 0.5 * np.sin(2 * np.pi * g.axis_centers)
+        mu_vals[:4] = 0.0
+        nu_vals[8:12] = 0.0
+        mu = tf.normalize(tf.Density(g, mu_vals))
+        nu = tf.normalize(tf.Density(g, nu_vals))
+        tol = 1e-10
+        res = tf.sinkhorn_w2(mu, nu, eps=1e-3, tol=tol, return_plan=True)
+        assert res.converged
+        assert res.plan.shape == (16, 16)
+        assert np.all(res.plan[:4, :] == 0.0)
+        assert np.all(res.plan[:, 8:12] == 0.0)
+        assert np.max(np.abs(res.plan.sum(axis=1) - mu.values * g.cell_volume)) <= tol
+        assert np.max(np.abs(res.plan.sum(axis=0) - nu.values * g.cell_volume)) <= tol
+        assert res.w2_sq == pytest.approx(float(np.sum(res.plan * tf.cost_matrix(g))))
+
+
+class TestSpeciesW2:
+    def test_matches_per_species_solves(self):
+        g = tf.make_grid(1, 16)
+        rho_a = (cosine_density(g, 0.3), cosine_density(g, -0.2))
+        rho_b = (cosine_density(g, -0.4), cosine_density(g, 0.1))
+        got = tf.species_w2_sq(rho_a, rho_b, eps=1e-3, tol=1e-9)
+        want = [tf.sinkhorn_w2(a, b, eps=1e-3, tol=1e-9).w2_sq for a, b in zip(rho_a, rho_b)]
+        np.testing.assert_array_equal(got, want)
+
+    def test_unconverged_solve_raises(self, unconverged_transport):
+        g = tf.make_grid(1, 8)
+        rho = (cosine_density(g, 0.3),)
+        with pytest.raises(
+            RuntimeError,
+            match=r"species 0 transport did not converge \(marginal error 1\.000e\+00 "
+            r"after 7 iterations, tol 1e-09\)",
+        ):
+            tf.species_w2_sq(rho, rho, eps=1e-3, tol=1e-9)
+
 
 class TestJkoStep:
     def test_uniform_fixed_point(self):
