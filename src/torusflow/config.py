@@ -25,6 +25,7 @@ from .interaction import (
     gaussian_bump_kernel,
     zero_kernel,
 )
+from .transport import _MAX_COST_CELLS
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "build_profile", "build_kernel"]
 
@@ -52,7 +53,13 @@ def build_profile(grid: Grid, spec: dict) -> Density:
             mode = mode * np.cos(2 * np.pi * freq * c)
         vals = vals + amp * mode
     elif name in ("bump", "two_bumps"):
-        def bump(center, width):
+        def bump(center, width_key, width_default):
+            where = f"initial.{width_key}"
+            width = _number(spec.get(width_key, width_default), where, positive=True)
+            try:
+                spread = 2.0 * width**2
+            except OverflowError as exc:
+                raise ConfigError(f"{where}: too large (its square overflows)") from exc
             try:
                 center = np.atleast_1d(np.asarray(center, dtype=float))
             except (TypeError, ValueError) as exc:
@@ -62,16 +69,13 @@ def build_profile(grid: Grid, spec: dict) -> Density:
             r2 = np.zeros(grid.shape)
             for a, c in enumerate(coords):
                 r2 += minimal_image(c - center[a]) ** 2
-            return np.exp(-r2 / (2.0 * width**2))
+            return np.exp(-r2 / spread)
 
         if name == "bump":
-            width = _number(spec.get("width", 0.1), "initial.width", positive=True)
-            vals = bump(spec.get("center", 0.5), width)
+            vals = bump(spec.get("center", 0.5), "width", 0.1)
         else:
-            width_a = _number(spec.get("width_a", 0.05), "initial.width_a", positive=True)
-            width_b = _number(spec.get("width_b", 0.05), "initial.width_b", positive=True)
-            first = bump(spec.get("center_a", 0.25), width_a)
-            second = bump(spec.get("center_b", 0.75), width_b)
+            first = bump(spec.get("center_a", 0.25), "width_a", 0.05)
+            second = bump(spec.get("center_b", 0.75), "width_b", 0.05)
             weight = _number(spec.get("weight", 0.5), "initial.weight")
             if not (0 < weight < 1):
                 raise ConfigError("initial.weight: must lie in (0, 1)")
@@ -358,7 +362,23 @@ def parse_config_dict(raw: dict) -> RunConfig:
     # cheap; the sampled W2-Lipschitz estimate is deferred to the run.
     from .interaction import estimate_constants
 
-    load_constants = estimate_constants(drift, pairs=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        load_constants = estimate_constants(drift, pairs=0)
+    bounds = {
+        "lip_x": load_constants.lip_x,
+        "lap_plus": load_constants.lap_plus,
+        "nonneg_shift": drift.nonneg_shift,
+    }
+    if not all(math.isfinite(b) for b in bounds.values()):
+        listed = ", ".join(f"{k} {v:g}" for k, v in bounds.items())
+        raise ConfigError(f"drift.kernels: drift bounds are not finite ({listed})")
+    # The sampled W2 passes (drift constants, stability series) need the
+    # dense Sinkhorn cost, which transport.py caps; say so before any run.
+    if grid.cells > _MAX_COST_CELLS and (np.any(drift.kernels) or stab_raw is not None):
+        raise ConfigError(
+            f"grid.n: {grid.cells} cells exceed the {_MAX_COST_CELLS} cells of the "
+            "dense W2 cost needed by nonzero drift kernels or a stability section"
+        )
     for idx, e in enumerate(energies):
         for msg in validate_growth(e):
             warnings.append(f"species[{idx}].energy: {msg}")

@@ -3,11 +3,12 @@
 ``sinkhorn_w2`` estimates the squared 2-Wasserstein distance between grid
 densities by alternating marginal scalings on the Gibbs kernel exp(-c/eps),
 with potential absorption for numerical stability and a deterministic
-eps-scaling warm start when the kernel would underflow.  The reported value
-is the primal transport cost <c, plan> of the computed plan, without the
-entropic term.  ``sinkhorn_w2`` reports convergence; ``species_w2_sq``, the
-per-species distance every diagnostic uses, raises when a solve has not
-converged.
+eps-scaling warm start when the kernel would underflow.  It works on the
+dense cost ``cost_matrix(grid)``, restricted to the supports, so its grids
+are capped at ``_MAX_COST_CELLS`` cells.  The reported value is the primal
+transport cost <c, plan> of the computed plan, without the entropic term.
+``sinkhorn_w2`` reports convergence; ``species_w2_sq``, the per-species
+distance every diagnostic uses, raises when a solve has not converged.
 
 ``jko_step`` solves one semi-implicit minimizing-movement step
 
@@ -18,7 +19,10 @@ scaling, the second through the per-cell KL proximal of the energy with
 tau = 2h.  By default the step is debiased with the symmetric self-transport
 scaling d (d * (K d) = second marginal at convergence), which cancels the
 O(eps) blur of the plain entropic scheme; ``debias=False`` gives the plain
-alternation.
+alternation.  The torus cost is a sum over axes, so the step's Gibbs kernel
+is the Kronecker product of one n x n per-axis kernel K1 and each kernel
+product runs axis by axis (K1 V K1^T in 2-d).  No cells x cells array is
+built unless the caller asks for the plan, and the step has no grid cap.
 """
 
 from __future__ import annotations
@@ -226,6 +230,14 @@ def species_w2_sq(
     return out
 
 
+def _kron_apply(mats: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    """kron(mats[0], ..., mats[dim-1]) @ x for a flat cell vector x, per axis."""
+    if len(mats) == 1:
+        return mats[0] @ x
+    n = mats[0].shape[0]
+    return (mats[0] @ x.reshape(n, n) @ mats[1].T).ravel()
+
+
 def jko_step(
     rho_prev: Density,
     h: float,
@@ -249,11 +261,10 @@ def jko_step(
         raise ValueError("eps must be positive")
     _check_normalized(rho_prev, "rho_prev")
     grid = rho_prev.grid
-    c = cost_matrix(grid)
-    if float(np.max(c)) / eps > 600.0:
-        raise ValueError(
-            "eps is too small for a dense Gibbs kernel on this grid; increase eps"
-        )
+    x = grid.axis_centers
+    c1 = minimal_image(x[:, None] - x[None, :]) ** 2
+    if grid.dim * float(np.max(c1)) / eps > 600.0:
+        raise ValueError("eps is too small for the Gibbs kernel on this grid; increase eps")
     tau = 2.0 * h
     if tau / eps > 600.0:
         raise ValueError("h/eps is too large for stable scalings; increase eps")
@@ -271,7 +282,9 @@ def jko_step(
         if u_pot.shape != a.shape:
             raise ValueError("potential has the wrong number of cells")
 
-    kernel = np.exp(-c / eps)
+    k1 = np.exp(-c1 / eps)
+    kernel = (k1,) * grid.dim
+    kernel_t = (k1.T,) * grid.dim
     v = np.ones_like(a)
     d = np.ones_like(a)
     rho_curr = a / vol
@@ -279,14 +292,14 @@ def jko_step(
     iterations = 0
     converged = False
     for _ in range(max_iter):
-        kv = kernel @ v
+        kv = _kron_apply(kernel, v)
         u = a / kv
-        s = kernel.T @ u  # second-marginal proposal in mass units
+        s = _kron_apply(kernel_t, u)  # second-marginal proposal in mass units
         sigma = s * d / vol
         rho_new = kl_prox(energy, sigma, eps, tau, u_pot)
         v = rho_new * vol / s
         if debias:
-            d = np.sqrt(d * (rho_new * vol) / (kernel @ d))
+            d = np.sqrt(d * (rho_new * vol) / _kron_apply(kernel, d))
         iterations += 1
         delta = float(np.max(np.abs(rho_new - rho_curr)))
         rho_curr = rho_new
@@ -302,10 +315,19 @@ def jko_step(
             f"(last density change {delta:.3e}, tol {tol:.3e})"
         )
 
-    plan = u[:, None] * kernel * v[None, :]
-    row_err = float(np.max(np.abs(plan.sum(axis=1) - a)))
-    col_err = float(np.max(np.abs(plan.sum(axis=0) - rho_curr * vol)))
-    w2_sq = float(np.sum(plan * c))
+    # The plan u_i K_ij v_j stays implicit: its marginals and its primal cost
+    # are kernel products: K * C is the sum over axes of the product with
+    # K1 * c1 on that axis and K1 on the others.
+    row_err = float(np.max(np.abs(u * _kron_apply(kernel, v) - a)))
+    col_err = float(np.max(np.abs(v * _kron_apply(kernel_t, u) - rho_curr * vol)))
+    kc1 = k1 * c1
+    w2_sq = sum(
+        float(np.sum(u * _kron_apply(kernel[:ax] + (kc1,) + kernel[ax + 1 :], v)))
+        for ax in range(grid.dim)
+    )
+    plan = None
+    if return_plan:
+        plan = u[:, None] * functools.reduce(np.kron, kernel) * v[None, :]
     rho_out = normalize(Density(grid, rho_curr.reshape(grid.shape)))
     result = TransportResult(
         w2_sq=w2_sq,
@@ -313,6 +335,6 @@ def jko_step(
         iterations=iterations,
         eps=eps,
         converged=True,
-        plan=plan if return_plan else None,
+        plan=plan,
     )
     return rho_out, result

@@ -187,6 +187,18 @@ class TestParseConfig:
                 id="species-0-initial-negative-inline",
             ),
             ("grid", "n", 64.7),
+            pytest.param(
+                "species.0",
+                "initial",
+                {"profile": "bump", "width": 1e308},
+                id="species-0-initial-bump-width-overflow",
+            ),
+            pytest.param(
+                "",
+                "drift",
+                {"kernels": [[{"kind": "cosine", "amplitude": 1e308}]]},
+                id="drift-nonfinite-bounds",
+            ),
         ],
     )
     def test_mistyped_field_rejected(self, tmp_path, capsys, section, key, value):
@@ -427,6 +439,17 @@ class TestRunCli:
         captured = capsys.readouterr()
         assert "16641 cells" in captured.err
         assert "total w2_sq" not in captured.out
+
+    def test_check_drift_on_grid_beyond_dense_cost_is_config_error(self, tmp_path, capsys):
+        drift = {"kernels": [[{"kind": "cosine", "amplitude": 0.2}]]}
+        cfg = minimal_config(grid={"dim": 2, "n": 130}, drift=drift)
+        assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert "grid.n" in capsys.readouterr().err
+
+    def test_check_drift_free_on_grid_beyond_dense_cost(self, tmp_path, capsys):
+        cfg = minimal_config(grid={"dim": 2, "n": 130})
+        assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 0
+        assert "config OK" in capsys.readouterr().out
 
     def test_read_states_csv_round_trip(self, tmp_path):
         out_dir = tmp_path / "out"

@@ -241,6 +241,40 @@ class TestJkoStep:
         err_debiased = abs(mode_amplitude(debiased.values) - target)
         assert err_debiased < 0.25 * err_plain
 
+    def test_2d_plan_matches_separable_cost_and_marginals(self):
+        g = tf.make_grid(2, 10)
+        x, y = g.coordinate_grids()
+        rho = tf.normalize(
+            tf.Density(g, 1 + 0.4 * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y + 0.3))
+        )
+        pot = 0.2 * np.cos(2 * np.pi * (x + 2 * y))
+        out, res = tf.jko_step(
+            rho, 1e-3, tf.InternalEnergy.power(2.0), pot, eps=4e-3, tol=1e-12,
+            return_plan=True,
+        )
+        vol = g.cell_volume
+        assert res.plan.shape == (100, 100)
+        dense = float(np.sum(res.plan * tf.cost_matrix(g)))
+        assert res.w2_sq == pytest.approx(dense, rel=1e-12)
+        np.testing.assert_allclose(res.plan.sum(axis=1), rho.values.ravel() * vol, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(res.plan.sum(axis=0), out.values.ravel() * vol, rtol=0, atol=1e-10)
+        assert res.plan_marginal_err <= 1e-10
+
+    def test_2d_step_beyond_dense_cost_cap(self, monkeypatch):
+        # 130^2 cells exceed the dense-cost cap; the step never builds that cost.
+        def no_dense_cost(grid):
+            raise AssertionError("jko_step built the dense cost matrix")
+
+        monkeypatch.setattr(tf.transport, "cost_matrix", no_dense_cost)
+        g = tf.make_grid(2, 130)
+        assert g.cells > tf.transport._MAX_COST_CELLS
+        x, y = g.coordinate_grids()
+        rho = tf.normalize(tf.Density(g, 1 + 0.3 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)))
+        out, res = tf.jko_step(rho, 1e-3, tf.InternalEnergy.entropy(), None, eps=1e-3)
+        assert res.converged
+        assert out.mass() == pytest.approx(1.0, abs=1e-12)
+        assert res.plan is None
+
     def test_parameter_validation(self):
         g = tf.make_grid(1, 16)
         rho = cosine_density(g, 0.2)
