@@ -53,7 +53,7 @@ from .interaction import (
     velocity_field,
 )
 from .jko import Problem, Trajectory, el_residual, run_jko, trig_vector_field
-from .parabolic import CFLError, ParabolicState, cfl_bound, parabolic_step, run_parabolic
+from .parabolic import CFLError, ParabolicState, parabolic_step, run_parabolic
 from .transport import (
     TransportResult,
     cost_matrix,
@@ -99,7 +99,6 @@ __all__ = [
     "trig_vector_field",
     "ParabolicState",
     "CFLError",
-    "cfl_bound",
     "parabolic_step",
     "run_parabolic",
     "Ledger",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -33,7 +32,7 @@ from .config import ConfigError, RunConfig, parse_config
 from .diagnostics import Ledger, StabilitySeries, energy_ledger, stability_compare
 from .grid import Density, make_grid, normalize
 from .interaction import as_velocity_model, estimate_constants, stability_constant
-from .jko import Problem, Trajectory, run_jko
+from .jko import Trajectory, run_jko
 from .parabolic import run_parabolic
 from .transport import species_w2_sq
 
@@ -51,79 +50,65 @@ def _output_indices(n_times: int, cadence: int) -> list[int]:
     return idx
 
 
-def _write_states(path: Path, traj: Trajectory, cadence: int) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write header and rows; rows may be a generator, so large files stream."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["time", "species", "cell_index", "value"])
-        for k in _output_indices(len(traj.times), cadence):
-            t = traj.times[k]
-            for i, rho in enumerate(traj.states[k]):
-                flat = rho.values.ravel()
-                for cell, value in enumerate(flat):
-                    writer.writerow([_fmt(t), i, cell, _fmt(value)])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _write_ledger(path: Path, ledger: Ledger) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["step", "time", "w2_sq", "energy", "drift_term", "entropy", "sobolev", "flag"]
+def _state_rows(traj: Trajectory, cadence: int):
+    for k in _output_indices(len(traj.times), cadence):
+        t = _fmt(traj.times[k])
+        for i, rho in enumerate(traj.states[k]):
+            for cell, value in enumerate(rho.values.ravel()):
+                yield t, i, cell, _fmt(value)
+
+
+def _ledger_rows(ledger: Ledger):
+    for k in range(len(ledger.w2_sq)):
+        yield (
+            k,
+            _fmt(ledger.times[k + 1]),
+            _fmt(ledger.w2_sq[k]),
+            _fmt(ledger.energy[k]),
+            _fmt(ledger.drift_term[k]),
+            _fmt(ledger.entropy[k]),
+            _fmt(ledger.sobolev[k]),
+            int(ledger.flags[k]),
         )
-        for k in range(len(ledger.w2_sq)):
-            writer.writerow(
-                [
-                    k,
-                    _fmt(ledger.times[k + 1]),
-                    _fmt(ledger.w2_sq[k]),
-                    _fmt(ledger.energy[k]),
-                    _fmt(ledger.drift_term[k]),
-                    _fmt(ledger.entropy[k]),
-                    _fmt(ledger.sobolev[k]),
-                    int(ledger.flags[k]),
-                ]
-            )
 
 
-def _write_series(path: Path, rows: list[tuple]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series", "time", "species", "value", "bound"])
-        for row in rows:
-            writer.writerow(row)
+_STATES_HEADER = ["time", "species", "cell_index", "value"]
+_LEDGER_HEADER = ["step", "time", "w2_sq", "energy", "drift_term", "entropy", "sobolev", "flag"]
+_SERIES_HEADER = ["series", "time", "species", "value", "bound"]
 
 
 def emit_outputs(
     traj: Trajectory,
     ledger: Ledger | None,
-    directory: str | Path,
     cfg: RunConfig,
     constants: dict,
     extra_traj: Trajectory | None = None,
     series_rows: list[tuple] | None = None,
-    warnings: list[str] | None = None,
 ) -> list[Path]:
-    out = Path(directory)
+    """Write the run's files into cfg.output_directory; returns their paths."""
+    out = Path(cfg.output_directory)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    states_path = out / "states.csv"
-    _write_states(states_path, traj, cfg.output_cadence)
-    written.append(states_path)
-
+    tables = [("states.csv", _STATES_HEADER, _state_rows(traj, cfg.output_cadence))]
     if extra_traj is not None:
-        extra_path = out / "states_parabolic.csv"
-        _write_states(extra_path, extra_traj, cfg.output_cadence)
-        written.append(extra_path)
-
+        tables.append(
+            ("states_parabolic.csv", _STATES_HEADER, _state_rows(extra_traj, cfg.output_cadence))
+        )
     if ledger is not None:
-        ledger_path = out / "ledger.csv"
-        _write_ledger(ledger_path, ledger)
-        written.append(ledger_path)
-
+        tables.append(("ledger.csv", _LEDGER_HEADER, _ledger_rows(ledger)))
     if series_rows:
-        series_path = out / "series.csv"
-        _write_series(series_path, series_rows)
-        written.append(series_path)
+        tables.append(("series.csv", _SERIES_HEADER, series_rows))
+    written: list[Path] = []
+    for name, header, rows in tables:
+        _write_csv(out / name, header, rows)
+        written.append(out / name)
 
     meta = {
         "package": "torusflow",
@@ -131,7 +116,7 @@ def emit_outputs(
         "config": cfg.resolved,
         "constants": constants,
         "slack": {"ledger": cfg.ledger_slack},
-        "warnings": warnings or [],
+        "warnings": cfg.warnings,
     }
     meta_path = out / "meta.json"
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -152,32 +137,11 @@ def _shared_time_indices(a: Trajectory, b: Trajectory) -> list[tuple[int, int]]:
 def _solve_and_check(cfg: RunConfig):
     """Run the configured solver(s) and diagnostics; returns (primary, extra
     trajectory or None, ledger or None, stability or None, constants, rows)."""
-    problem = Problem(
-        grid=cfg.grid,
-        energies=cfg.energies,
-        drift=cfg.drift,
-        rho0=cfg.rho0,
-        horizon=cfg.horizon,
-        h=cfg.jko_h,
+    problem = cfg.problem
+    traj_jko = run_jko(problem, **cfg.jko) if cfg.solver in ("jko", "both") else None
+    traj_par = (
+        run_parabolic(problem, **cfg.parabolic) if cfg.solver in ("parabolic", "both") else None
     )
-    l = cfg.species_count
-
-    traj_jko: Trajectory | None = None
-    traj_par: Trajectory | None = None
-    if cfg.solver in ("jko", "both"):
-        traj_jko = run_jko(
-            problem,
-            eps=cfg.jko_eps,
-            tol=cfg.jko_tol,
-            max_iter=cfg.jko_max_iter,
-            debias=cfg.jko_debias,
-        )
-    if cfg.solver in ("parabolic", "both"):
-        traj_par = run_parabolic(
-            problem,
-            eps_reg=cfg.parabolic_eps_reg,
-            cfl_safety=cfg.parabolic_cfl_safety,
-        )
 
     ledger = None
     if traj_jko is not None:
@@ -186,14 +150,14 @@ def _solve_and_check(cfg: RunConfig):
     series_rows: list[tuple] = []
     if traj_jko is not None and traj_par is not None:
         for ka, kb in _shared_time_indices(traj_jko, traj_par):
-            for i in range(l):
+            for i in range(problem.species_count):
                 l1 = float(
                     np.sum(
                         np.abs(
                             traj_jko.states[ka][i].values - traj_par.states[kb][i].values
                         )
                     )
-                    * cfg.grid.cell_volume
+                    * problem.grid.cell_volume
                 )
                 series_rows.append(
                     ("cross_l1", _fmt(traj_jko.times[ka]), i, _fmt(l1), "")
@@ -201,7 +165,7 @@ def _solve_and_check(cfg: RunConfig):
 
     # One sampled pass, on the velocity-kernel form, feeds meta's lip_w2 and
     # c_hat; the kernel bounds were computed when the config loaded.
-    sampled = estimate_constants(as_velocity_model(cfg.drift))
+    sampled = estimate_constants(as_velocity_model(problem.drift))
     constants = {
         "lip_x": cfg.load_constants.lip_x,
         "lip_w2": sampled.lip_w2,
@@ -209,22 +173,12 @@ def _solve_and_check(cfg: RunConfig):
     }
 
     stability: StabilitySeries | None = None
-    if cfg.stability_rho0 is not None:
-        problem_b = dataclasses.replace(problem, rho0=cfg.stability_rho0)
-        stab_a = traj_par or run_parabolic(
-            problem, eps_reg=cfg.parabolic_eps_reg, cfl_safety=cfg.parabolic_cfl_safety
-        )
-        stab_b = run_parabolic(
-            problem_b, eps_reg=cfg.parabolic_eps_reg, cfl_safety=cfg.parabolic_cfl_safety
-        )
+    if cfg.stability is not None:
+        problem_b, compare = cfg.stability
+        stab_a = traj_par or run_parabolic(problem, **cfg.parabolic)
+        stab_b = run_parabolic(problem_b, **cfg.parabolic)
         constants["c_hat"] = c_hat = stability_constant(sampled)
-        stability = stability_compare(
-            stab_a,
-            stab_b,
-            c_hat=c_hat,
-            eps=cfg.stability_w2_eps,
-            margin=cfg.stability_margin,
-        )
+        stability = stability_compare(stab_a, stab_b, c_hat=c_hat, **compare)
         for k, t in enumerate(stability.times):
             series_rows.append(
                 (
@@ -251,14 +205,7 @@ def run_command(cfg: RunConfig, strict: bool = False) -> int:
 
     if cfg.output_directory is not None:
         emit_outputs(
-            primary,
-            ledger,
-            cfg.output_directory,
-            cfg,
-            constants,
-            extra_traj=extra,
-            series_rows=series_rows,
-            warnings=cfg.warnings,
+            primary, ledger, cfg, constants, extra_traj=extra, series_rows=series_rows
         )
 
     flagged = False

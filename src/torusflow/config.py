@@ -4,28 +4,38 @@ A config names the grid, the species (energy kind plus initial profile), the
 drift kernels, the solver(s) and their knobs, the horizon and the output
 location.  Parsing validates every field with an error naming the offending
 path, and runs the hypothesis checks (energy growth, displacement convexity
-when a stability comparison is requested, drift constants) up front,
-collecting warnings.
+when a stability comparison is requested, drift constants, the JKO entropic
+scale) up front, collecting warnings.
+
+The parsed ``RunConfig`` is the run plan: it carries the run's ``Problem``
+(and the stability run's second one) and the exact keyword arguments of
+``run_jko``, ``run_parabolic`` and ``stability_compare``, and its
+``resolved`` echo is built from those same values.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .diagnostics import default_ledger_slack
 from .energy import InternalEnergy, mccann_check, validate_growth
 from .grid import Density, Grid, make_grid, minimal_image, normalize
 from .interaction import (
+    DriftConstants,
     DriftModel,
     cosine_kernel,
+    estimate_constants,
     gaussian_bump_kernel,
     zero_kernel,
 )
-from .transport import _MAX_COST_CELLS
+from .jko import Problem
+from .transport import _MAX_COST_CELLS, _gibbs_axis_cost
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "build_profile", "build_kernel"]
 
@@ -131,32 +141,22 @@ def build_kernel(grid: Grid, spec: dict, where: str, vector: bool) -> np.ndarray
 
 @dataclass
 class RunConfig:
-    grid: Grid
-    energies: tuple[InternalEnergy, ...]
-    rho0: tuple[Density, ...]
-    drift: DriftModel
+    problem: Problem
     solver: str
-    horizon: float
-    jko_h: float
-    jko_eps: float
-    jko_tol: float
-    jko_max_iter: int
-    jko_debias: bool
-    parabolic_eps_reg: float
-    parabolic_cfl_safety: float
+    jko: dict  # run_jko keyword arguments: eps, tol, max_iter, debias
+    parabolic: dict  # run_parabolic keyword arguments: eps_reg, cfl_safety
+    # The stability run's Problem and stability_compare's eps and margin.
+    stability: tuple[Problem, dict] | None
     output_cadence: int
     output_directory: str | None
     ledger_slack: float
-    stability_rho0: tuple[Density, ...] | None
-    stability_margin: float
-    stability_w2_eps: float
-    warnings: list[str] = dc_field(default_factory=list)
-    resolved: dict = dc_field(default_factory=dict)
-    load_constants: object = None  # kernel-based drift bounds from parse time
+    load_constants: DriftConstants  # kernel-based drift bounds from parse time
+    warnings: list[str]
+    resolved: dict
 
     @property
     def species_count(self) -> int:
-        return len(self.energies)
+        return self.problem.species_count
 
 
 def _require(raw: dict, key: str, where: str):
@@ -301,15 +301,22 @@ def parse_config_dict(raw: dict) -> RunConfig:
     horizon = _number(_require(raw, "horizon", ""), "horizon", positive=True)
 
     jko_raw = _object(raw.get("jko", {}), "jko")
-    jko_h = _number(jko_raw.get("h", 1e-3), "jko.h", positive=True)
-    jko_eps = _number(jko_raw.get("eps", 5.0 * grid.dx**2), "jko.eps", positive=True)
-    jko_tol = _number(jko_raw.get("tol", 1e-9), "jko.tol", positive=True)
-    jko_max_iter = _integer(jko_raw.get("max_iter", 20000), "jko.max_iter")
-    if jko_max_iter <= 0:
+    h = _number(jko_raw.get("h", 1e-3), "jko.h", positive=True)
+    jko = {
+        "eps": _number(jko_raw.get("eps", 5.0 * grid.dx**2), "jko.eps", positive=True),
+        "tol": _number(jko_raw.get("tol", 1e-9), "jko.tol", positive=True),
+        "max_iter": _integer(jko_raw.get("max_iter", 20000), "jko.max_iter"),
+        "debias": jko_raw.get("debias", True),
+    }
+    if jko["max_iter"] <= 0:
         raise ConfigError("jko.max_iter: must be positive")
-    jko_debias = jko_raw.get("debias", True)
-    if not isinstance(jko_debias, bool):
+    if not isinstance(jko["debias"], bool):
         raise ConfigError("jko.debias: expected true or false")
+    if solver in ("jko", "both"):
+        try:
+            _gibbs_axis_cost(grid, h, jko["eps"])  # jko_step's own scale check
+        except ValueError as exc:
+            raise ConfigError(f"jko.eps: {exc}") from exc
 
     par_raw = _object(raw.get("parabolic", {}), "parabolic")
     eps_reg = _number(par_raw.get("eps_reg", 1e-3), "parabolic.eps_reg", positive=True)
@@ -318,6 +325,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
     cfl_safety = _number(par_raw.get("cfl_safety", 0.9), "parabolic.cfl_safety", positive=True)
     if cfl_safety > 1:
         raise ConfigError("parabolic.cfl_safety: must lie in (0, 1]")
+    parabolic = {"eps_reg": eps_reg, "cfl_safety": cfl_safety}
     if solver in ("parabolic", "both") and any(e.kind == "zero" for e in energies):
         raise ConfigError(
             "parabolic solver: zero-kind energies cannot be regularized (F'' = 0)"
@@ -334,15 +342,10 @@ def parse_config_dict(raw: dict) -> RunConfig:
     diag_raw = _object(raw.get("diagnostics", {}), "diagnostics")
     ledger_slack_raw = diag_raw.get("ledger_slack")
     if ledger_slack_raw is None:
-        from .diagnostics import default_ledger_slack
-
-        ledger_slack = default_ledger_slack(jko_eps, jko_h, grid.dim)
+        ledger_slack = default_ledger_slack(jko["eps"], h, grid.dim)
     else:
         ledger_slack = _number(ledger_slack_raw, "diagnostics.ledger_slack")
 
-    stability_rho0 = None
-    stability_margin = 0.2
-    stability_w2_eps = 1e-4
     stab_raw = raw.get("stability")
     if stab_raw is not None:
         if not isinstance(stab_raw, dict):
@@ -350,18 +353,14 @@ def parse_config_dict(raw: dict) -> RunConfig:
         init_list = _require(stab_raw, "initial", "stability.")
         if not isinstance(init_list, list) or len(init_list) != l:
             raise ConfigError("stability.initial: needs one profile per species")
-        stability_rho0 = tuple(
-            build_profile(grid, spec) for spec in init_list
-        )
-        stability_margin = _number(stab_raw.get("margin", 0.2), "stability.margin")
-        stability_w2_eps = _number(
-            stab_raw.get("w2_eps", 1e-4), "stability.w2_eps", positive=True
-        )
+        stability_rho0 = tuple(build_profile(grid, spec) for spec in init_list)
+        compare = {
+            "margin": _number(stab_raw.get("margin", 0.2), "stability.margin"),
+            "eps": _number(stab_raw.get("w2_eps", 1e-4), "stability.w2_eps", positive=True),
+        }
 
     # Hypothesis checks at load time.  The kernel-based drift constants are
     # cheap; the sampled W2-Lipschitz estimate is deferred to the run.
-    from .interaction import estimate_constants
-
     with np.errstate(over="ignore", invalid="ignore"):
         load_constants = estimate_constants(drift, pairs=0)
     bounds = {
@@ -388,9 +387,20 @@ def parse_config_dict(raw: dict) -> RunConfig:
                 f"species[{idx}].energy: fails McCann's displacement-convexity "
                 "condition (r -> r^d E(r^-d) convex nonincreasing)"
             )
-            if stability_rho0 is not None:
+            if stab_raw is not None:
                 raise ConfigError(msg + "; required for stability diagnostics")
             warnings.append(msg)
+
+    try:
+        problem = Problem(grid, energies, drift, rho0, horizon, h)
+    except ValueError as exc:
+        raise ConfigError(f"species: {exc}") from exc
+    stability = None
+    if stab_raw is not None:
+        try:
+            stability = (dataclasses.replace(problem, rho0=stability_rho0), compare)
+        except ValueError as exc:
+            raise ConfigError(f"stability.initial: {exc}") from exc
 
     resolved = {
         "grid": {"dim": grid.dim, "n": grid.n},
@@ -408,40 +418,23 @@ def parse_config_dict(raw: dict) -> RunConfig:
         },
         "solver": solver,
         "horizon": horizon,
-        "jko": {
-            "h": jko_h,
-            "eps": jko_eps,
-            "tol": jko_tol,
-            "max_iter": jko_max_iter,
-            "debias": jko_debias,
-        },
-        "parabolic": {"eps_reg": eps_reg, "cfl_safety": cfl_safety},
+        "jko": {"h": problem.h, **jko},
+        "parabolic": parabolic,
         "output": {"cadence": cadence, "directory": directory},
         "diagnostics": {"ledger_slack": ledger_slack},
         "stability": stab_raw,
     }
 
     return RunConfig(
-        grid=grid,
-        energies=tuple(energies),
-        rho0=tuple(rho0),
-        drift=drift,
+        problem=problem,
         solver=solver,
-        horizon=horizon,
-        jko_h=jko_h,
-        jko_eps=jko_eps,
-        jko_tol=jko_tol,
-        jko_max_iter=jko_max_iter,
-        jko_debias=jko_debias,
-        parabolic_eps_reg=eps_reg,
-        parabolic_cfl_safety=cfl_safety,
+        jko=jko,
+        parabolic=parabolic,
+        stability=stability,
         output_cadence=cadence,
         output_directory=directory,
         ledger_slack=ledger_slack,
-        stability_rho0=stability_rho0,
-        stability_margin=stability_margin,
-        stability_w2_eps=stability_w2_eps,
+        load_constants=load_constants,
         warnings=warnings,
         resolved=resolved,
-        load_constants=load_constants,
     )

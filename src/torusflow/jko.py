@@ -88,8 +88,8 @@ class Trajectory:
 
     ``states[k]`` holds the density tuple at ``times[k]``; the semantics in
     continuous time are piecewise constant on half-open intervals ending at
-    the recorded time.  ``w2_sq`` / ``drift_work`` are per transition (one row
-    per step), ``energies`` per recorded state.
+    the recorded time.  ``w2_sq`` is per transition (one row per step),
+    ``energies`` per recorded state.
     """
 
     grid: Grid
@@ -98,20 +98,12 @@ class Trajectory:
     states: list[tuple[Density, ...]]
     energies: np.ndarray  # (len(times), species)
     w2_sq: np.ndarray | None = None  # (len(times) - 1, species)
-    drift_work: np.ndarray | None = None  # (len(times) - 1, species)
-    kind: str = "jko"
     clipped_mass: float = 0.0
     jko_eps: float | None = None  # inner entropic parameter of the transport steps
 
     @property
     def species_count(self) -> int:
         return len(self.states[0])
-
-
-def _potentials(drift: DriftModel, state: tuple[Density, ...]) -> tuple[ScalarField, ...]:
-    if drift.mode != "potential":
-        raise ValueError("the minimizing-movement solver needs a potential-mode drift")
-    return potential_from_kernel(drift, state)
 
 
 def run_jko(
@@ -134,13 +126,12 @@ def run_jko(
     states: list[tuple[Density, ...]] = [problem.rho0]
     energies = np.zeros((n_steps + 1, l))
     w2 = np.zeros((n_steps, l))
-    work = np.zeros((n_steps, l))
     for i in range(l):
         energies[0, i] = problem.energies[i].total(problem.rho0[i].values, vol)
 
     current = problem.rho0
     for k in range(n_steps):
-        potentials = _potentials(problem.drift, current)
+        potentials = potential_from_kernel(problem.drift, current)
         nxt: list[Density] = []
         for i in range(l):
             try:
@@ -158,7 +149,6 @@ def run_jko(
                 raise RuntimeError(f"step {k} (species {i}) failed: {exc}") from exc
             nxt.append(rho_i)
             w2[k, i] = res.w2_sq
-            work[k, i] = float(np.sum(potentials[i].values * rho_i.values) * vol)
             energies[k + 1, i] = problem.energies[i].total(rho_i.values, vol)
         current = tuple(nxt)
         states.append(current)
@@ -171,8 +161,6 @@ def run_jko(
         states=states,
         energies=energies,
         w2_sq=w2,
-        drift_work=work,
-        kind="jko",
         jko_eps=eps,
     )
 

@@ -20,7 +20,7 @@ from .grid import Density, Grid, grad_values, normalize
 from .interaction import DriftModel, potential_from_kernel, velocity_field
 from .jko import Problem, Trajectory
 
-__all__ = ["ParabolicState", "CFLError", "parabolic_step", "run_parabolic", "cfl_bound"]
+__all__ = ["ParabolicState", "CFLError", "parabolic_step", "run_parabolic"]
 
 
 class CFLError(ValueError):
@@ -69,6 +69,7 @@ def _bound_from(
     reg_energies: tuple[RegularizedEnergy, ...],
     velocities: list[np.ndarray],
 ) -> float:
+    """Largest admissible dt: min(dx^2 / (4 max F''_eps), dx / (2 max |V|))."""
     bound = np.inf
     for rho, reg, vel in zip(densities, reg_energies, velocities):
         fpp_max = float(np.max(reg.f_second(rho.values)))
@@ -78,17 +79,6 @@ def _bound_from(
         if vmax > 0:
             bound = min(bound, 0.5 * grid.dx / vmax)
     return bound
-
-
-def cfl_bound(
-    state: ParabolicState,
-    reg_energies: tuple[RegularizedEnergy, ...],
-    drift: DriftModel,
-) -> float:
-    """Largest admissible dt: min(dx^2 / (4 max F''_eps), dx / (2 max |V|))."""
-    grid = state.densities[0].grid
-    velocities = _face_velocities(drift, state.densities)
-    return _bound_from(grid, state.densities, reg_energies, velocities)
 
 
 def parabolic_step(
@@ -191,6 +181,5 @@ def run_parabolic(
         times=np.asarray(times),
         states=states,
         energies=energies,
-        kind="parabolic",
         clipped_mass=state.clipped_mass,
     )

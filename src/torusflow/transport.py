@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,6 +239,31 @@ def _kron_apply(mats: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
     return (mats[0] @ x.reshape(n, n) @ mats[1].T).ravel()
 
 
+def _gibbs_axis_cost(grid: Grid, h: float, eps: float) -> np.ndarray:
+    """Per-axis cost c1 of ``jko_step``'s Gibbs kernel, checked against eps.
+
+    The kernel exp(-dim c1/eps) and the KL proximal at tau = 2h both need
+    exponents of at most 600; otherwise a ValueError gives the smallest
+    admissible eps, rounded up to three significant digits.
+    """
+    x = grid.axis_centers
+    c1 = minimal_image(x[:, None] - x[None, :]) ** 2
+    spread, tau = grid.dim * float(np.max(c1)), 2.0 * h
+    if max(spread, tau) / eps > 600.0:
+        need = max(spread, tau) / 600.0
+        unit = 10.0 ** (math.floor(math.log10(need)) - 2)
+        least = math.ceil(need * (1 + 1e-12) / unit) * unit
+        reason = (
+            "the Gibbs kernel on this grid"
+            if spread >= tau
+            else "h (h/eps is too large for stable scalings)"
+        )
+        raise ValueError(
+            f"eps {eps:g} is too small for {reason}; increase eps to at least {least:.3g}"
+        )
+    return c1
+
+
 def jko_step(
     rho_prev: Density,
     h: float,
@@ -261,13 +287,8 @@ def jko_step(
         raise ValueError("eps must be positive")
     _check_normalized(rho_prev, "rho_prev")
     grid = rho_prev.grid
-    x = grid.axis_centers
-    c1 = minimal_image(x[:, None] - x[None, :]) ** 2
-    if grid.dim * float(np.max(c1)) / eps > 600.0:
-        raise ValueError("eps is too small for the Gibbs kernel on this grid; increase eps")
+    c1 = _gibbs_axis_cost(grid, h, eps)
     tau = 2.0 * h
-    if tau / eps > 600.0:
-        raise ValueError("h/eps is too large for stable scalings; increase eps")
 
     vol = grid.cell_volume
     a = np.maximum(rho_prev.values.ravel(), _MASS_FLOOR) * vol

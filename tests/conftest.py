@@ -67,6 +67,4 @@ def spectral_heat_trajectory(problem: tf.Problem, amplitude: float = 0.5) -> tf.
         rho = tf.normalize(tf.Density(grid, heat_values(grid, amplitude, t)))
         states.append((rho,))
         energies[k, 0] = problem.energies[0].total(rho.values, grid.cell_volume)
-    return tf.Trajectory(
-        grid=grid, h=problem.h, times=times, states=states, energies=energies, kind="oracle"
-    )
+    return tf.Trajectory(grid=grid, h=problem.h, times=times, states=states, energies=energies)

@@ -245,7 +245,6 @@ def test_c05_energy_dissipation_ledger(scenario1, scenario2):
         states=list(scenario1["jko"].states),
         energies=scenario1["jko"].energies,
         w2_sq=scenario1["jko"].w2_sq,
-        drift_work=scenario1["jko"].drift_work,
         jko_eps=scenario1["jko"].jko_eps,
     )
     corrupted.states[3], corrupted.states[4] = corrupted.states[4], corrupted.states[3]

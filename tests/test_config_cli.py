@@ -76,7 +76,7 @@ class TestParseConfig:
     def test_minimal_heat_config(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, minimal_config()))
         assert cfg.species_count == 1
-        assert cfg.grid.n == 16
+        assert cfg.problem.grid.n == 16
         assert cfg.warnings == []
 
     def test_power_exponent_must_exceed_one(self, tmp_path):
@@ -450,6 +450,38 @@ class TestRunCli:
         cfg = minimal_config(grid={"dim": 2, "n": 130})
         assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 0
         assert "config OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "overrides, reason",
+        [
+            pytest.param(
+                {"grid": {"dim": 2, "n": 80}, "jko": {"h": 1e-3}},
+                "too small for the Gibbs kernel",
+                id="default-eps-on-2d-n80",
+            ),
+            pytest.param(
+                {"jko": {"h": 1.0, "eps": 1e-3}}, "h/eps is too large", id="h-over-eps"
+            ),
+        ],
+    )
+    def test_check_rejects_jko_eps_that_jko_step_rejects(
+        self, tmp_path, capsys, overrides, reason
+    ):
+        cfg = minimal_config(**overrides)
+        assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 2
+        err = capsys.readouterr().err
+        assert "config error: jko.eps:" in err and reason in err
+        # The smallest admissible eps the message names is accepted.
+        cfg["jko"]["eps"] = float(re.search(r"at least (\S+)", err).group(1))
+        assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 0
+
+    # The load-time growth check overflows on t^2000 before the energy does.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_check_rejects_nonfinite_initial_energy(self, tmp_path, capsys):
+        cfg = minimal_config()
+        cfg["species"][0]["energy"] = {"kind": "power", "m": 2000}
+        assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert "config error: species: initial energy is not finite" in capsys.readouterr().err
 
     def test_read_states_csv_round_trip(self, tmp_path):
         out_dir = tmp_path / "out"
