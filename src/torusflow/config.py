@@ -302,6 +302,8 @@ def parse_config_dict(raw: dict) -> RunConfig:
 
     jko_raw = _object(raw.get("jko", {}), "jko")
     h = _number(jko_raw.get("h", 1e-3), "jko.h", positive=True)
+    if not math.isfinite(horizon / h):
+        raise ConfigError(f"jko.h: horizon / h is not finite (h = {h:g})")
     jko = {
         "eps": _number(jko_raw.get("eps", 5.0 * grid.dx**2), "jko.eps", positive=True),
         "tol": _number(jko_raw.get("tol", 1e-9), "jko.tol", positive=True),
@@ -342,7 +344,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
     diag_raw = _object(raw.get("diagnostics", {}), "diagnostics")
     ledger_slack_raw = diag_raw.get("ledger_slack")
     if ledger_slack_raw is None:
-        ledger_slack = default_ledger_slack(jko["eps"], h, grid.dim)
+        ledger_slack = default_ledger_slack(jko["eps"], h, grid.dim, l)
     else:
         ledger_slack = _number(ledger_slack_raw, "diagnostics.ledger_slack")
 

@@ -40,9 +40,10 @@ __all__ = [
     "entropy_value",
 ]
 
-# The reported per-step cost <c, plan> carries an entropic floor close to
-# eps * dim / 2 (the spread of the Gibbs kernel), which the dissipation
-# inequality must absorb: after dividing by 2h that is eps * dim / (4h).
+# The reported per-step cost <c, plan> of each species carries an entropic
+# floor close to eps * dim / 2 (the spread of the Gibbs kernel), which the
+# species-summed dissipation inequality must absorb: after dividing by 2h that
+# is species * eps * dim / (4h).
 # Calibrated on the zero-drift heat scenario, where the measured residual
 # stays within 0.1% of the model; the factor leaves 2% headroom plus a small
 # absolute cushion so a corrupted trajectory still trips the flag.
@@ -50,8 +51,8 @@ LEDGER_SLACK_FACTOR = 1.02
 LEDGER_SLACK_CUSHION = 1e-6
 
 
-def default_ledger_slack(eps: float, h: float, dim: int) -> float:
-    return LEDGER_SLACK_FACTOR * eps * dim / (4.0 * h) + LEDGER_SLACK_CUSHION
+def default_ledger_slack(eps: float, h: float, dim: int, species: int) -> float:
+    return LEDGER_SLACK_FACTOR * species * eps * dim / (4.0 * h) + LEDGER_SLACK_CUSHION
 
 _ENTROPY = InternalEnergy.entropy()
 
@@ -112,7 +113,9 @@ def energy_ledger(
             raise ValueError(
                 "trajectory does not record its entropic parameter; pass slack"
             )
-        slack = default_ledger_slack(traj.jko_eps, traj.h, traj.grid.dim)
+        slack = default_ledger_slack(
+            traj.jko_eps, traj.h, traj.grid.dim, traj.species_count
+        )
     grid = traj.grid
     vol = grid.cell_volume
     l = traj.species_count

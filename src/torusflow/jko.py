@@ -69,7 +69,8 @@ class Problem:
         if not self.h > 0:
             raise ValueError("step size must be positive")
         for e, r in zip(energies, rho0):
-            val = e.total(r.values, self.grid.cell_volume)
+            with np.errstate(over="ignore"):  # an overflow is reported below
+                val = e.total(r.values, self.grid.cell_volume)
             if not np.isfinite(val):
                 raise ValueError("initial energy is not finite")
 

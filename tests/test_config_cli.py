@@ -2,6 +2,7 @@ import json
 import re
 import shutil
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,7 @@ class TestParseConfig:
                 {"kernels": [[{"kind": "cosine", "amplitude": 1e308}]]},
                 id="drift-nonfinite-bounds",
             ),
+            pytest.param("jko", "h", 1e-320, id="jko-h-nonfinite-step-count"),
         ],
     )
     def test_mistyped_field_rejected(self, tmp_path, capsys, section, key, value):
@@ -475,12 +477,12 @@ class TestRunCli:
         cfg["jko"]["eps"] = float(re.search(r"at least (\S+)", err).group(1))
         assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 0
 
-    # The load-time growth check overflows on t^2000 before the energy does.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_check_rejects_nonfinite_initial_energy(self, tmp_path, capsys):
         cfg = minimal_config()
         cfg["species"][0]["energy"] = {"kind": "power", "m": 2000}
-        assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # t^2000 overflows without a warning
+            assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 2
         assert "config error: species: initial energy is not finite" in capsys.readouterr().err
 
     def test_read_states_csv_round_trip(self, tmp_path):

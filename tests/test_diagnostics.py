@@ -39,6 +39,23 @@ class TestEnergyLedger:
         ledger = tf.energy_ledger(traj, prob)
         assert not ledger.flags.any()
 
+    def test_two_species_run_no_flags_at_default_slack(self):
+        # The ledger sums the transport cost over species, so the default
+        # slack must absorb one entropic floor per species.
+        grid = tf.make_grid(1, 32)
+        rho0 = cosine_density(grid, 0.3)
+        prob = tf.Problem(
+            grid=grid,
+            energies=(tf.InternalEnergy.entropy(), tf.InternalEnergy.entropy()),
+            drift=tf.DriftModel.none(grid, species=2),
+            rho0=(rho0, rho0),
+            horizon=5e-3,
+            h=1e-3,
+        )
+        traj = tf.run_jko(prob, eps=5e-4)
+        ledger = tf.energy_ledger(traj, prob)
+        assert len(ledger.flagged_steps) == 0
+
     def test_corrupted_trajectory_flagged(self):
         prob = heat_problem(n=64, horizon=0.02, h=1e-3)
         traj = tf.run_jko(prob, eps=5e-4)
@@ -59,7 +76,7 @@ class TestEnergyLedger:
         assert ledger.flags.all()
 
     def test_default_slack_formula(self):
-        assert default_ledger_slack(5e-4, 1e-3, 1) == pytest.approx(0.1275, abs=1e-3)
+        assert default_ledger_slack(5e-4, 1e-3, 1, 1) == pytest.approx(0.1275, abs=1e-3)
 
 
 class TestHolder:

@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.special import wrightomega
 
 import torusflow as tf
-from torusflow.energy import validate_growth
+from torusflow.energy import _log_wright_omega, validate_growth
 
 ENTROPY = tf.InternalEnergy.entropy()
 POWER2 = tf.InternalEnergy.power(2.0)
@@ -58,6 +61,13 @@ class TestEvaluate:
     def test_growth_hypotheses_pass_for_builtins(self):
         for energy in ALL_KINDS:
             assert validate_growth(energy) == []
+
+    def test_growth_overflow_is_a_warning_string(self):
+        # t^2000 overflows on the sample: reported, without numpy warnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            msgs = validate_growth(tf.InternalEnergy.power(2000.0))
+        assert msgs == ["power: E, E'' or F' is not finite on sample"]
 
 
 class TestRegularize:
@@ -157,12 +167,41 @@ class TestKlProx:
         out = tf.kl_prox(ENTROPY, 1.0, eps=1e-3, tau=1e-3, u=0.0)
         assert out == pytest.approx(np.exp(-0.5), rel=1e-12)
 
-    def test_power2_against_bisection_oracle(self):
-        # Optimality condition log rho = -2 rho for s = 1, u = 0, eps = tau.
-        root = brentq(lambda r: np.log(r) + 2 * r, 1e-8, 1.0, xtol=1e-15)
-        out = tf.kl_prox(POWER2, 1.0, eps=1e-3, tau=1e-3, u=0.0)
+    @pytest.mark.parametrize("m", [1.5, 2.0, 3.0, 5.0])
+    def test_power_against_bisection_oracle(self, m):
+        # Optimality condition log rho = -m rho^(m-1) for s = 1, u = 0, eps = tau.
+        root = brentq(lambda r: np.log(r) + m * r ** (m - 1), 1e-8, 1.0, xtol=1e-15)
+        out = tf.kl_prox(tf.InternalEnergy.power(m), 1.0, eps=1e-3, tau=1e-3, u=0.0)
         assert out == pytest.approx(root, abs=1e-10)
-        assert out == pytest.approx(0.42630, abs=5e-6)
+        if m == 2.0:
+            assert out == pytest.approx(0.42630, abs=5e-6)
+
+    @pytest.mark.parametrize(
+        "m, s, eps, tau, u",
+        [
+            (5.0, 1e50, 1e-3, 2e-3, 0.0),
+            (3.0, np.exp(np.linspace(-5.0, 10.0, 16)), 1e-4, 1e-2, -5.0),
+        ],
+        ids=["m5-huge-center", "m3-strong-potential"],
+    )
+    def test_power_extreme_inputs(self, m, s, eps, tau, u):
+        rho = tf.kl_prox(tf.InternalEnergy.power(m), s, eps, tau, u)
+        resid = eps * np.log(rho / s) + tau * (m * rho ** (m - 1) + u)
+        assert np.all(np.abs(resid) <= 1e-12)
+
+    @pytest.mark.parametrize("u", [1e6, np.nan, np.inf])
+    def test_power_failed_residual_check_raises(self, u):
+        # u = 1e6 underflows rho to 0; nan and inf have no solution at all.
+        with pytest.raises(RuntimeError, match="kl_prox"):
+            tf.kl_prox(POWER2, np.ones(4), eps=1e-3, tau=2e-3, u=u)
+
+    def test_log_wright_omega_matches_scipy(self):
+        z = np.concatenate([np.linspace(-700.0, 700.0, 4001), np.logspace(0, 300, 301)])
+        got = _log_wright_omega(z)
+        want = np.log(wrightomega(z))
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-15
+        # Below exp's range omega underflows, while log omega = z - omega = z.
+        assert np.array_equal(_log_wright_omega(np.array([-800.0, -1e6])), [-800.0, -1e6])
 
     @pytest.mark.parametrize("energy", [ENTROPY, POWER2, POWER3, ZERO])
     def test_first_order_condition(self, energy):

@@ -83,7 +83,7 @@ class TestRunJko:
         prob = heat_problem(n=64, horizon=0.02, h=1e-3)
         eps = 5e-4
         traj = tf.run_jko(prob, eps=eps)
-        slack = tf.diagnostics.default_ledger_slack(eps, prob.h, 1)
+        slack = tf.diagnostics.default_ledger_slack(eps, prob.h, 1, 1)
         totals = traj.energies.sum(axis=1)
         n_steps = len(traj.times) - 1
         bound = 4 * prob.h * (totals[0] - totals[-1]) + n_steps * 4 * prob.h * slack
@@ -170,7 +170,7 @@ class TestRunJkoSystem:
             return total
 
         values = [joint(s) for s in traj.states]
-        slack = 2 * tf.diagnostics.default_ledger_slack(5e-4, prob.h, 1) * prob.h
+        slack = tf.diagnostics.default_ledger_slack(5e-4, prob.h, 1, 2) * prob.h
         assert all(b <= a + slack for a, b in zip(values, values[1:]))
 
     def test_nonsymmetric_masses_conserved(self):
