@@ -2,7 +2,10 @@
 
     torusflow run --config cfg.json [--strict]
     torusflow check --config cfg.json
-    torusflow w2 --a states_a.csv --b states_b.csv --time T --eps E [--dim D]
+    torusflow w2 --a states_a.csv --b states_b.csv --time T [--dim D] [--eps E]
+
+w2 distances are exact on 1-d grids; --eps and --tol set the Sinkhorn solve
+on 2-d grids only.
 
 Outputs of a run (all deterministic; floats printed as 17-significant-digit
 lowercase scientific text):

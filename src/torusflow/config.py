@@ -302,8 +302,12 @@ def parse_config_dict(raw: dict) -> RunConfig:
 
     jko_raw = _object(raw.get("jko", {}), "jko")
     h = _number(jko_raw.get("h", 1e-3), "jko.h", positive=True)
-    if not math.isfinite(horizon / h):
-        raise ConfigError(f"jko.h: horizon / h is not finite (h = {h:g})")
+    # Both solvers build their step times with np.arange (8-byte entries).
+    if not horizon / h < np.iinfo(np.intp).max / 8:
+        raise ConfigError(
+            f"jko.h: horizon / h = {horizon / h:g} steps exceed what an array can hold "
+            f"(h = {h:g})"
+        )
     jko = {
         "eps": _number(jko_raw.get("eps", 5.0 * grid.dx**2), "jko.eps", positive=True),
         "tol": _number(jko_raw.get("tol", 1e-9), "jko.tol", positive=True),

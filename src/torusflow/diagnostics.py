@@ -6,11 +6,12 @@ time-regularity ratio, the dissipated Sobolev norm of rho^(m/2), the weak
 form residual of the PDE, and the exponential stability bound between two
 trajectories of the same system.
 
-All Wasserstein evaluations here go through ``species_w2_sq`` with a small
-entropic parameter (1e-4 scale); diagnostics tolerate slower, more accurate
-transport solves than the inner scheme loop.  A transport solve that does
-not converge raises RuntimeError naming the species instead of feeding an
-unconverged estimate into a ratio or a series.
+All Wasserstein evaluations here go through ``species_w2_sq``.  On 1-d
+grids its distances are exact; on 2-d grids they are Sinkhorn estimates at
+the small entropic parameter ``eps`` (1e-4 scale), which is unused in 1-d.
+A distance that fails its optimality check (1-d) or a solve that does not
+converge (2-d) raises RuntimeError naming the species instead of feeding an
+unverified value into a ratio or a series.
 """
 
 from __future__ import annotations

@@ -259,7 +259,11 @@ def regularize(energy: InternalEnergy, eps: float) -> RegularizedEnergy:
 
 def mccann_check(energy: InternalEnergy, dim: int, samples: int = 64) -> bool:
     """Sampled displacement-convexity test: r -> r^d E(r^-d) must be convex
-    nonincreasing on a log-spaced sample."""
+    nonincreasing on a log-spaced sample.
+
+    Raises ValueError when no sampled interval is finite, since then nothing
+    was tested.
+    """
     if samples < 3:
         raise ValueError("need at least 3 sample points")
     r = np.logspace(-2, 2, samples)
@@ -268,12 +272,19 @@ def mccann_check(energy: InternalEnergy, dim: int, samples: int = 64) -> bool:
         return rr**dim * np.asarray(energy.e(rr ** (-float(dim))), dtype=float)
 
     mid = 0.5 * (r[:-1] + r[1:])
-    # Large exponents overflow on the sample; the comparisons stay quiet.
+    # Large exponents overflow on part of the sample.  Only the intervals with
+    # finite values at both ends and the midpoint are tested, each against a
+    # tolerance relative to its own values.
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = g(r)
-        tol = 1e-10 * max(1.0, float(np.max(np.abs(vals))))
-        nonincreasing = not np.any(np.diff(vals) > tol)
-        convex = not np.any(g(mid) > 0.5 * (vals[:-1] + vals[1:]) + tol)
+        vals, at_mid = g(r), g(mid)
+        lo, hi = vals[:-1], vals[1:]
+        finite = np.isfinite(lo) & np.isfinite(hi) & np.isfinite(at_mid)
+        if not np.any(finite):
+            raise ValueError("cannot decide: r^d E(r^-d) is not finite on the sample")
+        lo, hi, at_mid = lo[finite], hi[finite], at_mid[finite]
+        tol = 1e-10 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        nonincreasing = not np.any(hi - lo > tol)
+        convex = not np.any(at_mid > 0.5 * lo + 0.5 * hi + tol)
     return nonincreasing and convex
 
 

@@ -14,6 +14,8 @@ from torusflow.cli import main, read_states_csv
 from torusflow.config import ConfigError, parse_config, parse_config_dict
 from torusflow.transport import TransportResult
 
+from conftest import lp_w2_sq
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -201,6 +203,7 @@ class TestParseConfig:
                 id="drift-nonfinite-bounds",
             ),
             pytest.param("jko", "h", 1e-320, id="jko-h-nonfinite-step-count"),
+            pytest.param("jko", "h", 1e-300, id="jko-h-step-count-beyond-arange"),
         ],
     )
     def test_mistyped_field_rejected(self, tmp_path, capsys, section, key, value):
@@ -315,7 +318,7 @@ class TestRunCli:
         assert "c_hat" in meta["constants"]
 
     def test_stability_run_samples_constants_once(self, tmp_path, monkeypatch):
-        original = tf.transport.sinkhorn_w2
+        original = tf.transport.species_w2_sq
         calls = []
 
         def counted(*args, **kwargs):
@@ -329,14 +332,19 @@ class TestRunCli:
                         monkeypatch.setattr(module, attr, counted)
         path = write_config(tmp_path, stability_config(str(tmp_path / "out")))
         assert main(["run", "--config", str(path)]) == 0
-        # 3 recorded times x 2 species compared, 8 sampled pairs x 2 species.
-        assert len(calls) == 3 * 2 + 8 * 2
+        # 3 recorded times compared, 8 sampled pairs.
+        assert len(calls) == 3 + 8
 
     def test_stability_run_unconverged_solve_is_solver_failure(
         self, tmp_path, capsys, unconverged_transport
     ):
+        # 2-d distances are Sinkhorn solves; 1-d ones are exact.
         out_dir = tmp_path / "out"
-        path = write_config(tmp_path, stability_config(str(out_dir)))
+        cfg = stability_config(str(out_dir))
+        cfg["grid"] = {"dim": 2, "n": 4}
+        cfg["species"][1]["initial"]["center"] = [0.3, 0.3]
+        cfg["stability"]["initial"][1]["center"] = [0.35, 0.3]
+        path = write_config(tmp_path, cfg)
         assert main(["run", "--config", str(path)]) == 3
         assert "solver failure: species 0 transport did not converge" in capsys.readouterr().err
         assert not out_dir.exists()
@@ -401,8 +409,7 @@ class TestRunCli:
         rho_b = tf.normalize(
             tf.Density(grid, 1 + 0.5 * np.cos(2 * np.pi * (grid.axis_centers - 0.25)))
         )
-        direct = tf.sinkhorn_w2(rho_a, rho_b, eps=1e-3, tol=1e-9).w2_sq
-        assert total == pytest.approx(direct, rel=1e-6)
+        assert total == pytest.approx(lp_w2_sq(rho_a, rho_b), rel=1e-10)
 
     def test_w2_missing_time(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
@@ -412,9 +419,10 @@ class TestRunCli:
         assert "not recorded" in capsys.readouterr().err
 
     def test_w2_unconverged_solve_is_solver_failure(self, tmp_path, capsys, monkeypatch):
+        # 2-d distances are Sinkhorn solves; 1-d ones are exact.
         path = tmp_path / "s.csv"
         rows = ["time,species,cell_index,value"]
-        rows += [f"0.0,{s},{c},1.0" for s in (0, 1) for c in (0, 1)]
+        rows += [f"0.0,{s},{c},1.0" for s in (0, 1) for c in range(4)]
         path.write_text("\n".join(rows) + "\n")
         results = iter([True, False])
 
@@ -425,10 +433,22 @@ class TestRunCli:
             )
 
         monkeypatch.setattr("torusflow.transport.sinkhorn_w2", fake)
-        code = main(["w2", "--a", str(path), "--b", str(path), "--time", "0.0"])
+        code = main(["w2", "--a", str(path), "--b", str(path), "--time", "0.0", "--dim", "2"])
         assert code == 3
         captured = capsys.readouterr()
         assert "solver failure: species 1" in captured.err
+        assert "total w2_sq" not in captured.out
+
+    def test_w2_failed_optimality_check_is_solver_failure(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "s.csv"
+        rows = ["time,species,cell_index,value"]
+        rows += [f"0.0,0,{c},{1.0 + c}" for c in range(8)]
+        path.write_text("\n".join(rows) + "\n")
+        monkeypatch.setattr("torusflow.transport._shift_cost", lambda theta, *rest: (0.0, -1.0))
+        code = main(["w2", "--a", str(path), "--b", str(path), "--time", "0.0"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "solver failure: species 0 transport failed its optimality check" in captured.err
         assert "total w2_sq" not in captured.out
 
     def test_w2_grid_beyond_dense_cost_is_input_error(self, tmp_path, capsys):

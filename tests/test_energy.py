@@ -138,6 +138,18 @@ class _ConcaveStub:
         return -(t**2)
 
 
+class _OverflowingConcaveStub:
+    """Concave where finite, overflowing on the small-r end of the sample."""
+
+    def e(self, t):
+        return -(np.asarray(t, dtype=float) ** 400)
+
+
+class _NonFiniteStub:
+    def e(self, t):
+        return np.full_like(np.asarray(t, dtype=float), np.inf)
+
+
 class TestMcCann:
     def test_entropy(self):
         assert tf.mccann_check(ENTROPY, 1) is True
@@ -156,6 +168,16 @@ class TestMcCann:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             tf.mccann_check(ENTROPY, 1, samples=2)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_overflowing_sample_tested_where_finite(self, dim):
+        # Overflow on part of the sample must not widen the tolerance to inf.
+        assert tf.mccann_check(tf.InternalEnergy.power(2000), dim) is True
+        assert tf.mccann_check(_OverflowingConcaveStub(), dim) is False
+
+    def test_nowhere_finite_sample_cannot_decide(self):
+        with pytest.raises(ValueError, match="cannot decide"):
+            tf.mccann_check(_NonFiniteStub(), 1)
 
 
 class TestKlProx:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import torusflow as tf
+from torusflow.grid import minimal_image
 
-from conftest import cosine_density, mode_amplitude
+from conftest import cosine_density, lp_w2_sq, mode_amplitude
 
 
 def atom_density(grid, cells, weights=None):
@@ -152,7 +153,8 @@ class TestSinkhorn:
 
 class TestSpeciesW2:
     def test_matches_per_species_solves(self):
-        g = tf.make_grid(1, 16)
+        # 2-d distances are the per-species Sinkhorn estimates.
+        g = tf.make_grid(2, 6)
         rho_a = (cosine_density(g, 0.3), cosine_density(g, -0.2))
         rho_b = (cosine_density(g, -0.4), cosine_density(g, 0.1))
         got = tf.species_w2_sq(rho_a, rho_b, eps=1e-3, tol=1e-9)
@@ -160,7 +162,7 @@ class TestSpeciesW2:
         np.testing.assert_array_equal(got, want)
 
     def test_unconverged_solve_raises(self, unconverged_transport):
-        g = tf.make_grid(1, 8)
+        g = tf.make_grid(2, 4)
         rho = (cosine_density(g, 0.3),)
         with pytest.raises(
             RuntimeError,
@@ -168,6 +170,90 @@ class TestSpeciesW2:
             r"after 7 iterations, tol 1e-09\)",
         ):
             tf.species_w2_sq(rho, rho, eps=1e-3, tol=1e-9)
+
+
+class TestCircleW2:
+    """The exact 1-d branch of species_w2_sq."""
+
+    @staticmethod
+    def w2_sq(mu, nu):
+        return float(tf.species_w2_sq((mu,), (nu,), eps=1e-4, tol=1e-9)[0])
+
+    def test_matches_permutation_oracle(self):
+        g = tf.make_grid(1, 16)
+        rng = np.random.default_rng(20)
+        worst = 0.0
+        for _ in range(240):
+            cells_a, cells_b = rng.integers(0, 16, size=(2, 6))
+            want = tf.exact_w2_permutation(g.axis_centers[cells_a], g.axis_centers[cells_b])
+            got = self.w2_sq(atom_density(g, cells_a), atom_density(g, cells_b))
+            worst = max(worst, abs(got - want))
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_linear_program(self, seed):
+        g = tf.make_grid(1, 24)
+        rng = np.random.default_rng(seed)
+        vals = rng.uniform(0, 1, size=(2, 24)) ** 2
+        vals[:, rng.integers(0, 24, size=6)] = 0.0
+        mu, nu = (tf.normalize(tf.Density(g, v)) for v in vals)
+        assert self.w2_sq(mu, nu) == pytest.approx(lp_w2_sq(mu, nu), rel=1e-10)
+
+    @pytest.mark.parametrize("i, j", [(0, 15), (15, 0), (1, 14), (3, 11), (2, 7), (5, 5)])
+    def test_dirac_pairs(self, i, j):
+        # (0, 15), (15, 0) and (1, 14) are nearest through 0; (3, 11) is antipodal.
+        g = tf.make_grid(1, 16)
+        x = g.axis_centers
+        want = float(minimal_image(x[i] - x[j]) ** 2)
+        assert self.w2_sq(atom_density(g, [i]), atom_density(g, [j])) == pytest.approx(
+            want, rel=0, abs=1e-15
+        )
+
+    def test_symmetric_and_zero_on_the_diagonal(self):
+        g = tf.make_grid(1, 40)
+        rng = np.random.default_rng(5)
+        mu = tf.normalize(tf.Density(g, 1 + 0.8 * rng.uniform(-1, 1, 40)))
+        nu = tf.normalize(tf.Density(g, rng.uniform(0, 1, 40) ** 4))
+        assert self.w2_sq(mu, nu) == pytest.approx(self.w2_sq(nu, mu), rel=0, abs=1e-15)
+        assert self.w2_sq(mu, mu) == 0.0
+        assert self.w2_sq(nu, nu) == 0.0
+
+    def test_sinkhorn_sits_above_and_approaches(self):
+        g = tf.make_grid(1, 32)
+        mu = cosine_density(g, 0.5)
+        nu = tf.normalize(tf.Density(g, 1 + 0.6 * np.sin(4 * np.pi * g.axis_centers)))
+        exact = self.w2_sq(mu, nu)
+        entropic = [tf.sinkhorn_w2(mu, nu, eps=eps, tol=1e-11).w2_sq for eps in (1e-3, 1e-4)]
+        assert entropic[0] > entropic[1] > exact > 0.0
+
+    def test_sinkhorn_not_called(self, unconverged_transport):
+        g = tf.make_grid(1, 16)
+        mu, nu = atom_density(g, [2, 9]), atom_density(g, [4, 12])
+        want = tf.exact_w2_permutation(g.axis_centers[[2, 9]], g.axis_centers[[4, 12]])
+        got = tf.species_w2_sq((mu,), (nu,), eps=1e-3, tol=1e-9)
+        assert got[0] == pytest.approx(want, rel=0, abs=1e-15)
+
+    def test_input_checks(self):
+        g = tf.make_grid(1, 8)
+        rho = cosine_density(g, 0.2)
+        with pytest.raises(ValueError, match="normalized"):
+            self.w2_sq(rho, tf.Density(g, rho.values * 2))
+        with pytest.raises(ValueError, match="different grids"):
+            self.w2_sq(rho, cosine_density(tf.make_grid(1, 16), 0.2))
+
+    @pytest.mark.parametrize(
+        "fake",
+        [
+            pytest.param(lambda theta, *rest: (0.0, -1.0), id="slope-never-changes-sign"),
+            pytest.param(lambda theta, *rest: (np.nan, theta), id="value-not-finite"),
+        ],
+    )
+    def test_failed_optimality_check_raises(self, monkeypatch, fake):
+        monkeypatch.setattr(tf.transport, "_shift_cost", fake)
+        g = tf.make_grid(1, 8)
+        rho = (cosine_density(g, 0.2),)
+        with pytest.raises(RuntimeError, match="species 0 transport failed its optimality check"):
+            tf.species_w2_sq(rho, rho, eps=1e-4, tol=1e-9)
 
 
 class TestJkoStep:
