@@ -2,10 +2,10 @@
 
     torusflow run --config cfg.json [--strict]
     torusflow check --config cfg.json
-    torusflow w2 --a states_a.csv --b states_b.csv --time T [--dim D] [--eps E]
+    torusflow w2 --a states_a.csv --b states_b.csv --time T [--dim D]
 
-w2 distances are exact on 1-d grids; --eps and --tol set the Sinkhorn solve
-on 2-d grids only.
+w2 distances are exact on 1-d grids and Sinkhorn estimates at eps 1e-4 on
+2-d grids.
 
 Outputs of a run (all deterministic; floats printed as 17-significant-digit
 lowercase scientific text):
@@ -177,11 +177,11 @@ def _solve_and_check(cfg: RunConfig):
 
     stability: StabilitySeries | None = None
     if cfg.stability is not None:
-        problem_b, compare = cfg.stability
+        problem_b, margin = cfg.stability
         stab_a = traj_par or run_parabolic(problem, **cfg.parabolic)
         stab_b = run_parabolic(problem_b, **cfg.parabolic)
         constants["c_hat"] = c_hat = stability_constant(sampled)
-        stability = stability_compare(stab_a, stab_b, c_hat=c_hat, **compare)
+        stability = stability_compare(stab_a, stab_b, c_hat=c_hat, margin=margin)
         for k, t in enumerate(stability.times):
             series_rows.append(
                 (
@@ -285,7 +285,7 @@ def _w2_command(args) -> int:
             tuple(normalize(Density(grid, v.reshape(grid.shape))) for v in species)
             for species in (sa, sb)
         )
-        w2_sq = species_w2_sq(rho_a, rho_b, eps=args.eps, tol=args.tol)
+        w2_sq = species_w2_sq(rho_a, rho_b)
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -315,8 +315,6 @@ def main(argv: list[str] | None = None) -> int:
     p_w2.add_argument("--a", required=True)
     p_w2.add_argument("--b", required=True)
     p_w2.add_argument("--time", type=float, required=True)
-    p_w2.add_argument("--eps", type=float, default=1e-4)
-    p_w2.add_argument("--tol", type=float, default=1e-9)
     p_w2.add_argument("--dim", type=int, default=1)
 
     args = parser.parse_args(argv)

@@ -3,14 +3,17 @@
 A config names the grid, the species (energy kind plus initial profile), the
 drift kernels, the solver(s) and their knobs, the horizon and the output
 location.  Parsing validates every field with an error naming the offending
-path, and runs the hypothesis checks (energy growth, displacement convexity
-when a stability comparison is requested, drift constants, the JKO entropic
-scale) up front, collecting warnings.
+path, rejects unknown fields in the fixed-schema objects (the root, ``grid``,
+``drift``, ``jko``, ``parabolic``, ``output`` and ``stability``), and runs
+the hypothesis checks (energy growth, displacement convexity when a
+stability comparison is requested, drift constants, the JKO entropic scale)
+up front, collecting warnings.
 
 The parsed ``RunConfig`` is the run plan: it carries the run's ``Problem``
-(and the stability run's second one) and the exact keyword arguments of
-``run_jko``, ``run_parabolic`` and ``stability_compare``, and its
-``resolved`` echo is built from those same values.
+(and the stability run's second one with ``stability_compare``'s margin),
+the exact keyword arguments of ``run_jko`` and ``run_parabolic``, and the
+ledger slack ``default_ledger_slack`` gives; its ``resolved`` echo is built
+from those same values.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ from .jko import Problem
 from .transport import _MAX_COST_CELLS, _gibbs_axis_cost
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "build_profile", "build_kernel"]
+
+_ROOT_FIELDS = (
+    "grid", "species", "drift", "solver", "horizon", "jko", "parabolic", "output", "stability"
+)
 
 
 class ConfigError(ValueError):
@@ -143,10 +150,9 @@ def build_kernel(grid: Grid, spec: dict, where: str, vector: bool) -> np.ndarray
 class RunConfig:
     problem: Problem
     solver: str
-    jko: dict  # run_jko keyword arguments: eps, tol, max_iter, debias
+    jko: dict  # run_jko keyword arguments: eps, tol
     parabolic: dict  # run_parabolic keyword arguments: eps_reg, cfl_safety
-    # The stability run's Problem and stability_compare's eps and margin.
-    stability: tuple[Problem, dict] | None
+    stability: tuple[Problem, float] | None  # the second run and its margin
     output_cadence: int
     output_directory: str | None
     ledger_slack: float
@@ -182,9 +188,13 @@ def _integer(raw, where: str) -> int:
     return raw
 
 
-def _object(raw, where: str) -> dict:
+def _object(raw, where: str, fields: tuple[str, ...] | None = None) -> dict:
+    """raw as an object; given its fields, any other key is rejected."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: expected an object")
+    for key in raw:
+        if fields is not None and key not in fields:
+            raise ConfigError(f"{where}.{key}".lstrip(".") + ": unknown field")
     return raw
 
 
@@ -231,9 +241,10 @@ def parse_config(path: str | Path) -> RunConfig:
 def parse_config_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
+    _object(raw, "", _ROOT_FIELDS)
     warnings: list[str] = []
 
-    grid_raw = _object(_require(raw, "grid", ""), "grid")
+    grid_raw = _object(_require(raw, "grid", ""), "grid", ("dim", "n"))
     dim = _integer(_require(grid_raw, "dim", "grid."), "grid.dim")
     n = _integer(_require(grid_raw, "n", "grid."), "grid.n")
     try:
@@ -262,7 +273,9 @@ def parse_config_dict(raw: dict) -> RunConfig:
             raise ConfigError(f"{where}.{exc}") from exc
     l = len(energies)
 
-    drift_raw = _object(raw.get("drift", {"mode": "potential"}), "drift")
+    drift_raw = _object(
+        raw.get("drift", {"mode": "potential"}), "drift", ("mode", "kernels", "nonneg_shift")
+    )
     mode = drift_raw.get("mode", "potential")
     if mode not in ("potential", "velocity"):
         raise ConfigError(f"drift.mode: unknown mode {mode!r}")
@@ -300,7 +313,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
 
     horizon = _number(_require(raw, "horizon", ""), "horizon", positive=True)
 
-    jko_raw = _object(raw.get("jko", {}), "jko")
+    jko_raw = _object(raw.get("jko", {}), "jko", ("h", "eps", "tol"))
     h = _number(jko_raw.get("h", 1e-3), "jko.h", positive=True)
     # Both solvers build their step times with np.arange (8-byte entries).
     if not horizon / h < np.iinfo(np.intp).max / 8:
@@ -311,20 +324,14 @@ def parse_config_dict(raw: dict) -> RunConfig:
     jko = {
         "eps": _number(jko_raw.get("eps", 5.0 * grid.dx**2), "jko.eps", positive=True),
         "tol": _number(jko_raw.get("tol", 1e-9), "jko.tol", positive=True),
-        "max_iter": _integer(jko_raw.get("max_iter", 20000), "jko.max_iter"),
-        "debias": jko_raw.get("debias", True),
     }
-    if jko["max_iter"] <= 0:
-        raise ConfigError("jko.max_iter: must be positive")
-    if not isinstance(jko["debias"], bool):
-        raise ConfigError("jko.debias: expected true or false")
     if solver in ("jko", "both"):
         try:
             _gibbs_axis_cost(grid, h, jko["eps"])  # jko_step's own scale check
         except ValueError as exc:
             raise ConfigError(f"jko.eps: {exc}") from exc
 
-    par_raw = _object(raw.get("parabolic", {}), "parabolic")
+    par_raw = _object(raw.get("parabolic", {}), "parabolic", ("eps_reg", "cfl_safety"))
     eps_reg = _number(par_raw.get("eps_reg", 1e-3), "parabolic.eps_reg", positive=True)
     if not eps_reg < 1:
         raise ConfigError("parabolic.eps_reg: must lie in (0, 1)")
@@ -337,7 +344,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
             "parabolic solver: zero-kind energies cannot be regularized (F'' = 0)"
         )
 
-    out_raw = _object(raw.get("output", {}), "output")
+    out_raw = _object(raw.get("output", {}), "output", ("cadence", "directory"))
     cadence = _integer(out_raw.get("cadence", 1), "output.cadence")
     if cadence < 1:
         raise ConfigError("output.cadence: must be a positive integer")
@@ -345,25 +352,16 @@ def parse_config_dict(raw: dict) -> RunConfig:
     if directory is not None and not isinstance(directory, str):
         raise ConfigError("output.directory: expected a string or null")
 
-    diag_raw = _object(raw.get("diagnostics", {}), "diagnostics")
-    ledger_slack_raw = diag_raw.get("ledger_slack")
-    if ledger_slack_raw is None:
-        ledger_slack = default_ledger_slack(jko["eps"], h, grid.dim, l)
-    else:
-        ledger_slack = _number(ledger_slack_raw, "diagnostics.ledger_slack")
+    ledger_slack = default_ledger_slack(jko["eps"], h, grid.dim, l)
 
     stab_raw = raw.get("stability")
     if stab_raw is not None:
-        if not isinstance(stab_raw, dict):
-            raise ConfigError("stability: expected an object")
+        _object(stab_raw, "stability", ("initial", "margin"))
         init_list = _require(stab_raw, "initial", "stability.")
         if not isinstance(init_list, list) or len(init_list) != l:
             raise ConfigError("stability.initial: needs one profile per species")
         stability_rho0 = tuple(build_profile(grid, spec) for spec in init_list)
-        compare = {
-            "margin": _number(stab_raw.get("margin", 0.2), "stability.margin"),
-            "eps": _number(stab_raw.get("w2_eps", 1e-4), "stability.w2_eps", positive=True),
-        }
+        margin = _number(stab_raw.get("margin", 0.2), "stability.margin")
 
     # Hypothesis checks at load time.  The kernel-based drift constants are
     # cheap; the sampled W2-Lipschitz estimate is deferred to the run.
@@ -377,9 +375,12 @@ def parse_config_dict(raw: dict) -> RunConfig:
     if not all(math.isfinite(b) for b in bounds.values()):
         listed = ", ".join(f"{k} {v:g}" for k, v in bounds.items())
         raise ConfigError(f"drift.kernels: drift bounds are not finite ({listed})")
-    # The sampled W2 passes (drift constants, stability series) need the
-    # dense Sinkhorn cost, which transport.py caps; say so before any run.
-    if grid.cells > _MAX_COST_CELLS and (np.any(drift.kernels) or stab_raw is not None):
+    # On 2-d grids the sampled W2 passes (drift constants, stability series)
+    # need the dense Sinkhorn cost, which transport.py caps; say so before any
+    # run.  1-d distances are exact and build no cost.
+    if grid.dim == 2 and grid.cells > _MAX_COST_CELLS and (
+        np.any(drift.kernels) or stab_raw is not None
+    ):
         raise ConfigError(
             f"grid.n: {grid.cells} cells exceed the {_MAX_COST_CELLS} cells of the "
             "dense W2 cost needed by nonzero drift kernels or a stability section"
@@ -404,7 +405,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
     stability = None
     if stab_raw is not None:
         try:
-            stability = (dataclasses.replace(problem, rho0=stability_rho0), compare)
+            stability = (dataclasses.replace(problem, rho0=stability_rho0), margin)
         except ValueError as exc:
             raise ConfigError(f"stability.initial: {exc}") from exc
 
@@ -427,7 +428,6 @@ def parse_config_dict(raw: dict) -> RunConfig:
         "jko": {"h": problem.h, **jko},
         "parabolic": parabolic,
         "output": {"cadence": cadence, "directory": directory},
-        "diagnostics": {"ledger_slack": ledger_slack},
         "stability": stab_raw,
     }
 

@@ -6,12 +6,12 @@ time-regularity ratio, the dissipated Sobolev norm of rho^(m/2), the weak
 form residual of the PDE, and the exponential stability bound between two
 trajectories of the same system.
 
-All Wasserstein evaluations here go through ``species_w2_sq``.  On 1-d
-grids its distances are exact; on 2-d grids they are Sinkhorn estimates at
-the small entropic parameter ``eps`` (1e-4 scale), which is unused in 1-d.
-A distance that fails its optimality check (1-d) or a solve that does not
-converge (2-d) raises RuntimeError naming the species instead of feeding an
-unverified value into a ratio or a series.
+All Wasserstein evaluations here go through ``species_w2_sq``, which sets
+their accuracy: on 1-d grids its distances are exact, on 2-d grids they are
+Sinkhorn estimates at the entropic parameter 1e-4.  A distance that fails
+its optimality check (1-d) or a solve that does not converge (2-d) raises
+RuntimeError naming the species instead of feeding an unverified value into
+a ratio or a series.
 """
 
 from __future__ import annotations
@@ -181,12 +181,7 @@ def _pair_indices(n_states: int, sample_pairs: int) -> list[tuple[int, int]]:
     return [all_pairs[int(k)] for k in sorted(chosen)]
 
 
-def holder_check(
-    traj: Trajectory,
-    sample_pairs: int = 20,
-    eps: float = 1e-4,
-    tol: float = 1e-9,
-) -> float:
+def holder_check(traj: Trajectory, sample_pairs: int = 20) -> float:
     """Empirical Holder constant: max W2(rho_t, rho_s)/sqrt(|t-s| + h).
 
     For systems the product-space distance sqrt(sum_i W2^2) is used.
@@ -195,7 +190,7 @@ def holder_check(
         raise ValueError("need at least two states")
     worst = 0.0
     for i, j in _pair_indices(len(traj.states), sample_pairs):
-        w2sq = float(np.sum(species_w2_sq(traj.states[i], traj.states[j], eps, tol)))
+        w2sq = float(np.sum(species_w2_sq(traj.states[i], traj.states[j])))
         dt = abs(traj.times[j] - traj.times[i])
         worst = max(worst, float(np.sqrt(w2sq) / np.sqrt(dt + traj.h)))
     return worst
@@ -329,8 +324,6 @@ def stability_compare(
     traj_a: Trajectory,
     traj_b: Trajectory,
     c_hat: float,
-    eps: float = 1e-4,
-    tol: float = 1e-9,
     margin: float = 0.2,
 ) -> StabilitySeries:
     """Per-time sum_i W2^2 between two trajectories against the exponential
@@ -344,7 +337,7 @@ def stability_compare(
     ):
         raise ValueError("trajectories use different time grids")
     pairs = zip(traj_a.states, traj_b.states)
-    sums = np.array([np.sum(species_w2_sq(a, b, eps, tol)) for a, b in pairs])
+    sums = np.array([np.sum(species_w2_sq(a, b)) for a, b in pairs])
     bounds = np.exp(4.0 * c_hat * traj_a.times) * sums[0] * (1.0 + margin)
     flags = sums > bounds
     return StabilitySeries(

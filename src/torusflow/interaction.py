@@ -278,7 +278,7 @@ def estimate_constants(
             diff = max(
                 float(np.max(np.abs(v_rho[i].values - v_nu[i].values))) for i in range(l)
             )
-            w2_sum = float(np.sum(np.sqrt(species_w2_sq(rho, nu, eps=1e-4, tol=1e-9))))
+            w2_sum = float(np.sum(np.sqrt(species_w2_sq(rho, nu))))
             if w2_sum > 1e-12:
                 lip_w2 = max(lip_w2, diff / w2_sum)
     return DriftConstants(lip_x=lip_x, lip_w2=lip_w2, lap_plus=lap_plus)

@@ -107,13 +107,7 @@ class Trajectory:
         return len(self.states[0])
 
 
-def run_jko(
-    problem: Problem,
-    eps: float,
-    tol: float = 1e-9,
-    max_iter: int = 20000,
-    debias: bool = True,
-) -> Trajectory:
+def run_jko(problem: Problem, eps: float, tol: float = 1e-9) -> Trajectory:
     """Semi-implicit scheme with gradient drift for any number of species.
 
     All potentials are frozen at the previous tuple, so the per-species
@@ -143,8 +137,6 @@ def run_jko(
                     potentials[i],
                     eps=eps,
                     tol=tol,
-                    max_iter=max_iter,
-                    debias=debias,
                 )
             except RuntimeError as exc:
                 raise RuntimeError(f"step {k} (species {i}) failed: {exc}") from exc

@@ -9,11 +9,12 @@ are capped at ``_MAX_COST_CELLS`` cells.  The reported value is the primal
 transport cost <c, plan> of the computed plan, without the entropic term.
 ``sinkhorn_w2`` reports convergence.
 
-``species_w2_sq`` is the per-species distance every diagnostic uses.  On
-1-d grids it is exact, with no eps: ``_circle_w2_sq`` minimizes the
-transport cost over one shift of the periodic quantile functions.  On 2-d
-grids it is the ``sinkhorn_w2`` estimate.  It raises when a 1-d value fails
-its optimality check or a 2-d solve has not converged.
+``species_w2_sq`` is the per-species distance every diagnostic uses, and
+this module alone sets its accuracy.  On 1-d grids it is exact:
+``_circle_w2_sq`` minimizes the transport cost over one shift of the
+periodic quantile functions.  On 2-d grids it is the ``sinkhorn_w2``
+estimate at eps ``_W2_EPS`` and tol ``_W2_TOL``.  It raises when a 1-d value
+fails its optimality check or a 2-d solve has not converged.
 
 ``jko_step`` solves one semi-implicit minimizing-movement step
 
@@ -28,6 +29,7 @@ alternation.  The torus cost is a sum over axes, so the step's Gibbs kernel
 is the Kronecker product of one n x n per-axis kernel K1 and each kernel
 product runs axis by axis (K1 V K1^T in 2-d).  No cells x cells array is
 built unless the caller asks for the plan, and the step has no grid cap.
+A step that has not converged within ``_JKO_MAX_ITER`` iterations raises.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ __all__ = [
 _MAX_COST_CELLS = 16384
 _SCALING_BOUND = 1e290
 _MASS_FLOOR = 1e-300
+_JKO_MAX_ITER = 20000
+# Entropic scale and marginal tolerance of the 2-d diagnostic distances.
+_W2_EPS = 1e-4
+_W2_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -280,13 +286,11 @@ def _circle_w2_sq(mu: Density, nu: Density) -> tuple[float, float, float]:
     return at_hi[0], at_lo[1], at_hi[1]
 
 
-def species_w2_sq(
-    rho_a: tuple[Density, ...], rho_b: tuple[Density, ...], eps: float, tol: float
-) -> np.ndarray:
+def species_w2_sq(rho_a: tuple[Density, ...], rho_b: tuple[Density, ...]) -> np.ndarray:
     """Per-species squared W2 between two density tuples, one entry each.
 
-    On 1-d grids the distance is exact (``_circle_w2_sq``) and eps and tol
-    are unused; on 2-d grids it is the entropic ``sinkhorn_w2`` estimate.
+    On 1-d grids the distance is exact (``_circle_w2_sq``); on 2-d grids it
+    is the entropic ``sinkhorn_w2`` estimate at eps ``_W2_EPS``.
     Raises RuntimeError naming the species when a 1-d value fails its
     optimality check or a 2-d solve does not converge, so no caller can sum
     an unverified value.
@@ -303,12 +307,12 @@ def species_w2_sq(
                 )
             out[i] = value
             continue
-        res = sinkhorn_w2(a, b, eps=eps, tol=tol)
+        res = sinkhorn_w2(a, b, eps=_W2_EPS, tol=_W2_TOL)
         if not res.converged:
             raise RuntimeError(
                 f"species {i} transport did not converge (marginal error "
                 f"{res.plan_marginal_err:.3e} after {res.iterations} iterations, "
-                f"tol {tol:g})"
+                f"tol {_W2_TOL:g})"
             )
         out[i] = res.w2_sq
     return out
@@ -354,7 +358,6 @@ def jko_step(
     potential: ScalarField | np.ndarray | None,
     eps: float,
     tol: float = 1e-9,
-    max_iter: int = 20000,
     debias: bool = True,
     return_plan: bool = False,
 ) -> tuple[Density, TransportResult]:
@@ -395,7 +398,7 @@ def jko_step(
     u = np.ones_like(a)
     iterations = 0
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_JKO_MAX_ITER):
         kv = _kron_apply(kernel, v)
         u = a / kv
         s = _kron_apply(kernel_t, u)  # second-marginal proposal in mass units
@@ -415,7 +418,7 @@ def jko_step(
             break
     if not converged:
         raise RuntimeError(
-            f"jko_step did not converge within {max_iter} iterations "
+            f"jko_step did not converge within {_JKO_MAX_ITER} iterations "
             f"(last density change {delta:.3e}, tol {tol:.3e})"
         )
 

@@ -126,9 +126,9 @@ def _stability_pair(zero_drift=False):
 def stability_runs():
     drift, traj_a, traj_b = _stability_pair(zero_drift=False)
     c_hat = tf.stability_constant(drift, pairs=6)
-    series = tf.stability_compare(traj_a, traj_b, c_hat=c_hat, eps=1e-4, margin=0.2)
+    series = tf.stability_compare(traj_a, traj_b, c_hat=c_hat, margin=0.2)
     _, zero_a, zero_b = _stability_pair(zero_drift=True)
-    zero_series = tf.stability_compare(zero_a, zero_b, c_hat=0.0, eps=1e-4, margin=0.2)
+    zero_series = tf.stability_compare(zero_a, zero_b, c_hat=0.0, margin=0.2)
     return {
         "c_hat": c_hat,
         "series": series,

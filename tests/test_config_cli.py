@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import re
 import shutil
 import sys
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torusflow as tf
 from torusflow import config as cfg_mod
@@ -63,10 +67,36 @@ def stability_config(directory):
                 {"profile": "cosine", "amplitude": 0.35},
                 {"profile": "bump", "center": 0.35, "width": 0.1},
             ],
-            "w2_eps": 1e-3,
         },
         "output": {"cadence": 1, "directory": directory},
     }
+
+
+# Arbitrary JSON values; integers stay small so that no generated grid can
+# exhaust memory.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-1000, 1000)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def field_paths(node, prefix=()):
+    """Key/index paths of every value in a JSON tree, the root's () first."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from field_paths(child, prefix + (key,))
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -172,10 +202,6 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "section, key, value",
         [
-            ("jko", "debias", "false"),
-            ("jko", "debias", 0),
-            ("jko", "max_iter", 2.7),
-            ("jko", "max_iter", True),
             ("output", "cadence", 1.5),
             ("output", "cadence", "x"),
             ("output", "cadence", False),
@@ -204,15 +230,23 @@ class TestParseConfig:
             ),
             pytest.param("jko", "h", 1e-320, id="jko-h-nonfinite-step-count"),
             pytest.param("jko", "h", 1e-300, id="jko-h-step-count-beyond-arange"),
+            # Unknown fields, among them the removed ones.
+            ("jko", "debias", "false"),
+            ("jko", "debias", 0),
+            ("jko", "max_iter", 2.7),
+            ("jko", "max_iter", True),
+            ("stability", "w2_eps", 1e-4),
+            ("", "diagnostics", {"ledger_slack": 0.1}),
+            ("parabolic", "cfl_saftey", 0.9),
         ],
     )
     def test_mistyped_field_rejected(self, tmp_path, capsys, section, key, value):
-        # section is a dotted path into the config ("" for the root); list
-        # indices appear as numbers and are reported as [i].
+        # section is a dotted path into the config ("" for the root), created
+        # when absent; list indices appear as numbers and are reported as [i].
         cfg = minimal_config()
         target = cfg
         for part in filter(None, section.split(".")):
-            target = target[int(part)] if part.isdigit() else target[part]
+            target = target[int(part)] if part.isdigit() else target.setdefault(part, {})
         target[key] = value
         field = re.sub(r"\.(\d+)", r"[\1]", f"{section}.{key}".lstrip("."))
         path = write_config(tmp_path, cfg)
@@ -220,6 +254,21 @@ class TestParseConfig:
             parse_config(path)
         assert main(["check", "--config", str(path)]) == 2
         assert field in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_only_config_errors_escape(self, data):
+        cfg = data.draw(st.sampled_from([minimal_config, stability_config]))(None)
+        path = data.draw(st.sampled_from(list(field_paths(cfg))))
+        value = data.draw(JSON_VALUES)
+        if path:
+            functools.reduce(operator.getitem, path[:-1], cfg)[path[-1]] = value
+        else:
+            cfg = value
+        try:
+            parse_config_dict(cfg)
+        except ConfigError:
+            pass
 
     def test_resolved_round_trips(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, minimal_config()))
@@ -290,11 +339,10 @@ class TestRunCli:
         assert main(["run", "--config", str(path)]) == 2
         assert not out_dir.exists()
 
-    def test_strict_flags_exit_nonzero(self, tmp_path):
+    def test_strict_flags_exit_nonzero(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cfg_mod, "default_ledger_slack", lambda *args: -1.0)
         out_dir = tmp_path / "out"
-        cfg = minimal_config(directory=str(out_dir))
-        cfg["diagnostics"] = {"ledger_slack": -1.0}
-        path = write_config(tmp_path, cfg)
+        path = write_config(tmp_path, minimal_config(directory=str(out_dir)))
         assert main(["run", "--config", str(path), "--strict"]) == 1
         assert main(["run", "--config", str(path)]) == 0
 
@@ -399,9 +447,7 @@ class TestRunCli:
         a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
         write_states(a_path, 0.0)
         write_states(b_path, 0.25)
-        code = main(
-            ["w2", "--a", str(a_path), "--b", str(b_path), "--time", "0.0", "--eps", "1e-3"]
-        )
+        code = main(["w2", "--a", str(a_path), "--b", str(b_path), "--time", "0.0"])
         assert code == 0
         out = capsys.readouterr().out
         total = float(out.strip().splitlines()[-1].split()[-1])
@@ -410,6 +456,15 @@ class TestRunCli:
             tf.Density(grid, 1 + 0.5 * np.cos(2 * np.pi * (grid.axis_centers - 0.25)))
         )
         assert total == pytest.approx(lp_w2_sq(rho_a, rho_b), rel=1e-10)
+
+    @pytest.mark.parametrize("flag", ["--eps", "--tol"])
+    def test_w2_has_no_solver_flags(self, tmp_path, capsys, flag):
+        path = tmp_path / "s.csv"
+        path.write_text("time,species,cell_index,value\n0.0,0,0,1.0\n0.0,0,1,1.0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["w2", "--a", str(path), "--b", str(path), "--time", "0.0", flag, "1e-3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_w2_missing_time(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
@@ -464,9 +519,24 @@ class TestRunCli:
 
     def test_check_drift_on_grid_beyond_dense_cost_is_config_error(self, tmp_path, capsys):
         drift = {"kernels": [[{"kind": "cosine", "amplitude": 0.2}]]}
-        cfg = minimal_config(grid={"dim": 2, "n": 130}, drift=drift)
+        cfg = minimal_config(grid={"dim": 2, "n": 129}, drift=drift)
         assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 2
         assert "grid.n" in capsys.readouterr().err
+
+    def test_check_stability_on_1d_grid_beyond_dense_cost(self, tmp_path, capsys):
+        # 1-d distances are exact and build no dense cost, so no cap applies.
+        cfg = json.loads((REPO / "configs" / "two_species_stability.json").read_text())
+        cfg["grid"]["n"] = 16400
+        assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 0
+        assert "config OK" in capsys.readouterr().out
+
+    def test_unconverged_jko_step_is_solver_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(tf.transport, "_JKO_MAX_ITER", 1)
+        out_dir = tmp_path / "out"
+        path = write_config(tmp_path, minimal_config(directory=str(out_dir)))
+        assert main(["run", "--config", str(path)]) == 3
+        assert "jko_step did not converge within 1 iterations" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_check_drift_free_on_grid_beyond_dense_cost(self, tmp_path, capsys):
         cfg = minimal_config(grid={"dim": 2, "n": 130})

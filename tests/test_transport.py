@@ -153,12 +153,12 @@ class TestSinkhorn:
 
 class TestSpeciesW2:
     def test_matches_per_species_solves(self):
-        # 2-d distances are the per-species Sinkhorn estimates.
+        # 2-d distances are the per-species Sinkhorn estimates at eps 1e-4.
         g = tf.make_grid(2, 6)
         rho_a = (cosine_density(g, 0.3), cosine_density(g, -0.2))
         rho_b = (cosine_density(g, -0.4), cosine_density(g, 0.1))
-        got = tf.species_w2_sq(rho_a, rho_b, eps=1e-3, tol=1e-9)
-        want = [tf.sinkhorn_w2(a, b, eps=1e-3, tol=1e-9).w2_sq for a, b in zip(rho_a, rho_b)]
+        got = tf.species_w2_sq(rho_a, rho_b)
+        want = [tf.sinkhorn_w2(a, b, eps=1e-4, tol=1e-9).w2_sq for a, b in zip(rho_a, rho_b)]
         np.testing.assert_array_equal(got, want)
 
     def test_unconverged_solve_raises(self, unconverged_transport):
@@ -169,7 +169,7 @@ class TestSpeciesW2:
             match=r"species 0 transport did not converge \(marginal error 1\.000e\+00 "
             r"after 7 iterations, tol 1e-09\)",
         ):
-            tf.species_w2_sq(rho, rho, eps=1e-3, tol=1e-9)
+            tf.species_w2_sq(rho, rho)
 
 
 class TestCircleW2:
@@ -177,7 +177,7 @@ class TestCircleW2:
 
     @staticmethod
     def w2_sq(mu, nu):
-        return float(tf.species_w2_sq((mu,), (nu,), eps=1e-4, tol=1e-9)[0])
+        return float(tf.species_w2_sq((mu,), (nu,))[0])
 
     def test_matches_permutation_oracle(self):
         g = tf.make_grid(1, 16)
@@ -230,7 +230,7 @@ class TestCircleW2:
         g = tf.make_grid(1, 16)
         mu, nu = atom_density(g, [2, 9]), atom_density(g, [4, 12])
         want = tf.exact_w2_permutation(g.axis_centers[[2, 9]], g.axis_centers[[4, 12]])
-        got = tf.species_w2_sq((mu,), (nu,), eps=1e-3, tol=1e-9)
+        got = tf.species_w2_sq((mu,), (nu,))
         assert got[0] == pytest.approx(want, rel=0, abs=1e-15)
 
     def test_input_checks(self):
@@ -253,7 +253,7 @@ class TestCircleW2:
         g = tf.make_grid(1, 8)
         rho = (cosine_density(g, 0.2),)
         with pytest.raises(RuntimeError, match="species 0 transport failed its optimality check"):
-            tf.species_w2_sq(rho, rho, eps=1e-4, tol=1e-9)
+            tf.species_w2_sq(rho, rho)
 
 
 class TestJkoStep:
@@ -370,3 +370,9 @@ class TestJkoStep:
             tf.jko_step(rho, 1e-3, tf.InternalEnergy.entropy(), None, eps=1e-8)
         with pytest.raises(ValueError, match="cells"):
             tf.jko_step(rho, 1e-3, tf.InternalEnergy.entropy(), np.ones(3), eps=1e-3)
+
+    def test_unconverged_step_raises(self, monkeypatch):
+        monkeypatch.setattr(tf.transport, "_JKO_MAX_ITER", 1)
+        rho = cosine_density(tf.make_grid(1, 16), 0.2)
+        with pytest.raises(RuntimeError, match="jko_step did not converge within 1 iterations"):
+            tf.jko_step(rho, 1e-3, tf.InternalEnergy.entropy(), None, eps=1e-3)
