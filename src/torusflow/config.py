@@ -3,11 +3,10 @@
 A config names the grid, the species (energy kind plus initial profile), the
 drift kernels, the solver(s) and their knobs, the horizon and the output
 location.  Parsing validates every field with an error naming the offending
-path, rejects unknown fields in the fixed-schema objects (the root, ``grid``,
-``drift``, ``jko``, ``parabolic``, ``output`` and ``stability``), and runs
-the hypothesis checks (energy growth, displacement convexity when a
-stability comparison is requested, drift constants, the JKO entropic scale)
-up front, collecting warnings.
+path, rejects unknown fields in every object (each profile and kernel kind
+has its own field list), and runs the hypothesis checks (energy growth,
+displacement convexity when a stability comparison is requested, drift
+constants, the JKO entropic scale) up front, collecting warnings.
 
 The parsed ``RunConfig`` is the run plan: it carries the run's ``Problem``
 (and the stability run's second one with ``stability_compare``'s margin),
@@ -45,70 +44,93 @@ __all__ = ["RunConfig", "ConfigError", "parse_config", "build_profile", "build_k
 _ROOT_FIELDS = (
     "grid", "species", "drift", "solver", "horizon", "jko", "parabolic", "output", "stability"
 )
+_SPECIES_FIELDS = ("energy", "initial")
+# Every energy kind echoes m and C in the resolved config, so each accepts
+# both; entropy and zero take only m = 1.
+_ENERGY_FIELDS = ("kind", "m", "C")
+_PROFILE_FIELDS = {
+    "uniform": ("profile",),
+    "cosine": ("profile", "amplitude", "frequency"),
+    "bump": ("profile", "center", "width"),
+    "two_bumps": ("profile", "center_a", "center_b", "width_a", "width_b", "weight"),
+    "inline": ("profile", "values"),
+}
+_KERNEL_FIELDS = {
+    "zero": ("kind",),
+    "cosine": ("kind", "amplitude", "frequency"),
+    "gaussian_bump": ("kind", "sigma", "amplitude"),
+    "inline": ("kind", "values"),
+}
 
 
 class ConfigError(ValueError):
     """Configuration rejected; the message names the failing field."""
 
 
-def build_profile(grid: Grid, spec: dict) -> Density:
-    """Resolve a named initial profile into a normalized density."""
+def build_profile(grid: Grid, spec: dict, where: str = "initial") -> Density:
+    """Resolve a named initial profile into a normalized density.
+
+    ``where`` is the profile's path in the config, used in error messages.
+    """
     if not isinstance(spec, dict) or "profile" not in spec:
-        raise ConfigError("initial: expected an object with a 'profile' name")
+        raise ConfigError(f"{where}: expected an object with a 'profile' name")
     name = spec["profile"]
+    fields = _PROFILE_FIELDS.get(name) if isinstance(name, str) else None
+    if fields is None:
+        raise ConfigError(f"{where}.profile: unknown profile {name!r}")
+    _object(spec, where, fields)
     coords = grid.coordinate_grids()
     if name == "uniform":
         vals = np.ones(grid.shape)
     elif name == "cosine":
-        amp = _number(spec.get("amplitude", 0.5), "initial.amplitude")
-        freq = _integer(spec.get("frequency", 1), "initial.frequency")
+        amp = _number(spec.get("amplitude", 0.5), f"{where}.amplitude")
+        freq = _integer(spec.get("frequency", 1), f"{where}.frequency")
         if not (0 <= abs(amp) <= 1):
-            raise ConfigError("initial.amplitude: must lie in [-1, 1] for positivity")
+            raise ConfigError(f"{where}.amplitude: must lie in [-1, 1] for positivity")
         vals = np.ones(grid.shape)
         mode = np.ones(grid.shape)
         for c in coords:
             mode = mode * np.cos(2 * np.pi * freq * c)
         vals = vals + amp * mode
     elif name in ("bump", "two_bumps"):
-        def bump(center, width_key, width_default):
-            where = f"initial.{width_key}"
-            width = _number(spec.get(width_key, width_default), where, positive=True)
+        def bump(center_key, center_default, width_key, width_default):
+            at = f"{where}.{width_key}"
+            width = _number(spec.get(width_key, width_default), at, positive=True)
             try:
                 spread = 2.0 * width**2
             except OverflowError as exc:
-                raise ConfigError(f"{where}: too large (its square overflows)") from exc
+                raise ConfigError(f"{at}: too large (its square overflows)") from exc
             try:
+                center = spec.get(center_key, center_default)
                 center = np.atleast_1d(np.asarray(center, dtype=float))
             except (TypeError, ValueError) as exc:
-                raise ConfigError("initial.center: expected numbers") from exc
+                raise ConfigError(f"{where}.{center_key}: expected numbers") from exc
             if center.size != grid.dim:
-                raise ConfigError("initial.center: needs one coordinate per axis")
+                raise ConfigError(f"{where}.{center_key}: needs one coordinate per axis")
             r2 = np.zeros(grid.shape)
             for a, c in enumerate(coords):
                 r2 += minimal_image(c - center[a]) ** 2
             return np.exp(-r2 / spread)
 
         if name == "bump":
-            vals = bump(spec.get("center", 0.5), "width", 0.1)
+            vals = bump("center", 0.5, "width", 0.1)
         else:
-            first = bump(spec.get("center_a", 0.25), "width_a", 0.05)
-            second = bump(spec.get("center_b", 0.75), "width_b", 0.05)
-            weight = _number(spec.get("weight", 0.5), "initial.weight")
+            first = bump("center_a", 0.25, "width_a", 0.05)
+            second = bump("center_b", 0.75, "width_b", 0.05)
+            weight = _number(spec.get("weight", 0.5), f"{where}.weight")
             if not (0 < weight < 1):
-                raise ConfigError("initial.weight: must lie in (0, 1)")
+                raise ConfigError(f"{where}.weight: must lie in (0, 1)")
             vals = weight * first + (1.0 - weight) * second
-    elif name == "inline":
-        vals = _array(spec.get("values"), "initial.values")
+    else:  # inline
+        vals = _array(spec.get("values"), f"{where}.values")
         if vals.shape != grid.shape:
             raise ConfigError(
-                f"initial.values: shape {vals.shape} does not match grid {grid.shape}"
+                f"{where}.values: shape {vals.shape} does not match grid {grid.shape}"
             )
-    else:
-        raise ConfigError(f"initial.profile: unknown profile {name!r}")
     try:
         return normalize(Density(grid, vals))
     except ValueError as exc:
-        raise ConfigError(f"initial: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def build_kernel(grid: Grid, spec: dict, where: str, vector: bool) -> np.ndarray:
@@ -116,6 +138,10 @@ def build_kernel(grid: Grid, spec: dict, where: str, vector: bool) -> np.ndarray
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"{where}: expected an object with a 'kind' name")
     kind = spec["kind"]
+    fields = _KERNEL_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ConfigError(f"{where}.kind: unknown kernel {kind!r}")
+    _object(spec, where, fields)
     if kind == "zero":
         scalar = zero_kernel(grid)
     elif kind == "cosine":
@@ -130,14 +156,12 @@ def build_kernel(grid: Grid, spec: dict, where: str, vector: bool) -> np.ndarray
             sigma=_number(spec.get("sigma", 0.1), f"{where}.sigma", positive=True),
             amplitude=_number(spec.get("amplitude", 1.0), f"{where}.amplitude"),
         )
-    elif kind == "inline":
+    else:  # inline
         arr = _array(spec.get("values"), f"{where}.values")
         want = ((grid.dim,) + grid.shape) if vector else grid.shape
         if arr.shape != want:
             raise ConfigError(f"{where}.values: shape {arr.shape}, expected {want}")
         return arr
-    else:
-        raise ConfigError(f"{where}.kind: unknown kernel {kind!r}")
     if vector:
         # Scalar named kernels used in velocity mode act along the first axis.
         out = np.zeros((grid.dim,) + grid.shape)
@@ -209,18 +233,18 @@ def _array(raw, where: str) -> np.ndarray:
 
 
 def _energy_from(raw: dict, where: str) -> InternalEnergy:
-    _object(raw, where)
+    _object(raw, where, _ENERGY_FIELDS)
     kind = _require(raw, "kind", where + ".")
     C = _number(raw.get("C", 10.0), where + ".C", positive=True)
-    if kind == "entropy":
-        return InternalEnergy.entropy(C=C)
-    if kind == "zero":
-        return InternalEnergy.zero()
     if kind == "power":
         m = _number(_require(raw, "m", where + "."), where + ".m")
         if not m > 1:
             raise ConfigError(f"{where}.m: must exceed 1")
         return InternalEnergy.power(m, C=C)
+    if kind in ("entropy", "zero"):
+        if _number(raw.get("m", 1.0), where + ".m") != 1.0:
+            raise ConfigError(f"{where}.m: the {kind} energy has fixed exponent m = 1")
+        return InternalEnergy(kind=kind, C=C)
     raise ConfigError(f"{where}.kind: unknown energy kind {kind!r}")
 
 
@@ -259,18 +283,14 @@ def parse_config_dict(raw: dict) -> RunConfig:
     rho0 = []
     for idx, sp in enumerate(species_raw):
         where = f"species[{idx}]"
-        if not isinstance(sp, dict):
-            raise ConfigError(f"{where}: expected an object")
+        _object(sp, where, _SPECIES_FIELDS)
         try:
             energies.append(_energy_from(_require(sp, "energy", where + "."), where + ".energy"))
         except ValueError as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"{where}.energy: {exc}") from exc
-        try:
-            rho0.append(build_profile(grid, _require(sp, "initial", where + ".")))
-        except ConfigError as exc:
-            raise ConfigError(f"{where}.{exc}") from exc
+        rho0.append(build_profile(grid, _require(sp, "initial", where + "."), where + ".initial"))
     l = len(energies)
 
     drift_raw = _object(
@@ -360,7 +380,10 @@ def parse_config_dict(raw: dict) -> RunConfig:
         init_list = _require(stab_raw, "initial", "stability.")
         if not isinstance(init_list, list) or len(init_list) != l:
             raise ConfigError("stability.initial: needs one profile per species")
-        stability_rho0 = tuple(build_profile(grid, spec) for spec in init_list)
+        stability_rho0 = tuple(
+            build_profile(grid, spec, f"stability.initial[{k}]")
+            for k, spec in enumerate(init_list)
+        )
         margin = _number(stab_raw.get("margin", 0.2), "stability.margin")
 
     # Hypothesis checks at load time.  The kernel-based drift constants are

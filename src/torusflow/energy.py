@@ -220,9 +220,9 @@ class RegularizedEnergy:
         out = np.asarray(middle(tt), dtype=float).copy()
         lo = tt < self.delta_eps
         hi = tt > self.M_eps
-        if np.any(lo):
+        if lo.any():
             out[lo] = below(tt[lo])
-        if np.any(hi):
+        if hi.any():
             out[hi] = above(tt[hi])
         return float(out[0]) if scalar else out
 

@@ -10,6 +10,11 @@ lattice offsets k*dx of the working grid:
 * velocity mode: vector kernels B_ij and V_i[rho] = sum_j B_ij * rho_j, not
   necessarily a gradient.
 
+Every drift evaluation goes through one convolution path, ``_kernel_sums``:
+one batched forward transform of the stacked densities and one batched
+inverse transform of the nonzero kernel terms.  The kernel transforms are
+taken the first time a model is evaluated and kept on it.
+
 ``estimate_constants`` produces numeric stand-ins for the regularity
 constants of the drift: a sup bound on the kernel gradients (lip_x), a
 sampled Wasserstein-Lipschitz ratio for rho -> V[rho] (lip_w2) and a bound on
@@ -19,6 +24,7 @@ the positive part of the kernel Laplacian/divergence (lap_plus).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -144,8 +150,77 @@ class DriftModel:
             kernels = np.zeros((species, species, grid.dim) + grid.shape)
         return cls(grid=grid, mode=mode, kernels=kernels, nonneg_shift=0.0)
 
+    @cached_property
+    def _transforms(self) -> "_KernelTransforms":
+        return _KernelTransforms.of(self)
 
-def _check_tuple(model: DriftModel, rho: tuple[Density, ...]) -> tuple[Density, ...]:
+
+@dataclass(frozen=True)
+class _KernelTransforms:
+    """Transforms of a model's nonzero kernels, one per (field row, species) term.
+
+    A field row is species i in potential mode and component a of species i
+    (row i * dim + a) in velocity mode.  Terms run in (i, j, a) order, so
+    each row sums its species j in ascending order.
+    """
+
+    rows: np.ndarray  # field row of each term
+    sources: np.ndarray  # species convolved by each term
+    hats: np.ndarray  # (terms, *shape) forward transforms of the kernels
+
+    @classmethod
+    def of(cls, model: DriftModel) -> "_KernelTransforms":
+        grid = model.grid
+        l = model.species_count
+        comps = 1 if model.mode == "potential" else grid.dim
+        kernels = model.kernels.reshape((l, l, comps) + grid.shape)
+        terms = [
+            (i * comps + a, j)
+            for i in range(l)
+            for j in range(l)
+            for a in range(comps)
+            if np.any(kernels[i, j, a])
+        ]
+        rows = np.array([r for r, _ in terms], dtype=int)
+        sources = np.array([j for _, j in terms], dtype=int)
+        picked = np.zeros((len(terms),) + grid.shape)
+        for t, (r, j) in enumerate(terms):
+            picked[t] = kernels[r // comps, j, r % comps]
+        return cls(rows=rows, sources=sources, hats=_transform(grid, picked, np.fft.fft))
+
+
+def _transform(grid: Grid, stacked: np.ndarray, fft) -> np.ndarray:
+    """fftn (or ifftn) over the space axes of a (k, *shape) stack, axis by
+    axis from the last one as fftn does, without fftn's per-call set-up."""
+    for axis in range(grid.dim, 0, -1):
+        stacked = fft(stacked, axis=axis)
+    return stacked
+
+
+def _kernel_sums(model: DriftModel, values: np.ndarray) -> np.ndarray:
+    """sum_j K_ij * rho_j for stacked densities ``values`` of shape (l, *shape).
+
+    Potential mode returns U, shape (l, *shape), with the nonneg shift added;
+    velocity mode returns V, shape (l, dim, *shape).
+    """
+    grid = model.grid
+    l = model.species_count
+    tr = model._transforms
+    if model.mode == "potential":
+        out = np.full((l,) + grid.shape, model.nonneg_shift)
+    else:
+        out = np.zeros((l, grid.dim) + grid.shape)
+    if tr.rows.size:
+        rho_hat = _transform(grid, values, np.fft.fft)
+        conv = np.real(_transform(grid, tr.hats * rho_hat[tr.sources], np.fft.ifft))
+        conv = conv * grid.cell_volume
+        flat = out.reshape((-1,) + grid.shape)
+        for row, term in zip(tr.rows, conv):
+            flat[row] += term
+    return out
+
+
+def _stacked(model: DriftModel, rho: tuple[Density, ...]) -> np.ndarray:
     rho = tuple(rho)
     if len(rho) != model.species_count:
         raise ValueError(
@@ -154,22 +229,16 @@ def _check_tuple(model: DriftModel, rho: tuple[Density, ...]) -> tuple[Density, 
     for r in rho:
         if r.grid != model.grid:
             raise ValueError("density grid does not match the drift model grid")
-    return rho
+    return np.stack([r.values for r in rho])
 
 
 def potential_from_kernel(model: DriftModel, rho: tuple[Density, ...]) -> tuple[ScalarField, ...]:
     """U_i = sum_j W_ij * rho_j + nonneg_shift (potential mode only)."""
     if model.mode != "potential":
         raise ValueError("mode mismatch: potential_from_kernel needs a potential model")
-    rho = _check_tuple(model, rho)
-    fields = []
-    for i in range(model.species_count):
-        acc = np.full(model.grid.shape, model.nonneg_shift)
-        for j, rj in enumerate(rho):
-            if np.any(model.kernels[i, j]):
-                acc = acc + circular_convolve(model.grid, model.kernels[i, j], rj.values)
-        fields.append(ScalarField(model.grid, acc))
-    return tuple(fields)
+    return tuple(
+        ScalarField(model.grid, u) for u in _kernel_sums(model, _stacked(model, rho))
+    )
 
 
 def velocity_field(model: DriftModel, rho: tuple[Density, ...]) -> tuple[VectorField, ...]:
@@ -178,21 +247,11 @@ def velocity_field(model: DriftModel, rho: tuple[Density, ...]) -> tuple[VectorF
     Potential mode returns -grad U_i so that both solver routes advance
     d_t rho_i = Lap F_i'(rho_i) - div(rho_i V_i[rho]) with the same V.
     """
-    rho = _check_tuple(model, rho)
     grid = model.grid
-    out = []
+    fields = _kernel_sums(model, _stacked(model, rho))
     if model.mode == "potential":
-        for field in potential_from_kernel(model, rho):
-            out.append(VectorField(grid, -centered_grad_values(grid, field.values)))
-    else:
-        for i in range(model.species_count):
-            acc = np.zeros((grid.dim,) + grid.shape)
-            for j, rj in enumerate(rho):
-                for a in range(grid.dim):
-                    if np.any(model.kernels[i, j, a]):
-                        acc[a] += circular_convolve(grid, model.kernels[i, j, a], rj.values)
-            out.append(VectorField(grid, acc))
-    return tuple(out)
+        fields = [-centered_grad_values(grid, u) for u in fields]
+    return tuple(VectorField(grid, v) for v in fields)
 
 
 @dataclass(frozen=True)

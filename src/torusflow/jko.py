@@ -90,7 +90,10 @@ class Trajectory:
     ``states[k]`` holds the density tuple at ``times[k]``; the semantics in
     continuous time are piecewise constant on half-open intervals ending at
     the recorded time.  ``w2_sq`` is per transition (one row per step),
-    ``energies`` per recorded state.
+    ``energies`` per recorded state.  Finite-volume runs also record, per
+    time step, the ``step_dt`` taken, the CFL term that bounded it
+    (``step_bound``: "diffusion" or "advection") and the mass clipped
+    (``step_clipped``); minimizing-movement runs leave these None.
     """
 
     grid: Grid
@@ -101,6 +104,9 @@ class Trajectory:
     w2_sq: np.ndarray | None = None  # (len(times) - 1, species)
     clipped_mass: float = 0.0
     jko_eps: float | None = None  # inner entropic parameter of the transport steps
+    step_dt: np.ndarray | None = None  # (finite-volume steps,)
+    step_bound: tuple[str, ...] | None = None
+    step_clipped: np.ndarray | None = None
 
     @property
     def species_count(self) -> int:

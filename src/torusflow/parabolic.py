@@ -7,6 +7,13 @@ of F'_eps with first-order upwind advection on the face-averaged velocity;
 the flux-difference update conserves mass to roundoff by telescoping, and
 negative undershoots are clipped to zero (renormalizing, with the clipped
 mass accumulated for inspection).
+
+The step runs on all species at once, as one (species, *shape) array.  The
+drift comes from the model's kernel transforms, taken once per run, with one
+batched forward and one batched inverse transform per step; species with
+equal regularized energies are evaluated together, and periodic shifts use
+index arrays built once.  ``Density`` tuples are built only at recorded
+times.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import RegularizedEnergy, regularize
-from .grid import Density, Grid, grad_values, normalize
-from .interaction import DriftModel, potential_from_kernel, velocity_field
+from .grid import Density, Grid
+from .interaction import DriftModel, _kernel_sums
 from .jko import Problem, Trajectory
 
 __all__ = ["ParabolicState", "CFLError", "parabolic_step", "run_parabolic"]
@@ -37,48 +44,109 @@ class ParabolicState:
         object.__setattr__(self, "densities", tuple(self.densities))
 
 
-def _face_velocities(
-    drift: DriftModel, state: tuple[Density, ...]
-) -> list[np.ndarray]:
-    """Per-species face velocities, component a stored at face i+1/2.
+class _Scheme:
+    """What the stacked step needs from a run, evaluated once per run."""
 
-    Potential mode differences the potential across the face (exactly the
-    staggered gradient); velocity mode averages the collocated field onto
-    faces.
-    """
-    grid = drift.grid
-    out = []
-    if drift.mode == "potential":
-        for field in potential_from_kernel(drift, state):
-            out.append(-grad_values(grid, field.values))
-    else:
-        for field in velocity_field(drift, state):
-            faces = np.stack(
-                [
-                    0.5 * (field.values[a] + np.roll(field.values[a], -1, axis=a))
-                    for a in range(grid.dim)
-                ]
+    def __init__(
+        self, grid: Grid, reg_energies: tuple[RegularizedEnergy, ...], drift: DriftModel
+    ) -> None:
+        l = len(reg_energies)
+        if drift.grid != grid:
+            raise ValueError("density grid does not match the drift model grid")
+        if drift.species_count != l:
+            raise ValueError(
+                f"model couples {drift.species_count} species, got {l} energies"
             )
-            out.append(faces)
-    return out
+        self.grid = grid
+        self.species = l
+        self.drift = drift
+        # An advection term only where some kernel is nonzero; its transforms
+        # are taken here, at run start.
+        self.advects = bool(drift._transforms.rows.size)
+        members: dict[RegularizedEnergy, list[int]] = {}
+        for i, reg in enumerate(reg_energies):
+            members.setdefault(reg, []).append(i)
+        self.groups = [(reg, np.array(idx)) for reg, idx in members.items()]
+        cells = np.arange(grid.n)
+        self.ahead = (cells + 1) % grid.n  # entry i holds cell i + 1
+        self.behind = (cells - 1) % grid.n  # entry i holds cell i - 1
 
+    def _energy(self, method: str, values: np.ndarray) -> np.ndarray:
+        """A RegularizedEnergy map on stacked values, one call per energy group."""
+        if len(self.groups) == 1:
+            return getattr(self.groups[0][0], method)(values)
+        out = np.empty_like(values)
+        for reg, idx in self.groups:
+            out[idx] = getattr(reg, method)(values[idx])
+        return out
 
-def _bound_from(
-    grid: Grid,
-    densities: tuple[Density, ...],
-    reg_energies: tuple[RegularizedEnergy, ...],
-    velocities: list[np.ndarray],
-) -> float:
-    """Largest admissible dt: min(dx^2 / (4 max F''_eps), dx / (2 max |V|))."""
-    bound = np.inf
-    for rho, reg, vel in zip(densities, reg_energies, velocities):
-        fpp_max = float(np.max(reg.f_second(rho.values)))
-        if fpp_max > 0:
-            bound = min(bound, 0.25 * grid.dx**2 / fpp_max)
-        vmax = float(np.max(np.abs(vel)))
-        if vmax > 0:
-            bound = min(bound, 0.5 * grid.dx / vmax)
-    return bound
+    def _per_species(self, values: np.ndarray) -> np.ndarray:
+        return values.reshape(self.species, -1)
+
+    def velocities(self, values: np.ndarray) -> tuple[np.ndarray | None, float, str]:
+        """Face velocities (species, dim, *shape), component a at face i+1/2,
+        with the largest admissible dt and the CFL term that sets it.
+
+        Potential mode differences the potential across the face (exactly the
+        staggered gradient); velocity mode averages the collocated field onto
+        faces.  None stands for a drift without nonzero kernels.  The bound is
+        min(dx^2 / (4 max F''_eps), dx / (2 max |V|)).
+        """
+        grid, dx = self.grid, self.grid.dx
+        fpp_max = self._per_species(self._energy("f_second", values)).max(axis=1)
+        diffusion = min((0.25 * dx**2 / f for f in fpp_max if f > 0), default=np.inf)
+        if not self.advects:
+            return None, float(diffusion), "diffusion"
+        fields = _kernel_sums(self.drift, values)
+        faces = np.empty((self.species, grid.dim) + grid.shape)
+        for a in range(grid.dim):
+            if self.drift.mode == "potential":
+                faces[:, a] = -((fields.take(self.ahead, axis=1 + a) - fields) / dx)
+            else:
+                comp = fields[:, a]
+                faces[:, a] = 0.5 * (comp + comp.take(self.ahead, axis=1 + a))
+        if not np.isfinite(faces).all():
+            raise RuntimeError("drift velocities are not finite")
+        vmax = self._per_species(np.abs(faces)).max(axis=1)
+        advection = min((0.5 * dx / v for v in vmax if v > 0), default=np.inf)
+        if advection < diffusion:
+            return faces, float(advection), "advection"
+        return faces, float(diffusion), "diffusion"
+
+    def advance(
+        self, values: np.ndarray, faces: np.ndarray | None, limit: float, dt: float
+    ) -> tuple[np.ndarray, float]:
+        """One update with velocities and bound already evaluated on values;
+        returns the new values and the mass clipped."""
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        if dt > limit * (1.0 + 1e-12):
+            raise CFLError(f"dt={dt:.3e} exceeds the stability bound {limit:.3e}")
+        grid, dx, vol = self.grid, self.grid.dx, self.grid.cell_volume
+        pressure = self._energy("f_prime", values)
+        divergence = np.zeros_like(values)
+        for a in range(grid.dim):
+            axis = 1 + a
+            flux = -((pressure.take(self.ahead, axis=axis) - pressure) / dx)
+            if faces is not None:
+                w = faces[:, a]
+                flux += w * np.where(w >= 0, values, values.take(self.ahead, axis=axis))
+            divergence += (flux - flux.take(self.behind, axis=axis)) / dx
+        updated = values - dt * divergence
+        if not np.isfinite(updated).all():
+            raise RuntimeError("parabolic step produced non-finite values")
+        mass = self._per_species(values).sum(axis=1) * vol
+        pre_clip_mass = self._per_species(updated).sum(axis=1) * vol
+        if (np.abs(pre_clip_mass - mass) > 1e-13 * np.maximum(1.0, mass)).any():
+            raise RuntimeError("flux telescoping violated; mass drifted in one step")
+        clipped = 0.0
+        for c in -self._per_species(np.minimum(updated, 0.0)).sum(axis=1) * vol:
+            clipped += float(c)
+        updated = np.maximum(updated, 0.0)
+        totals = self._per_species(updated).sum(axis=1) * vol
+        if (totals <= 0).any():
+            raise ValueError("degenerate density: total mass is not positive")
+        return updated / totals.reshape((-1,) + (1,) * grid.dim), clipped
 
 
 def parabolic_step(
@@ -89,48 +157,12 @@ def parabolic_step(
 ) -> ParabolicState:
     """One explicit conservative update of all species."""
     grid = state.densities[0].grid
-    velocities = _face_velocities(drift, state.densities)
-    limit = _bound_from(grid, state.densities, reg_energies, velocities)
-    return _advance(state, reg_energies, velocities, limit, dt)
-
-
-def _advance(
-    state: ParabolicState,
-    reg_energies: tuple[RegularizedEnergy, ...],
-    velocities: list[np.ndarray],
-    limit: float,
-    dt: float,
-) -> ParabolicState:
-    """Update with face velocities and CFL bound already evaluated on state."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if dt > limit * (1.0 + 1e-12):
-        raise CFLError(f"dt={dt:.3e} exceeds the stability bound {limit:.3e}")
-    grid = state.densities[0].grid
-    new_densities = []
-    clipped = 0.0
-    for rho, reg, vel in zip(state.densities, reg_energies, velocities):
-        vals = rho.values
-        flux = -grad_values(grid, reg.f_prime(vals))
-        for a in range(grid.dim):
-            w = vel[a]
-            donor = np.where(w >= 0, vals, np.roll(vals, -1, axis=a))
-            flux[a] += w * donor
-        divergence = np.zeros(grid.shape)
-        for a in range(grid.dim):
-            divergence += (flux[a] - np.roll(flux[a], 1, axis=a)) / grid.dx
-        updated = vals - dt * divergence
-        if not np.all(np.isfinite(updated)):
-            raise RuntimeError("parabolic step produced non-finite values")
-        pre_clip_mass = float(np.sum(updated) * grid.cell_volume)
-        if abs(pre_clip_mass - rho.mass()) > 1e-13 * max(1.0, rho.mass()):
-            raise RuntimeError("flux telescoping violated; mass drifted in one step")
-        negative = np.minimum(updated, 0.0)
-        clipped += float(-np.sum(negative) * grid.cell_volume)
-        updated = np.maximum(updated, 0.0)
-        new_densities.append(normalize(Density(grid, updated)))
+    scheme = _Scheme(grid, tuple(reg_energies), drift)
+    values = np.stack([rho.values for rho in state.densities])
+    faces, limit, _ = scheme.velocities(values)
+    values, clipped = scheme.advance(values, faces, limit, dt)
     return ParabolicState(
-        densities=tuple(new_densities),
+        densities=tuple(Density(grid, v) for v in values),
         time=state.time + dt,
         clipped_mass=state.clipped_mass + clipped,
     )
@@ -143,10 +175,11 @@ def run_parabolic(
 ) -> Trajectory:
     """March the regularized equation to the problem horizon.
 
-    Velocities are re-evaluated from the current tuple once per step and
+    Velocities are re-evaluated from the current densities once per step and
     serve both the CFL bound and the update.  States are recorded every
     problem h (and at the horizon), so trajectories are directly comparable
-    with the minimizing-movement route.
+    with the minimizing-movement route.  Each step's dt, the CFL term that
+    bounded it and the mass it clipped are recorded on the trajectory.
     """
     if not (0 < cfl_safety <= 1):
         raise ValueError("cfl_safety must lie in (0, 1]")
@@ -158,17 +191,27 @@ def run_parabolic(
     if record_times.size == 0 or record_times[-1] < problem.horizon - 1e-12:
         record_times = np.append(record_times, problem.horizon)
 
-    state = ParabolicState(densities=problem.rho0, time=0.0)
+    scheme = _Scheme(grid, reg, problem.drift)
+    values = np.stack([rho.values for rho in problem.rho0])
+    time = 0.0
+    clipped_mass = 0.0
+    step_dt: list[float] = []
+    step_bound: list[str] = []
+    step_clipped: list[float] = []
     states: list[tuple[Density, ...]] = [problem.rho0]
     times = [0.0]
     for target in record_times:
-        while state.time < target - 1e-13:
-            velocities = _face_velocities(problem.drift, state.densities)
-            limit = _bound_from(grid, state.densities, reg, velocities)
-            dt = min(cfl_safety * limit, target - state.time)
-            state = _advance(state, reg, velocities, limit, dt)
-        states.append(state.densities)
-        times.append(state.time)
+        while time < target - 1e-13:
+            faces, limit, term = scheme.velocities(values)
+            dt = min(cfl_safety * limit, target - time)
+            values, clipped = scheme.advance(values, faces, limit, dt)
+            time = time + dt
+            clipped_mass = clipped_mass + clipped
+            step_dt.append(dt)
+            step_bound.append(term)
+            step_clipped.append(clipped)
+        states.append(tuple(Density(grid, v) for v in values))
+        times.append(time)
 
     l = problem.species_count
     energies = np.zeros((len(states), l))
@@ -181,5 +224,8 @@ def run_parabolic(
         times=np.asarray(times),
         states=states,
         energies=energies,
-        clipped_mass=state.clipped_mass,
+        clipped_mass=clipped_mass,
+        step_dt=np.asarray(step_dt),
+        step_bound=tuple(step_bound),
+        step_clipped=np.asarray(step_clipped),
     )

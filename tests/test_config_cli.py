@@ -238,6 +238,11 @@ class TestParseConfig:
             ("stability", "w2_eps", 1e-4),
             ("", "diagnostics", {"ledger_slack": 0.1}),
             ("parabolic", "cfl_saftey", 0.9),
+            # A misspelt key inside a species entry, its energy or its profile
+            # used to be ignored: the run took the default amplitude 0.5.
+            ("species.0.initial", "amplitud", 0.9),
+            ("species.0.energy", "Cc", 10.0),
+            ("species.0", "colour", "red"),
         ],
     )
     def test_mistyped_field_rejected(self, tmp_path, capsys, section, key, value):
@@ -254,6 +259,35 @@ class TestParseConfig:
             parse_config(path)
         assert main(["check", "--config", str(path)]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, key, value, field",
+        [
+            (("drift", "kernels", 0, 1), "phase", 0.1, "drift.kernels[0][1].phase"),
+            (("drift", "kernels", 0, 0), "amplitude", 1.0, "drift.kernels[0][0].amplitude"),
+            (("species", 1, "initial"), "width_a", 0.1, "species[1].initial.width_a"),
+            (("stability", "initial", 0), "amplitud", 0.3, "stability.initial[0].amplitud"),
+            (("stability", "initial", 1), "weight", 0.5, "stability.initial[1].weight"),
+        ],
+    )
+    def test_field_of_another_kind_rejected(self, tmp_path, capsys, path, key, value, field):
+        # Each profile and kernel kind has its own field list: a zero kernel
+        # has no amplitude and a single bump no width_a.
+        cfg = stability_config(None)
+        functools.reduce(operator.getitem, path, cfg)[key] = value
+        config_path = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError, match=re.escape(field + ": unknown field")):
+            parse_config(config_path)
+        assert main(["check", "--config", str(config_path)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_entropy_exponent_is_fixed(self, tmp_path):
+        cfg = minimal_config()
+        cfg["species"][0]["energy"]["m"] = 1.0
+        parse_config(write_config(tmp_path, cfg))
+        cfg["species"][0]["energy"]["m"] = 2.0
+        with pytest.raises(ConfigError, match=r"species\[0\]\.energy\.m: the entropy energy"):
+            parse_config(write_config(tmp_path, cfg))
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -574,6 +608,20 @@ class TestRunCli:
             warnings.simplefilter("error")  # t^2000 overflows without a warning
             assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 2
         assert "config error: species: initial energy is not finite" in capsys.readouterr().err
+
+    def test_overflowing_drift_is_solver_failure(self, tmp_path, capsys):
+        # A constant kernel has no gradient, so its drift bounds pass check;
+        # at 1e308 its transform overflows and the run stops before writing.
+        out_dir = tmp_path / "out"
+        cfg = stability_config(str(out_dir))
+        del cfg["stability"]
+        cfg["drift"]["kernels"][0][0] = {"kind": "cosine", "amplitude": 1e308, "frequency": 0}
+        path = write_config(tmp_path, cfg)
+        assert main(["check", "--config", str(path)]) == 0
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", str(path)]) == 3
+        assert "drift velocities are not finite" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_read_states_csv_round_trip(self, tmp_path):
         out_dir = tmp_path / "out"

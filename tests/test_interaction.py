@@ -42,6 +42,68 @@ class TestConvolution:
         np.testing.assert_allclose(u.values, expected, atol=1e-12)
 
 
+def direct_fields(model, rho):
+    """sum_j K_ij * rho_j per species by direct summation, stacked like the
+    model's kernels: (l, *shape) in potential mode, (l, dim, *shape) else."""
+    grid = model.grid
+    l = model.species_count
+    out = np.zeros(model.kernels.shape[1:])
+    for i in range(l):
+        for j in range(l):
+            if model.mode == "potential":
+                out[i] += circular_convolve_direct(grid, model.kernels[i, j], rho[j].values)
+            else:
+                for a in range(grid.dim):
+                    out[i, a] += circular_convolve_direct(
+                        grid, model.kernels[i, j, a], rho[j].values
+                    )
+    return out
+
+
+class TestSharedConvolutionPath:
+    """potential_from_kernel and velocity_field against direct summation,
+    with species 1 coupled to nothing (an all-zero kernel row)."""
+
+    @staticmethod
+    def model(dim, n, mode):
+        grid = tf.make_grid(dim, n)
+        rng = np.random.default_rng(7)
+        tail = grid.shape if mode == "potential" else (dim,) + grid.shape
+        kernels = rng.standard_normal((3, 3) + tail)
+        kernels[1] = 0.0
+        kernels[0, 2] = 0.0
+        if mode == "potential":
+            return tf.DriftModel.potential(grid, kernels, nonneg_shift=0.7)
+        return tf.DriftModel.velocity(grid, kernels)
+
+    @pytest.mark.parametrize("dim,n", [(1, 24), (2, 6)])
+    def test_potential_mode(self, dim, n):
+        model = self.model(dim, n, "potential")
+        rho = tuple(random_density(model.grid, s) for s in range(3))
+        expected = direct_fields(model, rho) + 0.7
+        potentials = tf.potential_from_kernel(model, rho)
+        velocities = tf.velocity_field(model, rho)
+        for i in range(3):
+            np.testing.assert_allclose(potentials[i].values, expected[i], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                velocities[i].values,
+                -centered_grad_values(model.grid, expected[i]),
+                rtol=0,
+                atol=1e-12,
+            )
+        np.testing.assert_array_equal(potentials[1].values, 0.7)
+
+    @pytest.mark.parametrize("dim,n", [(1, 24), (2, 6)])
+    def test_velocity_mode(self, dim, n):
+        model = self.model(dim, n, "velocity")
+        rho = tuple(random_density(model.grid, s) for s in range(3))
+        expected = direct_fields(model, rho)
+        velocities = tf.velocity_field(model, rho)
+        for i in range(3):
+            np.testing.assert_allclose(velocities[i].values, expected[i], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(velocities[1].values, 0.0)
+
+
 class TestPotential:
     def test_zero_kernel_gives_shift(self):
         grid = tf.make_grid(1, 16)

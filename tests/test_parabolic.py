@@ -4,6 +4,7 @@ import pytest
 import torusflow as tf
 from torusflow.energy import regularize
 from torusflow.grid import grad_values
+from torusflow.interaction import cosine_kernel, gaussian_bump_kernel
 from torusflow.parabolic import ParabolicState
 
 from conftest import cosine_density, heat_problem, heat_values, mode_amplitude
@@ -217,3 +218,114 @@ class TestRunParabolic:
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(0.0123)
         assert np.all(np.diff(traj.times) > 0)
+
+
+def two_species_problem(grid, drift, horizon, h):
+    rng = np.random.default_rng(11)
+    rho0 = tuple(
+        tf.normalize(tf.Density(grid, 1 + 0.5 * rng.uniform(-1, 1, grid.shape)))
+        for _ in range(2)
+    )
+    return tf.Problem(
+        grid=grid,
+        energies=(tf.InternalEnergy.power(2.0), tf.InternalEnergy.power(1.5)),
+        drift=drift,
+        rho0=rho0,
+        horizon=horizon,
+        h=h,
+    )
+
+
+def velocity_problem_1d():
+    """Two species, velocity mode, a nonzero diagonal and cross kernels."""
+    grid = tf.make_grid(1, 32)
+    offs = grid.offset_grids()[0]
+    kernels = np.zeros((2, 2, 1) + grid.shape)
+    kernels[0, 0, 0] = 0.3 * np.cos(2 * np.pi * offs)
+    kernels[0, 1, 0] = 0.4 * np.sin(2 * np.pi * offs)
+    kernels[1, 0, 0] = -0.2 * np.sin(4 * np.pi * offs)
+    return two_species_problem(grid, tf.DriftModel.velocity(grid, kernels), 0.02, 0.01)
+
+
+def potential_problem_2d():
+    """Two species on a 2-d grid, potential mode, nonzero cross kernels only."""
+    grid = tf.make_grid(2, 12)
+    kernels = np.zeros((2, 2) + grid.shape)
+    kernels[0, 1] = gaussian_bump_kernel(grid, 0.15, 0.8)
+    kernels[1, 0] = cosine_kernel(grid, -0.6, 1)
+    return two_species_problem(grid, tf.DriftModel.potential(grid, kernels), 4e-3, 2e-3)
+
+
+class TestStepRecord:
+    @pytest.mark.parametrize("make", [velocity_problem_1d, potential_problem_2d])
+    def test_replayed_steps_reproduce_run_bit_for_bit(self, make):
+        # run_parabolic and parabolic_step share one step: replaying the
+        # recorded dts must land on every recorded state exactly.
+        prob = make()
+        traj = tf.run_parabolic(prob, eps_reg=1e-3, cfl_safety=0.9)
+        reg = tuple(regularize(e, 1e-3) for e in prob.energies)
+        state = ParabolicState(densities=prob.rho0, time=0.0)
+        replayed = [state]
+        for dt in traj.step_dt:
+            state = tf.parabolic_step(state, reg, prob.drift, dt=dt)
+            if state.time == traj.times[len(replayed)]:
+                replayed.append(state)
+        assert len(replayed) == len(traj.times)
+        for recorded, again in zip(traj.states, replayed):
+            for rho, rho_again in zip(recorded, again.densities):
+                np.testing.assert_array_equal(rho.values, rho_again.values)
+        assert state.clipped_mass == traj.clipped_mass
+
+    def test_fields_per_step(self):
+        prob = velocity_problem_1d()
+        traj = tf.run_parabolic(prob, eps_reg=1e-3, cfl_safety=0.9)
+        steps = len(traj.step_dt)
+        assert steps > len(traj.times) - 1
+        assert len(traj.step_bound) == len(traj.step_clipped) == steps
+        assert set(traj.step_bound) <= {"diffusion", "advection"}
+        assert np.all(traj.step_dt > 0)
+        assert np.sum(traj.step_dt) == pytest.approx(prob.horizon, rel=1e-12)
+        assert np.all(traj.step_clipped >= 0)
+        assert np.sum(traj.step_clipped) == pytest.approx(traj.clipped_mass, abs=1e-18)
+
+    def test_bound_names_the_binding_term(self):
+        # Without drift only diffusion bounds dt; a fast constant velocity
+        # on a coarse grid makes advection the binding term.
+        calm = tf.run_parabolic(heat_problem(n=32, horizon=2e-3, h=1e-3))
+        assert set(calm.step_bound) == {"diffusion"}
+        grid = tf.make_grid(1, 16)
+        drift = tf.DriftModel.velocity(grid, np.full((1, 1, 1) + grid.shape, 200.0))
+        prob = tf.Problem(
+            grid=grid,
+            energies=(tf.InternalEnergy.entropy(),),
+            drift=drift,
+            rho0=(cosine_density(grid, 0.2),),
+            horizon=1e-3,
+            h=1e-3,
+        )
+        fast = tf.run_parabolic(prob)
+        assert set(fast.step_bound) == {"advection"}
+        # The advection bound dx / (2 max|V|) with V = 200: cfl 0.9 of it.
+        assert fast.step_dt[0] == pytest.approx(0.9 * 0.5 * grid.dx / 200.0)
+
+    def test_jko_trajectory_leaves_them_unset(self):
+        traj = tf.run_jko(heat_problem(n=16, horizon=2e-3, h=1e-3), eps=5e-3)
+        assert traj.step_dt is None
+        assert traj.step_bound is None
+        assert traj.step_clipped is None
+
+    def test_overflowing_drift_raises(self):
+        # A constant kernel at the float ceiling passes the model's finiteness
+        # check, but its transform, and so the velocity, overflows.
+        grid = tf.make_grid(1, 16)
+        drift = tf.DriftModel.velocity(grid, np.full((1, 1, 1) + grid.shape, 1e308))
+        prob = tf.Problem(
+            grid=grid,
+            energies=(tf.InternalEnergy.power(2.0),),
+            drift=drift,
+            rho0=(cosine_density(grid, 0.2),),
+            horizon=1e-3,
+            h=1e-3,
+        )
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="not finite"):
+            tf.run_parabolic(prob)
