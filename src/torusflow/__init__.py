@@ -38,8 +38,6 @@ from .grid import (
     Grid,
     ScalarField,
     VectorField,
-    div,
-    grad,
     make_grid,
     normalize,
     quotient_distance,
@@ -72,8 +70,6 @@ __all__ = [
     "make_grid",
     "quotient_distance",
     "normalize",
-    "grad",
-    "div",
     "InternalEnergy",
     "RegularizedEnergy",
     "evaluate",

@@ -14,7 +14,8 @@ lowercase scientific text):
     states_parabolic.csv  second state set when solver = both
     ledger.csv   per-step dissipation bookkeeping (minimizing-movement runs)
     series.csv   comparison series (cross-solver L1, stability bound)
-    meta.json    resolved config, version, measured constants, slack values
+    meta.json    resolved config, version, measured constants, ledger slack
+                 (when a ledger exists)
 
 Exit codes: 0 success, 1 flagged inequality under --strict, 2 configuration
 or input error, 3 solver failure.
@@ -118,9 +119,10 @@ def emit_outputs(
         "version": __version__,
         "config": cfg.resolved,
         "constants": constants,
-        "slack": {"ledger": cfg.ledger_slack},
         "warnings": cfg.warnings,
     }
+    if ledger is not None:
+        meta["slack"] = {"ledger": ledger.slack}
     meta_path = out / "meta.json"
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     written.append(meta_path)
@@ -148,7 +150,7 @@ def _solve_and_check(cfg: RunConfig):
 
     ledger = None
     if traj_jko is not None:
-        ledger = energy_ledger(traj_jko, problem, slack=cfg.ledger_slack)
+        ledger = energy_ledger(traj_jko, problem)
 
     series_rows: list[tuple] = []
     if traj_jko is not None and traj_par is not None:
@@ -215,7 +217,7 @@ def run_command(cfg: RunConfig, strict: bool = False) -> int:
     if ledger is not None and bool(ledger.flags.any()):
         print(
             f"ledger: {int(ledger.flags.sum())} step(s) violate the dissipation "
-            f"inequality at slack {cfg.ledger_slack:g}",
+            f"inequality at slack {ledger.slack:g}",
             file=sys.stderr,
         )
         flagged = True
@@ -228,25 +230,34 @@ def run_command(cfg: RunConfig, strict: bool = False) -> int:
 
 
 def read_states_csv(path: str | Path) -> dict[float, list[np.ndarray]]:
-    """Parse a states.csv into {time: [per-species flat value arrays]}."""
+    """Parse a states.csv into {time: [per-species flat value arrays]}.
+
+    Each (time, species) block must list cells 0..k-1 exactly once, in any
+    order; anything else is a ValueError naming the file, time and species.
+    """
     rows: dict[float, dict[int, dict[int, float]]] = {}
     with Path(path).open() as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             t = float(row["time"])
             s = int(row["species"])
-            rows.setdefault(t, {}).setdefault(s, {})[int(row["cell_index"])] = float(
-                row["value"]
-            )
+            cells = rows.setdefault(t, {}).setdefault(s, {})
+            idx = int(row["cell_index"])
+            if idx in cells:
+                raise ValueError(f"{path}: time {t:g}, species {s}: cell {idx} repeated")
+            cells[idx] = float(row["value"])
     out: dict[float, list[np.ndarray]] = {}
     for t, per_species in rows.items():
         species = []
         for s in sorted(per_species):
             cells = per_species[s]
-            arr = np.zeros(len(cells))
-            for idx, val in cells.items():
-                arr[idx] = val
-            species.append(arr)
+            # Distinct indices (checked on reading) within 0..k-1 are all of them.
+            if min(cells) < 0 or max(cells) >= len(cells):
+                raise ValueError(
+                    f"{path}: time {t:g}, species {s}: cell indices are not "
+                    f"0..{len(cells) - 1}"
+                )
+            species.append(np.array([cells[idx] for idx in range(len(cells))]))
         out[t] = species
     return out
 
@@ -315,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     p_w2.add_argument("--a", required=True)
     p_w2.add_argument("--b", required=True)
     p_w2.add_argument("--time", type=float, required=True)
-    p_w2.add_argument("--dim", type=int, default=1)
+    p_w2.add_argument("--dim", type=int, choices=(1, 2), default=1)
 
     args = parser.parse_args(argv)
 

@@ -10,9 +10,8 @@ constants, the JKO entropic scale) up front, collecting warnings.
 
 The parsed ``RunConfig`` is the run plan: it carries the run's ``Problem``
 (and the stability run's second one with ``stability_compare``'s margin),
-the exact keyword arguments of ``run_jko`` and ``run_parabolic``, and the
-ledger slack ``default_ledger_slack`` gives; its ``resolved`` echo is built
-from those same values.
+and the exact keyword arguments of ``run_jko`` and ``run_parabolic``; its
+``resolved`` echo is built from those same values.
 """
 
 from __future__ import annotations
@@ -25,12 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import default_ledger_slack
 from .energy import InternalEnergy, mccann_check, validate_growth
 from .grid import Density, Grid, make_grid, minimal_image, normalize
 from .interaction import (
     DriftConstants,
     DriftModel,
+    _kernel_sums_bound,
     cosine_kernel,
     estimate_constants,
     gaussian_bump_kernel,
@@ -179,7 +178,6 @@ class RunConfig:
     stability: tuple[Problem, float] | None  # the second run and its margin
     output_cadence: int
     output_directory: str | None
-    ledger_slack: float
     load_constants: DriftConstants  # kernel-based drift bounds from parse time
     warnings: list[str]
     resolved: dict
@@ -372,8 +370,6 @@ def parse_config_dict(raw: dict) -> RunConfig:
     if directory is not None and not isinstance(directory, str):
         raise ConfigError("output.directory: expected a string or null")
 
-    ledger_slack = default_ledger_slack(jko["eps"], h, grid.dim, l)
-
     stab_raw = raw.get("stability")
     if stab_raw is not None:
         _object(stab_raw, "stability", ("initial", "margin"))
@@ -390,11 +386,12 @@ def parse_config_dict(raw: dict) -> RunConfig:
     # cheap; the sampled W2-Lipschitz estimate is deferred to the run.
     with np.errstate(over="ignore", invalid="ignore"):
         load_constants = estimate_constants(drift, pairs=0)
-    bounds = {
-        "lip_x": load_constants.lip_x,
-        "lap_plus": load_constants.lap_plus,
-        "nonneg_shift": drift.nonneg_shift,
-    }
+        bounds = {
+            "lip_x": load_constants.lip_x,
+            "lap_plus": load_constants.lap_plus,
+            "nonneg_shift": drift.nonneg_shift,
+            "kernel_sums": _kernel_sums_bound(drift),
+        }
     if not all(math.isfinite(b) for b in bounds.values()):
         listed = ", ".join(f"{k} {v:g}" for k, v in bounds.items())
         raise ConfigError(f"drift.kernels: drift bounds are not finite ({listed})")
@@ -462,7 +459,6 @@ def parse_config_dict(raw: dict) -> RunConfig:
         stability=stability,
         output_cadence=cadence,
         output_directory=directory,
-        ledger_slack=ledger_slack,
         load_constants=load_constants,
         warnings=warnings,
         resolved=resolved,

@@ -99,24 +99,16 @@ class Ledger:
         return np.nonzero(self.flags)[0]
 
 
-def energy_ledger(
-    traj: Trajectory, problem: Problem, slack: float | None = None
-) -> Ledger:
+def energy_ledger(traj: Trajectory, problem: Problem) -> Ledger:
     """Check (per step) w2_sq/(2h) <= drop of [energy + frozen drift work].
 
     Requires per-step transport records, so the trajectory must come from the
-    minimizing-movement solver.
+    minimizing-movement solver.  The slack is ``default_ledger_slack`` of the
+    trajectory's own entropic parameter, step, dimension and species count.
     """
-    if traj.w2_sq is None:
+    if traj.w2_sq is None or traj.jko_eps is None:
         raise ValueError("trajectory carries no transport records")
-    if slack is None:
-        if traj.jko_eps is None:
-            raise ValueError(
-                "trajectory does not record its entropic parameter; pass slack"
-            )
-        slack = default_ledger_slack(
-            traj.jko_eps, traj.h, traj.grid.dim, traj.species_count
-        )
+    slack = default_ledger_slack(traj.jko_eps, traj.h, traj.grid.dim, traj.species_count)
     grid = traj.grid
     vol = grid.cell_volume
     l = traj.species_count

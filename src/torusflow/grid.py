@@ -27,8 +27,6 @@ __all__ = [
     "quotient_distance",
     "minimal_image",
     "normalize",
-    "grad",
-    "div",
     "grad_values",
     "div_values",
     "laplacian_values",
@@ -195,11 +193,3 @@ def centered_grad_values(grid: Grid, f: np.ndarray) -> np.ndarray:
             for a in range(grid.dim)
         ]
     )
-
-
-def grad(field: ScalarField) -> VectorField:
-    return VectorField(field.grid, grad_values(field.grid, field.values))
-
-
-def div(field: VectorField) -> ScalarField:
-    return ScalarField(field.grid, div_values(field.grid, field.values))

@@ -47,7 +47,6 @@ __all__ = [
     "estimate_constants",
     "stability_constant",
     "as_velocity_model",
-    "circular_convolve",
     "circular_convolve_direct",
     "cosine_kernel",
     "gaussian_bump_kernel",
@@ -55,14 +54,9 @@ __all__ = [
 ]
 
 
-def circular_convolve(grid: Grid, kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """(kernel * values)(x_i) = sum_j kernel[(i-j) mod n] values[j] dx^d."""
-    out = np.fft.ifftn(np.fft.fftn(kernel) * np.fft.fftn(values))
-    return np.real(out) * grid.cell_volume
-
-
 def circular_convolve_direct(grid: Grid, kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Summation reference for the transform path; O(cells^2), tests only."""
+    """(kernel * values)(x_i) = sum_j kernel[(i-j) mod n] values[j] dx^d by
+    direct summation: the reference for ``_kernel_sums``; O(cells^2), tests only."""
     n = grid.n
     out = np.zeros(grid.shape)
     for idx in np.ndindex(grid.shape):
@@ -220,6 +214,18 @@ def _kernel_sums(model: DriftModel, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kernel_sums_bound(model: DriftModel) -> float:
+    """sum |K| * cells^3 over the stored kernels: finite only if every value
+    ``_kernel_sums`` computes stays finite for every unit-mass density.
+
+    |fft K| <= sum |K| and |fft rho| <= sum rho = cells, and an inverse pass
+    of length n sums at most n such products before it rescales, so no
+    intermediate exceeds sum |K| * cells * n; cells^3 leaves at least a
+    further factor n for the transform's own partial sums.
+    """
+    return float(np.sum(np.abs(model.kernels))) * model.grid.cells**3
+
+
 def _stacked(model: DriftModel, rho: tuple[Density, ...]) -> np.ndarray:
     rho = tuple(rho)
     if len(rho) != model.species_count:
@@ -261,41 +267,36 @@ class DriftConstants:
     lap_plus: float
 
 
-def _kernel_gradient_bound(model: DriftModel) -> float:
-    """max over species and cells of sum_j |grad K_ij| for the stored kernels."""
+def _kernel_bounds(model: DriftModel) -> tuple[float, float]:
+    """(lip_x, lap_plus) for the stored kernels, in one pass over the pairs.
+
+    lip_x is the max over species and cells of sum_j |grad K_ij|; lap_plus
+    that of sum_j (Lap K_ij)_+ in potential mode and of sum_j (div B_ij)_+ in
+    velocity mode.
+    """
     grid = model.grid
-    worst = 0.0
+    lip_x = lap_plus = 0.0
     for i in range(model.species_count):
-        acc = np.zeros(grid.shape)
+        grad_acc = np.zeros(grid.shape)
+        lap_acc = np.zeros(grid.shape)
         for j in range(model.species_count):
             if model.mode == "potential":
                 g = centered_grad_values(grid, model.kernels[i, j])
-                acc += np.sqrt(np.sum(g**2, axis=0))
+                grad_acc += np.sqrt(np.sum(g**2, axis=0))
+                lap = laplacian_values(grid, model.kernels[i, j])
             else:
                 comps = [
                     centered_grad_values(grid, model.kernels[i, j, a])
                     for a in range(grid.dim)
                 ]
-                acc += np.sqrt(sum(np.sum(g**2, axis=0) for g in comps))
-        worst = max(worst, float(np.max(acc)))
-    return worst
-
-
-def _kernel_lap_plus_bound(model: DriftModel) -> float:
-    grid = model.grid
-    worst = 0.0
-    for i in range(model.species_count):
-        acc = np.zeros(grid.shape)
-        for j in range(model.species_count):
-            if model.mode == "potential":
-                lap = laplacian_values(grid, model.kernels[i, j])
-            else:
+                grad_acc += np.sqrt(sum(np.sum(g**2, axis=0) for g in comps))
                 lap = np.zeros(grid.shape)
-                for a in range(grid.dim):
-                    lap += centered_grad_values(grid, model.kernels[i, j, a])[a]
-            acc += np.maximum(lap, 0.0)
-        worst = max(worst, float(np.max(acc)))
-    return worst
+                for a, g in enumerate(comps):
+                    lap += g[a]
+            lap_acc += np.maximum(lap, 0.0)
+        lip_x = max(lip_x, float(np.max(grad_acc)))
+        lap_plus = max(lap_plus, float(np.max(lap_acc)))
+    return lip_x, lap_plus
 
 
 def _random_smooth_density(grid: Grid, rng: np.random.Generator) -> Density:
@@ -321,8 +322,7 @@ def estimate_constants(
     """
     from .transport import species_w2_sq
 
-    lip_x = _kernel_gradient_bound(model)
-    lap_plus = _kernel_lap_plus_bound(model)
+    lip_x, lap_plus = _kernel_bounds(model)
 
     lip_w2 = 0.0
     if np.any(model.kernels != 0.0) and pairs > 0:
@@ -356,13 +356,11 @@ def as_velocity_model(model: DriftModel) -> DriftModel:
     return DriftModel.velocity(grid, kernels)
 
 
-def stability_constant(drift: DriftModel | DriftConstants, **kwargs) -> float:
-    """Growth constant c_hat = max(lip_x, lip_w2) of the velocity-kernel form.
+def stability_constant(constants: DriftConstants) -> float:
+    """Growth constant c_hat = max(lip_x, lip_w2).
 
-    lip_x of that form bounds the spatial Lipschitz constant of the velocity
-    itself.  A model is sampled here (``kwargs`` go to ``estimate_constants``);
-    constants already estimated on the velocity form are used as given.
+    Pass constants estimated on the velocity-kernel form
+    (``estimate_constants(as_velocity_model(model))``): its lip_x bounds the
+    spatial Lipschitz constant of the velocity itself.
     """
-    if isinstance(drift, DriftModel):
-        drift = estimate_constants(as_velocity_model(drift), **kwargs)
-    return max(drift.lip_x, drift.lip_w2)
+    return max(constants.lip_x, constants.lip_w2)

@@ -374,7 +374,7 @@ class TestRunCli:
         assert not out_dir.exists()
 
     def test_strict_flags_exit_nonzero(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cfg_mod, "default_ledger_slack", lambda *args: -1.0)
+        monkeypatch.setattr(tf.diagnostics, "default_ledger_slack", lambda *args: -1.0)
         out_dir = tmp_path / "out"
         path = write_config(tmp_path, minimal_config(directory=str(out_dir)))
         assert main(["run", "--config", str(path), "--strict"]) == 1
@@ -609,19 +609,66 @@ class TestRunCli:
             assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 2
         assert "config error: species: initial energy is not finite" in capsys.readouterr().err
 
-    def test_overflowing_drift_is_solver_failure(self, tmp_path, capsys):
-        # A constant kernel has no gradient, so its drift bounds pass check;
-        # at 1e308 its transform overflows and the run stops before writing.
+    def test_overflowing_drift_is_config_error(self, tmp_path, capsys):
+        # A constant kernel has no gradient, so lip_x and lap_plus are 0; at
+        # 1e308 its transform would overflow, which the load-time bound on
+        # the convolution path rejects before any run.
         out_dir = tmp_path / "out"
         cfg = stability_config(str(out_dir))
         del cfg["stability"]
         cfg["drift"]["kernels"][0][0] = {"kind": "cosine", "amplitude": 1e308, "frequency": 0}
         path = write_config(tmp_path, cfg)
-        assert main(["check", "--config", str(path)]) == 0
-        with np.errstate(all="ignore"):
-            assert main(["run", "--config", str(path)]) == 3
-        assert "drift velocities are not finite" in capsys.readouterr().err
+        for command in ("check", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "config error: drift.kernels: drift bounds are not finite" in err
         assert not out_dir.exists()
+
+    def test_meta_records_slack_only_with_a_ledger(self, tmp_path):
+        out_dir = tmp_path / "par"
+        path = write_config(tmp_path, minimal_config(str(out_dir), solver="parabolic"))
+        assert main(["run", "--config", str(path)]) == 0
+        assert "slack" not in json.loads((out_dir / "meta.json").read_text())
+
+        out_dir = tmp_path / "jko"
+        path = write_config(tmp_path, minimal_config(str(out_dir)))
+        assert main(["run", "--config", str(path)]) == 0
+        meta = json.loads((out_dir / "meta.json").read_text())
+        cfg = parse_config(path)
+        ledger = tf.energy_ledger(tf.run_jko(cfg.problem, **cfg.jko), cfg.problem)
+        assert meta["slack"] == {"ledger": ledger.slack}
+
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_w2_dim_must_be_1_or_2(self, tmp_path, capsys, dim):
+        path = tmp_path / "s.csv"
+        path.write_text("time,species,cell_index,value\n0.0,0,0,1.0\n0.0,0,1,1.0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["w2", "--a", str(path), "--b", str(path), "--time", "0.0", "--dim", dim])
+        assert exc.value.code == 2
+        assert "--dim: invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "indices, problem",
+        [
+            ((0, 1, 3), "cell indices are not 0..2"),
+            ((0, 1, -1), "cell indices are not 0..2"),
+            ((0, 1, 1), "cell 1 repeated"),
+        ],
+        ids=["out-of-range", "negative", "duplicate"],
+    )
+    def test_w2_malformed_cell_indices_are_input_errors(
+        self, tmp_path, capsys, indices, problem
+    ):
+        header = "time,species,cell_index,value\n"
+        good = tmp_path / "good.csv"
+        good.write_text(header + "".join(f"0.5,0,{c},1.0\n" for c in range(3)))
+        bad = tmp_path / "bad.csv"
+        bad.write_text(header + "".join(f"0.5,0,{c},{1.0 + c}\n" for c in indices))
+        code = main(["w2", "--a", str(good), "--b", str(bad), "--time", "0.5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"failed to read states: {bad}: time 0.5, species 0: {problem}" in captured.err
+        assert "total w2_sq" not in captured.out
 
     def test_read_states_csv_round_trip(self, tmp_path):
         out_dir = tmp_path / "out"

@@ -70,10 +70,13 @@ class TestEnergyLedger:
         with pytest.raises(ValueError, match="transport records"):
             tf.energy_ledger(traj, prob)
 
-    def test_slack_override(self):
+    def test_slack_override(self, monkeypatch):
+        # energy_ledger takes its slack from default_ledger_slack alone.
+        monkeypatch.setattr(tf.diagnostics, "default_ledger_slack", lambda *args: -1.0)
         prob = uniform_problem()
         traj = tf.run_jko(prob, eps=1e-3)
-        ledger = tf.energy_ledger(traj, prob, slack=-1.0)
+        ledger = tf.energy_ledger(traj, prob)
+        assert ledger.slack == -1.0
         assert ledger.flags.all()
 
     def test_default_slack_formula(self):

@@ -164,11 +164,3 @@ class TestCalculus:
         expected = 2 * np.pi * np.cos(2 * np.pi * g.axis_centers)
         # second-order accurate
         assert np.max(np.abs(centered_grad_values(g, f)[0] - expected)) < 1e-3
-
-    def test_typed_wrappers(self):
-        g = tf.make_grid(1, 16)
-        field = tf.ScalarField(g, np.sin(2 * np.pi * g.axis_centers))
-        vec = tf.grad(field)
-        assert isinstance(vec, tf.VectorField)
-        back = tf.div(vec)
-        assert isinstance(back, tf.ScalarField)

@@ -4,8 +4,8 @@ import pytest
 import torusflow as tf
 from torusflow.grid import centered_grad_values
 from torusflow.interaction import (
+    _kernel_sums_bound,
     as_velocity_model,
-    circular_convolve,
     circular_convolve_direct,
     cosine_kernel,
     gaussian_bump_kernel,
@@ -26,10 +26,11 @@ class TestConvolution:
         grid = tf.make_grid(dim, n)
         rng = np.random.default_rng(4)
         kernel = rng.standard_normal(grid.shape)
-        values = rng.uniform(0, 2, grid.shape)
-        fast = circular_convolve(grid, kernel, values)
-        slow = circular_convolve_direct(grid, kernel, values)
-        np.testing.assert_allclose(fast, slow, atol=1e-10)
+        rho = tf.Density(grid, rng.uniform(0, 2, grid.shape))
+        model = tf.DriftModel.potential(grid, kernel[None, None], nonneg_shift=0.0)
+        (fast,) = tf.potential_from_kernel(model, (rho,))
+        slow = circular_convolve_direct(grid, kernel, rho.values)
+        np.testing.assert_allclose(fast.values, slow, atol=1e-10)
 
     def test_cosine_half_amplitude(self):
         # cos kernel against 1 + 0.5 cos gives 0.25 cos plus the shift.
@@ -223,15 +224,44 @@ class TestConstants:
         # (Lap cos)_+ peaks at 4 pi^2.
         assert consts.lap_plus == pytest.approx(4 * np.pi**2, rel=0.02)
 
+    def test_2d_velocity_bounds(self):
+        # B = (cos 2 pi x, 0): |grad B| = 2 pi |sin 2 pi x| and
+        # (div B)_+ = 2 pi (-sin 2 pi x)_+, both peaking at 2 pi.
+        grid = tf.make_grid(2, 64)
+        xs, _ = grid.offset_grids()
+        kernels = np.zeros((1, 1, 2) + grid.shape)
+        kernels[0, 0, 0] = np.cos(2 * np.pi * xs)
+        consts = tf.estimate_constants(tf.DriftModel.velocity(grid, kernels), pairs=0)
+        assert consts.lip_x == pytest.approx(2 * np.pi, rel=0.01)
+        assert consts.lap_plus == pytest.approx(2 * np.pi, rel=0.01)
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 4)])
+    def test_kernel_sums_finite_within_bound(self, dim, n):
+        # The largest constant kernel whose bound is finite still gives
+        # finite velocities for a point mass and for the uniform density.
+        grid = tf.make_grid(dim, n)
+        top = np.finfo(float).max / (dim * grid.cells**4) * 0.99
+        kernels = np.full((1, 1, dim) + grid.shape, top)
+        model = tf.DriftModel.velocity(grid, kernels)
+        assert np.isfinite(_kernel_sums_bound(model))
+        point = np.zeros(grid.shape)
+        point.flat[0] = grid.cells
+        for values in (point, np.ones(grid.shape)):
+            (v,) = tf.velocity_field(model, (tf.Density(grid, values),))
+            assert np.all(np.isfinite(v.values))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(_kernel_sums_bound(tf.DriftModel.velocity(grid, 2 * kernels)))
+
     def test_stability_constant_uses_velocity_form(self):
         grid = tf.make_grid(1, 64)
         model = tf.DriftModel.potential(grid, gaussian_bump_kernel(grid, 0.15)[None, None])
-        c_hat = tf.stability_constant(model, pairs=4)
+        consts = tf.estimate_constants(as_velocity_model(model), pairs=4)
+        c_hat = tf.stability_constant(consts)
         assert c_hat > 0
-        vel = as_velocity_model(model)
-        direct = tf.estimate_constants(vel, pairs=4)
-        assert c_hat == pytest.approx(max(direct.lip_x, direct.lip_w2))
-        assert tf.stability_constant(direct) == c_hat
+        assert c_hat == max(consts.lip_x, consts.lip_w2)
+        # The velocity form's lip_x is the potential's Hessian bound, not its
+        # gradient bound.
+        assert consts.lip_x != tf.estimate_constants(model, pairs=0).lip_x
 
     def test_unconverged_solve_raises(self, unconverged_transport):
         # 2-d distances are Sinkhorn solves; 1-d ones are exact.

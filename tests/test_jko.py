@@ -161,12 +161,11 @@ class TestRunJkoSystem:
             total = sum(
                 prob.energies[i].total(state[i].values, vol) for i in range(2)
             )
-            from torusflow.interaction import circular_convolve
-
+            potentials = tf.potential_from_kernel(prob.drift, state)
+            shift = prob.drift.nonneg_shift
             for i in range(2):
-                for j in range(2):
-                    conv = circular_convolve(grid, prob.drift.kernels[i, j], state[j].values)
-                    total += 0.5 * float(np.sum(conv * state[i].values) * vol)
+                conv = potentials[i].values - shift
+                total += 0.5 * float(np.sum(conv * state[i].values) * vol)
             return total
 
         values = [joint(s) for s in traj.states]
