@@ -28,7 +28,6 @@ from .diagnostics import (
 from .energy import (
     InternalEnergy,
     RegularizedEnergy,
-    evaluate,
     kl_prox,
     mccann_check,
     regularize,
@@ -40,7 +39,6 @@ from .grid import (
     VectorField,
     make_grid,
     normalize,
-    quotient_distance,
 )
 from .interaction import (
     DriftConstants,
@@ -50,12 +48,11 @@ from .interaction import (
     stability_constant,
     velocity_field,
 )
-from .jko import Problem, Trajectory, el_residual, run_jko, trig_vector_field
+from .jko import Problem, Trajectory, el_residual, run_jko
 from .parabolic import CFLError, ParabolicState, parabolic_step, run_parabolic
 from .transport import (
     TransportResult,
     cost_matrix,
-    exact_w2_permutation,
     jko_step,
     sinkhorn_w2,
     species_w2_sq,
@@ -68,11 +65,9 @@ __all__ = [
     "ScalarField",
     "VectorField",
     "make_grid",
-    "quotient_distance",
     "normalize",
     "InternalEnergy",
     "RegularizedEnergy",
-    "evaluate",
     "regularize",
     "mccann_check",
     "kl_prox",
@@ -86,13 +81,11 @@ __all__ = [
     "cost_matrix",
     "sinkhorn_w2",
     "species_w2_sq",
-    "exact_w2_permutation",
     "jko_step",
     "Problem",
     "Trajectory",
     "run_jko",
     "el_residual",
-    "trig_vector_field",
     "ParabolicState",
     "CFLError",
     "parabolic_step",

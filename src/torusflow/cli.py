@@ -17,8 +17,8 @@ lowercase scientific text):
     meta.json    resolved config, version, measured constants, ledger slack
                  (when a ledger exists)
 
-Exit codes: 0 success, 1 flagged inequality under --strict, 2 configuration
-or input error, 3 solver failure.
+Exit codes: 0 success, 1 flagged inequality under --strict, 2 configuration,
+input or output error (an unusable output.directory), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -209,9 +209,16 @@ def run_command(cfg: RunConfig, strict: bool = False) -> int:
         return 3
 
     if cfg.output_directory is not None:
-        emit_outputs(
-            primary, ledger, cfg, constants, extra_traj=extra, series_rows=series_rows
-        )
+        try:
+            emit_outputs(
+                primary, ledger, cfg, constants, extra_traj=extra, series_rows=series_rows
+            )
+        except OSError as exc:
+            print(
+                f"output error: output.directory {cfg.output_directory!r}: {exc}",
+                file=sys.stderr,
+            )
+            return 2
 
     flagged = False
     if ledger is not None and bool(ledger.flags.any()):
@@ -232,8 +239,10 @@ def run_command(cfg: RunConfig, strict: bool = False) -> int:
 def read_states_csv(path: str | Path) -> dict[float, list[np.ndarray]]:
     """Parse a states.csv into {time: [per-species flat value arrays]}.
 
-    Each (time, species) block must list cells 0..k-1 exactly once, in any
-    order; anything else is a ValueError naming the file, time and species.
+    Each time must list species 0..l-1, each (time, species) block must list
+    cells 0..k-1 exactly once, in any order, and all species at one time must
+    have the same k; anything else is a ValueError naming the file, time and
+    species.
     """
     rows: dict[float, dict[int, dict[int, float]]] = {}
     with Path(path).open() as fh:
@@ -250,12 +259,23 @@ def read_states_csv(path: str | Path) -> dict[float, list[np.ndarray]]:
     for t, per_species in rows.items():
         species = []
         for s in sorted(per_species):
+            # Distinct ids within 0..l-1 are all of them; so are distinct cell
+            # indices (repeats are rejected on reading) within 0..k-1.
+            if not 0 <= s < len(per_species):
+                raise ValueError(
+                    f"{path}: time {t:g}, species {s}: species ids are not "
+                    f"0..{len(per_species) - 1}"
+                )
             cells = per_species[s]
-            # Distinct indices (checked on reading) within 0..k-1 are all of them.
             if min(cells) < 0 or max(cells) >= len(cells):
                 raise ValueError(
                     f"{path}: time {t:g}, species {s}: cell indices are not "
                     f"0..{len(cells) - 1}"
+                )
+            if species and len(cells) != species[0].size:
+                raise ValueError(
+                    f"{path}: time {t:g}, species {s}: {len(cells)} cells, but "
+                    f"species 0 has {species[0].size}"
                 )
             species.append(np.array([cells[idx] for idx in range(len(cells))]))
         out[t] = species

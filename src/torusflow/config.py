@@ -373,6 +373,11 @@ def parse_config_dict(raw: dict) -> RunConfig:
     stab_raw = raw.get("stability")
     if stab_raw is not None:
         _object(stab_raw, "stability", ("initial", "margin"))
+        # The series equals its initial sum at t = 0, so a negative margin
+        # would flag t = 0 by construction.
+        margin = _number(stab_raw.get("margin", 0.2), "stability.margin")
+        if margin < 0:
+            raise ConfigError("stability.margin: must be nonnegative")
         init_list = _require(stab_raw, "initial", "stability.")
         if not isinstance(init_list, list) or len(init_list) != l:
             raise ConfigError("stability.initial: needs one profile per species")
@@ -380,7 +385,6 @@ def parse_config_dict(raw: dict) -> RunConfig:
             build_profile(grid, spec, f"stability.initial[{k}]")
             for k, spec in enumerate(init_list)
         )
-        margin = _number(stab_raw.get("margin", 0.2), "stability.margin")
 
     # Hypothesis checks at load time.  The kernel-based drift constants are
     # cheap; the sampled W2-Lipschitz estimate is deferred to the run.

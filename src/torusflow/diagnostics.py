@@ -3,8 +3,10 @@
 The checks mirror, on computed trajectories, the quantities a minimizing
 movement controls: the per-step energy-dissipation inequality, the Holder
 time-regularity ratio, the dissipated Sobolev norm of rho^(m/2), the weak
-form residual of the PDE, and the exponential stability bound between two
-trajectories of the same system.
+form residual of the PDE (one quadrature for both drift kinds, through
+``velocity_field``), and the exponential stability bound between two
+trajectories of the same system.  The ledger recomputes every energy from
+the states; trajectories carry none.
 
 All Wasserstein evaluations here go through ``species_w2_sq``, which sets
 their accuracy: on 1-d grids its distances are exact, on 2-d grids they are
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import InternalEnergy
-from .grid import Density, Grid, grad_values, laplacian_values
+from .grid import Density, Grid, grad_values
 from .interaction import potential_from_kernel, velocity_field
 from .jko import Problem, Trajectory
 from .transport import species_w2_sq
@@ -235,23 +237,20 @@ def separable_test_function(
     return TestFunction(grid, times, vals.reshape((len(times),) + grid.shape))
 
 
-def _face_average(grid: Grid, f: np.ndarray, axis: int) -> np.ndarray:
+def _face_average(f: np.ndarray, axis: int) -> np.ndarray:
     return 0.5 * (f + np.roll(f, -1, axis=axis))
 
 
-def weak_residual(
-    traj: Trajectory, problem: Problem, phi: TestFunction, mode: str = "potential"
-) -> float:
-    """Residual of the weak form under piecewise-constant-in-time states.
+def weak_residual(traj: Trajectory, problem: Problem, phi: TestFunction) -> float:
+    """Residual of the weak form of d_t rho = Lap F'(rho) - div(rho V[rho])
+    under piecewise-constant-in-time states.
 
-    mode="potential": d_t rho = Lap F'(rho) + div(rho grad U[rho]);
-    mode="velocity":  d_t rho = Lap F'(rho) - div(rho V[rho]).
-    The diffusion terms coincide exactly through the staggered integration by
-    parts; the drift quadratures agree up to O(dx^2).  Quadrature is cell
-    sums in space, step sums in time.
+    V is ``velocity_field`` of the problem's drift, which is -grad U for a
+    potential model, so one quadrature serves both drift kinds.  Quadrature
+    is cell sums in space, step sums in time; the diffusion term pairs the
+    staggered gradients of F'(rho) and phi, and the drift term pairs the
+    face-averaged flux rho V with the gradient of phi.
     """
-    if mode not in ("potential", "velocity"):
-        raise ValueError(f"unknown mode {mode!r}")
     if len(phi.times) != len(traj.times) or not np.allclose(phi.times, traj.times):
         raise ValueError("test function and trajectory time grids differ")
     grid = traj.grid
@@ -269,36 +268,17 @@ def weak_residual(
         gphi = 0.5 * (
             grad_values(grid, phi.values[k]) + grad_values(grid, phi.values[k - 1])
         )
-        if mode == "potential":
-            lap_phi = 0.5 * (
-                laplacian_values(grid, phi.values[k])
-                + laplacian_values(grid, phi.values[k - 1])
-            )
-            drift_fields = (
-                potential_from_kernel(problem.drift, state) if drift_on else None
-            )
-        else:
-            drift_fields = velocity_field(problem.drift, state) if drift_on else None
+        velocities = velocity_field(problem.drift, state) if drift_on else None
         for i in range(l):
             rho_k = state[i].values
             acc = float(np.sum(rho_k * dphi) * vol)
-            if mode == "potential":
-                acc += dt * float(
-                    np.sum(lap_phi * problem.energies[i].f_prime(rho_k)) * vol
-                )
-                if drift_on:
-                    g_u = grad_values(grid, drift_fields[i].values)
-                    for a in range(grid.dim):
-                        rho_face = _face_average(grid, rho_k, a)
-                        acc -= dt * float(np.sum(g_u[a] * gphi[a] * rho_face) * vol)
-            else:
-                g_f = grad_values(grid, problem.energies[i].f_prime(rho_k))
-                acc -= dt * float(np.sum(g_f * gphi) * vol)
-                if drift_on:
-                    vel = drift_fields[i].values
-                    for a in range(grid.dim):
-                        rv_face = _face_average(grid, rho_k * vel[a], a)
-                        acc += dt * float(np.sum(rv_face * gphi[a]) * vol)
+            g_f = grad_values(grid, problem.energies[i].f_prime(rho_k))
+            acc -= dt * float(np.sum(g_f * gphi) * vol)
+            if drift_on:
+                vel = velocities[i].values
+                for a in range(grid.dim):
+                    rv_face = _face_average(rho_k * vel[a], a)
+                    acc += dt * float(np.sum(rv_face * gphi[a]) * vol)
             totals[i] += acc
     return abs(sum(totals))
 

@@ -29,7 +29,6 @@ import numpy as np
 __all__ = [
     "InternalEnergy",
     "RegularizedEnergy",
-    "evaluate",
     "regularize",
     "mccann_check",
     "kl_prox",
@@ -91,16 +90,6 @@ class InternalEnergy:
 
         return self._apply(t, fn)
 
-    def e_prime(self, t):
-        def fn(tt):
-            if self.kind == "entropy":
-                return np.log(tt) + 1.0
-            if self.kind == "power":
-                return self.m * tt ** (self.m - 1.0)
-            return np.zeros_like(tt)
-
-        return self._apply(t, fn)
-
     def e_second(self, t):
         def fn(tt):
             if self.kind == "entropy":
@@ -144,18 +133,6 @@ class InternalEnergy:
     def total(self, values: np.ndarray, cell_volume: float) -> float:
         """Integral of E over a density sampled on cells."""
         return float(np.sum(self.e(values)) * cell_volume)
-
-
-_WHICH = {"E": "e", "F": "f", "Fp": "f_prime", "Fpp": "f_second"}
-
-
-def evaluate(energy: InternalEnergy, t, which: str):
-    """Evaluate E, F, F' or F'' at t >= 0 (vectorized)."""
-    if which not in _WHICH:
-        raise ValueError(f"which must be one of {sorted(_WHICH)}, got {which!r}")
-    if np.any(np.asarray(t) < 0):
-        raise ValueError("energies are defined on t >= 0")
-    return getattr(energy, _WHICH[which])(t)
 
 
 def validate_growth(

@@ -24,7 +24,6 @@ __all__ = [
     "ScalarField",
     "VectorField",
     "make_grid",
-    "quotient_distance",
     "minimal_image",
     "normalize",
     "grad_values",
@@ -90,23 +89,6 @@ def minimal_image(delta: np.ndarray) -> np.ndarray:
     """Wrap coordinate differences to the representative in [-1/2, 1/2]."""
     delta = np.asarray(delta, dtype=float)
     return delta - np.round(delta)
-
-
-def quotient_distance(x, y) -> float:
-    """Torus distance min over integer shifts of |x - y + k|.
-
-    Points are scalars on the 1-torus or length-d coordinate sequences.
-    """
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.shape != ya.shape:
-        raise ValueError("points must have matching shapes")
-    wrapped = minimal_image(xa - ya)
-    if xa.ndim == 0:
-        return float(np.abs(wrapped))
-    if xa.ndim == 1 and xa.size in (1, 2):
-        return float(np.sqrt(np.sum(wrapped**2)))
-    raise ValueError("expected a scalar or a length-1/2 coordinate sequence")
 
 
 def _validated_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:

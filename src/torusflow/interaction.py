@@ -47,25 +47,10 @@ __all__ = [
     "estimate_constants",
     "stability_constant",
     "as_velocity_model",
-    "circular_convolve_direct",
     "cosine_kernel",
     "gaussian_bump_kernel",
     "zero_kernel",
 ]
-
-
-def circular_convolve_direct(grid: Grid, kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """(kernel * values)(x_i) = sum_j kernel[(i-j) mod n] values[j] dx^d by
-    direct summation: the reference for ``_kernel_sums``; O(cells^2), tests only."""
-    n = grid.n
-    out = np.zeros(grid.shape)
-    for idx in np.ndindex(grid.shape):
-        shifted = kernel
-        for axis, i in enumerate(idx):
-            take = (i - np.arange(n)) % n
-            shifted = np.take(shifted, take, axis=axis)
-        out[idx] = np.sum(shifted * values)
-    return out * grid.cell_volume
 
 
 def cosine_kernel(grid: Grid, amplitude: float = 1.0, frequency: int = 1) -> np.ndarray:

@@ -33,7 +33,6 @@ __all__ = [
     "Trajectory",
     "run_jko",
     "el_residual",
-    "trig_vector_field",
 ]
 
 
@@ -89,18 +88,18 @@ class Trajectory:
 
     ``states[k]`` holds the density tuple at ``times[k]``; the semantics in
     continuous time are piecewise constant on half-open intervals ending at
-    the recorded time.  ``w2_sq`` is per transition (one row per step),
-    ``energies`` per recorded state.  Finite-volume runs also record, per
-    time step, the ``step_dt`` taken, the CFL term that bounded it
-    (``step_bound``: "diffusion" or "advection") and the mass clipped
-    (``step_clipped``); minimizing-movement runs leave these None.
+    the recorded time.  ``w2_sq`` is per transition (one row per step).
+    Energies are not stored: ``energy_ledger`` recomputes them from the
+    states.  Finite-volume runs also record, per time step, the ``step_dt``
+    taken, the CFL term that bounded it (``step_bound``: "diffusion" or
+    "advection") and the mass clipped (``step_clipped``); minimizing-movement
+    runs leave these None.
     """
 
     grid: Grid
     h: float
     times: np.ndarray
     states: list[tuple[Density, ...]]
-    energies: np.ndarray  # (len(times), species)
     w2_sq: np.ndarray | None = None  # (len(times) - 1, species)
     clipped_mass: float = 0.0
     jko_eps: float | None = None  # inner entropic parameter of the transport steps
@@ -119,16 +118,11 @@ def run_jko(problem: Problem, eps: float, tol: float = 1e-9) -> Trajectory:
     All potentials are frozen at the previous tuple, so the per-species
     minimizations are independent within a step.
     """
-    grid = problem.grid
-    vol = grid.cell_volume
     l = problem.species_count
     n_steps = problem.step_count
 
     states: list[tuple[Density, ...]] = [problem.rho0]
-    energies = np.zeros((n_steps + 1, l))
     w2 = np.zeros((n_steps, l))
-    for i in range(l):
-        energies[0, i] = problem.energies[i].total(problem.rho0[i].values, vol)
 
     current = problem.rho0
     for k in range(n_steps):
@@ -148,27 +142,18 @@ def run_jko(problem: Problem, eps: float, tol: float = 1e-9) -> Trajectory:
                 raise RuntimeError(f"step {k} (species {i}) failed: {exc}") from exc
             nxt.append(rho_i)
             w2[k, i] = res.w2_sq
-            energies[k + 1, i] = problem.energies[i].total(rho_i.values, vol)
         current = tuple(nxt)
         states.append(current)
 
     times = problem.h * np.arange(n_steps + 1)
     return Trajectory(
-        grid=grid,
+        grid=problem.grid,
         h=problem.h,
         times=times,
         states=states,
-        energies=energies,
         w2_sq=w2,
         jko_eps=eps,
     )
-
-
-def trig_vector_field(grid: Grid, frequency: int = 1, phase: float = 0.0) -> VectorField:
-    """Smooth built-in test field: each component sin(2 pi f x_axis + phase)."""
-    coords = grid.coordinate_grids()
-    comps = [np.sin(2.0 * np.pi * frequency * c + phase) for c in coords]
-    return VectorField(grid, np.stack(comps))
 
 
 def el_residual(

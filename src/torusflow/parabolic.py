@@ -185,7 +185,6 @@ def run_parabolic(
         raise ValueError("cfl_safety must lie in (0, 1]")
     reg = tuple(regularize(e, eps_reg) for e in problem.energies)
     grid = problem.grid
-    vol = grid.cell_volume
     h = problem.h
     record_times = h * np.arange(1, int(np.floor(problem.horizon / h)) + 1)
     if record_times.size == 0 or record_times[-1] < problem.horizon - 1e-12:
@@ -213,17 +212,11 @@ def run_parabolic(
         states.append(tuple(Density(grid, v) for v in values))
         times.append(time)
 
-    l = problem.species_count
-    energies = np.zeros((len(states), l))
-    for k, tup in enumerate(states):
-        for i in range(l):
-            energies[k, i] = problem.energies[i].total(tup[i].values, vol)
     return Trajectory(
         grid=grid,
         h=h,
         times=np.asarray(times),
         states=states,
-        energies=energies,
         clipped_mass=clipped_mass,
         step_dt=np.asarray(step_dt),
         step_bound=tuple(step_bound),

@@ -7,7 +7,8 @@ eps-scaling warm start when the kernel would underflow.  It works on the
 dense cost ``cost_matrix(grid)``, restricted to the supports, so its grids
 are capped at ``_MAX_COST_CELLS`` cells.  The reported value is the primal
 transport cost <c, plan> of the computed plan, without the entropic term.
-``sinkhorn_w2`` reports convergence.
+``sinkhorn_w2`` reports convergence; it stops after ``_SINKHORN_MAX_ITER``
+iterations over all levels of the warm start.
 
 ``species_w2_sq`` is the per-species distance every diagnostic uses, and
 this module alone sets its accuracy.  On 1-d grids it is exact:
@@ -35,7 +36,6 @@ A step that has not converged within ``_JKO_MAX_ITER`` iterations raises.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,7 +49,6 @@ __all__ = [
     "cost_matrix",
     "sinkhorn_w2",
     "species_w2_sq",
-    "exact_w2_permutation",
     "jko_step",
 ]
 
@@ -57,6 +56,7 @@ _MAX_COST_CELLS = 16384
 _SCALING_BOUND = 1e290
 _MASS_FLOOR = 1e-300
 _JKO_MAX_ITER = 20000
+_SINKHORN_MAX_ITER = 200000
 # Entropic scale and marginal tolerance of the 2-d diagnostic distances.
 _W2_EPS = 1e-4
 _W2_TOL = 1e-9
@@ -93,32 +93,6 @@ def cost_matrix(grid: Grid) -> np.ndarray:
     return c
 
 
-def exact_w2_permutation(xs, ys) -> float:
-    """Exact squared W2 between uniform atomic measures by enumeration.
-
-    Valid because an optimal plan between two uniform N-point measures is
-    induced by a permutation.
-    """
-    xa = np.asarray(xs, dtype=float)
-    ya = np.asarray(ys, dtype=float)
-    if xa.ndim == 1:
-        xa = xa[:, None]
-    if ya.ndim == 1:
-        ya = ya[:, None]
-    if xa.shape != ya.shape:
-        raise ValueError("atom lists must have equal shapes")
-    n = xa.shape[0]
-    if n > 8:
-        raise ValueError("permutation oracle limited to 8 atoms")
-    d2 = np.zeros((n, n))
-    for a in range(xa.shape[1]):
-        d2 += minimal_image(xa[:, a][:, None] - ya[:, a][None, :]) ** 2
-    best = np.inf
-    for perm in itertools.permutations(range(n)):
-        best = min(best, float(d2[np.arange(n), perm].sum()))
-    return best / n
-
-
 def _check_normalized(rho: Density, name: str) -> None:
     if abs(rho.mass() - 1.0) > 1e-8:
         raise ValueError(f"{name} must be normalized to unit mass")
@@ -145,7 +119,6 @@ def sinkhorn_w2(
     nu: Density,
     eps: float,
     tol: float = 1e-9,
-    max_iter: int = 200000,
     return_plan: bool = False,
 ) -> TransportResult:
     """Entropic estimate of W2^2 on the torus, deterministic given inputs.
@@ -172,7 +145,9 @@ def sinkhorn_w2(
     total_iter = 0
     for level in _eps_schedule(eps, float(np.max(c_full))):
         level_tol = tol if level == eps else max(tol, 1e-7)
-        level_budget = max_iter - total_iter if level == eps else min(5000, max_iter)
+        level_budget = (
+            _SINKHORN_MAX_ITER - total_iter if level == eps else min(5000, _SINKHORN_MAX_ITER)
+        )
         kernel = _gibbs(f, g, c, level)
         u = np.ones_like(a)
         v = np.ones_like(b)
@@ -355,7 +330,7 @@ def jko_step(
     rho_prev: Density,
     h: float,
     energy: InternalEnergy,
-    potential: ScalarField | np.ndarray | None,
+    potential: ScalarField | None,
     eps: float,
     tol: float = 1e-9,
     debias: bool = True,
@@ -363,8 +338,8 @@ def jko_step(
 ) -> tuple[Density, TransportResult]:
     """One semi-implicit minimizing-movement step via entropic scaling.
 
-    The potential is the frozen field evaluated at the previous iterate; the
-    returned density is the plan's second marginal renormalized to unit mass,
+    The potential is the frozen field evaluated at the previous iterate, on
+    the density's grid, or None for no potential; the returned density is the plan's second marginal renormalized to unit mass,
     and the result carries the plan's primal cost as the step's W2^2.
     """
     if h <= 0:
@@ -380,14 +355,10 @@ def jko_step(
     a = np.maximum(rho_prev.values.ravel(), _MASS_FLOOR) * vol
     if potential is None:
         u_pot = np.zeros_like(a)
-    elif isinstance(potential, ScalarField):
-        if potential.grid != grid:
-            raise ValueError("potential grid does not match the density")
-        u_pot = potential.values.ravel()
+    elif potential.grid != grid:
+        raise ValueError("potential grid does not match the density")
     else:
-        u_pot = np.asarray(potential, dtype=float).ravel()
-        if u_pot.shape != a.shape:
-            raise ValueError("potential has the wrong number of cells")
+        u_pot = potential.values.ravel()
 
     k1 = np.exp(-c1 / eps)
     kernel = (k1,) * grid.dim

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix, identity, kron, vstack
 
 import torusflow as tf
+from torusflow.grid import Grid, VectorField, minimal_image
 
 
 @pytest.fixture
@@ -44,6 +47,53 @@ def lp_w2_sq(mu: tf.Density, nu: tf.Density) -> float:
     )
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def exact_w2_permutation(xs, ys) -> float:
+    """Exact squared W2 between uniform atomic measures by enumeration.
+
+    Valid because an optimal plan between two uniform N-point measures is
+    induced by a permutation.
+    """
+    xa = np.asarray(xs, dtype=float)
+    ya = np.asarray(ys, dtype=float)
+    if xa.ndim == 1:
+        xa = xa[:, None]
+    if ya.ndim == 1:
+        ya = ya[:, None]
+    if xa.shape != ya.shape:
+        raise ValueError("atom lists must have equal shapes")
+    n = xa.shape[0]
+    if n > 8:
+        raise ValueError("permutation oracle limited to 8 atoms")
+    d2 = np.zeros((n, n))
+    for a in range(xa.shape[1]):
+        d2 += minimal_image(xa[:, a][:, None] - ya[:, a][None, :]) ** 2
+    best = np.inf
+    for perm in itertools.permutations(range(n)):
+        best = min(best, float(d2[np.arange(n), perm].sum()))
+    return best / n
+
+
+def circular_convolve_direct(grid: Grid, kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(kernel * values)(x_i) = sum_j kernel[(i-j) mod n] values[j] dx^d by
+    direct summation: the reference for ``_kernel_sums``; O(cells^2), tests only."""
+    n = grid.n
+    out = np.zeros(grid.shape)
+    for idx in np.ndindex(grid.shape):
+        shifted = kernel
+        for axis, i in enumerate(idx):
+            take = (i - np.arange(n)) % n
+            shifted = np.take(shifted, take, axis=axis)
+        out[idx] = np.sum(shifted * values)
+    return out * grid.cell_volume
+
+
+def trig_vector_field(grid: Grid, frequency: int = 1, phase: float = 0.0) -> VectorField:
+    """Smooth built-in test field: each component sin(2 pi f x_axis + phase)."""
+    coords = grid.coordinate_grids()
+    comps = [np.sin(2.0 * np.pi * frequency * c + phase) for c in coords]
+    return VectorField(grid, np.stack(comps))
 
 
 def heat_values(grid: tf.Grid, amplitude: float, t: float, frequency: int = 1) -> np.ndarray:
@@ -87,10 +137,7 @@ def spectral_heat_trajectory(problem: tf.Problem, amplitude: float = 0.5) -> tf.
     time grid (the injected oracle for weak-form residual checks)."""
     grid = problem.grid
     times = problem.h * np.arange(problem.step_count + 1)
-    states = []
-    energies = np.zeros((len(times), 1))
-    for k, t in enumerate(times):
-        rho = tf.normalize(tf.Density(grid, heat_values(grid, amplitude, t)))
-        states.append((rho,))
-        energies[k, 0] = problem.energies[0].total(rho.values, grid.cell_volume)
-    return tf.Trajectory(grid=grid, h=problem.h, times=times, states=states, energies=energies)
+    states = [
+        (tf.normalize(tf.Density(grid, heat_values(grid, amplitude, t))),) for t in times
+    ]
+    return tf.Trajectory(grid=grid, h=problem.h, times=times, states=states)

@@ -17,10 +17,12 @@ from torusflow.interaction import as_velocity_model, gaussian_bump_kernel
 
 from conftest import (
     cosine_density,
+    exact_w2_permutation,
     heat_problem,
     heat_values,
     mode_amplitude,
     spectral_heat_trajectory,
+    trig_vector_field,
 )
 
 JKO_EPS = 5e-4
@@ -191,7 +193,7 @@ def test_c03_transport_oracle():
         vals_b[cells_b] = 1.0
         mu = tf.normalize(tf.Density(grid, vals_a))
         nu = tf.normalize(tf.Density(grid, vals_b))
-        exact = tf.exact_w2_permutation(
+        exact = exact_w2_permutation(
             grid.axis_centers[cells_a], grid.axis_centers[cells_b]
         )
         approx = tf.sinkhorn_w2(mu, nu, eps=1e-4, tol=1e-12).w2_sq
@@ -243,7 +245,6 @@ def test_c05_energy_dissipation_ledger(scenario1, scenario2):
         h=scenario1["jko"].h,
         times=scenario1["jko"].times,
         states=list(scenario1["jko"].states),
-        energies=scenario1["jko"].energies,
         w2_sq=scenario1["jko"].w2_sq,
         jko_eps=scenario1["jko"].jko_eps,
     )
@@ -313,12 +314,12 @@ def test_c09_weak_residual(scenario1):
     problem = scenario1["problem"]
     oracle = spectral_heat_trajectory(problem)
     phi = tf.separable_test_function(problem.grid, oracle.times)
-    coarse = tf.weak_residual(oracle, problem, phi, mode="potential")
+    coarse = tf.weak_residual(oracle, problem, phi)
 
     fine_problem = heat_problem(n=256, amplitude=0.5, horizon=0.05, h=5e-4)
     fine_oracle = spectral_heat_trajectory(fine_problem)
     fine_phi = tf.separable_test_function(fine_problem.grid, fine_oracle.times)
-    fine = tf.weak_residual(fine_oracle, fine_problem, fine_phi, mode="potential")
+    fine = tf.weak_residual(fine_oracle, fine_problem, fine_phi)
 
     order = float(np.log2(coarse / fine))
     ok = coarse <= 5e-3 and order >= 0.9
@@ -340,7 +341,7 @@ def test_c10_euler_lagrange_residual():
     out, res = tf.jko_step(
         rho, h, energy, None, eps=JKO_EPS, tol=1e-11, debias=False, return_plan=True
     )
-    xi = tf.trig_vector_field(grid, phase=np.pi / 4)
+    xi = trig_vector_field(grid, phase=np.pi / 4)
     converged = tf.el_residual(rho, out, h, energy, None, xi, res.plan)
 
     bad_vals = out.values.copy()

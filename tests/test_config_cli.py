@@ -243,6 +243,8 @@ class TestParseConfig:
             ("species.0.initial", "amplitud", 0.9),
             ("species.0.energy", "Cc", 10.0),
             ("species.0", "colour", "red"),
+            # A negative margin flags t = 0 by construction.
+            pytest.param("stability", "margin", -2, id="stability-margin-negative"),
         ],
     )
     def test_mistyped_field_rejected(self, tmp_path, capsys, section, key, value):
@@ -669,6 +671,43 @@ class TestRunCli:
         captured = capsys.readouterr()
         assert f"failed to read states: {bad}: time 0.5, species 0: {problem}" in captured.err
         assert "total w2_sq" not in captured.out
+
+    @pytest.mark.parametrize(
+        "rows, problem",
+        [
+            ([(0, 0), (0, 1), (2, 0), (2, 1)], "species 2: species ids are not 0..1"),
+            ([(-1, 0), (-1, 1), (0, 0), (0, 1)], "species -1: species ids are not 0..1"),
+            (
+                [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 3)],
+                "species 1: 4 cells, but species 0 has 2",
+            ),
+        ],
+        ids=["gap", "negative", "cell-counts-differ"],
+    )
+    def test_w2_malformed_species_are_input_errors(self, tmp_path, capsys, rows, problem):
+        # Species were relabelled by rank, or failed in a reshape.
+        header = "time,species,cell_index,value\n"
+        good = tmp_path / "good.csv"
+        good.write_text(header + "".join(f"0.5,{s},{c},1.0\n" for s in (0, 1) for c in (0, 1)))
+        bad = tmp_path / "bad.csv"
+        bad.write_text(header + "".join(f"0.5,{s},{c},{1.0 + c}\n" for s, c in rows))
+        code = main(["w2", "--a", str(good), "--b", str(bad), "--time", "0.5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"failed to read states: {bad}: time 0.5, {problem}" in captured.err
+        assert "w2_sq" not in captured.out
+
+    @pytest.mark.parametrize("directory", ["blocker", "blocker/out"], ids=["file", "under-file"])
+    def test_unusable_output_directory_is_output_error(
+        self, tmp_path, capsys, monkeypatch, directory
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "blocker").write_text("not a directory\n")
+        path = write_config(tmp_path, minimal_config(directory=directory))
+        assert main(["check", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path)]) == 2
+        assert f"output error: output.directory '{directory}': " in capsys.readouterr().err
+        assert (tmp_path / "blocker").read_text() == "not a directory\n"
 
     def test_read_states_csv_round_trip(self, tmp_path):
         out_dir = tmp_path / "out"

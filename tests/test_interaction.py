@@ -6,12 +6,11 @@ from torusflow.grid import centered_grad_values
 from torusflow.interaction import (
     _kernel_sums_bound,
     as_velocity_model,
-    circular_convolve_direct,
     cosine_kernel,
     gaussian_bump_kernel,
 )
 
-from conftest import cosine_density
+from conftest import circular_convolve_direct, cosine_density
 
 
 def random_density(grid, seed):

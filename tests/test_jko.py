@@ -4,7 +4,7 @@ import pytest
 import torusflow as tf
 from torusflow.interaction import gaussian_bump_kernel
 
-from conftest import cosine_density, heat_problem, mode_amplitude
+from conftest import cosine_density, heat_problem, mode_amplitude, trig_vector_field
 
 
 def two_species_problem(grid, w12, w21, shift=3.0, h=2e-3, horizon=0.01):
@@ -67,7 +67,7 @@ class TestRunJko:
             h=1e-3,
         )
         traj = tf.run_jko(prob, eps=5e-4)
-        totals = traj.energies.sum(axis=1)
+        totals = tf.energy_ledger(traj, prob).energy
         assert np.all(np.diff(totals) <= 1e-12)
 
     def test_mass_and_positivity_every_state(self):
@@ -84,7 +84,7 @@ class TestRunJko:
         eps = 5e-4
         traj = tf.run_jko(prob, eps=eps)
         slack = tf.diagnostics.default_ledger_slack(eps, prob.h, 1, 1)
-        totals = traj.energies.sum(axis=1)
+        totals = tf.energy_ledger(traj, prob).energy
         n_steps = len(traj.times) - 1
         bound = 4 * prob.h * (totals[0] - totals[-1]) + n_steps * 4 * prob.h * slack
         assert float(traj.w2_sq.sum()) <= bound
@@ -192,7 +192,7 @@ class TestElResidual:
             uniform, 1e-3, tf.InternalEnergy.entropy(), None, eps=1e-3,
             tol=1e-12, return_plan=True,
         )
-        xi = tf.trig_vector_field(grid)
+        xi = trig_vector_field(grid)
         resid = tf.el_residual(
             uniform, out, 1e-3, tf.InternalEnergy.entropy(), None, xi, res.plan
         )
@@ -206,7 +206,7 @@ class TestElResidual:
         out, res = tf.jko_step(
             rho, h, energy, None, eps=eps, tol=1e-11, debias=False, return_plan=True
         )
-        xi = tf.trig_vector_field(grid)
+        xi = trig_vector_field(grid)
         resid = tf.el_residual(rho, out, h, energy, None, xi, res.plan)
         assert resid <= 1e-2
 
@@ -219,7 +219,7 @@ class TestElResidual:
         out, res = tf.jko_step(
             rho, h, energy, pot, eps=eps, tol=1e-11, debias=False, return_plan=True
         )
-        xi = tf.trig_vector_field(grid)
+        xi = trig_vector_field(grid)
         resid = tf.el_residual(rho, out, h, energy, pot, xi, res.plan)
         assert resid <= 1e-2
 
@@ -234,7 +234,7 @@ class TestElResidual:
         out, res = tf.jko_step(
             rho, h, energy, None, eps=eps, tol=1e-11, debias=False, return_plan=True
         )
-        xi = tf.trig_vector_field(grid, phase=np.pi / 4)
+        xi = trig_vector_field(grid, phase=np.pi / 4)
         base = tf.el_residual(rho, out, h, energy, None, xi, res.plan)
         bad_vals = out.values.copy()
         bad_vals[: grid.n // 2] *= 1.1
@@ -246,6 +246,6 @@ class TestElResidual:
     def test_missing_plan_rejected(self):
         grid = tf.make_grid(1, 16)
         rho = cosine_density(grid, 0.3)
-        xi = tf.trig_vector_field(grid)
+        xi = trig_vector_field(grid)
         with pytest.raises(ValueError, match="plan"):
             tf.el_residual(rho, rho, 1e-3, tf.InternalEnergy.entropy(), None, xi, None)

@@ -4,7 +4,7 @@ import pytest
 import torusflow as tf
 from torusflow.grid import minimal_image
 
-from conftest import cosine_density, lp_w2_sq, mode_amplitude
+from conftest import cosine_density, exact_w2_permutation, lp_w2_sq, mode_amplitude
 
 
 def atom_density(grid, cells, weights=None):
@@ -48,23 +48,23 @@ class TestCostMatrix:
 
 class TestExactPermutation:
     def test_identity(self):
-        assert tf.exact_w2_permutation([0.1, 0.4], [0.1, 0.4]) == 0.0
+        assert exact_w2_permutation([0.1, 0.4], [0.1, 0.4]) == 0.0
 
     def test_antipodal_pair(self):
-        assert tf.exact_w2_permutation([0.0], [0.5]) == pytest.approx(0.25)
+        assert exact_w2_permutation([0.0], [0.5]) == pytest.approx(0.25)
 
     def test_two_atoms(self):
-        got = tf.exact_w2_permutation([0.0, 0.5], [0.25, 0.75])
+        got = exact_w2_permutation([0.0, 0.5], [0.25, 0.75])
         assert got == pytest.approx(0.0625)
 
     def test_size_limit(self):
         with pytest.raises(ValueError, match="8"):
-            tf.exact_w2_permutation(list(np.linspace(0, 0.9, 9)), list(np.linspace(0, 0.9, 9)))
+            exact_w2_permutation(list(np.linspace(0, 0.9, 9)), list(np.linspace(0, 0.9, 9)))
 
     def test_2d_atoms(self):
         xs = [[0.0, 0.0]]
         ys = [[0.5, 0.5]]
-        assert tf.exact_w2_permutation(xs, ys) == pytest.approx(0.5)
+        assert exact_w2_permutation(xs, ys) == pytest.approx(0.5)
 
 
 class TestSinkhorn:
@@ -95,7 +95,7 @@ class TestSinkhorn:
         g = tf.make_grid(1, 16)
         mu = atom_density(g, [1, 9])
         nu = atom_density(g, [4, 12])
-        exact = tf.exact_w2_permutation(
+        exact = exact_w2_permutation(
             [g.axis_centers[1], g.axis_centers[9]], [g.axis_centers[4], g.axis_centers[12]]
         )
         values = [
@@ -105,11 +105,12 @@ class TestSinkhorn:
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(exact, rel=1e-3)
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, monkeypatch):
+        monkeypatch.setattr(tf.transport, "_SINKHORN_MAX_ITER", 3)
         g = tf.make_grid(1, 32)
         mu = cosine_density(g, 0.5)
         nu = cosine_density(g, -0.5)
-        res = tf.sinkhorn_w2(mu, nu, eps=1e-3, tol=1e-14, max_iter=3)
+        res = tf.sinkhorn_w2(mu, nu, eps=1e-3, tol=1e-14)
         assert not res.converged
         assert res.plan_marginal_err > 1e-14
 
@@ -185,7 +186,7 @@ class TestCircleW2:
         worst = 0.0
         for _ in range(240):
             cells_a, cells_b = rng.integers(0, 16, size=(2, 6))
-            want = tf.exact_w2_permutation(g.axis_centers[cells_a], g.axis_centers[cells_b])
+            want = exact_w2_permutation(g.axis_centers[cells_a], g.axis_centers[cells_b])
             got = self.w2_sq(atom_density(g, cells_a), atom_density(g, cells_b))
             worst = max(worst, abs(got - want))
         assert worst <= 1e-15
@@ -229,7 +230,7 @@ class TestCircleW2:
     def test_sinkhorn_not_called(self, unconverged_transport):
         g = tf.make_grid(1, 16)
         mu, nu = atom_density(g, [2, 9]), atom_density(g, [4, 12])
-        want = tf.exact_w2_permutation(g.axis_centers[[2, 9]], g.axis_centers[[4, 12]])
+        want = exact_w2_permutation(g.axis_centers[[2, 9]], g.axis_centers[[4, 12]])
         got = tf.species_w2_sq((mu,), (nu,))
         assert got[0] == pytest.approx(want, rel=0, abs=1e-15)
 
@@ -333,7 +334,7 @@ class TestJkoStep:
         rho = tf.normalize(
             tf.Density(g, 1 + 0.4 * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y + 0.3))
         )
-        pot = 0.2 * np.cos(2 * np.pi * (x + 2 * y))
+        pot = tf.ScalarField(g, 0.2 * np.cos(2 * np.pi * (x + 2 * y)))
         out, res = tf.jko_step(
             rho, 1e-3, tf.InternalEnergy.power(2.0), pot, eps=4e-3, tol=1e-12,
             return_plan=True,
@@ -368,8 +369,9 @@ class TestJkoStep:
             tf.jko_step(rho, -1.0, tf.InternalEnergy.entropy(), None, eps=1e-3)
         with pytest.raises(ValueError, match="increase eps"):
             tf.jko_step(rho, 1e-3, tf.InternalEnergy.entropy(), None, eps=1e-8)
-        with pytest.raises(ValueError, match="cells"):
-            tf.jko_step(rho, 1e-3, tf.InternalEnergy.entropy(), np.ones(3), eps=1e-3)
+        other = tf.ScalarField(tf.make_grid(1, 8), np.ones(8))
+        with pytest.raises(ValueError, match="potential grid"):
+            tf.jko_step(rho, 1e-3, tf.InternalEnergy.entropy(), other, eps=1e-3)
 
     def test_unconverged_step_raises(self, monkeypatch):
         monkeypatch.setattr(tf.transport, "_JKO_MAX_ITER", 1)
