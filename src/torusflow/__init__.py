@@ -49,7 +49,7 @@ from .interaction import (
     velocity_field,
 )
 from .jko import Problem, Trajectory, el_residual, run_jko
-from .parabolic import CFLError, ParabolicState, parabolic_step, run_parabolic
+from .parabolic import run_parabolic
 from .transport import (
     TransportResult,
     cost_matrix,
@@ -86,9 +86,6 @@ __all__ = [
     "Trajectory",
     "run_jko",
     "el_residual",
-    "ParabolicState",
-    "CFLError",
-    "parabolic_step",
     "run_parabolic",
     "Ledger",
     "TestFunction",

@@ -18,13 +18,15 @@ lowercase scientific text):
                  (when a ledger exists)
 
 Exit codes: 0 success, 1 flagged inequality under --strict, 2 configuration,
-input or output error (an unusable output.directory), 3 solver failure.
+input or output error (an unusable output.directory, found by check and by
+run before any solve), 3 solver failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import sys
 from pathlib import Path
@@ -129,6 +131,20 @@ def emit_outputs(
     return written
 
 
+def _check_output_directory(directory: str) -> None:
+    """Raise OSError when directory cannot hold the run's files: when it, or
+    else its nearest existing ancestor, is not a directory."""
+    path = Path(directory)
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(existing))
+
+
+def _output_error(cfg: RunConfig, exc: OSError) -> int:
+    print(f"output error: output.directory {cfg.output_directory!r}: {exc}", file=sys.stderr)
+    return 2
+
+
 def _shared_time_indices(a: Trajectory, b: Trajectory) -> list[tuple[int, int]]:
     pairs = []
     jb = {round(float(t) / 1e-12): k for k, t in enumerate(b.times)}
@@ -214,11 +230,7 @@ def run_command(cfg: RunConfig, strict: bool = False) -> int:
                 primary, ledger, cfg, constants, extra_traj=extra, series_rows=series_rows
             )
         except OSError as exc:
-            print(
-                f"output error: output.directory {cfg.output_directory!r}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
+            return _output_error(cfg, exc)
 
     flagged = False
     if ledger is not None and bool(ledger.flags.any()):
@@ -306,6 +318,13 @@ def _w2_command(args) -> int:
         print("species counts differ between the two files", file=sys.stderr)
         return 2
     cells = sa[0].size
+    if sb[0].size != cells:
+        print(
+            f"cell counts differ at time {args.time:g}: {args.a} has {cells}, "
+            f"{args.b} has {sb[0].size}",
+            file=sys.stderr,
+        )
+        return 2
     n = round(cells ** (1.0 / args.dim))
     if n**args.dim != cells:
         print(f"cannot infer a {args.dim}-d grid from {cells} cells", file=sys.stderr)
@@ -361,6 +380,12 @@ def main(argv: list[str] | None = None) -> int:
 
     for msg in cfg.warnings:
         print(f"warning: {msg}", file=sys.stderr)
+
+    if cfg.output_directory is not None:
+        try:
+            _check_output_directory(cfg.output_directory)
+        except OSError as exc:
+            return _output_error(cfg, exc)
 
     if args.command == "check":
         consts = cfg.load_constants

@@ -451,6 +451,18 @@ class TestRunCli:
         for name in names:
             assert (written / name).read_bytes() == (tracked / name).read_bytes(), name
 
+    def test_horizon_below_loop_tolerance_writes_readable_states(self, tmp_path, capsys):
+        # A horizon of 1e-14 once recorded t = 0 twice, which w2 rejects.
+        out_dir = tmp_path / "out"
+        cfg = json.loads((REPO / "configs" / "heat.json").read_text())
+        cfg["horizon"] = 1e-14
+        cfg["output"]["directory"] = str(out_dir)
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+        states = out_dir / "states_parabolic.csv"
+        assert sorted(read_states_csv(states)) == [0.0, 1e-14]
+        assert main(["w2", "--a", str(states), "--b", str(states), "--time", "0"]) == 0
+        assert "total w2_sq" in capsys.readouterr().out
+
     def test_2d_run_end_to_end(self, tmp_path):
         out_dir = tmp_path / "out"
         cfg = {
@@ -501,6 +513,17 @@ class TestRunCli:
             main(["w2", "--a", str(path), "--b", str(path), "--time", "0.0", flag, "1e-3"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_w2_cell_counts_differ_between_files(self, tmp_path, capsys):
+        header = "time,species,cell_index,value\n"
+        a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+        a_path.write_text(header + "".join(f"0.0,0,{c},1.0\n" for c in range(4)))
+        b_path.write_text(header + "".join(f"0.0,0,{c},1.0\n" for c in range(2)))
+        code = main(["w2", "--a", str(a_path), "--b", str(b_path), "--time", "0.0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"cell counts differ at time 0: {a_path} has 4, {b_path} has 2" in captured.err
+        assert "w2_sq" not in captured.out
 
     def test_w2_missing_time(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
@@ -704,9 +727,15 @@ class TestRunCli:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "blocker").write_text("not a directory\n")
         path = write_config(tmp_path, minimal_config(directory=directory))
-        assert main(["check", "--config", str(path)]) == 0
-        assert main(["run", "--config", str(path)]) == 2
-        assert f"output error: output.directory '{directory}': " in capsys.readouterr().err
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the run solved before checking output.directory")
+
+        monkeypatch.setattr("torusflow.cli.run_jko", no_solve)
+        for command in ("check", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"output error: output.directory '{directory}': " in err
         assert (tmp_path / "blocker").read_text() == "not a directory\n"
 
     def test_read_states_csv_round_trip(self, tmp_path):

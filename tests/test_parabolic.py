@@ -1,40 +1,54 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import torusflow as tf
 from torusflow.energy import regularize
 from torusflow.grid import grad_values
-from torusflow.interaction import cosine_kernel, gaussian_bump_kernel
-from torusflow.parabolic import ParabolicState
 
 from conftest import cosine_density, heat_problem, heat_values, mode_amplitude
 
 
-def make_state(grid, values_list):
-    return ParabolicState(
-        densities=tuple(tf.normalize(tf.Density(grid, v)) for v in values_list),
-        time=0.0,
+def fixed_steps(grid, energy, drift, values, dt, k):
+    """k steps of dt from the normalized values: with h = dt, run_parabolic
+    takes one step per record while dt is below its CFL bound."""
+    prob = tf.Problem(
+        grid=grid,
+        energies=(energy,),
+        drift=drift,
+        rho0=(tf.normalize(tf.Density(grid, values)),),
+        horizon=k * dt,
+        h=dt,
     )
+    traj = tf.run_parabolic(prob, eps_reg=1e-3)
+    assert len(traj.step_dt) == k
+    return traj
 
 
 class TestParabolicStep:
     def test_uniform_is_steady(self):
         grid = tf.make_grid(1, 32)
-        state = make_state(grid, [np.ones(32)])
-        reg = (regularize(tf.InternalEnergy.entropy(), 1e-3),)
-        out = tf.parabolic_step(state, reg, tf.DriftModel.none(grid), dt=1e-5)
-        np.testing.assert_allclose(out.densities[0].values, 1.0, atol=1e-14)
+        traj = fixed_steps(
+            grid, tf.InternalEnergy.entropy(), tf.DriftModel.none(grid), np.ones(32), 1e-5, 1
+        )
+        np.testing.assert_allclose(traj.states[-1][0].values, 1.0, atol=1e-14)
 
     def test_one_step_diffusion_symbol(self):
         # For the entropy energy the update is linear and the cosine mode is
         # multiplied exactly by 1 - (2 dt / dx^2)(1 - cos(2 pi dx)).
         grid = tf.make_grid(1, 64)
-        state = make_state(grid, [heat_values(grid, 0.5, 0.0)])
-        reg = (regularize(tf.InternalEnergy.entropy(), 1e-3),)
         dt = 0.2 * 0.25 * grid.dx**2
-        out = tf.parabolic_step(state, reg, tf.DriftModel.none(grid), dt=dt)
+        traj = fixed_steps(
+            grid,
+            tf.InternalEnergy.entropy(),
+            tf.DriftModel.none(grid),
+            heat_values(grid, 0.5, 0.0),
+            dt,
+            1,
+        )
         factor = 1 - (2 * dt / grid.dx**2) * (1 - np.cos(2 * np.pi * grid.dx))
-        got = mode_amplitude(out.densities[0].values)
+        got = mode_amplitude(traj.states[-1][0].values)
         assert got == pytest.approx(0.5 * factor, abs=1e-12)
 
     def test_advection_translates_profile(self):
@@ -70,31 +84,31 @@ class TestParabolicStep:
 
     def test_mass_conserved_to_roundoff(self):
         grid = tf.make_grid(1, 64)
-        state = make_state(grid, [heat_values(grid, 0.9, 0.0)])
-        reg = (regularize(tf.InternalEnergy.power(2.0), 1e-3),)
-        drift = tf.DriftModel.none(grid)
-        for _ in range(50):
-            state = tf.parabolic_step(state, reg, drift, dt=1e-6)
-            assert abs(state.densities[0].mass() - 1.0) <= 1e-12
-
-    def test_cfl_violation_refused(self):
-        grid = tf.make_grid(1, 32)
-        state = make_state(grid, [heat_values(grid, 0.5, 0.0)])
-        reg = (regularize(tf.InternalEnergy.entropy(), 1e-3),)
-        with pytest.raises(tf.CFLError):
-            tf.parabolic_step(state, reg, tf.DriftModel.none(grid), dt=grid.dx**2)
+        traj = fixed_steps(
+            grid,
+            tf.InternalEnergy.power(2.0),
+            tf.DriftModel.none(grid),
+            heat_values(grid, 0.9, 0.0),
+            1e-6,
+            50,
+        )
+        for state in traj.states[1:]:
+            assert abs(state[0].mass() - 1.0) <= 1e-12
 
     def test_maximum_principle_pure_diffusion(self):
         grid = tf.make_grid(1, 64)
-        state = make_state(grid, [heat_values(grid, 0.8, 0.0)])
-        reg = (regularize(tf.InternalEnergy.entropy(), 1e-3),)
-        drift = tf.DriftModel.none(grid)
-        dt = 0.9 * 0.25 * grid.dx**2
+        traj = fixed_steps(
+            grid,
+            tf.InternalEnergy.entropy(),
+            tf.DriftModel.none(grid),
+            heat_values(grid, 0.8, 0.0),
+            0.9 * 0.25 * grid.dx**2,
+            200,
+        )
         prev_max, prev_min = 1.8, 0.2
-        for _ in range(200):
-            state = tf.parabolic_step(state, reg, drift, dt=dt)
-            cur_max = float(np.max(state.densities[0].values))
-            cur_min = float(np.min(state.densities[0].values))
+        for state in traj.states[1:]:
+            cur_max = float(np.max(state[0].values))
+            cur_min = float(np.min(state[0].values))
             assert cur_max <= prev_max + 1e-12
             assert cur_min >= prev_min - 1e-12
             prev_max, prev_min = cur_max, cur_min
@@ -112,18 +126,18 @@ class TestRunParabolic:
         # F_eps(rho(T)) + (1/2) sum dt |grad F'_eps|^2 <= F_eps(rho0): the
         # explicit scheme controls half the dissipation under the CFL bound.
         grid = tf.make_grid(1, 64)
-        reg = regularize(tf.InternalEnergy.power(2.0), 1e-3)
-        state = make_state(grid, [heat_values(grid, 0.7, 0.0)])
-        drift = tf.DriftModel.none(grid)
+        energy = tf.InternalEnergy.power(2.0)
+        reg = regularize(energy, 1e-3)
+        traj = fixed_steps(
+            grid, energy, tf.DriftModel.none(grid), heat_values(grid, 0.7, 0.0), 1e-6, 400
+        )
         vol = grid.cell_volume
-        f0 = float(np.sum(reg.f(state.densities[0].values)) * vol)
+        f0 = float(np.sum(reg.f(traj.states[0][0].values)) * vol)
         dissipated = 0.0
-        dt = 1e-6
-        for _ in range(400):
-            g = grad_values(grid, reg.f_prime(state.densities[0].values))
+        for (rho,), dt in zip(traj.states, traj.step_dt):
+            g = grad_values(grid, reg.f_prime(rho.values))
             dissipated += dt * float(np.sum(g**2) * vol)
-            state = tf.parabolic_step(state, (reg,), drift, dt=dt)
-        f_end = float(np.sum(reg.f(state.densities[0].values)) * vol)
+        f_end = float(np.sum(reg.f(traj.states[-1][0].values)) * vol)
         assert f_end + 0.5 * dissipated <= f0 + 1e-12
 
     def test_l2_norm_bounded(self):
@@ -143,32 +157,36 @@ class TestRunParabolic:
         offs = grid.offset_grids()[0]
         kernels = (0.3 * np.sin(2 * np.pi * offs) + 0.1)[None, None, None]
         drift = tf.DriftModel.velocity(grid, kernels)
-        reg = regularize(tf.InternalEnergy.power(2.0), 1e-3)
-        state = make_state(grid, [heat_values(grid, 0.7, 0.0)])
+        energy = tf.InternalEnergy.power(2.0)
+        reg = regularize(energy, 1e-3)
+        traj = fixed_steps(grid, energy, drift, heat_values(grid, 0.7, 0.0), 2e-6, 500)
         vol = grid.cell_volume
-        f0 = float(np.sum(reg.f(state.densities[0].values)) * vol)
+        f0 = float(np.sum(reg.f(traj.states[0][0].values)) * vol)
         dissipated = 0.0
-        dt = 2e-6
         sup_v = 0.0
-        for _ in range(500):
-            g = grad_values(grid, reg.f_prime(state.densities[0].values))
+        for state, dt in zip(traj.states, traj.step_dt):
+            g = grad_values(grid, reg.f_prime(state[0].values))
             dissipated += dt * float(np.sum(g**2) * vol)
-            (v,) = tf.velocity_field(drift, state.densities)
+            (v,) = tf.velocity_field(drift, state)
             sup_v = max(sup_v, float(np.max(np.abs(v.values))))
-            state = tf.parabolic_step(state, (reg,), drift, dt=dt)
-        f_end = float(np.sum(reg.f(state.densities[0].values)) * vol)
-        elapsed = state.time
+        f_end = float(np.sum(reg.f(traj.states[-1][0].values)) * vol)
+        elapsed = traj.times[-1]
         assert f_end + 0.5 * dissipated <= f0 + 1.0 * elapsed * sup_v**2
 
     def test_2d_one_step_diffusion_symbol(self):
         grid = tf.make_grid(2, 16)
         xs, _ = grid.coordinate_grids()
-        state = make_state(grid, [1 + 0.5 * np.cos(2 * np.pi * xs)])
-        reg = (regularize(tf.InternalEnergy.entropy(), 1e-3),)
         dt = 0.2 * 0.25 * grid.dx**2
-        out = tf.parabolic_step(state, reg, tf.DriftModel.none(grid), dt=dt)
+        traj = fixed_steps(
+            grid,
+            tf.InternalEnergy.entropy(),
+            tf.DriftModel.none(grid),
+            1 + 0.5 * np.cos(2 * np.pi * xs),
+            dt,
+            1,
+        )
         factor = 1 - (2 * dt / grid.dx**2) * (1 - np.cos(2 * np.pi * grid.dx))
-        amp = 2 * np.abs(np.fft.fftn(out.densities[0].values)[1, 0]) / grid.cells
+        amp = 2 * np.abs(np.fft.fftn(traj.states[-1][0].values)[1, 0]) / grid.cells
         assert amp == pytest.approx(0.5 * factor, abs=1e-12)
 
     def test_two_species_nongradient_long_run(self):
@@ -219,21 +237,14 @@ class TestRunParabolic:
         assert traj.times[-1] == pytest.approx(0.0123)
         assert np.all(np.diff(traj.times) > 0)
 
-
-def two_species_problem(grid, drift, horizon, h):
-    rng = np.random.default_rng(11)
-    rho0 = tuple(
-        tf.normalize(tf.Density(grid, 1 + 0.5 * rng.uniform(-1, 1, grid.shape)))
-        for _ in range(2)
-    )
-    return tf.Problem(
-        grid=grid,
-        energies=(tf.InternalEnergy.power(2.0), tf.InternalEnergy.power(1.5)),
-        drift=drift,
-        rho0=rho0,
-        horizon=horizon,
-        h=h,
-    )
+    def test_records_below_loop_tolerance_each_take_a_step(self):
+        # Record intervals of 2e-14 lie below the loop's 1e-13 tolerance.
+        prob = heat_problem(n=32, horizon=1e-12, h=2e-14)
+        traj = tf.run_parabolic(prob)
+        assert len(traj.times) == 51
+        assert np.all(np.diff(traj.times) > 0)
+        assert len(traj.step_dt) == 50
+        np.testing.assert_allclose(traj.times, 2e-14 * np.arange(51), rtol=1e-12, atol=0)
 
 
 def velocity_problem_1d():
@@ -244,38 +255,22 @@ def velocity_problem_1d():
     kernels[0, 0, 0] = 0.3 * np.cos(2 * np.pi * offs)
     kernels[0, 1, 0] = 0.4 * np.sin(2 * np.pi * offs)
     kernels[1, 0, 0] = -0.2 * np.sin(4 * np.pi * offs)
-    return two_species_problem(grid, tf.DriftModel.velocity(grid, kernels), 0.02, 0.01)
-
-
-def potential_problem_2d():
-    """Two species on a 2-d grid, potential mode, nonzero cross kernels only."""
-    grid = tf.make_grid(2, 12)
-    kernels = np.zeros((2, 2) + grid.shape)
-    kernels[0, 1] = gaussian_bump_kernel(grid, 0.15, 0.8)
-    kernels[1, 0] = cosine_kernel(grid, -0.6, 1)
-    return two_species_problem(grid, tf.DriftModel.potential(grid, kernels), 4e-3, 2e-3)
+    rng = np.random.default_rng(11)
+    rho0 = tuple(
+        tf.normalize(tf.Density(grid, 1 + 0.5 * rng.uniform(-1, 1, grid.shape)))
+        for _ in range(2)
+    )
+    return tf.Problem(
+        grid=grid,
+        energies=(tf.InternalEnergy.power(2.0), tf.InternalEnergy.power(1.5)),
+        drift=tf.DriftModel.velocity(grid, kernels),
+        rho0=rho0,
+        horizon=0.02,
+        h=0.01,
+    )
 
 
 class TestStepRecord:
-    @pytest.mark.parametrize("make", [velocity_problem_1d, potential_problem_2d])
-    def test_replayed_steps_reproduce_run_bit_for_bit(self, make):
-        # run_parabolic and parabolic_step share one step: replaying the
-        # recorded dts must land on every recorded state exactly.
-        prob = make()
-        traj = tf.run_parabolic(prob, eps_reg=1e-3, cfl_safety=0.9)
-        reg = tuple(regularize(e, 1e-3) for e in prob.energies)
-        state = ParabolicState(densities=prob.rho0, time=0.0)
-        replayed = [state]
-        for dt in traj.step_dt:
-            state = tf.parabolic_step(state, reg, prob.drift, dt=dt)
-            if state.time == traj.times[len(replayed)]:
-                replayed.append(state)
-        assert len(replayed) == len(traj.times)
-        for recorded, again in zip(traj.states, replayed):
-            for rho, rho_again in zip(recorded, again.densities):
-                np.testing.assert_array_equal(rho.values, rho_again.values)
-        assert state.clipped_mass == traj.clipped_mass
-
     def test_fields_per_step(self):
         prob = velocity_problem_1d()
         traj = tf.run_parabolic(prob, eps_reg=1e-3, cfl_safety=0.9)
@@ -291,8 +286,14 @@ class TestStepRecord:
     def test_bound_names_the_binding_term(self):
         # Without drift only diffusion bounds dt; a fast constant velocity
         # on a coarse grid makes advection the binding term.
-        calm = tf.run_parabolic(heat_problem(n=32, horizon=2e-3, h=1e-3))
-        assert set(calm.step_bound) == {"diffusion"}
+        calm = heat_problem(n=32, horizon=2e-3, h=1e-3)
+        for energy in (tf.InternalEnergy.entropy(), tf.InternalEnergy.power(2.0)):
+            traj = tf.run_parabolic(dataclasses.replace(calm, energies=(energy,)))
+            assert set(traj.step_bound) == {"diffusion"}
+            # The diffusion bound dx^2 / (4 max F''_eps(rho0)): cfl 0.9 of it.
+            fpp = float(np.max(regularize(energy, 1e-3).f_second(calm.rho0[0].values)))
+            bound = 0.9 * 0.25 * calm.grid.dx**2 / fpp
+            assert traj.step_dt[0] == pytest.approx(bound, rel=1e-12)
         grid = tf.make_grid(1, 16)
         drift = tf.DriftModel.velocity(grid, np.full((1, 1, 1) + grid.shape, 200.0))
         prob = tf.Problem(
