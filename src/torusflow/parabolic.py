@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .energy import RegularizedEnergy, regularize
-from .grid import Density, Grid
+from .grid import Density
 from .interaction import DriftModel, _kernel_sums
 from .jko import Problem, Trajectory
 
@@ -36,10 +36,8 @@ __all__ = ["run_parabolic"]
 class _Scheme:
     """What the stacked step needs from a run, evaluated once per run."""
 
-    def __init__(
-        self, grid: Grid, reg_energies: tuple[RegularizedEnergy, ...], drift: DriftModel
-    ) -> None:
-        self.grid = grid
+    def __init__(self, reg_energies: tuple[RegularizedEnergy, ...], drift: DriftModel) -> None:
+        self.grid = drift.grid
         self.species = len(reg_energies)
         self.drift = drift
         # An advection term only where some kernel is nonzero; its transforms
@@ -49,9 +47,10 @@ class _Scheme:
         for i, reg in enumerate(reg_energies):
             members.setdefault(reg, []).append(i)
         self.groups = [(reg, np.array(idx)) for reg, idx in members.items()]
-        cells = np.arange(grid.n)
-        self.ahead = (cells + 1) % grid.n  # entry i holds cell i + 1
-        self.behind = (cells - 1) % grid.n  # entry i holds cell i - 1
+        n = drift.grid.n
+        cells = np.arange(n)
+        self.ahead = (cells + 1) % n  # entry i holds cell i + 1
+        self.behind = (cells - 1) % n  # entry i holds cell i - 1
 
     def _energy(self, method: str, values: np.ndarray) -> np.ndarray:
         """A RegularizedEnergy map on stacked values, one call per energy group."""
@@ -149,7 +148,7 @@ def run_parabolic(
     if record_times.size == 0 or record_times[-1] < problem.horizon - 1e-12:
         record_times = np.append(record_times, problem.horizon)
 
-    scheme = _Scheme(grid, reg, problem.drift)
+    scheme = _Scheme(reg, problem.drift)
     values = np.stack([rho.values for rho in problem.rho0])
     time = 0.0
     clipped_mass = 0.0
