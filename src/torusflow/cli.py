@@ -145,14 +145,24 @@ def _output_error(cfg: RunConfig, exc: OSError) -> int:
     return 2
 
 
+def _nearest(times: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Index of the entry of the ascending ``times`` nearest each entry of t."""
+    hi = np.minimum(np.searchsorted(times, t), len(times) - 1)
+    lo = np.maximum(hi - 1, 0)
+    return np.where(np.abs(times[lo] - t) <= np.abs(times[hi] - t), lo, hi)
+
+
 def _shared_time_indices(a: Trajectory, b: Trajectory) -> list[tuple[int, int]]:
-    pairs = []
-    jb = {round(float(t) / 1e-12): k for k, t in enumerate(b.times)}
-    for ka, t in enumerate(a.times):
-        key = round(float(t) / 1e-12)
-        if key in jb:
-            pairs.append((ka, jb[key]))
-    return pairs
+    """Record pairs (ka, kb) at one time: each record's nearest partner in
+    the other trajectory, nearest both ways and within 1e-12, so no record
+    is used twice."""
+    ta, tb = np.asarray(a.times, dtype=float), np.asarray(b.times, dtype=float)
+    to_b, to_a = _nearest(tb, ta), _nearest(ta, tb)
+    return [
+        (ka, int(kb))
+        for ka, kb in enumerate(to_b)
+        if to_a[kb] == ka and abs(ta[ka] - tb[kb]) <= 1e-12
+    ]
 
 
 def _solve_and_check(cfg: RunConfig):
@@ -315,7 +325,11 @@ def _w2_command(args) -> int:
     if sa is None or sb is None:
         return 2
     if len(sa) != len(sb):
-        print("species counts differ between the two files", file=sys.stderr)
+        print(
+            f"species counts differ at time {args.time:g}: {args.a} has {len(sa)}, "
+            f"{args.b} has {len(sb)}",
+            file=sys.stderr,
+        )
         return 2
     cells = sa[0].size
     if sb[0].size != cells:

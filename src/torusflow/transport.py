@@ -8,7 +8,13 @@ dense cost ``cost_matrix(grid)``, restricted to the supports, so its grids
 are capped at ``_MAX_COST_CELLS`` cells.  The reported value is the primal
 transport cost <c, plan> of the computed plan, without the entropic term.
 ``sinkhorn_w2`` reports convergence; it stops after ``_SINKHORN_MAX_ITER``
-iterations over all levels of the warm start.
+iterations over all levels of the warm start.  Kernel entries below the
+smallest normal float are set to 0, so no mat-vec runs on subnormals.  A
+kernel row that underflows at a ladder level after the first (a potential
+absorbed at the coarser level, divided by the finer one) has its potential
+reset by a log-domain row update; this rescues cells with mass down to
+about 1e-250.  A row that still underflows, or underflows on the first
+level, raises RuntimeError naming the cell, its mass and the level.
 
 ``species_w2_sq`` is the per-species distance every diagnostic uses, and
 this module alone sets its accuracy.  On 1-d grids it is exact:
@@ -60,6 +66,7 @@ _SINKHORN_MAX_ITER = 200000
 # Entropic scale and marginal tolerance of the 2-d diagnostic distances.
 _W2_EPS = 1e-4
 _W2_TOL = 1e-9
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -110,8 +117,26 @@ def _eps_schedule(eps: float, c_max: float) -> list[float]:
 
 
 def _gibbs(f: np.ndarray, g: np.ndarray, c: np.ndarray, level: float) -> np.ndarray:
-    """Kernel exp((f_i + g_j - c_ij) / level) with absorbed potentials f, g."""
-    return np.exp((f[:, None] + g[None, :] - c) / level)
+    """Kernel exp((f_i + g_j - c_ij) / level) with absorbed potentials f, g.
+
+    Subnormal entries are set to 0: they carry less than 2.3e-308 of mass
+    each, and every mat-vec that touches one runs several times slower.
+    """
+    kernel = np.exp((f[:, None] + g[None, :] - c) / level)
+    kernel[kernel < _TINY] = 0.0
+    return kernel
+
+
+def _row_reset(g: np.ndarray, c: np.ndarray, a: np.ndarray, level: float) -> np.ndarray:
+    """Potential f with rows of exp((f_i + g_j - c_ij) / level) summing to a.
+
+    The log-domain row update f_i = level (log a_i - logsumexp_j((g_j -
+    c_ij) / level)); its largest kernel entry in row i is at least
+    a_i / (number of columns), whatever g was.
+    """
+    z = (g[None, :] - c) / level
+    top = z.max(axis=1)
+    return level * (np.log(a) - top - np.log(np.exp(z - top[:, None]).sum(axis=1)))
 
 
 def sinkhorn_w2(
@@ -143,7 +168,9 @@ def sinkhorn_w2(
     f = np.zeros_like(a)
     g = np.zeros_like(b)
     total_iter = 0
-    for level in _eps_schedule(eps, float(np.max(c_full))):
+    first_stop = 2
+    levels = _eps_schedule(eps, float(np.max(c_full)))
+    for level in levels:
         level_tol = tol if level == eps else max(tol, 1e-7)
         level_budget = (
             _SINKHORN_MAX_ITER - total_iter if level == eps else min(5000, _SINKHORN_MAX_ITER)
@@ -153,21 +180,41 @@ def sinkhorn_w2(
         v = np.ones_like(b)
         for _ in range(max(level_budget, 1)):
             kv = kernel @ v
-            if np.any(kv <= 0):
-                # Row underflow despite absorbed potentials: tighten the ladder.
-                raise RuntimeError(
-                    "sinkhorn kernel underflow; eps is too small for this cost"
-                )
-            err = float(np.max(np.abs(u * kv - a)))
+            if kv.min() <= 0:
+                # A potential f_i absorbed at the previous level is divided
+                # by this 5x smaller one, so its row's entries are raised to
+                # the 5th power and can all underflow.  Reset f against g;
+                # the reset rows match their marginals at once, so the stop
+                # test waits for one full u/v alternation.  The first level
+                # has no absorbed potential to blame, so there a zero row
+                # raises at once.
+                if level != levels[0]:
+                    g = g + level * np.log(v)
+                    f = _row_reset(g, c, a, level)
+                    kernel = _gibbs(f, g, c, level)
+                    u = np.ones_like(a)
+                    v = np.ones_like(b)
+                    kv = kernel @ v
+                    first_stop = total_iter + 2
+                if kv.min() <= 0:
+                    i = int(np.argmin(kv))
+                    raise RuntimeError(
+                        f"sinkhorn kernel row of cell {rows[i]} (mass {a[i]:.3e}) "
+                        f"underflows at eps level {level:.3e}"
+                    )
+            err = np.abs(u * kv - a).max()
             total_iter += 1
-            if err <= level_tol and total_iter > 1:
+            if err <= level_tol and total_iter >= first_stop:
                 break
             u = a / kv
             ktu = kernel.T @ u
             v = b / np.where(ktu > 0, ktu, 1.0)
-            big = max(float(np.max(u)), float(np.max(v)))
-            small = min(float(np.min(u)), float(np.min(v)))
-            if big > _SCALING_BOUND or small < 1.0 / _SCALING_BOUND:
+            if (
+                u.max() > _SCALING_BOUND
+                or v.max() > _SCALING_BOUND
+                or u.min() < 1.0 / _SCALING_BOUND
+                or v.min() < 1.0 / _SCALING_BOUND
+            ):
                 f = f + level * np.log(u)
                 g = g + level * np.log(v)
                 kernel = _gibbs(f, g, c, level)

@@ -463,6 +463,19 @@ class TestRunCli:
         assert main(["w2", "--a", str(states), "--b", str(states), "--time", "0"]) == 0
         assert "total w2_sq" in capsys.readouterr().out
 
+    def test_records_closer_than_1e12_pair_one_to_one(self, tmp_path):
+        # At horizon 1e-14 the finite-volume run records t = 0 and t = 1e-14,
+        # and the minimizing-movement run only t = 0: the two t = 0 states match.
+        out_dir = tmp_path / "out"
+        cfg = json.loads((REPO / "configs" / "heat.json").read_text())
+        cfg["horizon"] = 1e-14
+        cfg["output"]["directory"] = str(out_dir)
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+        rows = (out_dir / "series.csv").read_text().splitlines()[1:]
+        cross = [row.split(",") for row in rows if row.startswith("cross_l1")]
+        zero = "0.0000000000000000e+00"
+        assert [(t, v) for _, t, _, v, _ in cross] == [(zero, zero)]
+
     def test_2d_run_end_to_end(self, tmp_path):
         out_dir = tmp_path / "out"
         cfg = {
@@ -524,6 +537,36 @@ class TestRunCli:
         captured = capsys.readouterr()
         assert f"cell counts differ at time 0: {a_path} has 4, {b_path} has 2" in captured.err
         assert "w2_sq" not in captured.out
+
+    def test_w2_species_counts_differ_between_files(self, tmp_path, capsys):
+        header = "time,species,cell_index,value\n"
+        a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+        a_path.write_text(header + "".join(f"0.0,0,{c},1.0\n" for c in range(4)))
+        b_path.write_text(
+            header + "".join(f"0.0,{s},{c},1.0\n" for s in (0, 1) for c in range(4))
+        )
+        code = main(["w2", "--a", str(a_path), "--b", str(b_path), "--time", "0.0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"species counts differ at time 0: {a_path} has 1, {b_path} has 2" in captured.err
+        assert "w2_sq" not in captured.out
+
+    def test_w2_kernel_underflow_is_solver_failure(self, tmp_path, capsys, monkeypatch):
+        # Disjoint supports on one eps level: every kernel row underflows.
+        monkeypatch.setattr("torusflow.transport._eps_schedule", lambda eps, c_max: [eps])
+        header = "time,species,cell_index,value\n"
+        a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+        for path, cell in ((a_path, 0), (b_path, 10)):
+            path.write_text(
+                header + "".join(f"0.0,0,{c},{float(c == cell)}\n" for c in range(16))
+            )
+        code = main(
+            ["w2", "--a", str(a_path), "--b", str(b_path), "--time", "0.0", "--dim", "2"]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "solver failure: sinkhorn kernel row of cell 0" in captured.err
+        assert "total w2_sq" not in captured.out
 
     def test_w2_missing_time(self, tmp_path, capsys):
         path = tmp_path / "s.csv"

@@ -152,6 +152,89 @@ class TestSinkhorn:
         assert res.w2_sq == pytest.approx(float(np.sum(res.plan * tf.cost_matrix(g))))
 
 
+def two_bumps(n, center_a, center_b, width_a, width_b, weight):
+    """Normalized mixture of two periodic Gaussian bumps on the n x n grid."""
+    g = tf.make_grid(2, n)
+    coords = np.meshgrid(g.axis_centers, g.axis_centers, indexing="ij")
+
+    def bump(center, width):
+        r2 = sum(minimal_image(x - x0) ** 2 for x, x0 in zip(coords, center))
+        return np.exp(-r2 / (2.0 * width**2))
+
+    vals = weight * bump(center_a, width_a) + (1.0 - weight) * bump(center_b, width_b)
+    return vals / (vals.sum() * g.cell_volume)
+
+
+# Two 16 x 16 pairs whose eps-ladder solves meet subnormal Gibbs entries.
+BUMP_PAIRS = [
+    (((0.25, 0.5), (0.75, 0.5), 0.08, 0.1, 0.5), ((0.3, 0.55), (0.7, 0.45), 0.08, 0.1, 0.5)),
+    (((0.3, 0.3), (0.7, 0.6), 0.1, 0.12, 0.4), ((0.35, 0.25), (0.65, 0.7), 0.1, 0.12, 0.6)),
+]
+
+
+def bump_pair(index, empty_mass=None):
+    """Densities of one pair; empty_mass, if given, replaces mu's cell (0, 0)."""
+    g = tf.make_grid(2, 16)
+    a, b = (two_bumps(16, *spec) for spec in BUMP_PAIRS[index])
+    if empty_mass is not None:
+        a[0, 0] = empty_mass
+    return tf.normalize(tf.Density(g, a)), tf.normalize(tf.Density(g, b))
+
+
+class TestSinkhornUnderflow:
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_flushed_kernel_gives_identical_results(self, monkeypatch, index):
+        mu, nu = bump_pair(index)
+        flushed = tf.sinkhorn_w2(mu, nu, eps=1e-4, tol=1e-9, return_plan=True)
+        monkeypatch.setattr(
+            "torusflow.transport._gibbs",
+            lambda f, g, c, level: np.exp((f[:, None] + g[None, :] - c) / level),
+        )
+        plain = tf.sinkhorn_w2(mu, nu, eps=1e-4, tol=1e-9, return_plan=True)
+        tiny = np.finfo(float).tiny
+        assert np.any((plain.plan > 0) & (plain.plan < tiny))
+        assert not np.any((flushed.plan > 0) & (flushed.plan < tiny))
+        assert flushed.converged
+        assert flushed.w2_sq == plain.w2_sq
+        assert flushed.iterations == plain.iterations
+        assert flushed.plan_marginal_err == plain.plan_marginal_err
+
+    def test_underflow_on_the_first_level_raises(self, monkeypatch):
+        # Without the ladder, exp(-c/eps) is 0 between the two supports.
+        monkeypatch.setattr("torusflow.transport._eps_schedule", lambda eps, c_max: [eps])
+        g = tf.make_grid(2, 4)
+        mu, nu = atom_density(g, [(0, 0)]), atom_density(g, [(2, 2)])
+        with pytest.raises(
+            RuntimeError,
+            match=r"sinkhorn kernel row of cell 0 \(mass 1\.000e\+00\) underflows at "
+            r"eps level 1\.000e-04",
+        ):
+            tf.sinkhorn_w2(mu, nu, eps=1e-4)
+
+    @pytest.mark.parametrize("mass", [1e-100, 1e-250])
+    def test_near_empty_cell_matches_empty_cell(self, monkeypatch, mass):
+        # The cell's potential underflows its kernel row at each finer level
+        # of the ladder, so the row is reset there.
+        resets = []
+        row_reset = tf.transport._row_reset
+
+        def counted(*args):
+            resets.append(args)
+            return row_reset(*args)
+
+        monkeypatch.setattr("torusflow.transport._row_reset", counted)
+        got = tf.sinkhorn_w2(*bump_pair(0, mass), eps=1e-4, tol=1e-9)
+        want = tf.sinkhorn_w2(*bump_pair(0, 0.0), eps=1e-4, tol=1e-9)
+        assert resets
+        assert got.converged
+        assert got.w2_sq == pytest.approx(want.w2_sq, rel=1e-12)
+
+    def test_subnormal_cell_mass_raises(self):
+        # Its reset row peaks at mass / 256 cells, below the smallest normal.
+        with pytest.raises(RuntimeError, match=r"row of cell 0 \(mass .*e-31\d\) underflows"):
+            tf.sinkhorn_w2(*bump_pair(0, 1e-310), eps=1e-4, tol=1e-9)
+
+
 class TestSpeciesW2:
     def test_matches_per_species_solves(self):
         # 2-d distances are the per-species Sinkhorn estimates at eps 1e-4.
