@@ -56,20 +56,28 @@ def _output_indices(n_times: int, cadence: int) -> list[int]:
     return idx
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write header and rows; rows may be a generator, so large files stream."""
+def _write_csv(path: Path, header: list[str], rows=(), blocks=()) -> None:
+    """Write header, rows through csv.writer, then preformatted text blocks;
+    rows and blocks may be generators, so large files stream."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+        fh.writelines(blocks)
 
 
-def _state_rows(traj: Trajectory, cadence: int):
+def _state_blocks(traj: Trajectory, cadence: int):
+    """One block of CSV text per (time, species), each formatted by a single
+    %-format over the cell indices interleaved with the values; ``%.16e``
+    prints exactly what ``_fmt`` does, in csv.writer's line endings."""
     for k in _output_indices(len(traj.times), cadence):
         t = _fmt(traj.times[k])
         for i, rho in enumerate(traj.states[k]):
-            for cell, value in enumerate(rho.values.ravel()):
-                yield t, i, cell, _fmt(value)
+            values = rho.values.ravel().tolist()
+            fields: list = [None] * (2 * len(values))
+            fields[0::2] = range(len(values))
+            fields[1::2] = values
+            yield (f"{t},{i},%d,%.16e\r\n" * len(values)) % tuple(fields)
 
 
 def _ledger_rows(ledger: Ledger):
@@ -102,18 +110,19 @@ def emit_outputs(
     """Write the run's files into cfg.output_directory; returns their paths."""
     out = Path(cfg.output_directory)
     out.mkdir(parents=True, exist_ok=True)
-    tables = [("states.csv", _STATES_HEADER, _state_rows(traj, cfg.output_cadence))]
+    cadence = cfg.output_cadence
+    tables = [("states.csv", _STATES_HEADER, (), _state_blocks(traj, cadence))]
     if extra_traj is not None:
         tables.append(
-            ("states_parabolic.csv", _STATES_HEADER, _state_rows(extra_traj, cfg.output_cadence))
+            ("states_parabolic.csv", _STATES_HEADER, (), _state_blocks(extra_traj, cadence))
         )
     if ledger is not None:
-        tables.append(("ledger.csv", _LEDGER_HEADER, _ledger_rows(ledger)))
+        tables.append(("ledger.csv", _LEDGER_HEADER, _ledger_rows(ledger), ()))
     if series_rows:
-        tables.append(("series.csv", _SERIES_HEADER, series_rows))
+        tables.append(("series.csv", _SERIES_HEADER, series_rows, ()))
     written: list[Path] = []
-    for name, header, rows in tables:
-        _write_csv(out / name, header, rows)
+    for name, header, rows, blocks in tables:
+        _write_csv(out / name, header, rows, blocks)
         written.append(out / name)
 
     meta = {

@@ -191,16 +191,22 @@ class RegularizedEnergy:
         object.__setattr__(self, "M_eps", M)
 
     def _eval(self, t, middle, below, above):
+        """middle on [delta_eps, M_eps], below and above outside.  The masks
+        are built only when a min/max test finds values outside, which NaN
+        also fails (M_eps = inf needs no max test: a NaN fails the min)."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         tt = np.atleast_1d(t)
-        out = np.asarray(middle(tt), dtype=float).copy()
-        lo = tt < self.delta_eps
-        hi = tt > self.M_eps
-        if lo.any():
-            out[lo] = below(tt[lo])
-        if hi.any():
-            out[hi] = above(tt[hi])
+        out = middle(tt)  # a fresh array: the base maps never return their input
+        if tt.size and not (
+            tt.min() >= self.delta_eps and (self.M_eps == math.inf or tt.max() <= self.M_eps)
+        ):
+            lo = tt < self.delta_eps
+            hi = tt > self.M_eps
+            if lo.any():
+                out[lo] = below(tt[lo])
+            if hi.any():
+                out[hi] = above(tt[hi])
         return float(out[0]) if scalar else out
 
     def f(self, t):
@@ -309,9 +315,12 @@ def kl_prox(energy: InternalEnergy, s, eps: float, tau: float, u=0.0):
     if eps <= 0 or tau <= 0:
         raise ValueError("eps and tau must be positive")
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0):
+    # fmin skips NaN, so a NaN center passes as it did under any(s <= 0).
+    if s_arr.size and np.fmin.reduce(s_arr, axis=None) <= 0:
         raise ValueError("prox center s must be positive")
-    u_arr = np.broadcast_to(np.asarray(u, dtype=float), s_arr.shape).astype(float)
+    u_arr = np.asarray(u, dtype=float)
+    if u_arr.shape != s_arr.shape:
+        u_arr = np.broadcast_to(u_arr, s_arr.shape)  # a read-only view, not a copy
     scalar = s_arr.ndim == 0
     s_arr = np.atleast_1d(s_arr)
     u_arr = np.atleast_1d(u_arr)

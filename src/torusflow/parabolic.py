@@ -12,8 +12,13 @@ The step runs on all species at once, as one (species, *shape) array.  The
 drift comes from the model's kernel transforms, taken once per run, with one
 batched forward and one batched inverse transform per step; species with
 equal regularized energies are evaluated together, and periodic shifts use
-index arrays built once.  ``Density`` tuples are built only at recorded
-times.
+index arrays built once.  Each step evaluates F'_eps once, and F''_eps once
+for the CFL bound (not for entropy, whose F''_eps is 1).  The fluxes and
+their divergence are formed in place in scratch arrays that the scheme
+holds for the whole run, so a step allocates little beyond the new state.
+Its guards run on the per-species masses, with the full finiteness scan
+only when a mass is not finite.  ``Density`` tuples are built only at
+recorded times.
 
 ``run_parabolic`` is the one entry point: it picks every dt from the CFL
 bound.  Fixed steps need no other API.  ``Problem(..., h=dt, horizon=k*dt)``
@@ -22,6 +27,8 @@ takes exactly one step of dt per record, k in all, whenever dt is below
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -51,18 +58,33 @@ class _Scheme:
         cells = np.arange(n)
         self.ahead = (cells + 1) % n  # entry i holds cell i + 1
         self.behind = (cells - 1) % n  # entry i holds cell i - 1
+        # Scratch arrays of the update, reused by every step.
+        stacked = (self.species,) + drift.grid.shape
+        self._flux, self._term, self._divergence = (np.empty(stacked) for _ in range(3))
 
-    def _energy(self, method: str, values: np.ndarray) -> np.ndarray:
-        """A RegularizedEnergy map on stacked values, one call per energy group."""
+    def _pressure(self, values: np.ndarray) -> np.ndarray:
+        """F'_eps on stacked values, one call per energy group."""
         if len(self.groups) == 1:
-            return getattr(self.groups[0][0], method)(values)
+            return self.groups[0][0].f_prime(values)
         out = np.empty_like(values)
         for reg, idx in self.groups:
-            out[idx] = getattr(reg, method)(values[idx])
+            out[idx] = reg.f_prime(values[idx])
         return out
 
-    def _per_species(self, values: np.ndarray) -> np.ndarray:
-        return values.reshape(self.species, -1)
+    def _curvature(self, values: np.ndarray) -> float:
+        """Largest F''_eps over all species.  Entropy's F''_eps is 1 on
+        nonnegative values (its delta_eps is 0), so it is not evaluated."""
+        single = len(self.groups) == 1
+        return max(
+            1.0
+            if reg.base.kind == "entropy"
+            else float(reg.f_second(values if single else values[idx]).max())
+            for reg, idx in self.groups
+        )
+
+    def _masses(self, values: np.ndarray) -> list[float]:
+        vol = self.grid.cell_volume
+        return [m * vol for m in values.reshape(self.species, -1).sum(axis=1).tolist()]
 
     def velocities(self, values: np.ndarray) -> tuple[np.ndarray | None, float, str]:
         """Face velocities (species, dim, *shape), component a at face i+1/2,
@@ -74,22 +96,28 @@ class _Scheme:
         min(dx^2 / (4 max F''_eps), dx / (2 max |V|)).
         """
         grid, dx = self.grid, self.grid.dx
-        fpp_max = self._per_species(self._energy("f_second", values)).max(axis=1)
-        diffusion = min((0.25 * dx**2 / f for f in fpp_max if f > 0), default=np.inf)
+        curvature = self._curvature(values)
+        diffusion = 0.25 * dx**2 / curvature if curvature > 0 else np.inf
         if not self.advects:
             return None, float(diffusion), "diffusion"
         fields = _kernel_sums(self.drift, values)
         faces = np.empty((self.species, grid.dim) + grid.shape)
         for a in range(grid.dim):
-            if self.drift.mode == "potential":
-                faces[:, a] = -((fields.take(self.ahead, axis=1 + a) - fields) / dx)
-            else:
+            face = faces[:, a]
+            if self.drift.mode == "potential":  # -(U_ahead - U) / dx
+                fields.take(self.ahead, axis=1 + a, out=face, mode="wrap")
+                face -= fields
+                face /= -dx
+            else:  # (V_ahead + V) / 2
                 comp = fields[:, a]
-                faces[:, a] = 0.5 * (comp + comp.take(self.ahead, axis=1 + a))
-        if not np.isfinite(faces).all():
+                comp.take(self.ahead, axis=1 + a, out=face, mode="wrap")
+                face += comp
+                face *= 0.5
+        # The largest |V| is NaN or inf exactly when some face velocity is.
+        vmax = float(np.abs(faces).max())
+        if not math.isfinite(vmax):
             raise RuntimeError("drift velocities are not finite")
-        vmax = self._per_species(np.abs(faces)).max(axis=1)
-        advection = min((0.5 * dx / v for v in vmax if v > 0), default=np.inf)
+        advection = 0.5 * dx / vmax if vmax > 0 else np.inf
         if advection < diffusion:
             return faces, float(advection), "advection"
         return faces, float(diffusion), "diffusion"
@@ -99,31 +127,52 @@ class _Scheme:
     ) -> tuple[np.ndarray, float]:
         """One update with velocities already evaluated on values and a dt
         within their bound; returns the new values and the mass clipped."""
-        grid, dx, vol = self.grid, self.grid.dx, self.grid.cell_volume
-        pressure = self._energy("f_prime", values)
-        divergence = np.zeros_like(values)
+        grid, dx = self.grid, self.grid.dx
+        pressure = self._pressure(values)
+        flux, term, divergence = self._flux, self._term, self._divergence
         for a in range(grid.dim):
             axis = 1 + a
-            flux = -((pressure.take(self.ahead, axis=axis) - pressure) / dx)
+            pressure.take(self.ahead, axis=axis, out=flux, mode="wrap")
+            flux -= pressure
+            flux /= -dx  # -(p_ahead - p) / dx
             if faces is not None:
                 w = faces[:, a]
-                flux += w * np.where(w >= 0, values, values.take(self.ahead, axis=axis))
-            divergence += (flux - flux.take(self.behind, axis=axis)) / dx
-        updated = values - dt * divergence
-        if not np.isfinite(updated).all():
+                values.take(self.ahead, axis=axis, out=term, mode="wrap")
+                np.copyto(term, values, where=w >= 0)  # the upwind cell
+                term *= w
+                flux += term
+            # The first axis writes the divergence, later ones add to it.
+            if a:
+                flux.take(self.behind, axis=axis, out=term, mode="wrap")
+                np.subtract(flux, term, out=term)
+                term /= dx
+                divergence += term
+            else:
+                flux.take(self.behind, axis=axis, out=divergence, mode="wrap")
+                np.subtract(flux, divergence, out=divergence)
+                divergence /= dx
+        divergence *= dt
+        updated = values - divergence
+        # A sum is finite only if every summand is, so the full test runs
+        # only when some species' mass is not finite.
+        pre_clip_mass = self._masses(updated)
+        if not all(map(math.isfinite, pre_clip_mass)) and not np.isfinite(updated).all():
             raise RuntimeError("parabolic step produced non-finite values")
-        mass = self._per_species(values).sum(axis=1) * vol
-        pre_clip_mass = self._per_species(updated).sum(axis=1) * vol
-        if (np.abs(pre_clip_mass - mass) > 1e-13 * np.maximum(1.0, mass)).any():
+        mass = self._masses(values)
+        if any(abs(p - m) > 1e-13 * max(1.0, m) for p, m in zip(pre_clip_mass, mass)):
             raise RuntimeError("flux telescoping violated; mass drifted in one step")
         clipped = 0.0
-        for c in -self._per_species(np.minimum(updated, 0.0)).sum(axis=1) * vol:
-            clipped += float(c)
-        updated = np.maximum(updated, 0.0)
-        totals = self._per_species(updated).sum(axis=1) * vol
-        if (totals <= 0).any():
+        negative = updated.min() < 0
+        if negative:
+            for c in self._masses(np.minimum(updated, 0.0)):
+                clipped -= c
+        np.maximum(updated, 0.0, out=updated)  # also turns -0.0 into 0.0
+        totals = self._masses(updated) if negative else pre_clip_mass
+        if any(t <= 0 for t in totals):
             raise ValueError("degenerate density: total mass is not positive")
-        return updated / totals.reshape((-1,) + (1,) * grid.dim), clipped
+        for species, total in zip(updated, totals):
+            species /= total
+        return updated, clipped
 
 
 def run_parabolic(

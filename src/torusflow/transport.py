@@ -14,7 +14,12 @@ kernel row that underflows at a ladder level after the first (a potential
 absorbed at the coarser level, divided by the finer one) has its potential
 reset by a log-domain row update; this rescues cells with mass down to
 about 1e-250.  A row that still underflows, or underflows on the first
-level, raises RuntimeError naming the cell, its mass and the level.
+level, raises RuntimeError naming the cell, its mass and the level.  A
+column that underflows (a near-empty cell of the second density) has g
+reset by the same update along the other axis, and so do its entries at
+the start of every later level.  It raises only when even the reset column
+underflows: its largest entry, at least the cell's mass over the number of
+rows, is below the smallest normal float.
 
 ``species_w2_sq`` is the per-species distance every diagnostic uses, and
 this module alone sets its accuracy.  On 1-d grids it is exact:
@@ -132,7 +137,8 @@ def _row_reset(g: np.ndarray, c: np.ndarray, a: np.ndarray, level: float) -> np.
 
     The log-domain row update f_i = level (log a_i - logsumexp_j((g_j -
     c_ij) / level)); its largest kernel entry in row i is at least
-    a_i / (number of columns), whatever g was.
+    a_i / (number of columns), whatever g was.  Called with c.T and the
+    column marginal, it resets the column potential against f.
     """
     z = (g[None, :] - c) / level
     top = z.max(axis=1)
@@ -169,12 +175,16 @@ def sinkhorn_w2(
     g = np.zeros_like(b)
     total_iter = 0
     first_stop = 2
+    near_empty_cols = np.zeros(0, dtype=int)  # columns that underflowed at some level
     levels = _eps_schedule(eps, float(np.max(c_full)))
     for level in levels:
         level_tol = tol if level == eps else max(tol, 1e-7)
         level_budget = (
             _SINKHORN_MAX_ITER - total_iter if level == eps else min(5000, _SINKHORN_MAX_ITER)
         )
+        if near_empty_cols.size:
+            j = near_empty_cols
+            g[j] = _row_reset(f, c[:, j].T, b[j], level)
         kernel = _gibbs(f, g, c, level)
         u = np.ones_like(a)
         v = np.ones_like(b)
@@ -208,7 +218,26 @@ def sinkhorn_w2(
                 break
             u = a / kv
             ktu = kernel.T @ u
-            v = b / np.where(ktu > 0, ktu, 1.0)
+            if ktu.min() <= 0:
+                # A near-empty cell of nu: its column underflows once g_j
+                # has absorbed its small scaling.  Absorb u and reset g
+                # against f, the log-domain form of the v update, so the
+                # columns match their marginals at once.  Each finer level
+                # would underflow these columns again, so every later level
+                # resets them before it builds its kernel.
+                near_empty_cols = np.union1d(near_empty_cols, np.flatnonzero(ktu <= 0))
+                f = f + level * np.log(u)
+                g = _row_reset(f, c.T, b, level)
+                kernel = _gibbs(f, g, c, level)
+                u = np.ones_like(a)
+                ktu = kernel.T @ u
+                if ktu.min() <= 0:
+                    j = int(np.argmin(ktu))
+                    raise RuntimeError(
+                        f"sinkhorn kernel column of cell {cols[j]} (mass {b[j]:.3e}) "
+                        f"underflows at eps level {level:.3e}"
+                    )
+            v = b / ktu
             if (
                 u.max() > _SCALING_BOUND
                 or v.max() > _SCALING_BOUND
@@ -410,26 +439,38 @@ def jko_step(
     k1 = np.exp(-c1 / eps)
     kernel = (k1,) * grid.dim
     kernel_t = (k1.T,) * grid.dim
+    # The 1-d kernel applies directly; the 2-d one axis by axis.
+    if grid.dim == 1:
+        apply_k, apply_kt = k1.__matmul__, k1.T.__matmul__
+    else:
+        apply_k = functools.partial(_kron_apply, kernel)
+        apply_kt = functools.partial(_kron_apply, kernel_t)
     v = np.ones_like(a)
     d = np.ones_like(a)
     rho_curr = a / vol
     u = np.ones_like(a)
+    change = np.empty_like(a)
     iterations = 0
     converged = False
     for _ in range(_JKO_MAX_ITER):
-        kv = _kron_apply(kernel, v)
-        u = a / kv
-        s = _kron_apply(kernel_t, u)  # second-marginal proposal in mass units
-        sigma = s * d / vol
+        u = a / apply_k(v)
+        s = apply_kt(u)  # second-marginal proposal in mass units
+        sigma = s * d
+        sigma /= vol
         rho_new = kl_prox(energy, sigma, eps, tau, u_pot)
-        v = rho_new * vol / s
+        mass_new = rho_new * vol
+        v = mass_new / s
         if debias:
-            d = np.sqrt(d * (rho_new * vol) / _kron_apply(kernel, d))
+            kd = apply_k(d)
+            d *= mass_new
+            d /= kd
+            np.sqrt(d, out=d)
         iterations += 1
-        delta = float(np.max(np.abs(rho_new - rho_curr)))
+        np.subtract(rho_new, rho_curr, out=change)
+        delta = float(np.abs(change, out=change).max())
         rho_curr = rho_new
-        big = max(float(np.max(u)), float(np.max(v)), float(np.max(d)))
-        if not np.isfinite(big) or big > _SCALING_BOUND:
+        big = max(float(u.max()), float(v.max()), float(d.max()))
+        if not math.isfinite(big) or big > _SCALING_BOUND:
             raise RuntimeError("jko_step scalings left the stable range")
         if delta <= tol and iterations > 1:
             converged = True

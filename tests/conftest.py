@@ -10,7 +10,10 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix, identity, kron, vstack
 
 import torusflow as tf
+from torusflow import transport as tr
+from torusflow.energy import _kl_prox_power
 from torusflow.grid import Grid, VectorField, minimal_image
+from torusflow.interaction import _kernel_sums
 
 
 @pytest.fixture
@@ -141,3 +144,180 @@ def spectral_heat_trajectory(problem: tf.Problem, amplitude: float = 0.5) -> tf.
         (tf.normalize(tf.Density(grid, heat_values(grid, amplitude, t))),) for t in times
     ]
     return tf.Trajectory(grid=grid, h=problem.h, times=times, states=states)
+
+
+# The finite-volume step and the JKO scaling loop as they were written before
+# their hot loops were reworked for speed: the references that the shipped
+# code must reproduce bit for bit.
+
+
+def _reference_regularized(reg, method: str, t: np.ndarray) -> np.ndarray:
+    """F_eps' or F_eps'' by masks built on every call."""
+    base, d, M, eps = reg.base, reg.delta_eps, reg.M_eps, reg.eps
+    middle, below, above = {
+        "f_prime": (
+            base.f_prime,
+            lambda tt: base.f_prime(d) + eps * (tt - d),
+            lambda tt: base.f_prime(M) + (tt - M) / eps,
+        ),
+        "f_second": (
+            base.f_second,
+            lambda tt: np.full_like(tt, eps),
+            lambda tt: np.full_like(tt, 1.0 / eps),
+        ),
+    }[method]
+    tt = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.asarray(middle(tt), dtype=float).copy()
+    lo = tt < d
+    hi = tt > M
+    if lo.any():
+        out[lo] = below(tt[lo])
+    if hi.any():
+        out[hi] = above(tt[hi])
+    return out
+
+
+class ReferenceScheme:
+    """The stacked finite-volume step with fresh temporaries, a zeroed
+    divergence accumulator and every check on whole arrays; a drop-in
+    replacement for ``torusflow.parabolic._Scheme``."""
+
+    def __init__(self, reg_energies, drift) -> None:
+        self.grid = drift.grid
+        self.species = len(reg_energies)
+        self.drift = drift
+        self.advects = bool(drift._transforms.rows.size)
+        members: dict = {}
+        for i, reg in enumerate(reg_energies):
+            members.setdefault(reg, []).append(i)
+        self.groups = [(reg, np.array(idx)) for reg, idx in members.items()]
+        n = drift.grid.n
+        cells = np.arange(n)
+        self.ahead = (cells + 1) % n
+        self.behind = (cells - 1) % n
+
+    def _energy(self, method, values):
+        out = np.empty_like(values)
+        for reg, idx in self.groups:
+            out[idx] = _reference_regularized(reg, method, values[idx])
+        return out
+
+    def _per_species(self, values):
+        return values.reshape(self.species, -1)
+
+    def velocities(self, values):
+        grid, dx = self.grid, self.grid.dx
+        fpp_max = self._per_species(self._energy("f_second", values)).max(axis=1)
+        diffusion = min((0.25 * dx**2 / f for f in fpp_max if f > 0), default=np.inf)
+        if not self.advects:
+            return None, float(diffusion), "diffusion"
+        fields = _kernel_sums(self.drift, values)
+        faces = np.empty((self.species, grid.dim) + grid.shape)
+        for a in range(grid.dim):
+            if self.drift.mode == "potential":
+                faces[:, a] = -((fields.take(self.ahead, axis=1 + a) - fields) / dx)
+            else:
+                comp = fields[:, a]
+                faces[:, a] = 0.5 * (comp + comp.take(self.ahead, axis=1 + a))
+        if not np.isfinite(faces).all():
+            raise RuntimeError("drift velocities are not finite")
+        vmax = self._per_species(np.abs(faces)).max(axis=1)
+        advection = min((0.5 * dx / v for v in vmax if v > 0), default=np.inf)
+        if advection < diffusion:
+            return faces, float(advection), "advection"
+        return faces, float(diffusion), "diffusion"
+
+    def advance(self, values, faces, dt):
+        grid, dx, vol = self.grid, self.grid.dx, self.grid.cell_volume
+        pressure = self._energy("f_prime", values)
+        divergence = np.zeros_like(values)
+        for a in range(grid.dim):
+            axis = 1 + a
+            flux = -((pressure.take(self.ahead, axis=axis) - pressure) / dx)
+            if faces is not None:
+                w = faces[:, a]
+                flux += w * np.where(w >= 0, values, values.take(self.ahead, axis=axis))
+            divergence += (flux - flux.take(self.behind, axis=axis)) / dx
+        updated = values - dt * divergence
+        if not np.isfinite(updated).all():
+            raise RuntimeError("parabolic step produced non-finite values")
+        mass = self._per_species(values).sum(axis=1) * vol
+        pre_clip_mass = self._per_species(updated).sum(axis=1) * vol
+        if (np.abs(pre_clip_mass - mass) > 1e-13 * np.maximum(1.0, mass)).any():
+            raise RuntimeError("flux telescoping violated; mass drifted in one step")
+        clipped = 0.0
+        for c in -self._per_species(np.minimum(updated, 0.0)).sum(axis=1) * vol:
+            clipped += float(c)
+        updated = np.maximum(updated, 0.0)
+        totals = self._per_species(updated).sum(axis=1) * vol
+        if (totals <= 0).any():
+            raise ValueError("degenerate density: total mass is not positive")
+        return updated / totals.reshape((-1,) + (1,) * grid.dim), clipped
+
+
+def reference_kl_prox(energy, s: np.ndarray, eps: float, tau: float, u: np.ndarray) -> np.ndarray:
+    """``kl_prox`` on arrays with a broadcast copy of u on every call."""
+    if eps <= 0 or tau <= 0:
+        raise ValueError("eps and tau must be positive")
+    s_arr = np.asarray(s, dtype=float)
+    if np.any(s_arr <= 0):
+        raise ValueError("prox center s must be positive")
+    u_arr = np.broadcast_to(np.asarray(u, dtype=float), s_arr.shape).astype(float)
+    if energy.kind == "zero":
+        return s_arr * np.exp(-tau * u_arr / eps)
+    if energy.kind == "entropy":
+        return np.exp((eps * np.log(s_arr) - tau * (1.0 + u_arr)) / (eps + tau))
+    return _kl_prox_power(energy, s_arr, eps, tau, u_arr)
+
+
+def reference_jko_step(rho_prev, h, energy, potential, eps, tol=1e-9, debias=True):
+    """``jko_step`` with every kernel product through ``_kron_apply``, fresh
+    arrays on each iteration and the whole-array scaling bound; returns the
+    state values, the step's W2^2, marginal error and iteration count."""
+    grid = rho_prev.grid
+    c1 = tr._gibbs_axis_cost(grid, h, eps)
+    tau = 2.0 * h
+    vol = grid.cell_volume
+    a = np.maximum(rho_prev.values.ravel(), tr._MASS_FLOOR) * vol
+    u_pot = np.zeros_like(a) if potential is None else potential.values.ravel()
+    k1 = np.exp(-c1 / eps)
+    kernel = (k1,) * grid.dim
+    kernel_t = (k1.T,) * grid.dim
+    v = np.ones_like(a)
+    d = np.ones_like(a)
+    rho_curr = a / vol
+    iterations = 0
+    for _ in range(tr._JKO_MAX_ITER):
+        kv = tr._kron_apply(kernel, v)
+        u = a / kv
+        s = tr._kron_apply(kernel_t, u)
+        sigma = s * d / vol
+        rho_new = reference_kl_prox(energy, sigma, eps, tau, u_pot)
+        v = rho_new * vol / s
+        if debias:
+            d = np.sqrt(d * (rho_new * vol) / tr._kron_apply(kernel, d))
+        iterations += 1
+        delta = float(np.max(np.abs(rho_new - rho_curr)))
+        rho_curr = rho_new
+        big = max(float(np.max(u)), float(np.max(v)), float(np.max(d)))
+        if not np.isfinite(big) or big > tr._SCALING_BOUND:
+            raise RuntimeError("jko_step scalings left the stable range")
+        if delta <= tol and iterations > 1:
+            break
+    else:
+        raise RuntimeError("reference jko_step did not converge")
+    row_err = float(np.max(np.abs(u * tr._kron_apply(kernel, v) - a)))
+    col_err = float(np.max(np.abs(v * tr._kron_apply(kernel_t, u) - rho_curr * vol)))
+    kc1 = k1 * c1
+    w2_sq = sum(
+        float(np.sum(u * tr._kron_apply(kernel[:ax] + (kc1,) + kernel[ax + 1 :], v)))
+        for ax in range(grid.dim)
+    )
+    rho_out = tf.normalize(tf.Density(grid, rho_curr.reshape(grid.shape)))
+    return rho_out.values, w2_sq, max(row_err, col_err), iterations
+
+
+def same_bits(x, y) -> bool:
+    """Equal as IEEE doubles, bit for bit: sign of zero and NaN payload included."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))

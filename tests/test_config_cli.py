@@ -1,3 +1,4 @@
+import csv
 import functools
 import json
 import operator
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import torusflow as tf
 from torusflow import config as cfg_mod
-from torusflow.cli import main, read_states_csv
+from torusflow.cli import _fmt, _state_blocks, _write_csv, main, read_states_csv
 from torusflow.config import ConfigError, parse_config, parse_config_dict
 from torusflow.transport import TransportResult
 
@@ -790,3 +791,28 @@ class TestRunCli:
         first = states[0.0][0]
         assert first.size == 16
         assert abs(np.sum(first) * (1 / 16) - 1.0) <= 1e-9
+
+    def test_state_blocks_match_csv_writer(self, tmp_path):
+        # One %-format per (time, species) block must print what csv.writer
+        # printed row by row, for 0, -0, the smallest subnormal, other
+        # subnormals, normal values and large ones.
+        grid = tf.make_grid(1, 8)
+        edge = np.array([0.0, -0.0, 5e-324, 2.5e-310, 1e-300, 0.1, 1e5, 7.0])
+        states = [
+            (tf.Density(grid, edge), tf.Density(grid, edge[::-1].copy())),
+            (tf.Density(grid, np.full(8, 1.0)), tf.Density(grid, np.linspace(0.0, 3.0, 8))),
+        ]
+        traj = tf.Trajectory(grid=grid, h=0.1, times=np.array([0.0, 0.1]), states=states)
+        header = ["time", "species", "cell_index", "value"]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        _write_csv(got, header, blocks=_state_blocks(traj, 1))
+        with want.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for t, state in zip(traj.times, traj.states):
+                for i, rho in enumerate(state):
+                    for cell, value in enumerate(rho.values):
+                        writer.writerow((_fmt(t), i, cell, _fmt(value)))
+        assert got.read_bytes() == want.read_bytes()
+        assert b"-0.0000000000000000e+00" in got.read_bytes()
+        assert b"4.9406564584124654e-324" in got.read_bytes()

@@ -268,6 +268,33 @@ class TestKlProx:
         with pytest.raises(ValueError):
             tf.kl_prox(ENTROPY, 0.0, eps=1e-3, tau=1e-3)
 
+    @pytest.mark.parametrize("energy", [ENTROPY, POWER2, ZERO])
+    @pytest.mark.parametrize(
+        "s", [[1.0, 0.0, 2.0], [1.0, -0.0], [[1.0, 2.0], [3.0, -1e-300]], [np.nan, 0.0]]
+    )
+    def test_non_positive_center_in_an_array_raises(self, energy, s):
+        with pytest.raises(ValueError, match="prox center s must be positive"):
+            tf.kl_prox(energy, np.array(s), eps=1e-3, tau=1e-3, u=np.zeros(np.shape(s)))
+
+    def test_nan_center_passes_the_check(self):
+        # The check rejects non-positive centers only: a NaN center reaches
+        # the closed form, which returns NaN there for entropy and zero
+        # energies, and fails the residual check for power energies.
+        s = np.array([0.5, np.nan, 2.0])
+        for energy in (ENTROPY, ZERO):
+            out = tf.kl_prox(energy, s, eps=1e-3, tau=2e-3, u=0.1)
+            assert np.isnan(out[1]) and np.all(np.isfinite(out[[0, 2]]))
+            assert out[0] == tf.kl_prox(energy, 0.5, eps=1e-3, tau=2e-3, u=0.1)
+        assert np.isnan(tf.kl_prox(ENTROPY, np.nan, eps=1e-3, tau=2e-3))
+        with pytest.raises(RuntimeError, match="kl_prox residual check failed"):
+            tf.kl_prox(POWER2, s, eps=1e-3, tau=2e-3, u=0.1)
+
+    def test_u_must_broadcast_to_the_center(self):
+        with pytest.raises(ValueError):
+            tf.kl_prox(ENTROPY, np.ones(3), eps=1e-3, tau=1e-3, u=np.zeros(4))
+        with pytest.raises(ValueError):
+            tf.kl_prox(ENTROPY, 1.0, eps=1e-3, tau=1e-3, u=np.zeros(2))
+
     @given(st.floats(0.05, 5.0), st.floats(0.05, 5.0))
     @settings(max_examples=100, deadline=None)
     def test_monotone_in_s_property(self, s1, s2):

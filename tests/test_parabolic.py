@@ -7,7 +7,14 @@ import torusflow as tf
 from torusflow.energy import regularize
 from torusflow.grid import grad_values
 
-from conftest import cosine_density, heat_problem, heat_values, mode_amplitude
+from conftest import (
+    ReferenceScheme,
+    cosine_density,
+    heat_problem,
+    heat_values,
+    mode_amplitude,
+    same_bits,
+)
 
 
 def fixed_steps(grid, energy, drift, values, dt, k):
@@ -330,3 +337,128 @@ class TestStepRecord:
         )
         with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="not finite"):
             tf.run_parabolic(prob)
+
+
+def repulsive_problem_2d(n, amplitude, energies, rho0, horizon, h):
+    """2-d potential mode: every species pushed away from every density peak
+    by W = amplitude cos(2 pi x) cos(2 pi y)."""
+    grid = tf.make_grid(2, n)
+    x, y = grid.offset_grids()
+    l = len(energies)
+    kernel = amplitude * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
+    kernels = np.broadcast_to(kernel, (l, l) + grid.shape)
+    return tf.Problem(
+        grid=grid,
+        energies=energies,
+        drift=tf.DriftModel.potential(grid, kernels),
+        rho0=rho0,
+        horizon=horizon,
+        h=h,
+    )
+
+
+class TestMatchesPreChangeStep:
+    """``run_parabolic`` reproduces the pre-change step (``ReferenceScheme``)
+    bit for bit, on cases the shipped configs never reach."""
+
+    def run_both(self, monkeypatch, problem, **kwargs):
+        got = tf.run_parabolic(problem, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr("torusflow.parabolic._Scheme", ReferenceScheme)
+            want = tf.run_parabolic(problem, **kwargs)
+        assert same_bits(got.step_dt, want.step_dt)
+        assert got.step_bound == want.step_bound
+        assert same_bits(got.step_clipped, want.step_clipped)
+        assert same_bits(got.clipped_mass, want.clipped_mass)
+        assert same_bits(got.times, want.times)
+        for state, ref in zip(got.states, want.states, strict=True):
+            for rho, rho_ref in zip(state, ref, strict=True):
+                assert same_bits(rho.values, rho_ref.values)
+        return got
+
+    def test_power_across_both_junctions_with_potential_drift(self, monkeypatch):
+        # eps_reg 0.05 puts the junctions of m = 2 at 0.025 and 10; a narrow
+        # bump reaches above 10 and its tails fall below 0.025.
+        grid = tf.make_grid(2, 12)
+        x, y = grid.offset_grids()
+        rho = tf.normalize(tf.Density(grid, np.exp(-(x**2 + y**2) / (2 * 0.06**2))))
+        reg = regularize(tf.InternalEnergy.power(2.0), 0.05)
+        assert rho.values.min() < reg.delta_eps and rho.values.max() > reg.M_eps
+        prob = repulsive_problem_2d(12, 2.0, (reg.base,), (rho,), horizon=1e-3, h=2.5e-4)
+        traj = self.run_both(monkeypatch, prob, eps_reg=0.05)
+        assert len(traj.step_dt) > 10
+        later = traj.states[1][0].values  # after a few steps
+        assert later.min() < reg.delta_eps and later.max() > reg.M_eps
+
+    @pytest.mark.parametrize(
+        "n, energy, cfl",
+        [(6, tf.InternalEnergy.entropy(), 1.0), (4, tf.InternalEnergy.power(2.0), 0.9)],
+    )
+    def test_clipping_steps(self, monkeypatch, n, energy, cfl):
+        # A strong repulsion at the density peak outruns the advection bound
+        # in 2-d, so steps undershoot and clip.
+        grid = tf.make_grid(2, n)
+        x, y = grid.coordinate_grids()
+        peak = 1 + 0.9 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
+        rho = tf.normalize(tf.Density(grid, peak))
+        prob = repulsive_problem_2d(n, 30.0, (energy,), (rho,), horizon=0.02, h=0.01)
+        traj = self.run_both(monkeypatch, prob, cfl_safety=cfl)
+        assert np.count_nonzero(traj.step_clipped) >= 2
+
+    def test_two_energy_groups(self, monkeypatch):
+        # 1-d velocity mode with power 2 and power 1.5; 2-d potential mode
+        # with entropy and power 3.
+        traj = self.run_both(monkeypatch, velocity_problem_1d())
+        assert len(traj.step_dt) > 10
+        grid = tf.make_grid(2, 8)
+        rho = (cosine_density(grid, 0.4), cosine_density(grid, -0.3))
+        energies = (tf.InternalEnergy.entropy(), tf.InternalEnergy.power(3.0))
+        prob = repulsive_problem_2d(8, 0.5, energies, rho, horizon=8e-3, h=2e-3)
+        traj = self.run_both(monkeypatch, prob)
+        assert len(traj.step_dt) > 10
+
+    def test_heat_problem(self, monkeypatch):
+        self.run_both(monkeypatch, heat_problem(n=64, horizon=4e-3, h=2e-3))
+
+
+class TestStepGuards:
+    """Checks of the step that no solve on valid input reaches."""
+
+    def scheme(self, prob):
+        regs = tuple(regularize(e, 1e-3) for e in prob.energies)
+        return tf.parabolic._Scheme(regs, prob.drift)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_state_raises(self, bad):
+        prob = heat_problem(n=16)
+        values = np.stack([prob.rho0[0].values])
+        values[0, 5] = bad
+        with np.errstate(all="ignore"), pytest.raises(
+            RuntimeError, match="parabolic step produced non-finite values"
+        ):
+            self.scheme(prob).advance(values, None, 1e-5)
+
+    @pytest.mark.parametrize("mode", ["potential", "velocity"])
+    def test_non_finite_drift_velocities_raise(self, mode):
+        grid = tf.make_grid(1, 16)
+        offs = grid.offset_grids()[0]
+        kernel = np.cos(2 * np.pi * offs)
+        drift = (
+            tf.DriftModel.potential(grid, kernel[None, None])
+            if mode == "potential"
+            else tf.DriftModel.velocity(grid, kernel[None, None, None])
+        )
+        prob = tf.Problem(
+            grid=grid,
+            energies=(tf.InternalEnergy.power(2.0),),
+            drift=drift,
+            rho0=(cosine_density(grid, 0.2),),
+            horizon=1e-3,
+            h=1e-3,
+        )
+        values = np.stack([prob.rho0[0].values])
+        values[0, 3] = np.nan
+        with np.errstate(all="ignore"), pytest.raises(
+            RuntimeError, match="drift velocities are not finite"
+        ):
+            self.scheme(prob).velocities(values)

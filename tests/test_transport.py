@@ -4,7 +4,14 @@ import pytest
 import torusflow as tf
 from torusflow.grid import minimal_image
 
-from conftest import cosine_density, exact_w2_permutation, lp_w2_sq, mode_amplitude
+from conftest import (
+    cosine_density,
+    exact_w2_permutation,
+    lp_w2_sq,
+    mode_amplitude,
+    reference_jko_step,
+    same_bits,
+)
 
 
 def atom_density(grid, cells, weights=None):
@@ -228,6 +235,37 @@ class TestSinkhornUnderflow:
         assert resets
         assert got.converged
         assert got.w2_sq == pytest.approx(want.w2_sq, rel=1e-12)
+
+    @pytest.mark.parametrize("index, cell", [(0, (3, 5)), (0, (8, 8)), (1, (0, 0)), (1, (12, 4))])
+    def test_near_empty_column_matches_empty_cell(self, monkeypatch, index, cell):
+        # A near-empty cell of nu underflows its kernel column at each finer
+        # level; the column is reset there, and the kernel is not rebuilt on
+        # every iteration.
+        calls = []
+        gibbs = tf.transport._gibbs
+
+        def counted(*args):
+            calls.append(args[3])
+            return gibbs(*args)
+
+        mu, nu = bump_pair(index)
+        values = nu.values.copy()
+        values[cell] = 0.0
+        want = tf.sinkhorn_w2(mu, tf.normalize(tf.Density(nu.grid, values)), eps=1e-4, tol=1e-9)
+        values[cell] = 1e-300
+        monkeypatch.setattr("torusflow.transport._gibbs", counted)
+        got = tf.sinkhorn_w2(mu, tf.normalize(tf.Density(nu.grid, values)), eps=1e-4, tol=1e-9)
+        assert got.converged
+        assert got.w2_sq == pytest.approx(want.w2_sq, rel=1e-12)
+        assert len(calls) <= 9
+
+    def test_subnormal_column_mass_raises(self):
+        mu, nu = bump_pair(0)
+        values = nu.values.copy()
+        values[3, 5] = 1e-310
+        nu = tf.normalize(tf.Density(nu.grid, values))
+        with pytest.raises(RuntimeError, match=r"column of cell 53 \(mass .*e-31\d\) underflows"):
+            tf.sinkhorn_w2(mu, nu, eps=1e-4, tol=1e-9)
 
     def test_subnormal_cell_mass_raises(self):
         # Its reset row peaks at mass / 256 cells, below the smallest normal.
@@ -460,4 +498,52 @@ class TestJkoStep:
         monkeypatch.setattr(tf.transport, "_JKO_MAX_ITER", 1)
         rho = cosine_density(tf.make_grid(1, 16), 0.2)
         with pytest.raises(RuntimeError, match="jko_step did not converge within 1 iterations"):
+            tf.jko_step(rho, 1e-3, tf.InternalEnergy.entropy(), None, eps=1e-3)
+
+
+class TestJkoStepMatchesPreChangeLoop:
+    """``jko_step`` reproduces the pre-change scaling loop
+    (``reference_jko_step``) bit for bit."""
+
+    def check(self, rho, h, energy, potential, eps, debias=True):
+        out, res = tf.jko_step(rho, h, energy, potential, eps=eps, debias=debias)
+        values, w2_sq, err, iterations = reference_jko_step(
+            rho, h, energy, potential, eps, debias=debias
+        )
+        assert same_bits(out.values, values)
+        assert same_bits(res.w2_sq, w2_sq)
+        assert same_bits(res.plan_marginal_err, err)
+        assert res.iterations == iterations > 1
+
+    def test_1d_entropy_with_potential(self):
+        g = tf.make_grid(1, 48)
+        potential = tf.ScalarField(g, 0.3 * np.sin(2 * np.pi * g.axis_centers) + 0.4)
+        self.check(cosine_density(g, 0.4), 1e-3, tf.InternalEnergy.entropy(), potential, 1e-3)
+
+    def test_2d_power(self):
+        g = tf.make_grid(2, 10)
+        x, y = g.coordinate_grids()
+        potential = tf.ScalarField(g, 0.2 * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y))
+        rho = cosine_density(g, 0.3)
+        self.check(rho, 2e-3, tf.InternalEnergy.power(1.5), potential, 5e-3)
+
+    def test_plain_variant(self):
+        g = tf.make_grid(1, 32)
+        self.check(cosine_density(g, 0.5), 1e-3, tf.InternalEnergy.power(2.0), None, 2e-3, False)
+
+
+class TestJkoStepGuards:
+    def test_scaling_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(tf.transport, "_SCALING_BOUND", 1e-300)
+        rho = cosine_density(tf.make_grid(1, 16), 0.2)
+        with pytest.raises(RuntimeError, match="jko_step scalings left the stable range"):
+            tf.jko_step(rho, 1e-3, tf.InternalEnergy.entropy(), None, eps=1e-3)
+
+    def test_nan_scalings_raise(self, monkeypatch):
+        # A NaN proposal fails the scaling bound within two iterations.
+        monkeypatch.setattr(
+            "torusflow.transport.kl_prox", lambda energy, s, eps, tau, u: np.full_like(s, np.nan)
+        )
+        rho = cosine_density(tf.make_grid(1, 16), 0.2)
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="left the stable range"):
             tf.jko_step(rho, 1e-3, tf.InternalEnergy.entropy(), None, eps=1e-3)
