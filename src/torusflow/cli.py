@@ -179,9 +179,19 @@ def _solve_and_check(cfg: RunConfig):
     trajectory or None, ledger or None, stability or None, constants, rows)."""
     problem = cfg.problem
     traj_jko = run_jko(problem, **cfg.jko) if cfg.solver in ("jko", "both") else None
-    traj_par = (
-        run_parabolic(problem, **cfg.parabolic) if cfg.solver in ("parabolic", "both") else None
-    )
+    wants_par = cfg.solver in ("parabolic", "both")
+    stability_runs = None
+    if cfg.stability is not None:
+        problem_b, margin = cfg.stability
+        # Both stability trajectories march in one lock-step call; the first
+        # is also the finite-volume solution when the solver asks for one.
+        try:
+            stability_runs = run_parabolic(problem, problem_b, **cfg.parabolic)
+        except (RuntimeError, ValueError) as exc:
+            raise type(exc)(f"stability run: {exc}") from exc
+        traj_par = stability_runs[0] if wants_par else None
+    else:
+        traj_par = run_parabolic(problem, **cfg.parabolic) if wants_par else None
 
     ledger = None
     if traj_jko is not None:
@@ -213,12 +223,9 @@ def _solve_and_check(cfg: RunConfig):
     }
 
     stability: StabilitySeries | None = None
-    if cfg.stability is not None:
-        problem_b, margin = cfg.stability
-        stab_a = traj_par or run_parabolic(problem, **cfg.parabolic)
-        stab_b = run_parabolic(problem_b, **cfg.parabolic)
+    if stability_runs is not None:
         constants["c_hat"] = c_hat = stability_constant(sampled)
-        stability = stability_compare(stab_a, stab_b, c_hat=c_hat, margin=margin)
+        stability = stability_compare(*stability_runs, c_hat=c_hat, margin=margin)
         for k, t in enumerate(stability.times):
             series_rows.append(
                 (

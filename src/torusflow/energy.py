@@ -74,7 +74,7 @@ class InternalEnergy:
     def _apply(self, t, fn):
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
-        out = fn(np.atleast_1d(t))
+        out = fn(t.reshape(1) if scalar else t)
         return float(out[0]) if scalar else out
 
     def e(self, t):
@@ -196,7 +196,7 @@ class RegularizedEnergy:
         also fails (M_eps = inf needs no max test: a NaN fails the min)."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
-        tt = np.atleast_1d(t)
+        tt = t.reshape(1) if scalar else t
         out = middle(tt)  # a fresh array: the base maps never return their input
         if tt.size and not (
             tt.min() >= self.delta_eps and (self.M_eps == math.inf or tt.max() <= self.M_eps)

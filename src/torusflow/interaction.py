@@ -12,7 +12,8 @@ lattice offsets k*dx of the working grid:
 
 Every drift evaluation goes through one convolution path, ``_kernel_sums``:
 one batched forward transform of the stacked densities and one batched
-inverse transform of the nonzero kernel terms.  The kernel transforms are
+inverse transform of the nonzero kernel terms, with the terms tiled once per
+run when several runs are stacked.  The kernel transforms are
 taken the first time a model is evaluated and kept on it.
 
 ``estimate_constants`` produces numeric stand-ins for the regularity
@@ -23,7 +24,8 @@ the positive part of the kernel Laplacian/divergence (lap_plus).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -146,6 +148,9 @@ class _KernelTransforms:
     rows: np.ndarray  # field row of each term
     sources: np.ndarray  # species convolved by each term
     hats: np.ndarray  # (terms, *shape) forward transforms of the kernels
+    species: int
+    width: int  # field rows per run
+    _tiles: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of(cls, model: DriftModel) -> "_KernelTransforms":
@@ -165,7 +170,21 @@ class _KernelTransforms:
         picked = np.zeros((len(terms),) + grid.shape)
         for t, (r, j) in enumerate(terms):
             picked[t] = kernels[r // comps, j, r % comps]
-        return cls(rows=rows, sources=sources, hats=_transform(grid, picked, np.fft.fft))
+        hats = _transform(grid, picked, np.fft.fft)
+        return cls(rows=rows, sources=sources, hats=hats, species=l, width=l * comps)
+
+    def tiled(self, runs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, sources, hats) of ``runs`` runs stacked row by row: run r's
+        terms read density row r * species + j and write field row
+        r * width + i, in the same order as one run's."""
+        if runs not in self._tiles:
+            offsets = np.arange(runs)[:, None]
+            self._tiles[runs] = (
+                (offsets * self.width + self.rows).ravel(),
+                (offsets * self.species + self.sources).ravel(),
+                np.concatenate([self.hats] * runs),
+            )
+        return self._tiles[runs]
 
 
 def _transform(grid: Grid, stacked: np.ndarray, fft) -> np.ndarray:
@@ -177,24 +196,27 @@ def _transform(grid: Grid, stacked: np.ndarray, fft) -> np.ndarray:
 
 
 def _kernel_sums(model: DriftModel, values: np.ndarray) -> np.ndarray:
-    """sum_j K_ij * rho_j for stacked densities ``values`` of shape (l, *shape).
+    """sum_j K_ij * rho_j for stacked densities ``values`` of shape
+    (..., l, *shape); leading axes hold separate runs.
 
-    Potential mode returns U, shape (l, *shape), with the nonneg shift added;
-    velocity mode returns V, shape (l, dim, *shape).
+    Potential mode returns U, shape (..., l, *shape), with the nonneg shift
+    added; velocity mode returns V, shape (..., l, dim, *shape).
     """
     grid = model.grid
     l = model.species_count
     tr = model._transforms
+    lead = values.shape[: -1 - grid.dim]
     if model.mode == "potential":
-        out = np.full((l,) + grid.shape, model.nonneg_shift)
+        out = np.full(lead + (l,) + grid.shape, model.nonneg_shift)
     else:
-        out = np.zeros((l, grid.dim) + grid.shape)
+        out = np.zeros(lead + (l, grid.dim) + grid.shape)
     if tr.rows.size:
-        rho_hat = _transform(grid, values, np.fft.fft)
-        conv = np.real(_transform(grid, tr.hats * rho_hat[tr.sources], np.fft.ifft))
+        rows, sources, hats = tr.tiled(math.prod(lead))
+        rho_hat = _transform(grid, values.reshape((-1,) + grid.shape), np.fft.fft)
+        conv = np.real(_transform(grid, hats * rho_hat[sources], np.fft.ifft))
         conv = conv * grid.cell_volume
         flat = out.reshape((-1,) + grid.shape)
-        for row, term in zip(tr.rows, conv):
+        for row, term in zip(rows, conv):
             flat[row] += term
     return out
 

@@ -8,13 +8,19 @@ the flux-difference update conserves mass to roundoff by telescoping, and
 negative undershoots are clipped to zero (renormalizing, with the clipped
 mass accumulated for inspection).
 
-The step runs on all species at once, as one (species, *shape) array.  The
-drift comes from the model's kernel transforms, taken once per run, with one
-batched forward and one batched inverse transform per step; species with
-equal regularized energies are evaluated together, and periodic shifts use
-index arrays built once.  Each step evaluates F'_eps once, and F''_eps once
-for the CFL bound (not for entropy, whose F''_eps is 1).  The fluxes and
-their divergence are formed in place in scratch arrays that the scheme
+The step runs on all species of all runs at once, as one (runs, species,
+*shape) array: problems that share grid, energies, drift, horizon and h and
+differ only in their initial densities march in lock step, so the per-call
+cost of numpy, which dominates on small grids, is paid once per step for all
+of them.  Every operation is per row or per element, so each run comes out
+bit for bit as it would alone.  The CFL bound, dt, guards, clipping and
+records are per run; a run that reaches the horizon drops out of the stack.
+The drift comes from the model's kernel transforms, taken once per model,
+with one batched forward and one batched inverse transform per step; species
+with equal regularized energies are evaluated together, and periodic shifts
+use index arrays built once.  Each step evaluates F'_eps once, and F''_eps
+once for the CFL bound (not for entropy, whose F''_eps is 1).  The fluxes
+and their divergence are formed in place in scratch arrays that the scheme
 holds for the whole run, so a step allocates little beyond the new state.
 Its guards run on the per-species masses, with the full finiteness scan
 only when a mass is not finite.  ``Density`` tuples are built only at
@@ -40,13 +46,27 @@ from .jko import Problem, Trajectory
 __all__ = ["run_parabolic"]
 
 
+def _row_error(cls: type[Exception], message: str, row: int) -> Exception:
+    """A step failure of one row (run) of the stacked values; ``run_parabolic``
+    names the problem that the row belongs to."""
+    exc = cls(message)
+    exc.row = row
+    return exc
+
+
 class _Scheme:
-    """What the stacked step needs from a run, evaluated once per run."""
+    """What the stacked step needs from a set of runs, evaluated once per call.
+
+    Values are stacked as (runs, species, *shape); every operation is per
+    row or per element, so each run evolves exactly as it would alone.
+    """
 
     def __init__(self, reg_energies: tuple[RegularizedEnergy, ...], drift: DriftModel) -> None:
         self.grid = drift.grid
         self.species = len(reg_energies)
         self.drift = drift
+        self.cells = drift.grid.cells
+        self.cell_volume = drift.grid.cell_volume
         # An advection term only where some kernel is nonzero; its transforms
         # are taken here, at run start.
         self.advects = bool(drift._transforms.rows.size)
@@ -58,9 +78,8 @@ class _Scheme:
         cells = np.arange(n)
         self.ahead = (cells + 1) % n  # entry i holds cell i + 1
         self.behind = (cells - 1) % n  # entry i holds cell i - 1
-        # Scratch arrays of the update, reused by every step.
-        stacked = (self.species,) + drift.grid.shape
-        self._flux, self._term, self._divergence = (np.empty(stacked) for _ in range(3))
+        # Scratch arrays of the update, reused by every step with as many runs.
+        self._scratch = (np.empty(0),)
 
     def _pressure(self, values: np.ndarray) -> np.ndarray:
         """F'_eps on stacked values, one call per energy group."""
@@ -68,27 +87,36 @@ class _Scheme:
             return self.groups[0][0].f_prime(values)
         out = np.empty_like(values)
         for reg, idx in self.groups:
-            out[idx] = reg.f_prime(values[idx])
+            out[:, idx] = reg.f_prime(values[:, idx])
         return out
 
-    def _curvature(self, values: np.ndarray) -> float:
-        """Largest F''_eps over all species.  Entropy's F''_eps is 1 on
-        nonnegative values (its delta_eps is 0), so it is not evaluated."""
+    def _curvature(self, values: np.ndarray) -> list[float]:
+        """Largest F''_eps over all species, per run.  Entropy's F''_eps is 1
+        on nonnegative values (its delta_eps is 0), so it is not evaluated."""
+        runs = len(values)
         single = len(self.groups) == 1
-        return max(
-            1.0
-            if reg.base.kind == "entropy"
-            else float(reg.f_second(values if single else values[idx]).max())
-            for reg, idx in self.groups
-        )
+        largest: list[float] | None = None
+        for reg, idx in self.groups:
+            if reg.base.kind == "entropy":
+                group = [1.0] * runs
+            else:
+                fpp = reg.f_second(values if single else values[:, idx])
+                group = fpp.reshape(runs, -1).max(axis=1).tolist()
+            largest = group if largest is None else list(map(max, largest, group))
+        return largest
 
     def _masses(self, values: np.ndarray) -> list[float]:
-        vol = self.grid.cell_volume
-        return [m * vol for m in values.reshape(self.species, -1).sum(axis=1).tolist()]
+        """Mass of every (run, species) row, flat: row k belongs to run
+        k // species."""
+        vol = self.cell_volume
+        return [m * vol for m in values.reshape(-1, self.cells).sum(axis=1).tolist()]
 
-    def velocities(self, values: np.ndarray) -> tuple[np.ndarray | None, float, str]:
-        """Face velocities (species, dim, *shape), component a at face i+1/2,
-        with the largest admissible dt and the CFL term that sets it.
+    def velocities(
+        self, values: np.ndarray
+    ) -> tuple[np.ndarray | None, list[float], list[str]]:
+        """Face velocities (runs, species, dim, *shape), component a at face
+        i+1/2, with each run's largest admissible dt and the CFL term that
+        sets it.
 
         Potential mode differences the potential across the face (exactly the
         staggered gradient); velocity mode averages the collocated field onto
@@ -96,47 +124,59 @@ class _Scheme:
         min(dx^2 / (4 max F''_eps), dx / (2 max |V|)).
         """
         grid, dx = self.grid, self.grid.dx
-        curvature = self._curvature(values)
-        diffusion = 0.25 * dx**2 / curvature if curvature > 0 else np.inf
+        runs = len(values)
+        diffusion = [
+            0.25 * dx**2 / curvature if curvature > 0 else np.inf
+            for curvature in self._curvature(values)
+        ]
         if not self.advects:
-            return None, float(diffusion), "diffusion"
+            return None, diffusion, ["diffusion"] * runs
         fields = _kernel_sums(self.drift, values)
-        faces = np.empty((self.species, grid.dim) + grid.shape)
+        faces = np.empty((runs, self.species, grid.dim) + grid.shape)
         for a in range(grid.dim):
-            face = faces[:, a]
+            face = faces[:, :, a]
             if self.drift.mode == "potential":  # -(U_ahead - U) / dx
-                fields.take(self.ahead, axis=1 + a, out=face, mode="wrap")
+                fields.take(self.ahead, axis=2 + a, out=face, mode="wrap")
                 face -= fields
                 face /= -dx
             else:  # (V_ahead + V) / 2
-                comp = fields[:, a]
-                comp.take(self.ahead, axis=1 + a, out=face, mode="wrap")
+                comp = fields[:, :, a]
+                comp.take(self.ahead, axis=2 + a, out=face, mode="wrap")
                 face += comp
                 face *= 0.5
         # The largest |V| is NaN or inf exactly when some face velocity is.
-        vmax = float(np.abs(faces).max())
-        if not math.isfinite(vmax):
-            raise RuntimeError("drift velocities are not finite")
-        advection = 0.5 * dx / vmax if vmax > 0 else np.inf
-        if advection < diffusion:
-            return faces, float(advection), "advection"
-        return faces, float(diffusion), "diffusion"
+        vmax = np.abs(faces).reshape(runs, -1).max(axis=1).tolist()
+        limits, terms = [], []
+        for row, (v, d) in enumerate(zip(vmax, diffusion)):
+            if not math.isfinite(v):
+                raise _row_error(RuntimeError, "drift velocities are not finite", row)
+            advection = 0.5 * dx / v if v > 0 else np.inf
+            if advection < d:
+                limits.append(advection)
+                terms.append("advection")
+            else:
+                limits.append(d)
+                terms.append("diffusion")
+        return faces, limits, terms
 
     def advance(
-        self, values: np.ndarray, faces: np.ndarray | None, dt: float
-    ) -> tuple[np.ndarray, float]:
-        """One update with velocities already evaluated on values and a dt
-        within their bound; returns the new values and the mass clipped."""
+        self, values: np.ndarray, faces: np.ndarray | None, dt: list[float]
+    ) -> tuple[np.ndarray, list[float]]:
+        """One update with velocities already evaluated on values and, per
+        run, a dt within their bound; returns the new values and the mass
+        clipped from each run."""
         grid, dx = self.grid, self.grid.dx
+        if self._scratch[0].shape != values.shape:
+            self._scratch = tuple(np.empty(values.shape) for _ in range(3))
+        flux, term, divergence = self._scratch
         pressure = self._pressure(values)
-        flux, term, divergence = self._flux, self._term, self._divergence
         for a in range(grid.dim):
-            axis = 1 + a
+            axis = 2 + a
             pressure.take(self.ahead, axis=axis, out=flux, mode="wrap")
             flux -= pressure
             flux /= -dx  # -(p_ahead - p) / dx
             if faces is not None:
-                w = faces[:, a]
+                w = faces[:, :, a]
                 values.take(self.ahead, axis=axis, out=term, mode="wrap")
                 np.copyto(term, values, where=w >= 0)  # the upwind cell
                 term *= w
@@ -151,35 +191,129 @@ class _Scheme:
                 flux.take(self.behind, axis=axis, out=divergence, mode="wrap")
                 np.subtract(flux, divergence, out=divergence)
                 divergence /= dx
-        divergence *= dt
+        # Transposed, the runs axis comes last, so dt broadcasts one per run.
+        by_run = divergence.T
+        by_run *= dt
         updated = values - divergence
-        # A sum is finite only if every summand is, so the full test runs
-        # only when some species' mass is not finite.
+        species = self.species
         pre_clip_mass = self._masses(updated)
-        if not all(map(math.isfinite, pre_clip_mass)) and not np.isfinite(updated).all():
-            raise RuntimeError("parabolic step produced non-finite values")
+        # A sum is finite only if every summand is, so the full test runs
+        # only on a run with some mass that is not finite.
+        if not all(map(math.isfinite, pre_clip_mass)):
+            for k, p in enumerate(pre_clip_mass):
+                if not math.isfinite(p) and not np.isfinite(updated[k // species]).all():
+                    raise _row_error(
+                        RuntimeError, "parabolic step produced non-finite values", k // species
+                    )
         mass = self._masses(values)
-        if any(abs(p - m) > 1e-13 * max(1.0, m) for p, m in zip(pre_clip_mass, mass)):
-            raise RuntimeError("flux telescoping violated; mass drifted in one step")
-        clipped = 0.0
+        drifted = [abs(p - m) > 1e-13 * max(1.0, m) for p, m in zip(pre_clip_mass, mass)]
+        if True in drifted:
+            raise _row_error(
+                RuntimeError,
+                "flux telescoping violated; mass drifted in one step",
+                drifted.index(True) // species,
+            )
+        # A run without negative values clips 0.0 from each species and keeps
+        # its masses exactly, so every run is treated alike.
+        clipped = [0.0] * len(values)
         negative = updated.min() < 0
         if negative:
-            for c in self._masses(np.minimum(updated, 0.0)):
-                clipped -= c
+            for k, c in enumerate(self._masses(np.minimum(updated, 0.0))):
+                clipped[k // species] -= c
         np.maximum(updated, 0.0, out=updated)  # also turns -0.0 into 0.0
         totals = self._masses(updated) if negative else pre_clip_mass
-        if any(t <= 0 for t in totals):
-            raise ValueError("degenerate density: total mass is not positive")
-        for species, total in zip(updated, totals):
-            species /= total
+        if min(totals) <= 0:
+            empty = [t <= 0 for t in totals].index(True)
+            raise _row_error(
+                ValueError, "degenerate density: total mass is not positive", empty // species
+            )
+        by_row = updated.reshape(-1, self.cells).T
+        by_row /= totals
         return updated, clipped
 
 
+class _Run:
+    """One problem's walk over the record times, with its per-step record."""
+
+    def __init__(self, index: int, problem: Problem, record_times: list[float]) -> None:
+        self.index = index
+        self.record_times = record_times
+        self.target = 0  # index of the next record time
+        self.time = 0.0
+        self.clipped_mass = 0.0
+        self.step_dt: list[float] = []
+        self.step_bound: list[str] = []
+        self.step_clipped: list[float] = []
+        self.states: list[tuple[Density, ...]] = [problem.rho0]
+        self.times = [0.0]
+        self.done = False
+        self._aim()
+
+    def _aim(self) -> None:
+        """Set the next record time and the time past which it is reached."""
+        self.next_time = self.record_times[self.target]
+        # The tolerance spares a roundoff-sized last step.  It shrinks with
+        # record intervals below 1e-10, so every record takes at least one
+        # step and recorded times strictly increase.
+        self.reached = self.next_time - min(1e-13, 1e-3 * (self.next_time - self.time))
+
+    def record(self, grid, values: np.ndarray) -> None:
+        """Record values at every record time reached: one, but for
+        intervals below the loop tolerance."""
+        while not self.time < self.reached:
+            self.states.append(tuple(Density(grid, v) for v in values))
+            self.times.append(self.time)
+            self.target += 1
+            self.done = self.target == len(self.record_times)
+            if self.done:
+                return
+            self._aim()
+
+    def trajectory(self, grid, h: float) -> Trajectory:
+        return Trajectory(
+            grid=grid,
+            h=h,
+            times=np.asarray(self.times),
+            states=self.states,
+            clipped_mass=self.clipped_mass,
+            step_dt=np.asarray(self.step_dt),
+            step_bound=tuple(self.step_bound),
+            step_clipped=np.asarray(self.step_clipped),
+        )
+
+
+def _same_drift(a: DriftModel, b: DriftModel) -> bool:
+    return a is b or (
+        a.grid == b.grid
+        and a.mode == b.mode
+        and a.nonneg_shift == b.nonneg_shift
+        and np.array_equal(a.kernels, b.kernels)
+    )
+
+
+def _check_lock_step(problems: tuple[Problem, ...]) -> None:
+    """Problems marched together share everything but their initial data."""
+    first = problems[0]
+    for k, other in enumerate(problems[1:], 1):
+        for name, same in (
+            ("grid", other.grid == first.grid),
+            ("energies", other.energies == first.energies),
+            ("drift", _same_drift(other.drift, first.drift)),
+            ("horizon", other.horizon == first.horizon),
+            ("h", other.h == first.h),
+        ):
+            if not same:
+                raise ValueError(
+                    f"problem {k} differs from problem 0 in {name}; problems run "
+                    "together share grid, energies, drift, horizon and h"
+                )
+
+
 def run_parabolic(
-    problem: Problem,
+    *problems: Problem,
     eps_reg: float = 1e-3,
     cfl_safety: float = 0.9,
-) -> Trajectory:
+) -> Trajectory | tuple[Trajectory, ...]:
     """March the regularized equation to the problem horizon.
 
     Velocities are re-evaluated from the current densities once per step and
@@ -187,49 +321,58 @@ def run_parabolic(
     problem h (and at the horizon), so trajectories are directly comparable
     with the minimizing-movement route.  Each step's dt, the CFL term that
     bounded it and the mass it clipped are recorded on the trajectory.
+
+    Several problems that differ only in their initial densities march in
+    lock step, one stacked step for all, each with its own dt and records;
+    a run that has reached the horizon takes no further step.  Each
+    trajectory is bit for bit the one its problem gives alone.  One problem
+    returns its Trajectory, several a tuple with one per problem; a step
+    failure of a lock-step call names the problem's index.
     """
+    if not problems:
+        raise TypeError("run_parabolic needs at least one problem")
     if not (0 < cfl_safety <= 1):
         raise ValueError("cfl_safety must lie in (0, 1]")
-    reg = tuple(regularize(e, eps_reg) for e in problem.energies)
-    grid = problem.grid
-    h = problem.h
-    record_times = h * np.arange(1, int(np.floor(problem.horizon / h)) + 1)
-    if record_times.size == 0 or record_times[-1] < problem.horizon - 1e-12:
-        record_times = np.append(record_times, problem.horizon)
+    _check_lock_step(problems)
+    first = problems[0]
+    reg = tuple(regularize(e, eps_reg) for e in first.energies)
+    grid, h = first.grid, first.h
+    record_times = h * np.arange(1, int(np.floor(first.horizon / h)) + 1)
+    if record_times.size == 0 or record_times[-1] < first.horizon - 1e-12:
+        record_times = np.append(record_times, first.horizon)
+    record_times = record_times.tolist()
 
-    scheme = _Scheme(reg, problem.drift)
-    values = np.stack([rho.values for rho in problem.rho0])
-    time = 0.0
-    clipped_mass = 0.0
-    step_dt: list[float] = []
-    step_bound: list[str] = []
-    step_clipped: list[float] = []
-    states: list[tuple[Density, ...]] = [problem.rho0]
-    times = [0.0]
-    for target in record_times:
-        # The tolerance spares a roundoff-sized last step.  It shrinks with
-        # record intervals below 1e-10, so every record takes at least one
-        # step and recorded times strictly increase.
-        tol = min(1e-13, 1e-3 * (target - time))
-        while time < target - tol:
-            faces, limit, term = scheme.velocities(values)
-            dt = min(cfl_safety * limit, target - time)
-            values, clipped = scheme.advance(values, faces, dt)
-            time = time + dt
-            clipped_mass = clipped_mass + clipped
-            step_dt.append(dt)
-            step_bound.append(term)
-            step_clipped.append(clipped)
-        states.append(tuple(Density(grid, v) for v in values))
-        times.append(time)
+    scheme = _Scheme(reg, first.drift)
+    values = np.stack([[rho.values for rho in p.rho0] for p in problems])
+    runs = [_Run(k, p, record_times) for k, p in enumerate(problems)]
+    active = runs
+    while active:
+        try:
+            faces, limits, terms = scheme.velocities(values)
+            dts = [
+                min(cfl_safety * limit, run.next_time - run.time)
+                for run, limit in zip(active, limits)
+            ]
+            values, clipped = scheme.advance(values, faces, dts)
+        except (RuntimeError, ValueError) as exc:
+            row = getattr(exc, "row", None)
+            if len(problems) == 1 or row is None:
+                raise
+            raise type(exc)(f"problem {active[row].index}: {exc}") from exc
+        finished = False
+        for row, (run, dt, term, c) in enumerate(zip(active, dts, terms, clipped)):
+            run.time = run.time + dt
+            run.clipped_mass = run.clipped_mass + c
+            run.step_dt.append(dt)
+            run.step_bound.append(term)
+            run.step_clipped.append(c)
+            if not run.time < run.reached:
+                run.record(grid, values[row])
+                finished = finished or run.done
+        if finished:
+            keep = [row for row, run in enumerate(active) if not run.done]
+            values = values[keep]
+            active = [active[row] for row in keep]
 
-    return Trajectory(
-        grid=grid,
-        h=h,
-        times=np.asarray(times),
-        states=states,
-        clipped_mass=clipped_mass,
-        step_dt=np.asarray(step_dt),
-        step_bound=tuple(step_bound),
-        step_clipped=np.asarray(step_clipped),
-    )
+    trajectories = tuple(run.trajectory(grid, h) for run in runs)
+    return trajectories[0] if len(problems) == 1 else trajectories

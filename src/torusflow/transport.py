@@ -175,13 +175,17 @@ def sinkhorn_w2(
     g = np.zeros_like(b)
     total_iter = 0
     first_stop = 2
-    near_empty_cols = np.zeros(0, dtype=int)  # columns that underflowed at some level
+    # Rows and columns that underflowed at some level.
+    near_empty_rows = near_empty_cols = np.zeros(0, dtype=int)
     levels = _eps_schedule(eps, float(np.max(c_full)))
     for level in levels:
         level_tol = tol if level == eps else max(tol, 1e-7)
         level_budget = (
             _SINKHORN_MAX_ITER - total_iter if level == eps else min(5000, _SINKHORN_MAX_ITER)
         )
+        if near_empty_rows.size:
+            i = near_empty_rows
+            f[i] = _row_reset(g, c[i], a[i], level)
         if near_empty_cols.size:
             j = near_empty_cols
             g[j] = _row_reset(f, c[:, j].T, b[j], level)
@@ -195,10 +199,13 @@ def sinkhorn_w2(
                 # by this 5x smaller one, so its row's entries are raised to
                 # the 5th power and can all underflow.  Reset f against g;
                 # the reset rows match their marginals at once, so the stop
-                # test waits for one full u/v alternation.  The first level
+                # test waits for one full u/v alternation.  Each finer level
+                # would underflow these rows again, so every later level
+                # resets them before it builds its kernel.  The first level
                 # has no absorbed potential to blame, so there a zero row
                 # raises at once.
                 if level != levels[0]:
+                    near_empty_rows = np.union1d(near_empty_rows, np.flatnonzero(kv <= 0))
                     g = g + level * np.log(v)
                     f = _row_reset(g, c, a, level)
                     kernel = _gibbs(f, g, c, level)
@@ -386,14 +393,17 @@ def _gibbs_axis_cost(grid: Grid, h: float, eps: float) -> np.ndarray:
     """
     x = grid.axis_centers
     c1 = minimal_image(x[:, None] - x[None, :]) ** 2
-    spread, tau = grid.dim * float(np.max(c1)), 2.0 * h
-    if max(spread, tau) / eps > 600.0:
-        need = max(spread, tau) / 600.0
+    spread = grid.dim * float(np.max(c1))
+    # tau / eps and tau / 600 as 2 (h / eps) and h / 300: the same values,
+    # and finite for every finite h, where tau = 2h overflows near the
+    # float maximum.
+    if max(spread / eps, 2.0 * (h / eps)) > 600.0:
+        need = max(spread / 600.0, h / 300.0)
         unit = 10.0 ** (math.floor(math.log10(need)) - 2)
         least = math.ceil(need * (1 + 1e-12) / unit) * unit
         reason = (
             "the Gibbs kernel on this grid"
-            if spread >= tau
+            if spread >= 2.0 * h
             else "h (h/eps is too large for stable scalings)"
         )
         raise ValueError(

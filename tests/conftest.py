@@ -177,10 +177,21 @@ def _reference_regularized(reg, method: str, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _on_row(row, step, *args):
+    """step(*args) for one run, its row set on a step failure."""
+    try:
+        return step(*args)
+    except (RuntimeError, ValueError) as exc:
+        exc.row = row
+        raise
+
+
 class ReferenceScheme:
     """The stacked finite-volume step with fresh temporaries, a zeroed
     divergence accumulator and every check on whole arrays; a drop-in
-    replacement for ``torusflow.parabolic._Scheme``."""
+    replacement for ``torusflow.parabolic._Scheme``.  ``velocities`` and
+    ``advance`` take (runs, species, *shape) values and a dt per run, and
+    step each run on its own; a failing run's row is set on the error."""
 
     def __init__(self, reg_energies, drift) -> None:
         self.grid = drift.grid
@@ -206,6 +217,18 @@ class ReferenceScheme:
         return values.reshape(self.species, -1)
 
     def velocities(self, values):
+        out = [_on_row(row, self._run_velocities, v) for row, v in enumerate(values)]
+        faces = None if out[0][0] is None else np.stack([f for f, _, _ in out])
+        return faces, [limit for _, limit, _ in out], [term for _, _, term in out]
+
+    def advance(self, values, faces, dt):
+        out = [
+            _on_row(row, self._run_advance, v, None if faces is None else faces[row], d)
+            for row, (v, d) in enumerate(zip(values, dt))
+        ]
+        return np.stack([u for u, _ in out]), [c for _, c in out]
+
+    def _run_velocities(self, values):
         grid, dx = self.grid, self.grid.dx
         fpp_max = self._per_species(self._energy("f_second", values)).max(axis=1)
         diffusion = min((0.25 * dx**2 / f for f in fpp_max if f > 0), default=np.inf)
@@ -227,7 +250,7 @@ class ReferenceScheme:
             return faces, float(advection), "advection"
         return faces, float(diffusion), "diffusion"
 
-    def advance(self, values, faces, dt):
+    def _run_advance(self, values, faces, dt):
         grid, dx, vol = self.grid, self.grid.dx, self.grid.cell_volume
         pressure = self._energy("f_prime", values)
         divergence = np.zeros_like(values)

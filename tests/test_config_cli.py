@@ -434,6 +434,26 @@ class TestRunCli:
         assert "solver failure: species 0 transport did not converge" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_failed_stability_trajectory_is_solver_failure(self, tmp_path, capsys, monkeypatch):
+        # The two stability runs march in one call; only the second one's
+        # drift is poisoned.
+        kernel_sums = tf.parabolic._kernel_sums
+
+        def poisoned(model, values):
+            out = kernel_sums(model, values)
+            if len(values) == 2:
+                out[1] = np.nan
+            return out
+
+        monkeypatch.setattr("torusflow.parabolic._kernel_sums", poisoned)
+        out_dir = tmp_path / "out"
+        path = write_config(tmp_path, stability_config(str(out_dir)))
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "solver failure: stability run: problem 1: drift velocities are not finite" in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "config, reference",
         [("heat.json", "heat"), ("two_species_stability.json", "stability")],
@@ -656,6 +676,12 @@ class TestRunCli:
             ),
             pytest.param(
                 {"jko": {"h": 1.0, "eps": 1e-3}}, "h/eps is too large", id="h-over-eps"
+            ),
+            pytest.param(
+                # 2h overflows to inf.
+                {"horizon": 1.7e308, "jko": {"h": 8.98846567431158e307}},
+                "h/eps is too large",
+                id="h-near-float-max",
             ),
         ],
     )

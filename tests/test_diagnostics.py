@@ -268,6 +268,16 @@ class TestStability:
         with pytest.raises(ValueError, match="time grids"):
             tf.stability_compare(traj_a, short, c_hat=1.0)
 
+    def test_record_times_compared_at_their_spacing(self):
+        # Records at 2e-10 and 4e-10 against 3e-10 and 6e-10 lie within
+        # numpy's default absolute tolerance of 1e-8, but a third of an
+        # interval apart.
+        traj_a = tf.run_parabolic(heat_problem(n=16, horizon=4e-10, h=2e-10))
+        traj_b = tf.run_parabolic(heat_problem(n=16, horizon=6e-10, h=3e-10))
+        assert len(traj_a.times) == len(traj_b.times) == 3
+        with pytest.raises(ValueError, match="time grids"):
+            tf.stability_compare(traj_a, traj_b, c_hat=1.0)
+
     def test_unconverged_solve_raises(self, unconverged_transport):
         traj_a, traj_b = self._two_trajectories(shift_cells=1, dim=2, n=6)
         with pytest.raises(RuntimeError, match="species 0 transport did not converge"):

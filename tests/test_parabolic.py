@@ -1,9 +1,11 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import torusflow as tf
+from torusflow.config import parse_config
 from torusflow.energy import regularize
 from torusflow.grid import grad_values
 
@@ -15,6 +17,8 @@ from conftest import (
     mode_amplitude,
     same_bits,
 )
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def fixed_steps(grid, energy, drift, values, dt, k):
@@ -339,6 +343,18 @@ class TestStepRecord:
             tf.run_parabolic(prob)
 
 
+def assert_same_trajectory(got, want):
+    """Equal bit for bit: states, times and the per-step record."""
+    assert same_bits(got.step_dt, want.step_dt)
+    assert got.step_bound == want.step_bound
+    assert same_bits(got.step_clipped, want.step_clipped)
+    assert same_bits(got.clipped_mass, want.clipped_mass)
+    assert same_bits(got.times, want.times)
+    for state, ref in zip(got.states, want.states, strict=True):
+        for rho, rho_ref in zip(state, ref, strict=True):
+            assert same_bits(rho.values, rho_ref.values)
+
+
 def repulsive_problem_2d(n, amplitude, energies, rho0, horizon, h):
     """2-d potential mode: every species pushed away from every density peak
     by W = amplitude cos(2 pi x) cos(2 pi y)."""
@@ -366,14 +382,7 @@ class TestMatchesPreChangeStep:
         with monkeypatch.context() as m:
             m.setattr("torusflow.parabolic._Scheme", ReferenceScheme)
             want = tf.run_parabolic(problem, **kwargs)
-        assert same_bits(got.step_dt, want.step_dt)
-        assert got.step_bound == want.step_bound
-        assert same_bits(got.step_clipped, want.step_clipped)
-        assert same_bits(got.clipped_mass, want.clipped_mass)
-        assert same_bits(got.times, want.times)
-        for state, ref in zip(got.states, want.states, strict=True):
-            for rho, rho_ref in zip(state, ref, strict=True):
-                assert same_bits(rho.values, rho_ref.values)
+        assert_same_trajectory(got, want)
         return got
 
     def test_power_across_both_junctions_with_potential_drift(self, monkeypatch):
@@ -421,6 +430,109 @@ class TestMatchesPreChangeStep:
         self.run_both(monkeypatch, heat_problem(n=64, horizon=4e-3, h=2e-3))
 
 
+class TestLockStep:
+    """Problems marched together come out bit for bit as each does alone."""
+
+    def run_lock_step(self, *problems, **kwargs):
+        together = tf.run_parabolic(*problems, **kwargs)
+        assert isinstance(together, tuple) and len(together) == len(problems)
+        for problem, got in zip(problems, together):
+            assert_same_trajectory(got, tf.run_parabolic(problem, **kwargs))
+        return together
+
+    def test_shipped_stability_pair(self):
+        cfg = parse_config(REPO / "configs" / "two_species_stability.json")
+        a, b = self.run_lock_step(cfg.problem, cfg.stability[0], **cfg.parabolic)
+        # Unequal step counts: the first run takes its last steps alone.
+        assert (len(a.step_dt), len(b.step_dt)) == (2071, 2057)
+
+    def test_2d_potential_pair_where_one_run_clips(self):
+        grid = tf.make_grid(2, 6)
+        x, y = grid.coordinate_grids()
+        peak = 1 + 0.9 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
+        peak = tf.normalize(tf.Density(grid, peak))
+        calm = tf.normalize(tf.Density(grid, 1 + 0.01 * np.cos(2 * np.pi * x)))
+        energy = (tf.InternalEnergy.entropy(),)
+        prob = repulsive_problem_2d(6, 30.0, energy, (peak,), horizon=0.02, h=0.01)
+        clips, steady = self.run_lock_step(
+            prob, dataclasses.replace(prob, rho0=(calm,)), cfl_safety=1.0
+        )
+        assert np.count_nonzero(clips.step_clipped) >= 2
+        assert not np.any(steady.step_clipped)
+
+    def test_two_energy_groups(self):
+        prob = velocity_problem_1d()
+        rng = np.random.default_rng(5)
+        rho0 = tuple(
+            tf.normalize(tf.Density(prob.grid, 1 + 0.3 * rng.uniform(-1, 1, prob.grid.shape)))
+            for _ in range(2)
+        )
+        self.run_lock_step(prob, dataclasses.replace(prob, rho0=rho0))
+
+    def test_drift_free_entropy_runs(self):
+        prob = heat_problem(n=64, horizon=4e-3, h=2e-3)
+        other = dataclasses.replace(prob, rho0=(cosine_density(prob.grid, 0.2, frequency=3),))
+        self.run_lock_step(prob, other, prob)
+
+    @pytest.mark.parametrize("field", ["grid", "energies", "drift", "horizon", "h"])
+    def test_problems_must_share_all_but_initial_data(self, field):
+        prob = velocity_problem_1d()
+        if field == "grid":
+            grid = tf.make_grid(1, 16)
+            other = tf.Problem(
+                grid=grid,
+                energies=prob.energies,
+                drift=tf.DriftModel.none(grid, species=2, mode="velocity"),
+                rho0=(cosine_density(grid, 0.2), cosine_density(grid, 0.3)),
+                horizon=prob.horizon,
+                h=prob.h,
+            )
+        else:
+            changed = {
+                "energies": (tf.InternalEnergy.power(2.0),) * 2,
+                "drift": tf.DriftModel.velocity(prob.grid, 2.0 * prob.drift.kernels),
+                "horizon": 2 * prob.horizon,
+                "h": prob.h / 2,
+            }[field]
+            other = dataclasses.replace(prob, **{field: changed})
+        with pytest.raises(ValueError, match=f"problem 1 differs from problem 0 in {field};"):
+            tf.run_parabolic(prob, other)
+
+    def test_equal_drift_models_may_be_distinct_objects(self):
+        prob = velocity_problem_1d()
+        twin = dataclasses.replace(
+            prob, drift=tf.DriftModel.velocity(prob.grid, prob.drift.kernels.copy())
+        )
+        self.run_lock_step(prob, twin)
+
+    def test_step_failure_names_the_problem(self, monkeypatch):
+        # Poison the drift of one row of the stack: the second run's at the
+        # first step, then the first run's once it steps alone.
+        cfg = parse_config(REPO / "configs" / "two_species_stability.json")
+        kernel_sums = tf.parabolic._kernel_sums
+        row_count = []
+
+        def poisoned(model, values):
+            out = kernel_sums(model, values)
+            if len(values) == row_count[0]:
+                out[-1] = np.nan
+            return out
+
+        monkeypatch.setattr("torusflow.parabolic._kernel_sums", poisoned)
+        pair = (cfg.problem, cfg.stability[0])
+        for rows, index in ((2, 1), (1, 0)):
+            row_count[:] = [rows]
+            with np.errstate(all="ignore"), pytest.raises(
+                RuntimeError, match=f"^problem {index}: drift velocities are not finite$"
+            ):
+                tf.run_parabolic(*pair, **cfg.parabolic)
+        # One problem alone keeps the bare message.
+        with np.errstate(all="ignore"), pytest.raises(
+            RuntimeError, match="^drift velocities are not finite$"
+        ):
+            tf.run_parabolic(cfg.problem, **cfg.parabolic)
+
+
 class TestStepGuards:
     """Checks of the step that no solve on valid input reaches."""
 
@@ -431,12 +543,12 @@ class TestStepGuards:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_state_raises(self, bad):
         prob = heat_problem(n=16)
-        values = np.stack([prob.rho0[0].values])
-        values[0, 5] = bad
+        values = np.stack([prob.rho0[0].values])[None]
+        values[0, 0, 5] = bad
         with np.errstate(all="ignore"), pytest.raises(
             RuntimeError, match="parabolic step produced non-finite values"
         ):
-            self.scheme(prob).advance(values, None, 1e-5)
+            self.scheme(prob).advance(values, None, [1e-5])
 
     @pytest.mark.parametrize("mode", ["potential", "velocity"])
     def test_non_finite_drift_velocities_raise(self, mode):
@@ -456,8 +568,8 @@ class TestStepGuards:
             horizon=1e-3,
             h=1e-3,
         )
-        values = np.stack([prob.rho0[0].values])
-        values[0, 3] = np.nan
+        values = np.stack([prob.rho0[0].values])[None]
+        values[0, 0, 3] = np.nan
         with np.errstate(all="ignore"), pytest.raises(
             RuntimeError, match="drift velocities are not finite"
         ):

@@ -236,6 +236,25 @@ class TestSinkhornUnderflow:
         assert got.converged
         assert got.w2_sq == pytest.approx(want.w2_sq, rel=1e-12)
 
+    @pytest.mark.parametrize("mass", [1e-100, 1e-250])
+    def test_near_empty_row_is_reset_before_each_build(self, monkeypatch, mass):
+        # The rescued row is remembered, so each finer level builds its
+        # kernel once: one more build than the zero cell's 6, at the level
+        # where the row first underflows.
+        calls = []
+        gibbs = tf.transport._gibbs
+
+        def counted(*args):
+            calls.append(args[3])
+            return gibbs(*args)
+
+        want = tf.sinkhorn_w2(*bump_pair(0, 0.0), eps=1e-4, tol=1e-9)
+        monkeypatch.setattr("torusflow.transport._gibbs", counted)
+        got = tf.sinkhorn_w2(*bump_pair(0, mass), eps=1e-4, tol=1e-9)
+        assert got.converged
+        assert got.w2_sq == pytest.approx(want.w2_sq, rel=1e-12)
+        assert len(calls) <= 7
+
     @pytest.mark.parametrize("index, cell", [(0, (3, 5)), (0, (8, 8)), (1, (0, 0)), (1, (12, 4))])
     def test_near_empty_column_matches_empty_cell(self, monkeypatch, index, cell):
         # A near-empty cell of nu underflows its kernel column at each finer
