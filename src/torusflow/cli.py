@@ -14,7 +14,7 @@ lowercase scientific text):
     states_parabolic.csv  second state set when solver = both
     ledger.csv   per-step dissipation bookkeeping (minimizing-movement runs)
     series.csv   comparison series (cross-solver L1, stability bound)
-    meta.json    resolved config, version, measured constants, ledger slack
+    meta.json    resolved config, version, drift constants, ledger slack
                  (when a ledger exists)
 
 Exit codes: 0 success, 1 flagged inequality under --strict, 2 configuration,
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import errno
 import json
 import sys
@@ -37,7 +38,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, parse_config
 from .diagnostics import Ledger, StabilitySeries, energy_ledger, stability_compare
 from .grid import Density, make_grid, normalize
-from .interaction import as_velocity_model, estimate_constants, stability_constant
+from .interaction import stability_constant
 from .jko import Trajectory, run_jko
 from .parabolic import run_parabolic
 from .transport import species_w2_sq
@@ -213,18 +214,10 @@ def _solve_and_check(cfg: RunConfig):
                     ("cross_l1", _fmt(traj_jko.times[ka]), i, _fmt(l1), "")
                 )
 
-    # One sampled pass, on the velocity-kernel form, feeds meta's lip_w2 and
-    # c_hat; the kernel bounds were computed when the config loaded.
-    sampled = estimate_constants(as_velocity_model(problem.drift))
-    constants = {
-        "lip_x": cfg.load_constants.lip_x,
-        "lip_w2": sampled.lip_w2,
-        "lap_plus": cfg.load_constants.lap_plus,
-    }
-
+    constants = dataclasses.asdict(cfg.load_constants)
     stability: StabilitySeries | None = None
     if stability_runs is not None:
-        constants["c_hat"] = c_hat = stability_constant(sampled)
+        constants["c_hat"] = c_hat = stability_constant(cfg.load_constants)
         stability = stability_compare(*stability_runs, c_hat=c_hat, margin=margin)
         for k, t in enumerate(stability.times):
             series_rows.append(

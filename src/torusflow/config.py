@@ -30,6 +30,7 @@ from .interaction import (
     DriftConstants,
     DriftModel,
     _kernel_sums_bound,
+    as_velocity_model,
     cosine_kernel,
     estimate_constants,
     gaussian_bump_kernel,
@@ -178,7 +179,7 @@ class RunConfig:
     stability: tuple[Problem, float] | None  # the second run and its margin
     output_cadence: int
     output_directory: str | None
-    load_constants: DriftConstants  # kernel-based drift bounds from parse time
+    load_constants: DriftConstants  # the velocity form's drift bounds
     warnings: list[str]
     resolved: dict
 
@@ -386,28 +387,29 @@ def parse_config_dict(raw: dict) -> RunConfig:
             for k, spec in enumerate(init_list)
         )
 
-    # Hypothesis checks at load time.  The kernel-based drift constants are
-    # cheap; the sampled W2-Lipschitz estimate is deferred to the run.
+    # Hypothesis checks at load time.  The drift constants of the velocity
+    # form are closed-form kernel bounds; they feed meta.json and c_hat.
     with np.errstate(over="ignore", invalid="ignore"):
-        load_constants = estimate_constants(drift, pairs=0)
+        try:
+            velocity = as_velocity_model(drift)
+        except ValueError as exc:  # a velocity kernel overflowed
+            raise ConfigError(f"drift.kernels: drift bounds are not finite ({exc})") from exc
+        load_constants = estimate_constants(velocity)
         bounds = {
-            "lip_x": load_constants.lip_x,
-            "lap_plus": load_constants.lap_plus,
+            **dataclasses.asdict(load_constants),
             "nonneg_shift": drift.nonneg_shift,
             "kernel_sums": _kernel_sums_bound(drift),
         }
     if not all(math.isfinite(b) for b in bounds.values()):
         listed = ", ".join(f"{k} {v:g}" for k, v in bounds.items())
         raise ConfigError(f"drift.kernels: drift bounds are not finite ({listed})")
-    # On 2-d grids the sampled W2 passes (drift constants, stability series)
-    # need the dense Sinkhorn cost, which transport.py caps; say so before any
-    # run.  1-d distances are exact and build no cost.
-    if grid.dim == 2 and grid.cells > _MAX_COST_CELLS and (
-        np.any(drift.kernels) or stab_raw is not None
-    ):
+    # On 2-d grids the stability series' W2 needs the dense Sinkhorn cost,
+    # which transport.py caps; say so before any run.  1-d distances are exact
+    # and build no cost.
+    if grid.dim == 2 and grid.cells > _MAX_COST_CELLS and stab_raw is not None:
         raise ConfigError(
             f"grid.n: {grid.cells} cells exceed the {_MAX_COST_CELLS} cells of the "
-            "dense W2 cost needed by nonzero drift kernels or a stability section"
+            "dense W2 cost needed by a stability section"
         )
     for idx, e in enumerate(energies):
         for msg in validate_growth(e):

@@ -16,10 +16,10 @@ inverse transform of the nonzero kernel terms, with the terms tiled once per
 run when several runs are stacked.  The kernel transforms are
 taken the first time a model is evaluated and kept on it.
 
-``estimate_constants`` produces numeric stand-ins for the regularity
-constants of the drift: a sup bound on the kernel gradients (lip_x), a
-sampled Wasserstein-Lipschitz ratio for rho -> V[rho] (lip_w2) and a bound on
-the positive part of the kernel Laplacian/divergence (lap_plus).
+``estimate_constants`` bounds the regularity constants of the drift in
+closed form: the kernel gradients (lip_x), the Wasserstein-Lipschitz
+constant of rho -> V[rho] (lip_w2) and the positive part of the kernel
+Laplacian/divergence (lap_plus).  No transport problem is solved.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from .grid import (
     ScalarField,
     VectorField,
     centered_grad_values,
+    grad_values,
     laplacian_values,
     minimal_image,
-    normalize,
 )
 
 __all__ = [
@@ -274,80 +274,46 @@ class DriftConstants:
     lap_plus: float
 
 
-def _kernel_bounds(model: DriftModel) -> tuple[float, float]:
-    """(lip_x, lap_plus) for the stored kernels, in one pass over the pairs.
+def estimate_constants(model: DriftModel) -> DriftConstants:
+    """Bounds on the drift regularity constants, in one pass over the pairs.
 
     lip_x is the max over species and cells of sum_j |grad K_ij|; lap_plus
     that of sum_j (Lap K_ij)_+ in potential mode and of sum_j (div B_ij)_+ in
-    velocity mode.
+    velocity mode.  lip_w2 bounds the W2-Lipschitz constant of rho -> V[rho]:
+    by Kantorovich-Rubinstein duality |V_i[rho] - V_i[nu]|_inf <=
+    max_j Lip(B_ij) sum_j W2(rho_j, nu_j), where B_ij are the velocity kernels
+    (-grad W_ij in potential mode).  Between the cell centres, where the
+    densities sit, a path that walks the axes one at a time gives
+    Lip(B) <= sqrt(dim) times the largest quotient of a component of B
+    between neighbouring cells.  All-zero kernels are skipped.
     """
     grid = model.grid
-    lip_x = lap_plus = 0.0
+    lip_x = step = lap_plus = 0.0
     for i in range(model.species_count):
         grad_acc = np.zeros(grid.shape)
         lap_acc = np.zeros(grid.shape)
         for j in range(model.species_count):
+            kernel = model.kernels[i, j]
+            if not np.any(kernel):
+                continue
             if model.mode == "potential":
-                g = centered_grad_values(grid, model.kernels[i, j])
+                g = centered_grad_values(grid, kernel)
                 grad_acc += np.sqrt(np.sum(g**2, axis=0))
-                lap = laplacian_values(grid, model.kernels[i, j])
+                lap = laplacian_values(grid, kernel)
+                velocity = g  # B_ij = -g; the sign does not change a quotient
             else:
-                comps = [
-                    centered_grad_values(grid, model.kernels[i, j, a])
-                    for a in range(grid.dim)
-                ]
+                comps = [centered_grad_values(grid, b) for b in kernel]
                 grad_acc += np.sqrt(sum(np.sum(g**2, axis=0) for g in comps))
                 lap = np.zeros(grid.shape)
                 for a, g in enumerate(comps):
                     lap += g[a]
+                velocity = kernel
             lap_acc += np.maximum(lap, 0.0)
+            for b in velocity:
+                step = max(step, float(np.max(np.abs(grad_values(grid, b)))))
         lip_x = max(lip_x, float(np.max(grad_acc)))
         lap_plus = max(lap_plus, float(np.max(lap_acc)))
-    return lip_x, lap_plus
-
-
-def _random_smooth_density(grid: Grid, rng: np.random.Generator) -> Density:
-    coords = grid.coordinate_grids()
-    vals = np.ones(grid.shape)
-    for k in (1, 2, 3):
-        for c in coords:
-            a, b = rng.uniform(-0.4 / k, 0.4 / k, size=2)
-            vals = vals + a * np.cos(2 * np.pi * k * c) + b * np.sin(2 * np.pi * k * c)
-    vals = np.maximum(vals, 1e-3)
-    return normalize(Density(grid, vals))
-
-
-def estimate_constants(
-    model: DriftModel,
-    pairs: int = 8,
-    seed: int = 12345,
-) -> DriftConstants:
-    """Numeric estimates of the drift regularity constants.
-
-    lip_w2 samples random smooth density pairs with a fixed seed, so repeated
-    calls are deterministic.
-    """
-    from .transport import species_w2_sq
-
-    lip_x, lap_plus = _kernel_bounds(model)
-
-    lip_w2 = 0.0
-    if np.any(model.kernels != 0.0) and pairs > 0:
-        rng = np.random.default_rng(seed)
-        grid = model.grid
-        l = model.species_count
-        for _ in range(pairs):
-            rho = tuple(_random_smooth_density(grid, rng) for _ in range(l))
-            nu = tuple(_random_smooth_density(grid, rng) for _ in range(l))
-            v_rho = velocity_field(model, rho)
-            v_nu = velocity_field(model, nu)
-            diff = max(
-                float(np.max(np.abs(v_rho[i].values - v_nu[i].values))) for i in range(l)
-            )
-            w2_sum = float(np.sum(np.sqrt(species_w2_sq(rho, nu))))
-            if w2_sum > 1e-12:
-                lip_w2 = max(lip_w2, diff / w2_sum)
-    return DriftConstants(lip_x=lip_x, lip_w2=lip_w2, lap_plus=lap_plus)
+    return DriftConstants(lip_x=lip_x, lip_w2=math.sqrt(grid.dim) * step, lap_plus=lap_plus)
 
 
 def as_velocity_model(model: DriftModel) -> DriftModel:
@@ -366,7 +332,7 @@ def as_velocity_model(model: DriftModel) -> DriftModel:
 def stability_constant(constants: DriftConstants) -> float:
     """Growth constant c_hat = max(lip_x, lip_w2).
 
-    Pass constants estimated on the velocity-kernel form
+    Pass the constants of the velocity-kernel form
     (``estimate_constants(as_velocity_model(model))``): its lip_x bounds the
     spatial Lipschitz constant of the velocity itself.
     """

@@ -13,7 +13,7 @@ import torusflow as tf
 from torusflow import transport as tr
 from torusflow.energy import _kl_prox_power
 from torusflow.grid import Grid, VectorField, minimal_image
-from torusflow.interaction import _kernel_sums
+from torusflow.interaction import _kernel_sums, as_velocity_model
 
 
 @pytest.fixture
@@ -90,6 +90,52 @@ def circular_convolve_direct(grid: Grid, kernel: np.ndarray, values: np.ndarray)
             shifted = np.take(shifted, take, axis=axis)
         out[idx] = np.sum(shifted * values)
     return out * grid.cell_volume
+
+
+def random_smooth_density(grid: Grid, rng: np.random.Generator) -> tf.Density:
+    """A positive trigonometric density with three random modes per axis."""
+    coords = grid.coordinate_grids()
+    vals = np.ones(grid.shape)
+    for k in (1, 2, 3):
+        for c in coords:
+            a, b = rng.uniform(-0.4 / k, 0.4 / k, size=2)
+            vals = vals + a * np.cos(2 * np.pi * k * c) + b * np.sin(2 * np.pi * k * c)
+    vals = np.maximum(vals, 1e-3)
+    return tf.normalize(tf.Density(grid, vals))
+
+
+def sampled_w2_lipschitz(model: tf.DriftModel, pairs: int, seed: int) -> float:
+    """Largest ratio max_i |V_i[rho] - V_i[nu]|_inf / sum_j W2(rho_j, nu_j)
+    over random smooth density pairs: a lower estimate of the W2-Lipschitz
+    constant that ``estimate_constants`` bounds.  1-d distances are exact;
+    2-d ones come from ``lp_w2_sq``, which needs no Sinkhorn convergence."""
+    rng = np.random.default_rng(seed)
+    l = model.species_count
+    ratio = 0.0
+    for _ in range(pairs):
+        rho = tuple(random_smooth_density(model.grid, rng) for _ in range(l))
+        nu = tuple(random_smooth_density(model.grid, rng) for _ in range(l))
+        v_rho = tf.velocity_field(model, rho)
+        v_nu = tf.velocity_field(model, nu)
+        diff = max(float(np.max(np.abs(a.values - b.values))) for a, b in zip(v_rho, v_nu))
+        if model.grid.dim == 1:
+            w2_sq = tf.species_w2_sq(rho, nu)
+        else:
+            w2_sq = np.array([lp_w2_sq(a, b) for a, b in zip(rho, nu)])
+        ratio = max(ratio, diff / float(np.sum(np.sqrt(w2_sq))))
+    return ratio
+
+
+def all_pairs_lipschitz(model: tf.DriftModel) -> float:
+    """max over i, j, a and cell pairs p != q of |B_ija(p) - B_ija(q)| / |p - q|
+    at torus distance, for the velocity kernels B of ``model``; O(cells^2)."""
+    grid = model.grid
+    centres = grid.cell_centers()
+    dist = np.sqrt(np.sum(minimal_image(centres[:, None] - centres[None]) ** 2, axis=-1))
+    np.fill_diagonal(dist, np.inf)
+    kernels = as_velocity_model(model).kernels
+    comps = kernels.reshape((-1, grid.cells))
+    return max(float(np.max(np.abs(b[:, None] - b[None]) / dist)) for b in comps)
 
 
 def trig_vector_field(grid: Grid, frequency: int = 1, phase: float = 0.0) -> VectorField:

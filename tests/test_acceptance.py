@@ -127,7 +127,7 @@ def _stability_pair(zero_drift=False):
 @pytest.fixture(scope="module")
 def stability_runs():
     drift, traj_a, traj_b = _stability_pair(zero_drift=False)
-    c_hat = tf.stability_constant(tf.estimate_constants(as_velocity_model(drift), pairs=6))
+    c_hat = tf.stability_constant(tf.estimate_constants(as_velocity_model(drift)))
     series = tf.stability_compare(traj_a, traj_b, c_hat=c_hat, margin=0.2)
     _, zero_a, zero_b = _stability_pair(zero_drift=True)
     zero_series = tf.stability_compare(zero_a, zero_b, c_hat=0.0, margin=0.2)

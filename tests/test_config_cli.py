@@ -17,6 +17,7 @@ import torusflow as tf
 from torusflow import config as cfg_mod
 from torusflow.cli import _fmt, _state_blocks, _write_csv, main, read_states_csv
 from torusflow.config import ConfigError, parse_config, parse_config_dict
+from torusflow.interaction import as_velocity_model
 from torusflow.transport import TransportResult
 
 from conftest import lp_w2_sq
@@ -417,8 +418,21 @@ class TestRunCli:
                         monkeypatch.setattr(module, attr, counted)
         path = write_config(tmp_path, stability_config(str(tmp_path / "out")))
         assert main(["run", "--config", str(path)]) == 0
-        # 3 recorded times compared, 8 sampled pairs.
-        assert len(calls) == 3 + 8
+        # 3 recorded times compared; the drift constants solve no transport.
+        assert len(calls) == 3
+
+    def test_2d_drift_run_needs_no_transport_solve(self, tmp_path):
+        # Without a stability section a 2-d drift run makes no Sinkhorn
+        # solve: a sampled drift constant hit the iteration cap here (exit 3).
+        out_dir = tmp_path / "out"
+        cfg = minimal_config(str(out_dir), grid={"dim": 2, "n": 16}, solver="parabolic")
+        cfg["drift"] = {"kernels": [[{"kind": "gaussian_bump", "sigma": 0.1}]]}
+        path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", str(path)]) == 0
+        meta = json.loads((out_dir / "meta.json").read_text())
+        drift = parse_config(path).problem.drift
+        want = tf.estimate_constants(as_velocity_model(drift)).lip_w2
+        assert meta["constants"]["lip_w2"] == want > 0
 
     def test_stability_run_unconverged_solve_is_solver_failure(
         self, tmp_path, capsys, unconverged_transport
@@ -640,11 +654,24 @@ class TestRunCli:
         assert "16641 cells" in captured.err
         assert "total w2_sq" not in captured.out
 
-    def test_check_drift_on_grid_beyond_dense_cost_is_config_error(self, tmp_path, capsys):
+    def test_check_drift_on_grid_beyond_dense_cost(self, tmp_path, capsys):
+        # The drift constants are closed-form kernel bounds: no W2 solve.
         drift = {"kernels": [[{"kind": "cosine", "amplitude": 0.2}]]}
         cfg = minimal_config(grid={"dim": 2, "n": 129}, drift=drift)
+        assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 0
+        assert "config OK" in capsys.readouterr().out
+
+    def test_check_stability_on_2d_grid_beyond_dense_cost_is_config_error(
+        self, tmp_path, capsys
+    ):
+        # The stability series' 2-d distances need the dense Sinkhorn cost.
+        cfg = stability_config(None)
+        cfg["grid"] = {"dim": 2, "n": 129}
+        cfg["species"][1]["initial"]["center"] = [0.3, 0.3]
+        cfg["stability"]["initial"][1]["center"] = [0.35, 0.3]
         assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 2
-        assert "grid.n" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: grid.n" in err and "stability section" in err
 
     def test_check_stability_on_1d_grid_beyond_dense_cost(self, tmp_path, capsys):
         # 1-d distances are exact and build no dense cost, so no cap applies.
