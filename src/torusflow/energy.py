@@ -17,6 +17,10 @@ C^1 at both junctions.
 step, in closed form for every kind: the unique minimizer over rho >= 0 of
 
     eps * (rho log(rho/s) - rho + s) + tau * (E(rho) + u * rho).
+
+Power kinds go through the Wright omega function; given a start near the
+minimizer they take one Fritsch-Shafer-Crowley step from it instead of the
+cold three-step solve, under the same residual check.
 """
 
 from __future__ import annotations
@@ -271,32 +275,78 @@ def mccann_check(energy: InternalEnergy, dim: int, samples: int = 64) -> bool:
     return nonincreasing and convex
 
 
+def _fsc_step(z: np.ndarray, y: np.ndarray) -> None:
+    """One Fritsch-Shafer-Crowley step for w + log w = z, applied to y = log w
+    in place.  1 + w is formed once; every other operation keeps the order
+    of y + log1p(r / (1 + w) * (1 - t) / (1 - 2 t)) with
+    t = r / (2 (1 + w)) / (1 + w + 2 r / 3) and r = z - w - y, so the bits are
+    those of the written formula.  t is divided twice so nothing overflows."""
+    q = np.exp(y)
+    r = np.subtract(z, q)
+    r -= y
+    q += 1.0
+    b = np.multiply(r, 2.0)
+    b /= 3.0
+    b += q  # 1 + w + 2 r / 3
+    t = np.multiply(q, 2.0)
+    np.divide(r, t, out=t)
+    t /= b
+    r /= q
+    np.subtract(1.0, t, out=b)
+    r *= b
+    t *= 2.0
+    np.subtract(1.0, t, out=t)
+    r /= t
+    np.log1p(r, out=r)
+    y += r
+
+
 def _log_wright_omega(z: np.ndarray) -> np.ndarray:
     """log w for the w with w + log w = z (Wright omega): three fixed
     Fritsch-Shafer-Crowley steps from an asymptotic start.  log w stays finite
-    where w underflows (z < -745); t is divided twice so nothing overflows."""
+    where w underflows (z < -745)."""
     zb = np.maximum(z, 1.0)
     y = np.where(z > 1.0, np.log(zb - np.log(zb)), z)
     for _ in range(3):
-        w = np.exp(y)
-        r = z - w - y
-        t = r / (2.0 * (1.0 + w)) / (1.0 + w + 2.0 * r / 3.0)
-        y = y + np.log1p(r / (1.0 + w) * (1.0 - t) / (1.0 - 2.0 * t))
+        _fsc_step(z, y)
     return y
 
 
 def _kl_prox_power(
-    energy: InternalEnergy, s: np.ndarray, eps: float, tau: float, u: np.ndarray
+    energy: InternalEnergy,
+    s: np.ndarray,
+    eps: float,
+    tau: float,
+    u: np.ndarray,
+    start: np.ndarray | None = None,
 ) -> np.ndarray:
     """Root of eps*log(rho/s) + tau*(m rho^(m-1) + u) = 0: with A = m(m-1)tau/eps
     and w = A rho^(m-1) it reads w + log w = z, so w is the Wright omega
-    function of z (Corless et al., Adv. Comput. Math. 5, 1996)."""
+    function of z (Corless et al., Adv. Comput. Math. 5, 1996).
+
+    With a start, one FSC step from log w = (m-1) log(start) + log A is
+    returned when its residual passes in every cell; otherwise, and without
+    a start, the cold three-step solve is returned.  The residual check is
+    the same on both routes."""
     m = energy.m
     log_a = math.log(m * (m - 1.0) * tau / eps)
+
+    def solve(y):
+        rho = np.exp((y - log_a) / (m - 1.0))
+        residual = np.abs(eps * np.log(rho / s) + tau * (m * rho ** (m - 1.0) + u))
+        return rho, residual
+
     with np.errstate(all="ignore"):  # non-finite inputs fail the check below
         z = (m - 1.0) * (np.log(s) - tau * u / eps) + log_a
-        rho = np.exp((_log_wright_omega(z) - log_a) / (m - 1.0))
-        residual = np.abs(eps * np.log(rho / s) + tau * (m * rho ** (m - 1.0) + u))
+        if start is not None:
+            y = np.log(start)
+            y *= m - 1.0
+            y += log_a
+            _fsc_step(z, y)
+            rho, residual = solve(y)
+            if np.all(residual <= 1e-12):
+                return rho
+        rho, residual = solve(_log_wright_omega(z))
     if not np.all(residual <= 1e-12):
         raise RuntimeError(
             "kl_prox residual check failed; parameters are pathological "
@@ -305,12 +355,19 @@ def _kl_prox_power(
     return rho
 
 
-def kl_prox(energy: InternalEnergy, s, eps: float, tau: float, u=0.0):
+def kl_prox(energy: InternalEnergy, s, eps: float, tau: float, u=0.0, start=None):
     """Proximal map of tau*(E + u . ) in the eps-weighted KL geometry.
 
     Every kind is solved in closed form; power kinds raise RuntimeError
     unless the first-order residual is finite and <= 1e-12 in every cell.
     Vectorized over s and u.
+
+    ``start`` is an optional guess of the minimizer, positive and of the
+    shape of s, such as the previous scaling iteration's.  Power kinds take
+    one Fritsch-Shafer-Crowley step from it and keep that step only when
+    its residual passes in every cell, else they solve cold as without a
+    start; entropy and zero kinds ignore it.  A poor start costs time, never
+    accuracy.
     """
     if eps <= 0 or tau <= 0:
         raise ValueError("eps and tau must be positive")
@@ -318,6 +375,10 @@ def kl_prox(energy: InternalEnergy, s, eps: float, tau: float, u=0.0):
     # fmin skips NaN, so a NaN center passes as it did under any(s <= 0).
     if s_arr.size and np.fmin.reduce(s_arr, axis=None) <= 0:
         raise ValueError("prox center s must be positive")
+    if start is not None and np.shape(start) != s_arr.shape:
+        raise ValueError(
+            f"start has shape {np.shape(start)}, the prox center s has {s_arr.shape}"
+        )
     u_arr = np.asarray(u, dtype=float)
     if u_arr.shape != s_arr.shape:
         u_arr = np.broadcast_to(u_arr, s_arr.shape)  # a read-only view, not a copy
@@ -330,5 +391,7 @@ def kl_prox(energy: InternalEnergy, s, eps: float, tau: float, u=0.0):
     elif energy.kind == "entropy":
         out = np.exp((eps * np.log(s_arr) - tau * (1.0 + u_arr)) / (eps + tau))
     else:
-        out = _kl_prox_power(energy, s_arr, eps, tau, u_arr)
+        if start is not None:
+            start = np.atleast_1d(np.asarray(start, dtype=float))
+        out = _kl_prox_power(energy, s_arr, eps, tau, u_arr, start)
     return float(out[0]) if scalar else out

@@ -425,8 +425,11 @@ def jko_step(
     """One semi-implicit minimizing-movement step via entropic scaling.
 
     The potential is the frozen field evaluated at the previous iterate, on
-    the density's grid, or None for no potential; the returned density is the plan's second marginal renormalized to unit mass,
-    and the result carries the plan's primal cost as the step's W2^2.
+    the density's grid, or None for no potential; the returned density is
+    the plan's second marginal renormalized to unit mass, and the result
+    carries the plan's primal cost as the step's W2^2.  From the second
+    scaling iteration on, ``kl_prox`` starts from the previous iterate's
+    density, which power energies use as a warm start.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
@@ -467,7 +470,8 @@ def jko_step(
         s = apply_kt(u)  # second-marginal proposal in mass units
         sigma = s * d
         sigma /= vol
-        rho_new = kl_prox(energy, sigma, eps, tau, u_pot)
+        start = rho_curr if iterations else None
+        rho_new = kl_prox(energy, sigma, eps, tau, u_pot, start=start)
         mass_new = rho_new * vol
         v = mass_new / s
         if debias:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -324,7 +325,36 @@ class ReferenceScheme:
         return updated / totals.reshape((-1,) + (1,) * grid.dim), clipped
 
 
-def reference_kl_prox(energy, s: np.ndarray, eps: float, tau: float, u: np.ndarray) -> np.ndarray:
+def cold_log_wright_omega(z: np.ndarray) -> np.ndarray:
+    """The three-step Wright omega solve as it stood before the warm start,
+    each Fritsch-Shafer-Crowley step written out with fresh arrays."""
+    zb = np.maximum(z, 1.0)
+    y = np.where(z > 1.0, np.log(zb - np.log(zb)), z)
+    for _ in range(3):
+        w = np.exp(y)
+        r = z - w - y
+        t = r / (2.0 * (1.0 + w)) / (1.0 + w + 2.0 * r / 3.0)
+        y = y + np.log1p(r / (1.0 + w) * (1.0 - t) / (1.0 - 2.0 * t))
+    return y
+
+
+def cold_kl_prox_power(energy, s: np.ndarray, eps: float, tau: float, u) -> np.ndarray:
+    """The power-energy ``kl_prox`` as it stood before the warm start: the
+    cold Wright omega solve and the 1e-12 residual check."""
+    m = energy.m
+    log_a = math.log(m * (m - 1.0) * tau / eps)
+    with np.errstate(all="ignore"):
+        z = (m - 1.0) * (np.log(s) - tau * u / eps) + log_a
+        rho = np.exp((cold_log_wright_omega(z) - log_a) / (m - 1.0))
+        residual = np.abs(eps * np.log(rho / s) + tau * (m * rho ** (m - 1.0) + u))
+    if not np.all(residual <= 1e-12):
+        raise RuntimeError("kl_prox residual check failed (cold reference)")
+    return rho
+
+
+def reference_kl_prox(
+    energy, s: np.ndarray, eps: float, tau: float, u: np.ndarray, start=None
+) -> np.ndarray:
     """``kl_prox`` on arrays with a broadcast copy of u on every call."""
     if eps <= 0 or tau <= 0:
         raise ValueError("eps and tau must be positive")
@@ -336,13 +366,15 @@ def reference_kl_prox(energy, s: np.ndarray, eps: float, tau: float, u: np.ndarr
         return s_arr * np.exp(-tau * u_arr / eps)
     if energy.kind == "entropy":
         return np.exp((eps * np.log(s_arr) - tau * (1.0 + u_arr)) / (eps + tau))
-    return _kl_prox_power(energy, s_arr, eps, tau, u_arr)
+    return _kl_prox_power(energy, s_arr, eps, tau, u_arr, start)
 
 
-def reference_jko_step(rho_prev, h, energy, potential, eps, tol=1e-9, debias=True):
+def reference_jko_step(rho_prev, h, energy, potential, eps, tol=1e-9, debias=True, warm=True):
     """``jko_step`` with every kernel product through ``_kron_apply``, fresh
     arrays on each iteration and the whole-array scaling bound; returns the
-    state values, the step's W2^2, marginal error and iteration count."""
+    state values, the step's W2^2, marginal error and iteration count.
+    With ``warm`` the prox starts from the previous iterate from the second
+    iteration on, as ``jko_step`` does; without it every prox solves cold."""
     grid = rho_prev.grid
     c1 = tr._gibbs_axis_cost(grid, h, eps)
     tau = 2.0 * h
@@ -361,7 +393,8 @@ def reference_jko_step(rho_prev, h, energy, potential, eps, tol=1e-9, debias=Tru
         u = a / kv
         s = tr._kron_apply(kernel_t, u)
         sigma = s * d / vol
-        rho_new = reference_kl_prox(energy, sigma, eps, tau, u_pot)
+        start = rho_curr if warm and iterations else None
+        rho_new = reference_kl_prox(energy, sigma, eps, tau, u_pot, start)
         v = rho_new * vol / s
         if debias:
             d = np.sqrt(d * (rho_new * vol) / tr._kron_apply(kernel, d))

@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 from scipy.special import wrightomega
 
 import torusflow as tf
+from conftest import cold_kl_prox_power, same_bits
 from torusflow.energy import _log_wright_omega, validate_growth
 
 ENTROPY = tf.InternalEnergy.entropy()
@@ -302,3 +303,96 @@ class TestKlProx:
         out_lo = tf.kl_prox(POWER2, lo, eps=1e-3, tau=2e-3, u=0.1)
         out_hi = tf.kl_prox(POWER2, hi, eps=1e-3, tau=2e-3, u=0.1)
         assert out_lo <= out_hi + 1e-12
+
+
+class TestKlProxStart:
+    """``kl_prox(start=)``: a warm power step that falls back to the cold solve."""
+
+    EPS, TAU = 2e-3, 4e-3
+
+    def inputs(self, n=300):
+        rng = np.random.default_rng(7)
+        s = np.exp(rng.uniform(-8.0, 3.0, n))
+        u = rng.uniform(-2.0, 2.0, n)
+        return s, u
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+    def test_no_start_returns_the_cold_bits(self, m):
+        s, u = self.inputs()
+        energy = tf.InternalEnergy.power(m)
+        got = tf.kl_prox(energy, s, self.EPS, self.TAU, u)
+        assert same_bits(got, cold_kl_prox_power(energy, s, self.EPS, self.TAU, u))
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize(
+        "bad",
+        [np.nan, 0.0, -1.0, 1e300, 1e-6, 1e3, 1.03],
+        ids=["nan", "zero", "negative", "huge", "far-below", "far-above", "near-miss"],
+    )
+    def test_bad_start_falls_back_to_the_cold_bits(self, m, bad):
+        # A start 3% off leaves a one-step residual of 5e-12 to 3e-10: above
+        # the 1e-12 bound, so it too must fall back.
+        s, u = self.inputs()
+        energy = tf.InternalEnergy.power(m)
+        cold = cold_kl_prox_power(energy, s, self.EPS, self.TAU, u)
+        # Off starts are scaled from the answer; the others are constants.
+        start = cold * bad if bad in (1e-6, 1e3, 1.03) else np.full_like(s, bad)
+        start[0] = cold[0]  # one good cell does not rescue the rest
+        got = tf.kl_prox(energy, s, self.EPS, self.TAU, u, start=start)
+        assert same_bits(got, cold)
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+    def test_start_at_the_answer_takes_the_warm_step(self, m):
+        s, u = self.inputs()
+        energy = tf.InternalEnergy.power(m)
+        cold = cold_kl_prox_power(energy, s, self.EPS, self.TAU, u)
+        got = tf.kl_prox(energy, s, self.EPS, self.TAU, u, start=cold)
+        assert np.max(np.abs(got - cold) / cold) <= 1e-14
+        resid = self.EPS * np.log(got / s) + self.TAU * (m * got ** (m - 1.0) + u)
+        assert np.max(np.abs(resid)) <= 1e-12
+
+    def test_warm_step_is_taken(self, monkeypatch):
+        # A start at the answer never reaches the cold solve.
+        s, u = self.inputs()
+        cold = cold_kl_prox_power(POWER2, s, self.EPS, self.TAU, u)
+
+        def no_cold_solve(z):
+            raise AssertionError("cold solve reached")
+
+        monkeypatch.setattr("torusflow.energy._log_wright_omega", no_cold_solve)
+        tf.kl_prox(POWER2, s, self.EPS, self.TAU, u, start=cold)
+
+    def test_start_is_not_modified(self):
+        s, u = self.inputs()
+        start = cold_kl_prox_power(POWER3, s, self.EPS, self.TAU, u)
+        kept = start.copy()
+        tf.kl_prox(POWER3, s, self.EPS, self.TAU, u, start=start)
+        assert same_bits(start, kept)
+
+    @pytest.mark.parametrize("energy", [ENTROPY, ZERO])
+    @pytest.mark.parametrize("start", [1.0, np.nan, -1.0])
+    def test_entropy_and_zero_ignore_the_start(self, energy, start):
+        s, u = self.inputs()
+        got = tf.kl_prox(energy, s, self.EPS, self.TAU, u, start=np.full_like(s, start))
+        assert same_bits(got, tf.kl_prox(energy, s, self.EPS, self.TAU, u))
+
+    def test_scalar_center_takes_a_scalar_start(self):
+        cold = tf.kl_prox(POWER2, 0.8, self.EPS, self.TAU, 0.3)
+        assert tf.kl_prox(POWER2, 0.8, self.EPS, self.TAU, 0.3, start=cold) == pytest.approx(
+            cold, rel=1e-14
+        )
+
+    @pytest.mark.parametrize("energy", [ENTROPY, POWER2, ZERO])
+    @pytest.mark.parametrize(
+        "s, start",
+        [(np.ones(4), np.ones(3)), (np.ones(4), np.ones((4, 1))), (1.0, np.ones(1))],
+        ids=["length", "rank", "scalar-center"],
+    )
+    def test_start_of_another_shape_raises(self, energy, s, start):
+        with pytest.raises(ValueError, match="start has shape"):
+            tf.kl_prox(energy, s, self.EPS, self.TAU, 0.0, start=start)
+
+    @pytest.mark.parametrize("u", [1e6, np.nan, np.inf])
+    def test_pathological_parameters_still_raise(self, u):
+        with pytest.raises(RuntimeError, match="kl_prox residual check failed"):
+            tf.kl_prox(POWER2, np.ones(4), eps=1e-3, tau=2e-3, u=u, start=np.ones(4))

@@ -550,6 +550,25 @@ class TestJkoStepMatchesPreChangeLoop:
         g = tf.make_grid(1, 32)
         self.check(cosine_density(g, 0.5), 1e-3, tf.InternalEnergy.power(2.0), None, 2e-3, False)
 
+    @pytest.mark.parametrize("m", [1.5, 2.0])
+    @pytest.mark.parametrize("with_potential", [False, True])
+    def test_warm_start_matches_cold_loop(self, m, with_potential):
+        # The warm-started prox moves the step only in the last bits.
+        g = tf.make_grid(2, 12)
+        x, y = g.coordinate_grids()
+        potential = None
+        if with_potential:
+            potential = tf.ScalarField(g, 0.2 * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y))
+        rho = cosine_density(g, 0.4)
+        energy = tf.InternalEnergy.power(m)
+        out, res = tf.jko_step(rho, 2e-3, energy, potential, eps=5e-3)
+        values, w2_sq, _, iterations = reference_jko_step(
+            rho, 2e-3, energy, potential, 5e-3, warm=False
+        )
+        assert res.iterations == iterations > 1
+        assert np.max(np.abs(out.values - values)) <= 1e-14
+        assert res.w2_sq == pytest.approx(w2_sq, rel=1e-14, abs=0.0)
+
 
 class TestJkoStepGuards:
     def test_scaling_bound_raises(self, monkeypatch):
@@ -561,7 +580,8 @@ class TestJkoStepGuards:
     def test_nan_scalings_raise(self, monkeypatch):
         # A NaN proposal fails the scaling bound within two iterations.
         monkeypatch.setattr(
-            "torusflow.transport.kl_prox", lambda energy, s, eps, tau, u: np.full_like(s, np.nan)
+            "torusflow.transport.kl_prox",
+            lambda energy, s, eps, tau, u, start=None: np.full_like(s, np.nan),
         )
         rho = cosine_density(tf.make_grid(1, 16), 0.2)
         with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="left the stable range"):
