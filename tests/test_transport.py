@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from conftest import (
     exact_w2_permutation,
     lp_w2_sq,
     mode_amplitude,
+    random_smooth_density,
     reference_jko_step,
     same_bits,
 )
@@ -290,6 +293,90 @@ class TestSinkhornUnderflow:
         # Its reset row peaks at mass / 256 cells, below the smallest normal.
         with pytest.raises(RuntimeError, match=r"row of cell 0 \(mass .*e-31\d\) underflows"):
             tf.sinkhorn_w2(*bump_pair(0, 1e-310), eps=1e-4, tol=1e-9)
+
+
+def random_pair(n, index):
+    """The index-th pair of 2-d random smooth densities drawn from rng 12345."""
+    g = tf.make_grid(2, n)
+    rng = np.random.default_rng(12345)
+    for _ in range(2 * index):
+        random_smooth_density(g, rng)
+    return random_smooth_density(g, rng), random_smooth_density(g, rng)
+
+
+class TestOverRelaxedSinkhorn:
+    def test_kept_update_gains_dual_value(self):
+        # On the block dual <mass, log x> - <x, k>, maximized by plain =
+        # mass / k, a returned update gains at least _ASCENT of the plain
+        # update's gain; far from plain the over-relaxed one would lose, and
+        # the plain update comes back.
+        rng = np.random.default_rng(3)
+        mass = rng.uniform(0.5, 1.5, 12)
+        mass /= mass.sum()
+
+        def dual(x, k):
+            return float(mass @ np.log(x) - x @ k)
+
+        kept = replaced = 0
+        for spread in (0.01, 0.3, 3.0) * 20:
+            k = rng.uniform(0.5, 2.0, 12)
+            plain = mass / k
+            x = plain * np.exp(rng.normal(0.0, spread, 12))
+            got = tf.transport._relaxed(x, plain, mass)
+            gain = dual(got, k) - dual(x, k)
+            assert gain >= tf.transport._ASCENT * (dual(plain, k) - dual(x, k)) - 1e-15
+            if np.array_equal(got, plain):
+                replaced += 1
+            else:
+                np.testing.assert_allclose(got, x * (plain / x) ** tf.transport._OMEGA)
+                kept += 1
+        assert kept and replaced
+
+    def test_w2_2d_pairs_iteration_count(self):
+        # Plain scaling updates took 6152 + 4698 = 10850 iterations on the
+        # two pairs; the values stay within 1.2e-8 of the linear program.
+        results = [tf.sinkhorn_w2(*bump_pair(i), eps=1e-4, tol=1e-9) for i in (0, 1)]
+        assert all(res.converged for res in results)
+        assert sum(res.iterations for res in results) <= 0.3 * 10850
+        for i, res in enumerate(results):
+            assert res.w2_sq == pytest.approx(lp_w2_sq(*bump_pair(i)), rel=1e-6)
+
+    def test_slow_random_pair_converges(self):
+        # Plain updates took 106993 iterations on this pair, against 1300-6600
+        # on its neighbours.
+        mu, nu = random_pair(8, 1)
+        res = tf.sinkhorn_w2(mu, nu, eps=1e-4, tol=1e-9)
+        assert res.converged
+        assert res.iterations <= 106993 / 10
+        assert res.w2_sq == pytest.approx(lp_w2_sq(mu, nu), rel=0.01)
+
+    def test_random_n16_pair_converges(self):
+        # Plain updates stopped unconverged at the 200000-iteration cap, so
+        # species_w2_sq raised.
+        mu, nu = random_pair(16, 0)
+        (value,) = tf.species_w2_sq((mu,), (nu,))
+        assert 0.0 < value < 1.0
+
+    @pytest.mark.parametrize("omega", [1.8, 1.95])
+    def test_safeguard_keeps_large_omega_converging(self, monkeypatch, omega):
+        monkeypatch.setattr(tf.transport, "_OMEGA", omega)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = tf.sinkhorn_w2(*bump_pair(0), eps=1e-4, tol=1e-9, return_plan=True)
+        assert res.converged
+        assert np.all(np.isfinite(res.plan))
+
+    def test_finite_scalings_alone_do_not_converge(self, monkeypatch):
+        # Without the dual-gain test, omega 1.8 does not converge on this
+        # pair: the 2e-3 level uses up its 5000-iteration budget, and the
+        # last level cycles through row errors 2.5e-8, 2.1e-8 and 5.7e-8 up
+        # to the 200000-iteration cap, cut to 5000 here.
+        monkeypatch.setattr(tf.transport, "_OMEGA", 1.8)
+        monkeypatch.setattr(tf.transport, "_ASCENT", -np.inf)
+        monkeypatch.setattr(tf.transport, "_SINKHORN_MAX_ITER", 5000)
+        res = tf.sinkhorn_w2(*bump_pair(0), eps=1e-4, tol=1e-9)
+        assert not res.converged
+        assert res.plan_marginal_err > 1e-8
 
 
 class TestSpeciesW2:
