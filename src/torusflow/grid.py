@@ -14,6 +14,7 @@ symbol -(2/dx^2) * (1 - cos(2*pi*k*dx)) on mode k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,7 +143,11 @@ class VectorField:
 
 
 def normalize(rho: Density) -> Density:
-    total = rho.mass()
+    # Finite values can still sum past the float maximum.
+    with np.errstate(over="ignore"):
+        total = rho.mass()
+    if not math.isfinite(total):
+        raise ValueError("degenerate density: total mass is not finite")
     if total <= 0:
         raise ValueError("degenerate density: total mass is not positive")
     return Density(rho.grid, rho.values / total)

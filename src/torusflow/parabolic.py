@@ -18,10 +18,11 @@ records are per run; a run that reaches the horizon drops out of the stack.
 The drift comes from the model's kernel transforms, taken once per model,
 with one batched forward and one batched inverse transform per step; species
 with equal regularized energies are evaluated together, and periodic shifts
-use index arrays built once.  Each step evaluates F'_eps once, and F''_eps
-once for the CFL bound (not for entropy, whose F''_eps is 1).  The fluxes
-and their divergence are formed in place in scratch arrays that the scheme
-holds for the whole run, so a step allocates little beyond the new state.
+use index arrays built once.  Each step evaluates F'_eps and, for the CFL
+bound, F''_eps together, with one range test per energy group (entropy's
+F''_eps is 1 and is not evaluated).  The fluxes and their divergence are
+formed in place in scratch arrays that the scheme holds for the whole run,
+so a step allocates little beyond the new state.
 Its guards run on the per-species masses, with the full finiteness scan
 only when a mass is not finite.  ``Density`` tuples are built only at
 recorded times.
@@ -81,29 +82,29 @@ class _Scheme:
         # Scratch arrays of the update, reused by every step with as many runs.
         self._scratch = (np.empty(0),)
 
-    def _pressure(self, values: np.ndarray) -> np.ndarray:
-        """F'_eps on stacked values, one call per energy group."""
-        if len(self.groups) == 1:
-            return self.groups[0][0].f_prime(values)
-        out = np.empty_like(values)
-        for reg, idx in self.groups:
-            out[:, idx] = reg.f_prime(values[:, idx])
-        return out
-
-    def _curvature(self, values: np.ndarray) -> list[float]:
-        """Largest F''_eps over all species, per run.  Entropy's F''_eps is 1
-        on nonnegative values (its delta_eps is 0), so it is not evaluated."""
+    def _pressure_and_curvature(self, values: np.ndarray) -> tuple[np.ndarray, list[float]]:
+        """F'_eps on stacked values and the largest F''_eps over all species
+        per run, one call and one range test per energy group.  Entropy's
+        F''_eps is 1 on nonnegative values (its delta_eps is 0), so it is not
+        evaluated."""
         runs = len(values)
         single = len(self.groups) == 1
+        pressure = None if single else np.empty_like(values)
         largest: list[float] | None = None
         for reg, idx in self.groups:
+            group_values = values if single else values[:, idx]
             if reg.base.kind == "entropy":
+                fp = reg.f_prime(group_values)
                 group = [1.0] * runs
             else:
-                fpp = reg.f_second(values if single else values[:, idx])
+                fp, fpp = reg.f_prime_and_second(group_values)
                 group = fpp.reshape(runs, -1).max(axis=1).tolist()
+            if single:
+                pressure = fp
+            else:
+                pressure[:, idx] = fp
             largest = group if largest is None else list(map(max, largest, group))
-        return largest
+        return pressure, largest
 
     def _masses(self, values: np.ndarray) -> list[float]:
         """Mass of every (run, species) row, flat: row k belongs to run
@@ -113,10 +114,10 @@ class _Scheme:
 
     def velocities(
         self, values: np.ndarray
-    ) -> tuple[np.ndarray | None, list[float], list[str]]:
+    ) -> tuple[np.ndarray | None, np.ndarray, list[float], list[str]]:
         """Face velocities (runs, species, dim, *shape), component a at face
-        i+1/2, with each run's largest admissible dt and the CFL term that
-        sets it.
+        i+1/2, and the pressure F'_eps, with each run's largest admissible dt
+        and the CFL term that sets it.
 
         Potential mode differences the potential across the face (exactly the
         staggered gradient); velocity mode averages the collocated field onto
@@ -125,12 +126,12 @@ class _Scheme:
         """
         grid, dx = self.grid, self.grid.dx
         runs = len(values)
+        pressure, curvatures = self._pressure_and_curvature(values)
         diffusion = [
-            0.25 * dx**2 / curvature if curvature > 0 else np.inf
-            for curvature in self._curvature(values)
+            0.25 * dx**2 / curvature if curvature > 0 else np.inf for curvature in curvatures
         ]
         if not self.advects:
-            return None, diffusion, ["diffusion"] * runs
+            return None, pressure, diffusion, ["diffusion"] * runs
         fields = _kernel_sums(self.drift, values)
         faces = np.empty((runs, self.species, grid.dim) + grid.shape)
         for a in range(grid.dim):
@@ -157,19 +158,22 @@ class _Scheme:
             else:
                 limits.append(d)
                 terms.append("diffusion")
-        return faces, limits, terms
+        return faces, pressure, limits, terms
 
     def advance(
-        self, values: np.ndarray, faces: np.ndarray | None, dt: list[float]
+        self,
+        values: np.ndarray,
+        faces: np.ndarray | None,
+        pressure: np.ndarray,
+        dt: list[float],
     ) -> tuple[np.ndarray, list[float]]:
-        """One update with velocities already evaluated on values and, per
-        run, a dt within their bound; returns the new values and the mass
-        clipped from each run."""
+        """One update with velocities and pressure already evaluated on values
+        and, per run, a dt within their bound; returns the new values and
+        the mass clipped from each run."""
         grid, dx = self.grid, self.grid.dx
         if self._scratch[0].shape != values.shape:
             self._scratch = tuple(np.empty(values.shape) for _ in range(3))
         flux, term, divergence = self._scratch
-        pressure = self._pressure(values)
         for a in range(grid.dim):
             axis = 2 + a
             pressure.take(self.ahead, axis=axis, out=flux, mode="wrap")
@@ -348,12 +352,12 @@ def run_parabolic(
     active = runs
     while active:
         try:
-            faces, limits, terms = scheme.velocities(values)
+            faces, pressure, limits, terms = scheme.velocities(values)
             dts = [
                 min(cfl_safety * limit, run.next_time - run.time)
                 for run, limit in zip(active, limits)
             ]
-            values, clipped = scheme.advance(values, faces, dts)
+            values, clipped = scheme.advance(values, faces, pressure, dts)
         except (RuntimeError, ValueError) as exc:
             row = getattr(exc, "row", None)
             if len(problems) == 1 or row is None:

@@ -238,7 +238,9 @@ class ReferenceScheme:
     divergence accumulator and every check on whole arrays; a drop-in
     replacement for ``torusflow.parabolic._Scheme``.  ``velocities`` and
     ``advance`` take (runs, species, *shape) values and a dt per run, and
-    step each run on its own; a failing run's row is set on the error."""
+    step each run on its own; a failing run's row is set on the error.
+    ``velocities`` returns no pressure, and ``advance`` ignores the one it
+    is passed and evaluates F'_eps itself."""
 
     def __init__(self, reg_energies, drift) -> None:
         self.grid = drift.grid
@@ -266,9 +268,9 @@ class ReferenceScheme:
     def velocities(self, values):
         out = [_on_row(row, self._run_velocities, v) for row, v in enumerate(values)]
         faces = None if out[0][0] is None else np.stack([f for f, _, _ in out])
-        return faces, [limit for _, limit, _ in out], [term for _, _, term in out]
+        return faces, None, [limit for _, limit, _ in out], [term for _, _, term in out]
 
-    def advance(self, values, faces, dt):
+    def advance(self, values, faces, pressure, dt):
         out = [
             _on_row(row, self._run_advance, v, None if faces is None else faces[row], d)
             for row, (v, d) in enumerate(zip(values, dt))
@@ -369,12 +371,16 @@ def reference_kl_prox(
     return _kl_prox_power(energy, s_arr, eps, tau, u_arr, start)
 
 
-def reference_jko_step(rho_prev, h, energy, potential, eps, tol=1e-9, debias=True, warm=True):
+def reference_jko_step(
+    rho_prev, h, energy, potential, eps, tol=1e-9, debias=True, warm=True, relaxed=True
+):
     """``jko_step`` with every kernel product through ``_kron_apply``, fresh
     arrays on each iteration and the whole-array scaling bound; returns the
     state values, the step's W2^2, marginal error and iteration count.
     With ``warm`` the prox starts from the previous iterate from the second
-    iteration on, as ``jko_step`` does; without it every prox solves cold."""
+    iteration on, as ``jko_step`` does; without it every prox solves cold.
+    With ``relaxed`` the row scaling goes through ``_relaxed`` from the
+    second iteration on, as in ``jko_step``; without it u = a / (K v)."""
     grid = rho_prev.grid
     c1 = tr._gibbs_axis_cost(grid, h, eps)
     tau = 2.0 * h
@@ -387,10 +393,11 @@ def reference_jko_step(rho_prev, h, energy, potential, eps, tol=1e-9, debias=Tru
     v = np.ones_like(a)
     d = np.ones_like(a)
     rho_curr = a / vol
+    u = None
     iterations = 0
     for _ in range(tr._JKO_MAX_ITER):
         kv = tr._kron_apply(kernel, v)
-        u = a / kv
+        u = tr._relaxed(u, a / kv, a) if relaxed and iterations else a / kv
         s = tr._kron_apply(kernel_t, u)
         sigma = s * d / vol
         start = rho_curr if warm and iterations else None

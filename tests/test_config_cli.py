@@ -573,6 +573,19 @@ class TestRunCli:
         assert f"cell counts differ at time 0: {a_path} has 4, {b_path} has 2" in captured.err
         assert "w2_sq" not in captured.out
 
+    def test_w2_overflowing_mass_is_input_error(self, tmp_path, capsys):
+        header = "time,species,cell_index,value\n"
+        a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+        a_path.write_text(header + "0.0,0,0,1e308\n0.0,0,1,1e308\n0.0,0,2,1\n0.0,0,3,1\n")
+        b_path.write_text(header + "".join(f"0.0,0,{c},1.0\n" for c in range(4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["w2", "--a", str(a_path), "--b", str(b_path), "--time", "0.0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "input error: degenerate density: total mass is not finite" in captured.err
+        assert "w2_sq" not in captured.out
+
     def test_w2_species_counts_differ_between_files(self, tmp_path, capsys):
         header = "time,species,cell_index,value\n"
         a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +119,15 @@ class TestDensity:
         g = tf.make_grid(1, 8)
         with pytest.raises(ValueError, match="degenerate"):
             tf.normalize(tf.Density(g, np.zeros(8)))
+
+    def test_overflowing_mass_rejected(self):
+        # Finite values whose sum overflows: no overflow warning, a clear error.
+        g = tf.make_grid(1, 4)
+        vals = np.array([1e308, 1e308, 1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="degenerate density: total mass is not finite"):
+                tf.normalize(tf.Density(g, vals))
 
     def test_negative_rejected(self):
         g = tf.make_grid(1, 8)

@@ -124,6 +124,33 @@ class TestRunJko:
             tf.run_jko(prob, eps=1e-3)
 
 
+class TestTimeStepOrder:
+    """The h -> 0 limit that the existence proof takes, on configs/heat.json."""
+
+    def test_heat_error_is_first_order_in_h(self):
+        # Implicit Euler's factor (1 + 4 pi^2 h)^(-T/h) alone predicts +3.85%
+        # at h = 1e-3, so the error at T is almost all time discretization;
+        # it halves with h, and so does the final gap to the finite-volume
+        # solution.
+        horizon = 0.05
+        target = 0.5 * np.exp(-4 * np.pi**2 * horizon)
+        steps = (1e-3, 5e-4, 2.5e-4)
+        errors, gaps = [], []
+        for h in steps:
+            prob = heat_problem(n=128, amplitude=0.5, horizon=horizon, h=h)
+            jko = tf.run_jko(prob, eps=5e-4, tol=1e-9)
+            par = tf.run_parabolic(prob, eps_reg=1e-3, cfl_safety=0.9)
+            k = int(round(horizon / h))
+            assert jko.times[k] == pytest.approx(horizon) == par.times[-1]
+            final = jko.states[k][0].values
+            errors.append(mode_amplitude(final) / target - 1.0)
+            gaps.append(float(np.sum(np.abs(final - par.states[-1][0].values))) * prob.grid.dx)
+        assert all(e > 0 for e in errors)
+        order = np.polyfit(np.log(steps), np.log(errors), 1)[0]
+        assert 0.9 <= order <= 1.1
+        assert gaps[0] > gaps[1] > gaps[2]
+
+
 class TestRunJkoSystem:
     def test_zero_cross_kernels_decouple_bitwise(self):
         grid = tf.make_grid(1, 32)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import torusflow as tf
+from torusflow.config import build_profile
 from torusflow.grid import minimal_image
 
 from conftest import (
@@ -332,6 +333,96 @@ class TestOverRelaxedSinkhorn:
                 kept += 1
         assert kept and replaced
 
+    def test_fast_path_bound_matches_omega_and_ascent(self):
+        # Per cell, h((1 - omega) s) <= (1 - ascent) h(s) on |s| <= _FAST_LOG
+        # and for every s > 0, with h(s) = expm1(s) - s; the bound is tight
+        # to within 0.01 below zero.
+        tr = tf.transport
+
+        def excess(s):
+            h = lambda t: np.expm1(t) - t  # noqa: E731
+            return h((1.0 - tr._OMEGA) * s) - (1.0 - tr._ASCENT) * h(s)
+
+        inside = np.linspace(-tr._FAST_LOG, tr._FAST_LOG, 100001)
+        assert np.all(excess(inside[inside != 0.0]) < 0.0)
+        assert np.all(excess(np.geomspace(1e-6, 50.0, 10001)) < 0.0)
+        assert excess(-tr._FAST_LOG - 0.01) > 0.0
+        assert tr._FAST_LO == np.exp(-tr._FAST_LOG) and tr._FAST_HI == np.exp(tr._FAST_LOG)
+
+    def test_fast_path_never_keeps_what_the_dual_test_rejects(self, monkeypatch):
+        # Blocks whose cells all lie within e^(+-_FAST_LOG) of plain, some
+        # exactly at either edge, take the fast path; with it switched off the
+        # dual-gain test keeps the same step, bit for bit.
+        tr = tf.transport
+        rng = np.random.default_rng(19)
+        blocks = []
+        for size in (1, 7, 256):
+            for scale in (1.0, 0.3, 1e-3):
+                mass = rng.uniform(0.1, 2.0, size)
+                mass /= mass.sum()
+                plain = 2.0 ** rng.integers(-40, 40, size).astype(float)
+                q = np.exp(scale * rng.uniform(-tr._FAST_LOG, tr._FAST_LOG, size))
+                edges = rng.integers(0, 3, size)
+                q[edges == 1], q[edges == 2] = tr._FAST_LO, tr._FAST_HI
+                blocks.append((plain * q, plain, mass))
+            for edge in (tr._FAST_LO, tr._FAST_HI):
+                mass = np.full(size, 1.0 / size)
+                plain = np.ones(size)
+                blocks.append((plain * edge, plain, mass))
+        fast = [tr._relaxed(*block) for block in blocks]
+        monkeypatch.setattr(tr, "_FAST_LO", np.inf)
+        for (x, plain, mass), got in zip(blocks, fast):
+            exact = tr._relaxed(x, plain, mass)
+            assert not np.array_equal(exact, plain)
+            assert same_bits(got, exact)
+
+    def test_fast_path_skips_the_gains(self, monkeypatch):
+        # With an unreachable ascent the dual-gain test rejects every step, so
+        # a kept one came from the fast path: inside the band, never outside
+        # it, and never with a NaN cell.
+        tr = tf.transport
+        monkeypatch.setattr(tr, "_ASCENT", np.inf)
+        mass = np.full(4, 0.25)
+        plain = np.ones(4)
+        inside = np.array([tr._FAST_LO, 1.0, 1.1, tr._FAST_HI])
+        assert not np.array_equal(tr._relaxed(inside, plain, mass), plain)
+        for bad in (np.nextafter(tr._FAST_LO, 0.0), np.nextafter(tr._FAST_HI, 2.0), np.nan):
+            outside = inside.copy()
+            outside[2] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert tr._relaxed(outside, plain, mass) is plain
+
+    def test_fast_path_keeps_iteration_counts(self, monkeypatch):
+        # The fast path only skips a test that would pass: the w2_2d solves
+        # take the same iterations without it and agree to rounding.
+        fast = [tf.sinkhorn_w2(*bump_pair(i), eps=1e-4, tol=1e-9) for i in (0, 1)]
+        monkeypatch.setattr(tf.transport, "_FAST_LO", np.inf)
+        for i, res in enumerate(fast):
+            exact = tf.sinkhorn_w2(*bump_pair(i), eps=1e-4, tol=1e-9)
+            assert res.iterations == exact.iterations
+            assert res.w2_sq == pytest.approx(exact.w2_sq, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "pair, most",
+        [
+            # w2_2d: 613 and 632 iterations with warm-up levels solved to
+            # 1e-7, 369 and 376 at 1e-4.
+            (lambda: bump_pair(0), 400),
+            (lambda: bump_pair(1), 400),
+            # rng 12345, n = 8: 635, 4195 and 669 at 1e-7; 368, 3660 and 406.
+            (lambda: random_pair(8, 0), 400),
+            (lambda: random_pair(8, 1), 3850),
+            (lambda: random_pair(8, 2), 440),
+        ],
+        ids=["w2_2d-0", "w2_2d-1", "n8-0", "n8-1", "n8-2"],
+    )
+    def test_iteration_counts(self, pair, most):
+        mu, nu = pair()
+        res = tf.sinkhorn_w2(mu, nu, eps=1e-4, tol=1e-9)
+        assert res.converged
+        assert res.iterations <= most
+
     def test_w2_2d_pairs_iteration_count(self):
         # Plain scaling updates took 6152 + 4698 = 10850 iterations on the
         # two pairs; the values stay within 1.2e-8 of the linear program.
@@ -368,13 +459,17 @@ class TestOverRelaxedSinkhorn:
 
     def test_finite_scalings_alone_do_not_converge(self, monkeypatch):
         # Without the dual-gain test, omega 1.8 does not converge on this
-        # pair: the 2e-3 level uses up its 5000-iteration budget, and the
-        # last level cycles through row errors 2.5e-8, 2.1e-8 and 5.7e-8 up
-        # to the 200000-iteration cap, cut to 5000 here.
+        # pair from warm-up levels solved to 1e-7: the 2e-3 level uses up its
+        # 5000-iteration budget, and the last level cycles through row errors
+        # 2.5e-8, 2.1e-8 and 5.7e-8 up to the 200000-iteration cap, cut to
+        # 12000 here.  (From the 1e-4 warm-up levels it happens to converge,
+        # in 5551 iterations.)
         monkeypatch.setattr(tf.transport, "_OMEGA", 1.8)
         monkeypatch.setattr(tf.transport, "_ASCENT", -np.inf)
-        monkeypatch.setattr(tf.transport, "_SINKHORN_MAX_ITER", 5000)
+        monkeypatch.setattr(tf.transport, "_WARMUP_TOL", 1e-7)
+        monkeypatch.setattr(tf.transport, "_SINKHORN_MAX_ITER", 12000)
         res = tf.sinkhorn_w2(*bump_pair(0), eps=1e-4, tol=1e-9)
+        assert res.iterations == 12000
         assert not res.converged
         assert res.plan_marginal_err > 1e-8
 
@@ -605,6 +700,33 @@ class TestJkoStep:
         rho = cosine_density(tf.make_grid(1, 16), 0.2)
         with pytest.raises(RuntimeError, match="jko_step did not converge within 1 iterations"):
             tf.jko_step(rho, 1e-3, tf.InternalEnergy.entropy(), None, eps=1e-3)
+
+
+def first_jko_step(name):
+    """(rho, h, energy, eps) of the first step of configs/heat.json ("heat")
+    or of one species of the pme2d benchmark at seed 0."""
+    if name == "heat":
+        return cosine_density(tf.make_grid(1, 128), 0.5), 1e-3, tf.InternalEnergy.entropy(), 5e-4
+    grid = tf.make_grid(2, 48)
+    if name == "pme-bump":
+        spec, m = {"profile": "bump", "center": [0.5, 0.5], "width": 0.3}, 2.0
+    else:
+        spec, m = {"profile": "cosine", "amplitude": 0.4}, 1.5
+    return build_profile(grid, spec), 2e-3, tf.InternalEnergy.power(m), 5.0 * grid.dx**2
+
+
+class TestRelaxedJkoRows:
+    """The over-relaxed row scaling of ``jko_step`` against the plain
+    u = a / (K v) loop (``reference_jko_step(relaxed=False)``)."""
+
+    @pytest.mark.parametrize("name", ["heat", "pme-bump", "pme-cosine"])
+    def test_lands_at_least_as_close_to_a_tight_solve(self, name):
+        rho, h, energy, eps = first_jko_step(name)
+        tight, _, _, _ = reference_jko_step(rho, h, energy, None, eps, tol=1e-13, relaxed=False)
+        plain, _, _, plain_iterations = reference_jko_step(rho, h, energy, None, eps, relaxed=False)
+        out, res = tf.jko_step(rho, h, energy, None, eps=eps)
+        assert res.iterations <= plain_iterations
+        assert np.max(np.abs(out.values - tight)) <= np.max(np.abs(plain - tight))
 
 
 class TestJkoStepMatchesPreChangeLoop:
