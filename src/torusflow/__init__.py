@@ -45,7 +45,6 @@ from .interaction import (
     DriftModel,
     estimate_constants,
     potential_from_kernel,
-    stability_constant,
     velocity_field,
 )
 from .jko import Problem, Trajectory, el_residual, run_jko
@@ -76,7 +75,6 @@ __all__ = [
     "potential_from_kernel",
     "velocity_field",
     "estimate_constants",
-    "stability_constant",
     "TransportResult",
     "cost_matrix",
     "sinkhorn_w2",

@@ -38,7 +38,6 @@ from . import __version__
 from .config import ConfigError, RunConfig, parse_config
 from .diagnostics import Ledger, StabilitySeries, energy_ledger, stability_compare
 from .grid import Density, make_grid, normalize
-from .interaction import stability_constant
 from .jko import Trajectory, run_jko
 from .parabolic import run_parabolic
 from .transport import species_w2_sq
@@ -155,26 +154,6 @@ def _output_error(cfg: RunConfig, exc: OSError) -> int:
     return 2
 
 
-def _nearest(times: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Index of the entry of the ascending ``times`` nearest each entry of t."""
-    hi = np.minimum(np.searchsorted(times, t), len(times) - 1)
-    lo = np.maximum(hi - 1, 0)
-    return np.where(np.abs(times[lo] - t) <= np.abs(times[hi] - t), lo, hi)
-
-
-def _shared_time_indices(a: Trajectory, b: Trajectory) -> list[tuple[int, int]]:
-    """Record pairs (ka, kb) at one time: each record's nearest partner in
-    the other trajectory, nearest both ways and within 1e-12, so no record
-    is used twice."""
-    ta, tb = np.asarray(a.times, dtype=float), np.asarray(b.times, dtype=float)
-    to_b, to_a = _nearest(tb, ta), _nearest(ta, tb)
-    return [
-        (ka, int(kb))
-        for ka, kb in enumerate(to_b)
-        if to_a[kb] == ka and abs(ta[ka] - tb[kb]) <= 1e-12
-    ]
-
-
 def _solve_and_check(cfg: RunConfig):
     """Run the configured solver(s) and diagnostics; returns (primary, extra
     trajectory or None, ledger or None, stability or None, constants, rows)."""
@@ -200,24 +179,23 @@ def _solve_and_check(cfg: RunConfig):
 
     series_rows: list[tuple] = []
     if traj_jko is not None and traj_par is not None:
-        for ka, kb in _shared_time_indices(traj_jko, traj_par):
+        # Both routes record at the problem's record times, state k of one
+        # beside state k of the other; a last JKO step past a horizon that is
+        # not a multiple of h has no partner.
+        for k, (t_jko, t_par) in enumerate(zip(traj_jko.times, traj_par.times)):
+            if abs(t_jko - t_par) > 1e-12:
+                continue
             for i in range(problem.species_count):
                 l1 = float(
-                    np.sum(
-                        np.abs(
-                            traj_jko.states[ka][i].values - traj_par.states[kb][i].values
-                        )
-                    )
+                    np.sum(np.abs(traj_jko.states[k][i].values - traj_par.states[k][i].values))
                     * problem.grid.cell_volume
                 )
-                series_rows.append(
-                    ("cross_l1", _fmt(traj_jko.times[ka]), i, _fmt(l1), "")
-                )
+                series_rows.append(("cross_l1", _fmt(t_jko), i, _fmt(l1), ""))
 
     constants = dataclasses.asdict(cfg.load_constants)
     stability: StabilitySeries | None = None
     if stability_runs is not None:
-        constants["c_hat"] = c_hat = stability_constant(cfg.load_constants)
+        constants["c_hat"] = c_hat = cfg.load_constants.c_hat
         stability = stability_compare(*stability_runs, c_hat=c_hat, margin=margin)
         for k, t in enumerate(stability.times):
             series_rows.append(

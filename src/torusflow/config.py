@@ -30,7 +30,6 @@ from .interaction import (
     DriftConstants,
     DriftModel,
     _kernel_sums_bound,
-    as_velocity_model,
     cosine_kernel,
     estimate_constants,
     gaussian_bump_kernel,
@@ -391,10 +390,9 @@ def parse_config_dict(raw: dict) -> RunConfig:
     # form are closed-form kernel bounds; they feed meta.json and c_hat.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            velocity = as_velocity_model(drift)
+            load_constants = estimate_constants(drift)
         except ValueError as exc:  # a velocity kernel overflowed
             raise ConfigError(f"drift.kernels: drift bounds are not finite ({exc})") from exc
-        load_constants = estimate_constants(velocity)
         bounds = {
             **dataclasses.asdict(load_constants),
             "nonneg_shift": drift.nonneg_shift,

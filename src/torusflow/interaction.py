@@ -16,10 +16,11 @@ inverse transform of the nonzero kernel terms, with the terms tiled once per
 run when several runs are stacked.  The kernel transforms are
 taken the first time a model is evaluated and kept on it.
 
-``estimate_constants`` bounds the regularity constants of the drift in
-closed form: the kernel gradients (lip_x), the Wasserstein-Lipschitz
-constant of rho -> V[rho] (lip_w2) and the positive part of the kernel
-Laplacian/divergence (lap_plus).  No transport problem is solved.
+``estimate_constants`` bounds the regularity constants of the drift's
+velocity form in closed form: the velocity kernel gradients (lip_x), the
+Wasserstein-Lipschitz constant of rho -> V[rho] (lip_w2) and the positive
+part of the velocity kernel divergence (lap_plus).  No transport problem is
+solved.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .grid import (
     VectorField,
     centered_grad_values,
     grad_values,
-    laplacian_values,
     minimal_image,
 )
 
@@ -47,7 +47,6 @@ __all__ = [
     "potential_from_kernel",
     "velocity_field",
     "estimate_constants",
-    "stability_constant",
     "as_velocity_model",
     "cosine_kernel",
     "gaussian_bump_kernel",
@@ -273,20 +272,28 @@ class DriftConstants:
     lip_w2: float
     lap_plus: float
 
+    @property
+    def c_hat(self) -> float:
+        """Growth constant max(lip_x, lip_w2) of the stability bound."""
+        return max(self.lip_x, self.lip_w2)
+
 
 def estimate_constants(model: DriftModel) -> DriftConstants:
-    """Bounds on the drift regularity constants, in one pass over the pairs.
+    """Bounds on the regularity constants of the drift's velocity form.
 
-    lip_x is the max over species and cells of sum_j |grad K_ij|; lap_plus
-    that of sum_j (Lap K_ij)_+ in potential mode and of sum_j (div B_ij)_+ in
-    velocity mode.  lip_w2 bounds the W2-Lipschitz constant of rho -> V[rho]:
-    by Kantorovich-Rubinstein duality |V_i[rho] - V_i[nu]|_inf <=
-    max_j Lip(B_ij) sum_j W2(rho_j, nu_j), where B_ij are the velocity kernels
-    (-grad W_ij in potential mode).  Between the cell centres, where the
-    densities sit, a path that walks the axes one at a time gives
+    A potential model is first rewritten as its velocity kernels
+    B_ij = -grad W_ij (``as_velocity_model``), so lip_x bounds the spatial
+    Lipschitz constant of the velocity itself.  lip_x is the max over species
+    and cells of sum_j |grad B_ij| and lap_plus that of sum_j (div B_ij)_+.
+    lip_w2 bounds the W2-Lipschitz constant of rho -> V[rho]: by
+    Kantorovich-Rubinstein duality |V_i[rho] - V_i[nu]|_inf <=
+    max_j Lip(B_ij) sum_j W2(rho_j, nu_j).  Between the cell centres, where
+    the densities sit, a path that walks the axes one at a time gives
     Lip(B) <= sqrt(dim) times the largest quotient of a component of B
-    between neighbouring cells.  All-zero kernels are skipped.
+    between neighbouring cells.  All-zero kernels are skipped.  A ValueError
+    means the velocity kernels of a potential model are not finite.
     """
+    model = as_velocity_model(model)
     grid = model.grid
     lip_x = step = lap_plus = 0.0
     for i in range(model.species_count):
@@ -296,20 +303,13 @@ def estimate_constants(model: DriftModel) -> DriftConstants:
             kernel = model.kernels[i, j]
             if not np.any(kernel):
                 continue
-            if model.mode == "potential":
-                g = centered_grad_values(grid, kernel)
-                grad_acc += np.sqrt(np.sum(g**2, axis=0))
-                lap = laplacian_values(grid, kernel)
-                velocity = g  # B_ij = -g; the sign does not change a quotient
-            else:
-                comps = [centered_grad_values(grid, b) for b in kernel]
-                grad_acc += np.sqrt(sum(np.sum(g**2, axis=0) for g in comps))
-                lap = np.zeros(grid.shape)
-                for a, g in enumerate(comps):
-                    lap += g[a]
-                velocity = kernel
+            comps = [centered_grad_values(grid, b) for b in kernel]
+            grad_acc += np.sqrt(sum(np.sum(g**2, axis=0) for g in comps))
+            lap = np.zeros(grid.shape)
+            for a, g in enumerate(comps):
+                lap += g[a]
             lap_acc += np.maximum(lap, 0.0)
-            for b in velocity:
+            for b in kernel:
                 step = max(step, float(np.max(np.abs(grad_values(grid, b)))))
         lip_x = max(lip_x, float(np.max(grad_acc)))
         lap_plus = max(lap_plus, float(np.max(lap_acc)))
@@ -327,13 +327,3 @@ def as_velocity_model(model: DriftModel) -> DriftModel:
         for j in range(l):
             kernels[i, j] = -centered_grad_values(grid, model.kernels[i, j])
     return DriftModel.velocity(grid, kernels)
-
-
-def stability_constant(constants: DriftConstants) -> float:
-    """Growth constant c_hat = max(lip_x, lip_w2).
-
-    Pass the constants of the velocity-kernel form
-    (``estimate_constants(as_velocity_model(model))``): its lip_x bounds the
-    spatial Lipschitz constant of the velocity itself.
-    """
-    return max(constants.lip_x, constants.lip_w2)

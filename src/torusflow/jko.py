@@ -7,7 +7,10 @@ per-species minimizations decouple even for nonsymmetric cross-interactions:
                           + int U_i[rho^k] rho.
 
 The trajectory extends the iterates piecewise-constantly in time, with the
-value on ((k-1)h, kh] equal to state k, and runs N = floor(T/h) + 1 steps.
+value on ((k-1)h, kh] equal to state k.  It takes one step per entry of
+``Problem.record_times`` (every h up to the horizon T, and T itself when it
+is not a multiple of h), so the last step is the first to reach T and the
+finite-volume route, which records at those times, keeps as many states.
 """
 
 from __future__ import annotations
@@ -78,8 +81,18 @@ class Problem:
         return len(self.energies)
 
     @property
+    def record_times(self) -> np.ndarray:
+        """Times after t = 0 at which both solvers record a state: every h up
+        to the horizon, then the horizon itself unless the last multiple of h
+        lies within 1e-12 of it."""
+        times = self.h * np.arange(1, int(np.floor(self.horizon / self.h)) + 1)
+        if times.size == 0 or times[-1] < self.horizon - 1e-12:
+            times = np.append(times, self.horizon)
+        return times
+
+    @property
     def step_count(self) -> int:
-        return int(np.floor(self.horizon / self.h)) + 1
+        return len(self.record_times)
 
 
 @dataclass

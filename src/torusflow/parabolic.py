@@ -321,10 +321,10 @@ def run_parabolic(
     """March the regularized equation to the problem horizon.
 
     Velocities are re-evaluated from the current densities once per step and
-    serve both the CFL bound and the update.  States are recorded every
-    problem h (and at the horizon), so trajectories are directly comparable
-    with the minimizing-movement route.  Each step's dt, the CFL term that
-    bounded it and the mass it clipped are recorded on the trajectory.
+    serve both the CFL bound and the update.  States are recorded at the
+    problem's ``record_times``, one per minimizing-movement step, so the two
+    routes' trajectories pair record by record.  Each step's dt, the CFL term
+    that bounded it and the mass it clipped are recorded on the trajectory.
 
     Several problems that differ only in their initial densities march in
     lock step, one stacked step for all, each with its own dt and records;
@@ -341,10 +341,7 @@ def run_parabolic(
     first = problems[0]
     reg = tuple(regularize(e, eps_reg) for e in first.energies)
     grid, h = first.grid, first.h
-    record_times = h * np.arange(1, int(np.floor(first.horizon / h)) + 1)
-    if record_times.size == 0 or record_times[-1] < first.horizon - 1e-12:
-        record_times = np.append(record_times, first.horizon)
-    record_times = record_times.tolist()
+    record_times = first.record_times.tolist()
 
     scheme = _Scheme(reg, first.drift)
     values = np.stack([[rho.values for rho in p.rho0] for p in problems])

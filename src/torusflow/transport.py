@@ -112,7 +112,6 @@ class TransportResult:
     w2_sq: float
     plan_marginal_err: float
     iterations: int
-    eps: float
     converged: bool = True
     plan: np.ndarray | None = None
 
@@ -351,7 +350,6 @@ def sinkhorn_w2(
         w2_sq=w2_sq,
         plan_marginal_err=err,
         iterations=total_iter,
-        eps=eps,
         converged=err <= tol,
         plan=plan if return_plan else None,
     )
@@ -592,7 +590,6 @@ def jko_step(
         w2_sq=w2_sq,
         plan_marginal_err=max(row_err, col_err),
         iterations=iterations,
-        eps=eps,
         converged=True,
         plan=plan,
     )

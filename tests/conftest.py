@@ -23,7 +23,7 @@ def unconverged_transport(monkeypatch):
 
     def fake(mu, nu, eps, tol):
         return tf.TransportResult(
-            w2_sq=0.0, plan_marginal_err=1.0, iterations=7, eps=eps, converged=False
+            w2_sq=0.0, plan_marginal_err=1.0, iterations=7, converged=False
         )
 
     monkeypatch.setattr("torusflow.transport.sinkhorn_w2", fake)

@@ -13,7 +13,7 @@ import pytest
 
 import torusflow as tf
 from torusflow.grid import centered_grad_values
-from torusflow.interaction import as_velocity_model, gaussian_bump_kernel
+from torusflow.interaction import gaussian_bump_kernel
 
 from conftest import (
     cosine_density,
@@ -127,7 +127,7 @@ def _stability_pair(zero_drift=False):
 @pytest.fixture(scope="module")
 def stability_runs():
     drift, traj_a, traj_b = _stability_pair(zero_drift=False)
-    c_hat = tf.stability_constant(tf.estimate_constants(as_velocity_model(drift)))
+    c_hat = tf.estimate_constants(drift).c_hat
     series = tf.stability_compare(traj_a, traj_b, c_hat=c_hat, margin=0.2)
     _, zero_a, zero_b = _stability_pair(zero_drift=True)
     zero_series = tf.stability_compare(zero_a, zero_b, c_hat=0.0, margin=0.2)

@@ -385,13 +385,17 @@ class TestRunCli:
         assert main(["run", "--config", str(path)]) == 0
 
     def test_both_solvers_emit_series(self, tmp_path):
-        out_dir = tmp_path / "out"
-        cfg = minimal_config(directory=str(out_dir), solver="both")
-        path = write_config(tmp_path, cfg)
-        assert main(["run", "--config", str(path)]) == 0
-        assert (out_dir / "states_parabolic.csv").exists()
-        series = (out_dir / "series.csv").read_text().strip().splitlines()
-        assert any(row.startswith("cross_l1") for row in series[1:])
+        # Both horizons pair the records at 0, h and 2h.  At 2.5h the last
+        # JKO record (3h) and the last finite-volume one (2.5h) go unpaired.
+        for horizon in (2e-3, 2.5e-3):
+            out_dir = tmp_path / f"out{horizon:g}"
+            cfg = minimal_config(directory=str(out_dir), solver="both", horizon=horizon)
+            path = write_config(tmp_path, cfg)
+            assert main(["run", "--config", str(path)]) == 0
+            assert (out_dir / "states_parabolic.csv").exists()
+            rows = (out_dir / "series.csv").read_text().splitlines()[1:]
+            cross = [float(row.split(",")[1]) for row in rows if row.startswith("cross_l1")]
+            assert cross == pytest.approx([0.0, 1e-3, 2e-3])
 
     def test_stability_run_emits_series(self, tmp_path):
         out_dir = tmp_path / "out"
@@ -633,8 +637,7 @@ class TestRunCli:
 
         def fake(mu, nu, eps, tol):
             return TransportResult(
-                w2_sq=0.0, plan_marginal_err=1.0, iterations=5, eps=eps,
-                converged=next(results),
+                w2_sq=0.0, plan_marginal_err=1.0, iterations=5, converged=next(results),
             )
 
         monkeypatch.setattr("torusflow.transport.sinkhorn_w2", fake)

@@ -214,11 +214,12 @@ class TestConstants:
         assert consts.lap_plus == 0.0
 
     def test_cosine_gradient_bound(self):
-        # sup |W'| = 2 pi for W = cos(2 pi x), up to the stencil correction.
+        # W = cos(2 pi x) has velocity B = -W' = 2 pi sin(2 pi x), and
+        # sup |B'| = 4 pi^2, up to the stencil correction.
         grid = tf.make_grid(1, 256)
         model = tf.DriftModel.potential(grid, cosine_kernel(grid)[None, None])
         consts = tf.estimate_constants(model)
-        assert consts.lip_x == pytest.approx(2 * np.pi, rel=0.02)
+        assert consts.lip_x == pytest.approx(4 * np.pi**2, rel=0.02)
 
     def test_lap_plus_positive_part(self):
         grid = tf.make_grid(1, 128)
@@ -258,13 +259,14 @@ class TestConstants:
     def test_stability_constant_uses_velocity_form(self):
         grid = tf.make_grid(1, 64)
         model = tf.DriftModel.potential(grid, gaussian_bump_kernel(grid, 0.15)[None, None])
-        consts = tf.estimate_constants(as_velocity_model(model))
-        c_hat = tf.stability_constant(consts)
-        assert c_hat > 0
-        assert c_hat == max(consts.lip_x, consts.lip_w2)
-        # The velocity form's lip_x is the potential's Hessian bound, not its
-        # gradient bound.
-        assert consts.lip_x != tf.estimate_constants(model).lip_x
+        consts = tf.estimate_constants(model)
+        assert consts.c_hat > 0
+        assert consts.c_hat == max(consts.lip_x, consts.lip_w2)
+        # A potential model is bounded through its velocity form: lip_x is
+        # the potential's Hessian bound sup |W''| = 1/sigma^2, not its
+        # gradient bound sup |W'| = 1/(sigma sqrt(e)).
+        assert consts == tf.estimate_constants(as_velocity_model(model))
+        assert consts.lip_x == pytest.approx(1 / 0.15**2, rel=0.02)
 
 
 class TestW2Lipschitz:

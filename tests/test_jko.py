@@ -50,11 +50,17 @@ class TestRunJko:
         assert got == pytest.approx(expected, rel=0.05)
 
     def test_step_count_convention(self):
-        prob = heat_problem(n=32, horizon=0.0105, h=1e-3)
-        traj = tf.run_jko(prob, eps=1e-3)
-        assert prob.step_count == 11
-        assert len(traj.times) == 12
-        assert traj.times[-1] == pytest.approx(0.011)
+        # One step per finite-volume record, so the last step is the first to
+        # reach the horizon; one that is a multiple of h is not overshot.
+        for horizon, steps in ((0.0105, 11), (0.05, 50)):
+            prob = heat_problem(n=32, horizon=horizon, h=1e-3)
+            traj = tf.run_jko(prob, eps=1e-3)
+            fv = tf.run_parabolic(prob)
+            assert prob.step_count == steps
+            assert len(traj.times) == len(fv.times) == steps + 1
+            assert traj.times[-1] == pytest.approx(steps * 1e-3)
+        # The last horizon is a multiple of h: both routes end at it.
+        assert abs(traj.times[-1] - fv.times[-1]) <= 1e-12
 
     def test_porous_medium_energy_decreases(self):
         grid = tf.make_grid(1, 64)
