@@ -29,7 +29,6 @@ __all__ = [
     "normalize",
     "grad_values",
     "div_values",
-    "laplacian_values",
     "centered_grad_values",
 ]
 
@@ -166,10 +165,6 @@ def div_values(grid: Grid, w: np.ndarray) -> np.ndarray:
     for a in range(grid.dim):
         out += (w[a] - np.roll(w[a], 1, axis=a)) / grid.dx
     return out
-
-
-def laplacian_values(grid: Grid, f: np.ndarray) -> np.ndarray:
-    return div_values(grid, grad_values(grid, f))
 
 
 def centered_grad_values(grid: Grid, f: np.ndarray) -> np.ndarray:

@@ -103,9 +103,10 @@ class Trajectory:
     continuous time are piecewise constant on half-open intervals ending at
     the recorded time.  ``w2_sq`` is per transition (one row per step).
     Energies are not stored: ``energy_ledger`` recomputes them from the
-    states.  Finite-volume runs also record, per time step, the ``step_dt``
+    states.  Finite-volume runs also record, per super-step, the ``step_dt``
     taken, the CFL term that bounded it (``step_bound``: "diffusion" or
-    "advection") and the mass clipped (``step_clipped``); minimizing-movement
+    "advection"), the mass clipped (``step_clipped``) and the number of RKL2
+    stages (``step_stages``; 1 is a forward-Euler step); minimizing-movement
     runs leave these None.
     """
 
@@ -116,9 +117,10 @@ class Trajectory:
     w2_sq: np.ndarray | None = None  # (len(times) - 1, species)
     clipped_mass: float = 0.0
     jko_eps: float | None = None  # inner entropic parameter of the transport steps
-    step_dt: np.ndarray | None = None  # (finite-volume steps,)
+    step_dt: np.ndarray | None = None  # (finite-volume super-steps,)
     step_bound: tuple[str, ...] | None = None
     step_clipped: np.ndarray | None = None
+    step_stages: np.ndarray | None = None
 
     @property
     def species_count(self) -> int:

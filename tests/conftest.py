@@ -182,6 +182,39 @@ def heat_problem(n: int = 128, amplitude: float = 0.5, horizon: float = 0.05, h:
     )
 
 
+def barenblatt_values(grid: tf.Grid, t: float) -> np.ndarray:
+    """The 1-d m = 2 Barenblatt profile t^(-1/3) (C - |x - 1/2|^2 t^(-2/3) / 12)_+
+    at the cell centres, C fixed by unit mass: the exact solution of
+    d_t rho = Lap rho^2 while its support stays inside one period (Vazquez,
+    The Porous Medium Equation, Oxford 2007)."""
+    k = 1.0 / 12.0
+    # (C - k y^2)_+ has mass (4/3) C^(3/2) / sqrt(k).
+    c = (0.75 * math.sqrt(k)) ** (2.0 / 3.0)
+    x = minimal_image(grid.axis_centers - 0.5)
+    return t ** (-1.0 / 3.0) * np.maximum(c - k * x**2 * t ** (-2.0 / 3.0), 0.0)
+
+
+def barenblatt_problem(t0: float = 1e-3, horizon: float = 8e-3, h: float = 1e-3) -> tf.Problem:
+    """1-d n = 128 porous medium m = 2 from the Barenblatt profile at t0,
+    support radius 0.21, which reaches 0.43 at t0 + horizon."""
+    grid = tf.make_grid(1, 128)
+    return tf.Problem(
+        grid=grid,
+        energies=(tf.InternalEnergy.power(2.0),),
+        drift=tf.DriftModel.none(grid),
+        rho0=(tf.normalize(tf.Density(grid, barenblatt_values(grid, t0))),),
+        horizon=horizon,
+        h=h,
+    )
+
+
+def barenblatt_l1(traj: tf.Trajectory, t0: float = 1e-3) -> float:
+    """L1 distance of the last state from the normalized exact profile."""
+    grid = traj.grid
+    exact = tf.normalize(tf.Density(grid, barenblatt_values(grid, t0 + traj.times[-1])))
+    return float(np.sum(np.abs(traj.states[-1][0].values - exact.values)) * grid.cell_volume)
+
+
 def spectral_heat_trajectory(problem: tf.Problem, amplitude: float = 0.5) -> tf.Trajectory:
     """Trajectory whose states sample the exact heat solution on the problem's
     time grid (the injected oracle for weak-form residual checks)."""
@@ -236,10 +269,10 @@ def _on_row(row, step, *args):
 class ReferenceScheme:
     """The stacked finite-volume step with fresh temporaries, a zeroed
     divergence accumulator and every check on whole arrays; a drop-in
-    replacement for ``torusflow.parabolic._Scheme``.  ``velocities`` and
-    ``advance`` take (runs, species, *shape) values and a dt per run, and
-    step each run on its own; a failing run's row is set on the error.
-    ``velocities`` returns no pressure, and ``advance`` ignores the one it
+    replacement for ``torusflow.parabolic._Scheme``.  ``velocities``,
+    ``divergence`` and ``finish`` take (runs, species, *shape) values and
+    treat each run on its own; a failing run's row is set on the error.
+    ``velocities`` returns no pressure, and ``divergence`` ignores the one it
     is passed and evaluates F'_eps itself."""
 
     def __init__(self, reg_energies, drift) -> None:
@@ -266,23 +299,32 @@ class ReferenceScheme:
         return values.reshape(self.species, -1)
 
     def velocities(self, values):
-        out = [_on_row(row, self._run_velocities, v) for row, v in enumerate(values)]
+        out = [_on_row(row, self.run_velocities, v) for row, v in enumerate(values)]
         faces = None if out[0][0] is None else np.stack([f for f, _, _ in out])
-        return faces, None, [limit for _, limit, _ in out], [term for _, _, term in out]
+        return faces, None, [d for _, d, _ in out], [a for _, _, a in out]
 
-    def advance(self, values, faces, pressure, dt):
+    def divergence(self, values, faces, pressure):
+        return np.stack(
+            [
+                self.run_divergence(v, None if faces is None else faces[row])
+                for row, v in enumerate(values)
+            ]
+        )
+
+    def finish(self, values, updated):
         out = [
-            _on_row(row, self._run_advance, v, None if faces is None else faces[row], d)
-            for row, (v, d) in enumerate(zip(values, dt))
+            _on_row(row, self.run_finish, v, u) for row, (v, u) in enumerate(zip(values, updated))
         ]
         return np.stack([u for u, _ in out]), [c for _, c in out]
 
-    def _run_velocities(self, values):
+    def run_velocities(self, values):
+        """One run's face velocities (None without drift), diffusion limit
+        and advection limit."""
         grid, dx = self.grid, self.grid.dx
         fpp_max = self._per_species(self._energy("f_second", values)).max(axis=1)
         diffusion = min((0.25 * dx**2 / f for f in fpp_max if f > 0), default=np.inf)
         if not self.advects:
-            return None, float(diffusion), "diffusion"
+            return None, float(diffusion), np.inf
         fields = _kernel_sums(self.drift, values)
         faces = np.empty((self.species, grid.dim) + grid.shape)
         for a in range(grid.dim):
@@ -295,12 +337,11 @@ class ReferenceScheme:
             raise RuntimeError("drift velocities are not finite")
         vmax = self._per_species(np.abs(faces)).max(axis=1)
         advection = min((0.5 * dx / v for v in vmax if v > 0), default=np.inf)
-        if advection < diffusion:
-            return faces, float(advection), "advection"
-        return faces, float(diffusion), "diffusion"
+        return faces, float(diffusion), float(advection)
 
-    def _run_advance(self, values, faces, dt):
-        grid, dx, vol = self.grid, self.grid.dx, self.grid.cell_volume
+    def run_divergence(self, values, faces):
+        """One run's flux divergence: d_t values = -divergence."""
+        grid, dx = self.grid, self.grid.dx
         pressure = self._energy("f_prime", values)
         divergence = np.zeros_like(values)
         for a in range(grid.dim):
@@ -310,7 +351,12 @@ class ReferenceScheme:
                 w = faces[:, a]
                 flux += w * np.where(w >= 0, values, values.take(self.ahead, axis=axis))
             divergence += (flux - flux.take(self.behind, axis=axis)) / dx
-        updated = values - dt * divergence
+        return divergence
+
+    def run_finish(self, values, updated):
+        """One run's guards from values to updated; the clipped, renormalized
+        state and the mass clipped."""
+        grid, vol = self.grid, self.grid.cell_volume
         if not np.isfinite(updated).all():
             raise RuntimeError("parabolic step produced non-finite values")
         mass = self._per_species(values).sum(axis=1) * vol
@@ -325,6 +371,38 @@ class ReferenceScheme:
         if (totals <= 0).any():
             raise ValueError("degenerate density: total mass is not positive")
         return updated / totals.reshape((-1,) + (1,) * grid.dim), clipped
+
+
+def textbook_rkl2_step(scheme: ReferenceScheme, values: np.ndarray, tau: float, s: int):
+    """One run's RKL2 super-step of s stages over tau, written out as in
+    Meyer, Balsara & Aslam (J. Comput. Phys. 257, 2014, eqs. 16-17), with
+    M Y = -divergence(Y) and the drift re-evaluated at every stage; s = 1 is
+    the forward-Euler step.  Guards are not applied."""
+
+    def m(y):
+        faces, _, _ = scheme.run_velocities(y)
+        return -scheme.run_divergence(y, faces)
+
+    m0 = m(values)
+    if s == 1:
+        return values + tau * m0
+    b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1)) for j in range(3, s + 1)]
+    w1 = 4.0 / (s * s + s - 2)
+    y_prev2, y_prev = values, values + b[1] * w1 * tau * m0
+    for j in range(2, s + 1):
+        mu = (2 * j - 1) / j * b[j] / b[j - 1]
+        nu = -(j - 1) / j * b[j] / b[j - 2]
+        mu_tilde = mu * w1
+        gamma_tilde = -(1.0 - b[j - 1]) * mu_tilde
+        y = (
+            mu * y_prev
+            + nu * y_prev2
+            + (1.0 - mu - nu) * values
+            + mu_tilde * tau * m(y_prev)
+            + gamma_tilde * tau * m0
+        )
+        y_prev2, y_prev = y_prev, y
+    return y_prev
 
 
 def cold_log_wright_omega(z: np.ndarray) -> np.ndarray:

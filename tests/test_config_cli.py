@@ -425,6 +425,26 @@ class TestRunCli:
         # 3 recorded times compared; the drift constants solve no transport.
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("solver", ["jko", "parabolic"])
+    def test_power_run_on_half_empty_state(self, tmp_path, solver):
+        # Power m = 2 from a state that is zero on half the cells.
+        out_dir = tmp_path / "out"
+        cfg = minimal_config(directory=str(out_dir), solver=solver, horizon=8e-3)
+        cfg["grid"] = {"dim": 1, "n": 128}
+        cfg["species"] = [
+            {
+                "energy": {"kind": "power", "m": 2.0},
+                "initial": {"profile": "inline", "values": [2.0] * 64 + [0.0] * 64},
+            }
+        ]
+        cfg["jko"] = {"h": 1e-3, "eps": 5e-4}
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", str(path)]) == 0
+        states = read_states_csv(out_dir / "states.csv")
+        assert len(states) == 9
+
     def test_2d_drift_run_needs_no_transport_solve(self, tmp_path):
         # Without a stability section a 2-d drift run makes no Sinkhorn
         # solve: a sampled drift constant hit the iteration cap here (exit 3).

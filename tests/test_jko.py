@@ -4,7 +4,14 @@ import pytest
 import torusflow as tf
 from torusflow.interaction import gaussian_bump_kernel
 
-from conftest import cosine_density, heat_problem, mode_amplitude, trig_vector_field
+from conftest import (
+    barenblatt_l1,
+    barenblatt_problem,
+    cosine_density,
+    heat_problem,
+    mode_amplitude,
+    trig_vector_field,
+)
 
 
 def two_species_problem(grid, w12, w21, shift=3.0, h=2e-3, horizon=0.01):
@@ -115,6 +122,16 @@ class TestRunJko:
         assert amp == pytest.approx(expected, rel=0.15)
         for state in traj.states:
             assert abs(state[0].mass() - 1.0) <= 1e-12
+
+    def test_barenblatt_solution(self):
+        # Vacuum around the support: the prox centre underflows to 0 in
+        # empty cells, which stay empty.  The scheme is first order in h:
+        # L1 2.85e-2 from the exact profile at h = 1e-3, 1.49e-2 at 5e-4.
+        traj = tf.run_jko(barenblatt_problem(), eps=5e-4)
+        assert barenblatt_l1(traj) <= 3.5e-2
+        for (rho,) in traj.states:
+            assert abs(rho.mass() - 1.0) <= 1e-12
+            assert np.min(rho.values) >= 0.0
 
     def test_velocity_drift_rejected(self):
         grid = tf.make_grid(1, 16)

@@ -11,19 +11,23 @@ from torusflow.grid import grad_values
 
 from conftest import (
     ReferenceScheme,
+    barenblatt_l1,
+    barenblatt_problem,
     cosine_density,
     heat_problem,
     heat_values,
     mode_amplitude,
     same_bits,
+    textbook_rkl2_step,
 )
 
 REPO = Path(__file__).resolve().parent.parent
 
 
 def fixed_steps(grid, energy, drift, values, dt, k):
-    """k steps of dt from the normalized values: with h = dt, run_parabolic
-    takes one step per record while dt is below its CFL bound."""
+    """k forward-Euler steps of dt from the normalized values: with h = dt,
+    run_parabolic takes one step per record while dt is within its CFL
+    bound."""
     prob = tf.Problem(
         grid=grid,
         energies=(energy,),
@@ -34,6 +38,7 @@ def fixed_steps(grid, energy, drift, values, dt, k):
     )
     traj = tf.run_parabolic(prob, eps_reg=1e-3)
     assert len(traj.step_dt) == k
+    assert set(traj.step_stages) == {1}
     return traj
 
 
@@ -228,6 +233,15 @@ class TestRunParabolic:
                 assert np.all(np.isfinite(rho.values))
         assert traj.clipped_mass <= 1e-8
 
+    def test_barenblatt_solution(self):
+        # Compact support spreading into vacuum, radius 0.21 -> 0.43: L1
+        # 2.8e-4 from the exact profile in 106 super-steps (forward Euler:
+        # 2.2e-4 in 2625 steps), with nothing clipped.
+        traj = tf.run_parabolic(barenblatt_problem())
+        assert barenblatt_l1(traj) <= 4e-4
+        assert traj.clipped_mass == 0.0
+        assert len(traj.step_dt) <= 120
+
     def test_zero_energy_rejected(self):
         grid = tf.make_grid(1, 16)
         prob = tf.Problem(
@@ -287,38 +301,77 @@ class TestStepRecord:
         traj = tf.run_parabolic(prob, eps_reg=1e-3, cfl_safety=0.9)
         steps = len(traj.step_dt)
         assert steps > len(traj.times) - 1
-        assert len(traj.step_bound) == len(traj.step_clipped) == steps
+        assert len(traj.step_bound) == len(traj.step_clipped) == len(traj.step_stages) == steps
         assert set(traj.step_bound) <= {"diffusion", "advection"}
+        assert traj.step_stages.dtype.kind == "i"
+        assert np.all((traj.step_stages >= 1) & (traj.step_stages <= tf.parabolic._MAX_STAGES))
+        assert np.any(traj.step_stages > 1)
         assert np.all(traj.step_dt > 0)
         assert np.sum(traj.step_dt) == pytest.approx(prob.horizon, rel=1e-12)
         assert np.all(traj.step_clipped >= 0)
         assert np.sum(traj.step_clipped) == pytest.approx(traj.clipped_mass, abs=1e-18)
 
-    def test_bound_names_the_binding_term(self):
-        # Without drift only diffusion bounds dt; a fast constant velocity
-        # on a coarse grid makes advection the binding term.
+    def test_bound_names_the_binding_term(self, monkeypatch):
+        # Without drift only diffusion bounds a step; a fast constant
+        # velocity on a coarse grid makes advection the binding term.
         calm = heat_problem(n=32, horizon=2e-3, h=1e-3)
         for energy in (tf.InternalEnergy.entropy(), tf.InternalEnergy.power(2.0)):
-            traj = tf.run_parabolic(dataclasses.replace(calm, energies=(energy,)))
-            assert set(traj.step_bound) == {"diffusion"}
+            prob = dataclasses.replace(calm, energies=(energy,))
             # The diffusion bound dx^2 / (4 max F''_eps(rho0)): cfl 0.9 of it.
             fpp = float(np.max(regularize(energy, 1e-3).f_second(calm.rho0[0].values)))
             bound = 0.9 * 0.25 * calm.grid.dx**2 / fpp
-            assert traj.step_dt[0] == pytest.approx(bound, rel=1e-12)
+            with monkeypatch.context() as m:
+                m.setattr("torusflow.parabolic._MAX_STAGES", 1)
+                euler = tf.run_parabolic(prob)
+            assert set(euler.step_bound) == {"diffusion"}
+            assert euler.step_dt[0] == pytest.approx(bound, rel=1e-12)
+            # A super-step of s stages covers (s^2 + s - 2) / 4 bounds, and
+            # s is the fewest stages that cover it.
+            traj = tf.run_parabolic(prob)
+            assert set(traj.step_bound) == {"diffusion"}
+            s = int(traj.step_stages[0])
+            assert s > 2
+            assert (s * s - s - 2) / 4 * bound < traj.step_dt[0] <= (s * s + s - 2) / 4 * bound
         grid = tf.make_grid(1, 16)
-        drift = tf.DriftModel.velocity(grid, np.full((1, 1, 1) + grid.shape, 200.0))
-        prob = tf.Problem(
-            grid=grid,
-            energies=(tf.InternalEnergy.entropy(),),
-            drift=drift,
-            rho0=(cosine_density(grid, 0.2),),
-            horizon=1e-3,
-            h=1e-3,
-        )
-        fast = tf.run_parabolic(prob)
+
+        def constant_drift(speed, h):
+            drift = tf.DriftModel.velocity(grid, np.full((1, 1, 1) + grid.shape, speed))
+            return tf.Problem(
+                grid=grid,
+                energies=(tf.InternalEnergy.entropy(),),
+                drift=drift,
+                rho0=(cosine_density(grid, 0.2),),
+                horizon=h,
+                h=h,
+            )
+
+        fast = tf.run_parabolic(constant_drift(200.0, 1e-3))
         assert set(fast.step_bound) == {"advection"}
-        # The advection bound dx / (2 max|V|) with V = 200: cfl 0.9 of it.
+        # The advection bound dx / (2 max|V|) with V = 200, cfl 0.9 of it,
+        # binds the forward-Euler step, so no super-step is longer.
+        assert set(fast.step_stages) == {1}
         assert fast.step_dt[0] == pytest.approx(0.9 * 0.5 * grid.dx / 200.0)
+        # At V = 10 the advection bound lies between one and the 10-stage
+        # diffusion limit of 27 bounds: it caps the super-steps.
+        moderate = tf.run_parabolic(constant_drift(10.0, 1e-2))
+        assert set(moderate.step_bound) == {"advection"}
+        assert np.all(moderate.step_stages > 1)
+        assert np.all(moderate.step_dt <= 0.9 * 0.5 * grid.dx / 10.0)
+
+    def test_super_step_plan(self):
+        # (time, next record, time past which it is reached, diffusion and
+        # advection limits, cfl) -> (length, stages, bounding term).  With f
+        # the forward-Euler step cfl min(limits), L = cfl min(27 diffusion,
+        # advection) and tau = rest / ceil(rest / L); s stages cover
+        # (s^2 + s - 2) / 4 diffusion limits: 1, 2.5, 4.5, 7, ... for s >= 2.
+        plan = tf.parabolic._plan
+        assert plan(0.0, 0.5, 0.5, 1.0, np.inf, 0.9) == (0.5, 1, "diffusion")
+        assert plan(0.0, 2.0, 2.0, 1.0, 0.5, 1.0) == (0.5, 1, "advection")
+        assert plan(0.0, 4.55, 4.55, 1.0, np.inf, 1.0) == (4.55, 5, "diffusion")
+        assert plan(0.0, 60.0, 60.0, 1.0, np.inf, 1.0) == (20.0, 9, "diffusion")
+        assert plan(0.0, 1.9, 1.9, 1.0, 1.2, 1.0) == (0.95, 2, "advection")
+        # A step of f that lands within the loop's tolerance is taken as is.
+        assert plan(0.0, 1.0 + 1e-14, 1.0 - 1e-13, 1.0, np.inf, 1.0) == (1.0, 1, "diffusion")
 
     def test_jko_trajectory_leaves_them_unset(self):
         traj = tf.run_jko(heat_problem(n=16, horizon=2e-3, h=1e-3), eps=5e-3)
@@ -373,16 +426,37 @@ def repulsive_problem_2d(n, amplitude, energies, rho0, horizon, h):
     )
 
 
+def stage_split_pair():
+    """Two 1-d velocity-mode runs of power 2 whose super-steps take 8 and 9
+    stages: the second run's density has the smaller peak, so the larger
+    diffusion bound and longer super-steps."""
+    grid = tf.make_grid(1, 32)
+    offs = grid.offset_grids()[0]
+    kernels = (0.3 * np.sin(2 * np.pi * offs))[None, None, None]
+    prob = tf.Problem(
+        grid=grid,
+        energies=(tf.InternalEnergy.power(2.0),),
+        drift=tf.DriftModel.velocity(grid, kernels),
+        rho0=(cosine_density(grid, 0.8),),
+        horizon=4e-3,
+        h=2e-3,
+    )
+    return prob, dataclasses.replace(prob, rho0=(cosine_density(grid, 0.2),))
+
+
 class TestMatchesPreChangeStep:
     """``run_parabolic`` reproduces the pre-change step (``ReferenceScheme``)
     bit for bit, on cases the shipped configs never reach."""
 
     def run_both(self, monkeypatch, problem, **kwargs):
+        # One stage per super-step: every step is the forward-Euler step.
+        monkeypatch.setattr("torusflow.parabolic._MAX_STAGES", 1)
         got = tf.run_parabolic(problem, **kwargs)
         with monkeypatch.context() as m:
             m.setattr("torusflow.parabolic._Scheme", ReferenceScheme)
             want = tf.run_parabolic(problem, **kwargs)
         assert_same_trajectory(got, want)
+        assert set(got.step_stages) == {1}
         return got
 
     def test_power_across_both_junctions_with_potential_drift(self, monkeypatch):
@@ -430,6 +504,62 @@ class TestMatchesPreChangeStep:
         self.run_both(monkeypatch, heat_problem(n=64, horizon=4e-3, h=2e-3))
 
 
+def assert_textbook_super_steps(traj, problem, **kwargs):
+    """Replay a trajectory's super-steps with ``textbook_rkl2_step`` and the
+    reference guards, and match every recorded state to 1e-14 relative."""
+    reg = tuple(regularize(e, kwargs.get("eps_reg", 1e-3)) for e in problem.energies)
+    scheme = ReferenceScheme(reg, problem.drift)
+    values = np.stack([rho.values for rho in problem.rho0])
+    time, record = 0.0, 1
+    for tau, s in zip(traj.step_dt, traj.step_stages, strict=True):
+        updated = textbook_rkl2_step(scheme, values, tau, int(s))
+        values, _ = scheme.run_finish(values, updated)
+        time = time + tau
+        if record < len(traj.times) and time == traj.times[record]:
+            for rho, want in zip(traj.states[record], values, strict=True):
+                err = np.max(np.abs(rho.values - want))
+                assert err <= 1e-14 * np.max(np.abs(want)), (record, err)
+            record += 1
+    assert record == len(traj.times)
+
+
+class TestSuperStep:
+    """Stacked super-steps agree with the textbook RKL2 super-step."""
+
+    def test_heat_problem(self):
+        prob = heat_problem(n=64, horizon=4e-3, h=2e-3)
+        traj = tf.run_parabolic(prob)
+        assert np.all(traj.step_stages > 1)
+        assert_textbook_super_steps(traj, prob)
+
+    def test_two_energy_groups_with_velocity_drift(self):
+        prob = velocity_problem_1d()
+        traj = tf.run_parabolic(prob)
+        assert np.any(traj.step_stages > 1)
+        assert_textbook_super_steps(traj, prob)
+
+    def test_2d_potential_drift(self):
+        grid = tf.make_grid(2, 8)
+        rho = (cosine_density(grid, 0.4), cosine_density(grid, -0.3))
+        energies = (tf.InternalEnergy.entropy(), tf.InternalEnergy.power(3.0))
+        prob = repulsive_problem_2d(8, 0.5, energies, rho, horizon=8e-3, h=2e-3)
+        traj = tf.run_parabolic(prob)
+        assert np.any(traj.step_stages > 1)
+        assert_textbook_super_steps(traj, prob)
+
+    def test_lock_step_pair_with_different_stage_counts(self):
+        pair = stage_split_pair()
+        for problem, traj in zip(pair, tf.run_parabolic(*pair), strict=True):
+            assert_textbook_super_steps(traj, problem)
+
+    def test_one_stage_is_the_forward_euler_step(self):
+        # The record interval within one forward-Euler bound: s = 1.
+        prob = heat_problem(n=64, horizon=4e-5, h=2e-5)
+        traj = tf.run_parabolic(prob)
+        assert set(traj.step_stages) == {1}
+        assert_textbook_super_steps(traj, prob)
+
+
 class TestLockStep:
     """Problems marched together come out bit for bit as each does alone."""
 
@@ -443,8 +573,18 @@ class TestLockStep:
     def test_shipped_stability_pair(self):
         cfg = parse_config(REPO / "configs" / "two_species_stability.json")
         a, b = self.run_lock_step(cfg.problem, cfg.stability[0], **cfg.parabolic)
-        # Unequal step counts: the first run takes its last steps alone.
-        assert (len(a.step_dt), len(b.step_dt)) == (2071, 2057)
+        # 83 super-steps each (2071 and 2057 forward-Euler steps), 827 stages.
+        assert (len(a.step_dt), len(b.step_dt)) == (83, 83)
+        assert (int(np.sum(a.step_stages)), int(np.sum(b.step_stages))) == (827, 827)
+        assert a.clipped_mass == b.clipped_mass == 0.0
+
+    def test_runs_with_different_stage_counts(self):
+        # The first run takes 8 stages per super-step, the second 9: the
+        # first is frozen while the second takes its last stage, and takes
+        # its last two super-steps alone.
+        first, second = self.run_lock_step(*stage_split_pair())
+        assert list(first.step_stages) == [8] * 4
+        assert list(second.step_stages) == [9] * 2
 
     def test_2d_potential_pair_where_one_run_clips(self):
         grid = tf.make_grid(2, 6)
@@ -506,31 +646,32 @@ class TestLockStep:
         self.run_lock_step(prob, twin)
 
     def test_step_failure_names_the_problem(self, monkeypatch):
-        # Poison the drift of one row of the stack: the second run's at the
-        # first step, then the first run's once it steps alone.
-        cfg = parse_config(REPO / "configs" / "two_species_stability.json")
+        # Poison the drift of one row of the stack: either run's at the
+        # first stage, then the second run's at the stage that it takes
+        # alone, where it is the one row of the stage's values.
         kernel_sums = tf.parabolic._kernel_sums
-        row_count = []
+        poison = []
 
         def poisoned(model, values):
             out = kernel_sums(model, values)
-            if len(values) == row_count[0]:
-                out[-1] = np.nan
+            rows, row = poison
+            if len(values) == rows:
+                out[row] = np.nan
             return out
 
         monkeypatch.setattr("torusflow.parabolic._kernel_sums", poisoned)
-        pair = (cfg.problem, cfg.stability[0])
-        for rows, index in ((2, 1), (1, 0)):
-            row_count[:] = [rows]
+        pair = stage_split_pair()
+        for rows, row, index in ((2, 0, 0), (2, 1, 1), (1, 0, 1)):
+            poison[:] = [rows, row]
             with np.errstate(all="ignore"), pytest.raises(
                 RuntimeError, match=f"^problem {index}: drift velocities are not finite$"
             ):
-                tf.run_parabolic(*pair, **cfg.parabolic)
+                tf.run_parabolic(*pair)
         # One problem alone keeps the bare message.
         with np.errstate(all="ignore"), pytest.raises(
             RuntimeError, match="^drift velocities are not finite$"
         ):
-            tf.run_parabolic(cfg.problem, **cfg.parabolic)
+            tf.run_parabolic(pair[0])
 
 
 class TestStepGuards:
@@ -548,8 +689,9 @@ class TestStepGuards:
         scheme = self.scheme(prob)
         with np.errstate(all="ignore"):
             faces, pressure, _, _ = scheme.velocities(values)
+            updated = values - 1e-5 * scheme.divergence(values, faces, pressure)
             with pytest.raises(RuntimeError, match="parabolic step produced non-finite values"):
-                scheme.advance(values, faces, pressure, [1e-5])
+                scheme.finish(values, updated)
 
     @pytest.mark.parametrize("mode", ["potential", "velocity"])
     def test_non_finite_drift_velocities_raise(self, mode):

@@ -597,6 +597,24 @@ class TestJkoStep:
         expected = 0.1 / (1 + 4 * np.pi**2 * h)
         assert got == pytest.approx(expected, rel=0.10)
 
+    def test_cells_with_zero_prox_centre_stay_empty(self):
+        # Zero on half the cells: within the step's scaling iterations the
+        # prox centre underflows to 0 far from the support, where a prox
+        # solve would reject it; those cells get no mass.
+        g = tf.make_grid(1, 128)
+        rho = tf.normalize(tf.Density(g, np.r_[np.full(64, 2.0), np.zeros(64)]))
+        energy = tf.InternalEnergy.power(2.0)
+        with pytest.raises(ValueError, match="prox center s must be positive"):
+            reference_jko_step(rho, 1e-3, energy, None, eps=5e-4)
+        out, res = tf.jko_step(rho, 1e-3, energy, None, eps=5e-4)
+        assert res.converged and res.plan_marginal_err <= 1e-9
+        assert np.all(np.isfinite(out.values)) and np.min(out.values) >= 0.0
+        assert out.mass() == pytest.approx(1.0, abs=1e-13)
+        empty = np.flatnonzero(out.values == 0.0)
+        # The middle of the empty half, symmetric about it.
+        assert 96 in empty and np.array_equal(empty, 191 - empty[::-1])
+        assert np.all(out.values[:64] > 0)
+
     def test_output_mass_and_positivity(self):
         g = tf.make_grid(1, 64)
         rho = cosine_density(g, 0.9)
