@@ -21,7 +21,7 @@ takes a forward-Euler step of min(f, rest of the interval): s = 1.
 Otherwise the longest super-step is L = cfl_safety min(diffusion (S^2 + S -
 2) / 4, advection) with S = ``_MAX_STAGES``; the rest of the interval is
 split into ceil(rest / L) equal super-steps of tau, and s is the fewest
-stages whose diffusion limit covers tau.  Every stage re-evaluates the drift
+stages whose diffusion limit covers tau: 1 when tau <= f.  Every stage re-evaluates the drift
 and F'_eps on the stage values; the guards, clipping and renormalization
 run once per super-step, on its result.
 
@@ -281,10 +281,12 @@ def _plan(
         term = "advection" if advection < diffusion else "diffusion"
         return min(euler, rest), 1, term
     tau = rest / math.ceil(rest / longest)
+    term = "advection" if longest < cfl * diffusion * _stage_limit(_MAX_STAGES) else "diffusion"
+    if tau <= euler:  # an advection-capped step that one stage covers
+        return tau, 1, term
     stages = 2
     while stages < _MAX_STAGES and cfl * diffusion * _stage_limit(stages) < tau:
         stages += 1
-    term = "advection" if longest < cfl * diffusion * _stage_limit(_MAX_STAGES) else "diffusion"
     return tau, stages, term
 
 

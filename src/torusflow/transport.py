@@ -548,25 +548,20 @@ def jko_step(
         sigma = s * d
         sigma /= vol
         start = rho_curr if iterations else None
-        if sigma.min() > 0:
-            rho_new = kl_prox(energy, sigma, eps, tau, u_pot, start=start)
-            mass_new = rho_new * vol
-            v = mass_new / s
-        else:
-            # Far from the support the prox centre underflows to 0: those
-            # cells stay empty, and the prox runs on the others.
-            full = sigma != 0
-            rho_new = np.zeros_like(sigma)
-            rho_new[full] = kl_prox(
-                energy,
-                sigma[full],
-                eps,
-                tau,
-                u_pot[full],
-                start=None if start is None else start[full],
-            )
-            mass_new = rho_new * vol
-            v = np.divide(mass_new, s, out=np.zeros_like(s), where=full)
+        # Far from the support the prox centre underflows to 0: those cells
+        # stay empty, and the prox runs on the others.
+        full = sigma != 0
+        rho_new = np.zeros_like(sigma)
+        rho_new[full] = kl_prox(
+            energy,
+            sigma[full],
+            eps,
+            tau,
+            u_pot[full],
+            start=None if start is None else start[full],
+        )
+        mass_new = rho_new * vol
+        v = np.divide(mass_new, s, out=np.zeros_like(s), where=full)
         if debias:
             kd = apply_k(d)
             d *= mass_new

@@ -369,7 +369,8 @@ class TestStepRecord:
         assert plan(0.0, 2.0, 2.0, 1.0, 0.5, 1.0) == (0.5, 1, "advection")
         assert plan(0.0, 4.55, 4.55, 1.0, np.inf, 1.0) == (4.55, 5, "diffusion")
         assert plan(0.0, 60.0, 60.0, 1.0, np.inf, 1.0) == (20.0, 9, "diffusion")
-        assert plan(0.0, 1.9, 1.9, 1.0, 1.2, 1.0) == (0.95, 2, "advection")
+        # An advection-capped super-step no longer than f takes one stage.
+        assert plan(0.0, 1.9, 1.9, 1.0, 1.2, 1.0) == (0.95, 1, "advection")
         # A step of f that lands within the loop's tolerance is taken as is.
         assert plan(0.0, 1.0 + 1e-14, 1.0 - 1e-13, 1.0, np.inf, 1.0) == (1.0, 1, "diffusion")
 
