@@ -194,64 +194,50 @@ class RegularizedEnergy:
         object.__setattr__(self, "delta_eps", delta)
         object.__setattr__(self, "M_eps", M)
 
-    def _eval(self, t, *pieces):
-        """One array per (middle, below, above) piece: middle on
-        [delta_eps, M_eps], below and above outside.  The masks are built
-        once, and only when a min/max test finds values outside, which NaN
+    def _eval(self, t, middle, below, above):
+        """middle on [delta_eps, M_eps], below and above outside.  The masks
+        are built only when a min/max test finds values outside, which NaN
         also fails (M_eps = inf needs no max test: a NaN fails the min)."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         tt = t.reshape(1) if scalar else t
-        # Fresh arrays: the base maps never return their input.
-        outs = [middle(tt) for middle, _, _ in pieces]
+        out = middle(tt)  # a fresh array: the base maps never return their input
         if tt.size and not (
             tt.min() >= self.delta_eps and (self.M_eps == math.inf or tt.max() <= self.M_eps)
         ):
             lo = tt < self.delta_eps
             hi = tt > self.M_eps
-            any_lo, any_hi = lo.any(), hi.any()
-            for out, (_, below, above) in zip(outs, pieces):
-                if any_lo:
-                    out[lo] = below(tt[lo])
-                if any_hi:
-                    out[hi] = above(tt[hi])
-        return [float(out[0]) for out in outs] if scalar else outs
+            if lo.any():
+                out[lo] = below(tt[lo])
+            if hi.any():
+                out[hi] = above(tt[hi])
+        return float(out[0]) if scalar else out
 
-    def _f_pieces(self):
+    def f(self, t):
         base, d, M, eps = self.base, self.delta_eps, self.M_eps, self.eps
-        return (
+        return self._eval(
+            t,
             base.f,
             lambda tt: base.f(d) + base.f_prime(d) * (tt - d) + 0.5 * eps * (tt - d) ** 2,
             lambda tt: base.f(M) + base.f_prime(M) * (tt - M) + 0.5 / eps * (tt - M) ** 2,
         )
 
-    def _f_prime_pieces(self):
+    def f_prime(self, t):
         base, d, M, eps = self.base, self.delta_eps, self.M_eps, self.eps
-        return (
+        return self._eval(
+            t,
             base.f_prime,
             lambda tt: base.f_prime(d) + eps * (tt - d),
             lambda tt: base.f_prime(M) + (tt - M) / eps,
         )
 
-    def _f_second_pieces(self):
-        return (
+    def f_second(self, t):
+        return self._eval(
+            t,
             self.base.f_second,
             lambda tt: np.full_like(tt, self.eps),
             lambda tt: np.full_like(tt, 1.0 / self.eps),
         )
-
-    def f(self, t):
-        return self._eval(t, self._f_pieces())[0]
-
-    def f_prime(self, t):
-        return self._eval(t, self._f_prime_pieces())[0]
-
-    def f_second(self, t):
-        return self._eval(t, self._f_second_pieces())[0]
-
-    def f_prime_and_second(self, t):
-        """(F'_eps(t), F''_eps(t)) from one range test."""
-        return tuple(self._eval(t, self._f_prime_pieces(), self._f_second_pieces()))
 
 
 def regularize(energy: InternalEnergy, eps: float) -> RegularizedEnergy:

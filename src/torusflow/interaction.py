@@ -11,10 +11,11 @@ lattice offsets k*dx of the working grid:
   necessarily a gradient.
 
 Every drift evaluation goes through one convolution path, ``_kernel_sums``:
-one batched forward transform of the stacked densities and one batched
-inverse transform of the nonzero kernel terms, with the terms tiled once per
-run when several runs are stacked.  The kernel transforms are
-taken the first time a model is evaluated and kept on it.
+one batched forward transform of the stacked densities, one broadcast
+product with the kernel transforms for every run at once, and one batched
+inverse transform.  The kernel transforms are one array, taken the first
+time a model is evaluated and kept on it; a model whose kernels are all zero
+has none and takes no transform.
 
 ``estimate_constants`` bounds the regularity constants of the drift's
 velocity form in closed form: the velocity kernel gradients (lip_x), the
@@ -26,7 +27,7 @@ solved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -131,65 +132,23 @@ class DriftModel:
         return cls(grid=grid, mode=mode, kernels=kernels, nonneg_shift=0.0)
 
     @cached_property
-    def _transforms(self) -> "_KernelTransforms":
-        return _KernelTransforms.of(self)
-
-
-@dataclass(frozen=True)
-class _KernelTransforms:
-    """Transforms of a model's nonzero kernels, one per (field row, species) term.
-
-    A field row is species i in potential mode and component a of species i
-    (row i * dim + a) in velocity mode.  Terms run in (i, j, a) order, so
-    each row sums its species j in ascending order.
-    """
-
-    rows: np.ndarray  # field row of each term
-    sources: np.ndarray  # species convolved by each term
-    hats: np.ndarray  # (terms, *shape) forward transforms of the kernels
-    species: int
-    width: int  # field rows per run
-    _tiles: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @classmethod
-    def of(cls, model: DriftModel) -> "_KernelTransforms":
-        grid = model.grid
-        l = model.species_count
-        comps = 1 if model.mode == "potential" else grid.dim
-        kernels = model.kernels.reshape((l, l, comps) + grid.shape)
-        terms = [
-            (i * comps + a, j)
-            for i in range(l)
-            for j in range(l)
-            for a in range(comps)
-            if np.any(kernels[i, j, a])
-        ]
-        rows = np.array([r for r, _ in terms], dtype=int)
-        sources = np.array([j for _, j in terms], dtype=int)
-        picked = np.zeros((len(terms),) + grid.shape)
-        for t, (r, j) in enumerate(terms):
-            picked[t] = kernels[r // comps, j, r % comps]
-        hats = _transform(grid, picked, np.fft.fft)
-        return cls(rows=rows, sources=sources, hats=hats, species=l, width=l * comps)
-
-    def tiled(self, runs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, sources, hats) of ``runs`` runs stacked row by row: run r's
-        terms read density row r * species + j and write field row
-        r * width + i, in the same order as one run's."""
-        if runs not in self._tiles:
-            offsets = np.arange(runs)[:, None]
-            self._tiles[runs] = (
-                (offsets * self.width + self.rows).ravel(),
-                (offsets * self.species + self.sources).ravel(),
-                np.concatenate([self.hats] * runs),
-            )
-        return self._tiles[runs]
+    def _kernel_hats(self) -> np.ndarray | None:
+        """Transforms of the kernels, shape (l, comps, l, *shape): entry
+        [i, a, j] transforms component a of K_ij (comps is 1 in potential
+        mode).  None when every kernel is zero."""
+        if not np.any(self.kernels):
+            return None
+        l = self.species_count
+        comps = 1 if self.mode == "potential" else self.grid.dim
+        kernels = self.kernels.reshape((l, l, comps) + self.grid.shape)
+        return _transform(self.grid, np.moveaxis(kernels, 2, 1), np.fft.fft)
 
 
 def _transform(grid: Grid, stacked: np.ndarray, fft) -> np.ndarray:
-    """fftn (or ifftn) over the space axes of a (k, *shape) stack, axis by
-    axis from the last one as fftn does, without fftn's per-call set-up."""
-    for axis in range(grid.dim, 0, -1):
+    """fftn (or ifftn) over the space axes, the last ``grid.dim`` axes of
+    stacked, axis by axis from the last one as fftn does, without fftn's
+    per-call set-up."""
+    for axis in range(-1, -1 - grid.dim, -1):
         stacked = fft(stacked, axis=axis)
     return stacked
 
@@ -199,25 +158,24 @@ def _kernel_sums(model: DriftModel, values: np.ndarray) -> np.ndarray:
     (..., l, *shape); leading axes hold separate runs.
 
     Potential mode returns U, shape (..., l, *shape), with the nonneg shift
-    added; velocity mode returns V, shape (..., l, dim, *shape).
+    added; velocity mode returns V, shape (..., l, dim, *shape).  Species j
+    is added in ascending order; a zero kernel adds an exact 0 (but spreads a
+    non-finite density through its run).
     """
     grid = model.grid
     l = model.species_count
-    tr = model._transforms
     lead = values.shape[: -1 - grid.dim]
-    if model.mode == "potential":
-        out = np.full(lead + (l,) + grid.shape, model.nonneg_shift)
-    else:
-        out = np.zeros(lead + (l, grid.dim) + grid.shape)
-    if tr.rows.size:
-        rows, sources, hats = tr.tiled(math.prod(lead))
-        rho_hat = _transform(grid, values.reshape((-1,) + grid.shape), np.fft.fft)
-        conv = np.real(_transform(grid, hats * rho_hat[sources], np.fft.ifft))
+    potential = model.mode == "potential"
+    comps = 1 if potential else grid.dim
+    out = np.full(lead + (l, comps) + grid.shape, model.nonneg_shift if potential else 0.0)
+    hats = model._kernel_hats
+    if hats is not None:
+        rho_hat = _transform(grid, values, np.fft.fft).reshape(lead + (1, 1, l) + grid.shape)
+        conv = np.real(_transform(grid, hats * rho_hat, np.fft.ifft))
         conv = conv * grid.cell_volume
-        flat = out.reshape((-1,) + grid.shape)
-        for row, term in zip(rows, conv):
-            flat[row] += term
-    return out
+        for term in np.moveaxis(conv, -1 - grid.dim, 0):
+            out += term
+    return out.reshape(lead + (l,) + grid.shape) if potential else out
 
 
 def _kernel_sums_bound(model: DriftModel) -> float:

@@ -115,7 +115,6 @@ class Trajectory:
     times: np.ndarray
     states: list[tuple[Density, ...]]
     w2_sq: np.ndarray | None = None  # (len(times) - 1, species)
-    clipped_mass: float = 0.0
     jko_eps: float | None = None  # inner entropic parameter of the transport steps
     step_dt: np.ndarray | None = None  # (finite-volume super-steps,)
     step_bound: tuple[str, ...] | None = None
@@ -125,6 +124,16 @@ class Trajectory:
     @property
     def species_count(self) -> int:
         return len(self.states[0])
+
+    @property
+    def clipped_mass(self) -> float:
+        """The mass clipped over all super-steps, added in step order from
+        0.0 (a plain loop: ``sum`` compensates from Python 3.12 on)."""
+        total = 0.0
+        if self.step_clipped is not None:
+            for c in self.step_clipped.tolist():
+                total += c
+        return total
 
 
 def run_jko(problem: Problem, eps: float, tol: float = 1e-9) -> Trajectory:

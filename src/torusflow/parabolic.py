@@ -6,7 +6,7 @@ drifts as well as potential ones.  Face fluxes combine the staggered gradient
 of F'_eps with first-order upwind advection on the face-averaged velocity;
 every update is a flux difference, so mass is conserved to roundoff by
 telescoping, and negative undershoots are clipped to zero (renormalizing,
-with the clipped mass accumulated for inspection).
+with the clipped mass recorded per super-step).
 
 Time stepping.  A forward-Euler step is stable up to the CFL bound
 min(dx^2 / (4 max F''_eps), dx / (2 max |V|)), and on fine grids the
@@ -21,9 +21,10 @@ takes a forward-Euler step of min(f, rest of the interval): s = 1.
 Otherwise the longest super-step is L = cfl_safety min(diffusion (S^2 + S -
 2) / 4, advection) with S = ``_MAX_STAGES``; the rest of the interval is
 split into ceil(rest / L) equal super-steps of tau, and s is the fewest
-stages whose diffusion limit covers tau: 1 when tau <= f.  Every stage re-evaluates the drift
-and F'_eps on the stage values; the guards, clipping and renormalization
-run once per super-step, on its result.
+stages whose diffusion limit covers tau: 1 when tau <= f.  Every stage
+re-evaluates the drift and F'_eps on the stage values.  The CFL limits are
+taken once per super-step, on its start values, and the guards, clipping
+and renormalization once, on its result.
 
 The step runs on all species of all runs at once, as one (runs, species,
 *shape) array: problems that share grid, energies, drift, horizon and h and
@@ -37,10 +38,11 @@ horizon drops out of the stack.
 The drift comes from the model's kernel transforms, taken once per model,
 with one batched forward and one batched inverse transform per stage; species
 with equal regularized energies are evaluated together, and periodic shifts
-use index arrays built once.  Each stage evaluates F'_eps and, for the CFL
-bound, F''_eps together, with one range test per energy group (entropy's
-F''_eps is 1 and is not evaluated).  The fluxes are formed in place in
-scratch arrays that the scheme holds for the whole run.
+use index arrays built once.  Each stage evaluates F'_eps once, with one range
+test per energy group.  F''_eps is nondecreasing, so the diffusion limit
+needs it only at each run's peak, one call per energy group and super-step.
+The fluxes are formed in place in scratch arrays that the scheme holds for
+the whole run.
 Its guards run on the per-species masses, with the full finiteness scan
 only when a mass is not finite.  ``Density`` tuples are built only at
 recorded times.
@@ -110,7 +112,7 @@ class _Scheme:
         self.cell_volume = drift.grid.cell_volume
         # An advection term only where some kernel is nonzero; its transforms
         # are taken here, at run start.
-        self.advects = bool(drift._transforms.rows.size)
+        self.advects = drift._kernel_hats is not None
         members: dict[RegularizedEnergy, list[int]] = {}
         for i, reg in enumerate(reg_energies):
             members.setdefault(reg, []).append(i)
@@ -122,29 +124,15 @@ class _Scheme:
         # Scratch arrays of the flux, one pair per stacked shape.
         self._scratch: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
-    def _pressure_and_curvature(self, values: np.ndarray) -> tuple[np.ndarray, list[float]]:
-        """F'_eps on stacked values and the largest F''_eps over all species
-        per run, one call and one range test per energy group.  Entropy's
-        F''_eps is 1 on nonnegative values (its delta_eps is 0), so it is not
-        evaluated."""
-        runs = len(values)
-        single = len(self.groups) == 1
-        pressure = None if single else np.empty_like(values)
-        largest: list[float] | None = None
+    def _pressure(self, values: np.ndarray) -> np.ndarray:
+        """F'_eps on stacked values, one call and one range test per energy
+        group."""
+        if len(self.groups) == 1:
+            return self.groups[0][0].f_prime(values)
+        pressure = np.empty_like(values)
         for reg, idx in self.groups:
-            group_values = values if single else values[:, idx]
-            if reg.base.kind == "entropy":
-                fp = reg.f_prime(group_values)
-                group = [1.0] * runs
-            else:
-                fp, fpp = reg.f_prime_and_second(group_values)
-                group = fpp.reshape(runs, -1).max(axis=1).tolist()
-            if single:
-                pressure = fp
-            else:
-                pressure[:, idx] = fp
-            largest = group if largest is None else list(map(max, largest, group))
-        return pressure, largest
+            pressure[:, idx] = reg.f_prime(values[:, idx])
+        return pressure
 
     def _masses(self, values: np.ndarray) -> list[float]:
         """Mass of every (run, species) row, flat: row k belongs to run
@@ -152,26 +140,19 @@ class _Scheme:
         vol = self.cell_volume
         return [m * vol for m in values.reshape(-1, self.cells).sum(axis=1).tolist()]
 
-    def velocities(
-        self, values: np.ndarray
-    ) -> tuple[np.ndarray | None, np.ndarray, list[float], list[float]]:
+    def velocities(self, values: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
         """Face velocities (runs, species, dim, *shape), component a at face
-        i+1/2, and the pressure F'_eps, with each run's diffusion limit
-        dx^2 / (4 max F''_eps) and advection limit dx / (2 max |V|).
+        i+1/2, and the pressure F'_eps.
 
         Potential mode differences the potential across the face (exactly the
         staggered gradient); velocity mode averages the collocated field onto
-        faces.  None stands for a drift without nonzero kernels, whose
-        advection limit is inf.
+        faces.  None stands for a drift without nonzero kernels.
         """
         grid, dx = self.grid, self.grid.dx
         runs = len(values)
-        pressure, curvatures = self._pressure_and_curvature(values)
-        diffusion = [
-            0.25 * dx**2 / curvature if curvature > 0 else np.inf for curvature in curvatures
-        ]
+        pressure = self._pressure(values)
         if not self.advects:
-            return None, pressure, diffusion, [np.inf] * runs
+            return None, pressure
         fields = _kernel_sums(self.drift, values)
         faces = np.empty((runs, self.species, grid.dim) + grid.shape)
         for a in range(grid.dim):
@@ -185,14 +166,34 @@ class _Scheme:
                 comp.take(self.ahead, axis=2 + a, out=face, mode="wrap")
                 face += comp
                 face *= 0.5
-        # The largest |V| is NaN or inf exactly when some face velocity is.
+        finite = np.isfinite(faces).reshape(runs, -1).all(axis=1).tolist()
+        if False in finite:
+            raise _row_error(RuntimeError, "drift velocities are not finite", finite.index(False))
+        return faces, pressure
+
+    def limits(
+        self, values: np.ndarray, faces: np.ndarray | None
+    ) -> tuple[list[float], list[float]]:
+        """Each run's diffusion limit dx^2 / (4 max F''_eps) and advection
+        limit dx / (2 max |V|) on values and their face velocities.
+
+        F''_eps is nondecreasing, so its max is F''_eps of the run's peak,
+        one call per energy group.  (Rounding can put the middle piece an
+        ulp below eps just above delta_eps, or above 1/eps just below M_eps;
+        only a peak within ulps of a junction sees it, as an ulp in the
+        limit.)  Without nonzero kernels the advection limit is inf.
+        """
+        dx = self.grid.dx
+        runs = len(values)
+        peaks = values.reshape(runs, self.species, -1).max(axis=2)
+        curvature = np.max(
+            [reg.f_second(peaks[:, idx].max(axis=1)) for reg, idx in self.groups], axis=0
+        )
+        diffusion = [0.25 * dx**2 / c if c > 0 else np.inf for c in curvature.tolist()]
+        if faces is None:
+            return diffusion, [np.inf] * runs
         vmax = np.abs(faces).reshape(runs, -1).max(axis=1).tolist()
-        advection = []
-        for row, v in enumerate(vmax):
-            if not math.isfinite(v):
-                raise _row_error(RuntimeError, "drift velocities are not finite", row)
-            advection.append(0.5 * dx / v if v > 0 else np.inf)
-        return faces, pressure, diffusion, advection
+        return diffusion, [0.5 * dx / v if v > 0 else np.inf for v in vmax]
 
     def divergence(
         self, values: np.ndarray, faces: np.ndarray | None, pressure: np.ndarray
@@ -321,7 +322,7 @@ def _super_step(
             live = [live[r] for r in keep]
             scale = [scale[r] for r in keep]
         try:
-            dj = scheme.divergence(prev, *scheme.velocities(prev)[:2])
+            dj = scheme.divergence(prev, *scheme.velocities(prev))
         except (RuntimeError, ValueError) as exc:
             if getattr(exc, "row", None) is not None:
                 exc.row = live[exc.row]
@@ -349,7 +350,6 @@ class _Run:
         self.record_times = record_times
         self.target = 0  # index of the next record time
         self.time = 0.0
-        self.clipped_mass = 0.0
         self.step_dt: list[float] = []
         self.step_bound: list[str] = []
         self.step_clipped: list[float] = []
@@ -385,7 +385,6 @@ class _Run:
             h=h,
             times=np.asarray(self.times),
             states=self.states,
-            clipped_mass=self.clipped_mass,
             step_dt=np.asarray(self.step_dt),
             step_bound=tuple(self.step_bound),
             step_clipped=np.asarray(self.step_clipped),
@@ -428,7 +427,8 @@ def run_parabolic(
     """March the regularized equation to the problem horizon.
 
     Velocities are re-evaluated from the current densities at every stage;
-    those at the start of a super-step also set its length and stage count.
+    the CFL limits at the start of a super-step set its length and stage
+    count.
     States are recorded at the problem's ``record_times``, one per
     minimizing-movement step, so the two routes' trajectories pair record by
     record.  Each super-step's length, stage count, the CFL term that
@@ -457,7 +457,8 @@ def run_parabolic(
     active = runs
     while active:
         try:
-            faces, pressure, diffusion, advection = scheme.velocities(values)
+            faces, pressure = scheme.velocities(values)
+            diffusion, advection = scheme.limits(values, faces)
             plans = [
                 _plan(run.time, run.next_time, run.reached, d, a, cfl_safety)
                 for run, d, a in zip(active, diffusion, advection)
@@ -474,7 +475,6 @@ def run_parabolic(
         finished = False
         for row, (run, (tau, s, term), c) in enumerate(zip(active, plans, clipped)):
             run.time = run.time + tau
-            run.clipped_mass = run.clipped_mass + c
             run.step_dt.append(tau)
             run.step_bound.append(term)
             run.step_clipped.append(c)

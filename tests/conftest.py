@@ -270,16 +270,16 @@ class ReferenceScheme:
     """The stacked finite-volume step with fresh temporaries, a zeroed
     divergence accumulator and every check on whole arrays; a drop-in
     replacement for ``torusflow.parabolic._Scheme``.  ``velocities``,
-    ``divergence`` and ``finish`` take (runs, species, *shape) values and
-    treat each run on its own; a failing run's row is set on the error.
-    ``velocities`` returns no pressure, and ``divergence`` ignores the one it
-    is passed and evaluates F'_eps itself."""
+    ``limits``, ``divergence`` and ``finish`` take (runs, species, *shape)
+    values and treat each run on its own; a failing run's row is set on the
+    error.  ``velocities`` returns no pressure, and ``divergence`` ignores the
+    one it is passed and evaluates F'_eps itself."""
 
     def __init__(self, reg_energies, drift) -> None:
         self.grid = drift.grid
         self.species = len(reg_energies)
         self.drift = drift
-        self.advects = bool(drift._transforms.rows.size)
+        self.advects = drift._kernel_hats is not None
         members: dict = {}
         for i, reg in enumerate(reg_energies):
             members.setdefault(reg, []).append(i)
@@ -300,8 +300,14 @@ class ReferenceScheme:
 
     def velocities(self, values):
         out = [_on_row(row, self.run_velocities, v) for row, v in enumerate(values)]
-        faces = None if out[0][0] is None else np.stack([f for f, _, _ in out])
-        return faces, None, [d for _, d, _ in out], [a for _, _, a in out]
+        return (None if out[0] is None else np.stack(out)), None
+
+    def limits(self, values, faces):
+        out = [
+            self.run_limits(v, None if faces is None else faces[row])
+            for row, v in enumerate(values)
+        ]
+        return [d for d, _ in out], [a for _, a in out]
 
     def divergence(self, values, faces, pressure):
         return np.stack(
@@ -318,13 +324,10 @@ class ReferenceScheme:
         return np.stack([u for u, _ in out]), [c for _, c in out]
 
     def run_velocities(self, values):
-        """One run's face velocities (None without drift), diffusion limit
-        and advection limit."""
+        """One run's face velocities (None without drift)."""
         grid, dx = self.grid, self.grid.dx
-        fpp_max = self._per_species(self._energy("f_second", values)).max(axis=1)
-        diffusion = min((0.25 * dx**2 / f for f in fpp_max if f > 0), default=np.inf)
         if not self.advects:
-            return None, float(diffusion), np.inf
+            return None
         fields = _kernel_sums(self.drift, values)
         faces = np.empty((self.species, grid.dim) + grid.shape)
         for a in range(grid.dim):
@@ -335,9 +338,18 @@ class ReferenceScheme:
                 faces[:, a] = 0.5 * (comp + comp.take(self.ahead, axis=1 + a))
         if not np.isfinite(faces).all():
             raise RuntimeError("drift velocities are not finite")
+        return faces
+
+    def run_limits(self, values, faces):
+        """One run's diffusion limit and advection limit."""
+        dx = self.grid.dx
+        fpp_max = self._per_species(self._energy("f_second", values)).max(axis=1)
+        diffusion = min((0.25 * dx**2 / f for f in fpp_max if f > 0), default=np.inf)
+        if faces is None:
+            return float(diffusion), np.inf
         vmax = self._per_species(np.abs(faces)).max(axis=1)
         advection = min((0.5 * dx / v for v in vmax if v > 0), default=np.inf)
-        return faces, float(diffusion), float(advection)
+        return float(diffusion), float(advection)
 
     def run_divergence(self, values, faces):
         """One run's flux divergence: d_t values = -divergence."""
@@ -380,8 +392,7 @@ def textbook_rkl2_step(scheme: ReferenceScheme, values: np.ndarray, tau: float, 
     the forward-Euler step.  Guards are not applied."""
 
     def m(y):
-        faces, _, _ = scheme.run_velocities(y)
-        return -scheme.run_divergence(y, faces)
+        return -scheme.run_divergence(y, scheme.run_velocities(y))
 
     m0 = m(values)
     if s == 1:

@@ -4,6 +4,7 @@ import pytest
 import torusflow as tf
 from torusflow.grid import centered_grad_values
 from torusflow.interaction import (
+    _kernel_sums,
     _kernel_sums_bound,
     as_velocity_model,
     cosine_kernel,
@@ -14,6 +15,7 @@ from conftest import (
     all_pairs_lipschitz,
     circular_convolve_direct,
     cosine_density,
+    same_bits,
     sampled_w2_lipschitz,
 )
 
@@ -127,6 +129,34 @@ class TestSharedConvolutionPath:
         for i in range(3):
             np.testing.assert_allclose(velocities[i].values, expected[i], rtol=0, atol=1e-12)
         np.testing.assert_array_equal(velocities[1].values, 0.0)
+
+
+class TestStackedRuns:
+    """``_kernel_sums`` on stacked runs gives each run's own sums bit for
+    bit, zero kernel entries included."""
+
+    @pytest.mark.parametrize("mode", ["potential", "velocity"])
+    @pytest.mark.parametrize("dim,n", [(1, 24), (2, 6)])
+    def test_three_runs_match_solo_calls(self, mode, dim, n):
+        model = TestSharedConvolutionPath.model(dim, n, mode)
+        runs = np.stack(
+            [[random_density(model.grid, 3 * r + s).values for s in range(3)] for r in range(3)]
+        )
+        stacked = _kernel_sums(model, runs)
+        for r in range(3):
+            solo = _kernel_sums(model, runs[r])
+            assert same_bits(stacked[r], solo)
+        if mode == "potential":
+            np.testing.assert_array_equal(stacked[:, 1], 0.7)
+
+    def test_all_zero_kernels_take_no_transform(self):
+        grid = tf.make_grid(2, 6)
+        model = tf.DriftModel.potential(grid, np.zeros((2, 2) + grid.shape), nonneg_shift=0.3)
+        assert model._kernel_hats is None
+        runs = np.stack(
+            [[random_density(grid, 2 * r + s).values for s in range(2)] for r in range(3)]
+        )
+        np.testing.assert_array_equal(_kernel_sums(model, runs), np.full(runs.shape, 0.3))
 
 
 class TestPotential:

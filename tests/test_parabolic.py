@@ -6,7 +6,7 @@ import pytest
 
 import torusflow as tf
 from torusflow.config import parse_config
-from torusflow.energy import regularize
+from torusflow.energy import RegularizedEnergy, regularize
 from torusflow.grid import grad_values
 
 from conftest import (
@@ -689,7 +689,7 @@ class TestStepGuards:
         values[0, 0, 5] = bad
         scheme = self.scheme(prob)
         with np.errstate(all="ignore"):
-            faces, pressure, _, _ = scheme.velocities(values)
+            faces, pressure = scheme.velocities(values)
             updated = values - 1e-5 * scheme.divergence(values, faces, pressure)
             with pytest.raises(RuntimeError, match="parabolic step produced non-finite values"):
                 scheme.finish(values, updated)
@@ -718,3 +718,48 @@ class TestStepGuards:
             RuntimeError, match="drift velocities are not finite"
         ):
             self.scheme(prob).velocities(values)
+
+
+class TestLimits:
+    """The CFL limits are taken once per super-step, from each run's peak."""
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+    def test_diffusion_limit_matches_cellwise_curvature(self, m):
+        # Run 0 lies below delta_eps, run 1 between the junctions and run 2
+        # reaches above M_eps; species 1 has power 2, a second energy group
+        # unless m = 2.
+        grid = tf.make_grid(1, 32)
+        regs = tuple(regularize(tf.InternalEnergy.power(p), 0.05) for p in (m, 2.0))
+        rng = np.random.default_rng(11)
+        values = np.empty((3, 2) + grid.shape)
+        for s, reg in enumerate(regs):
+            values[0, s] = rng.uniform(0.0, reg.delta_eps, grid.shape)
+            values[1, s] = rng.uniform(reg.delta_eps, reg.M_eps, grid.shape)
+            values[2, s] = rng.uniform(0.0, 2.0 * reg.M_eps, grid.shape)
+        assert values[0, 0].max() < regs[0].delta_eps
+        assert values[2, 0].max() > regs[0].M_eps
+        scheme = tf.parabolic._Scheme(regs, tf.DriftModel.none(grid, species=2))
+        diffusion, advection = scheme.limits(values, None)
+        want = [
+            0.25 * grid.dx**2 / max(float(np.max(reg.f_second(v))) for reg, v in zip(regs, run))
+            for run in values
+        ]
+        assert all(same_bits(got, w) for got, w in zip(diffusion, want, strict=True))
+        assert advection == [np.inf] * 3
+
+    def test_curvature_once_per_super_step(self, monkeypatch):
+        cfg = parse_config(REPO / "configs" / "two_species_stability.json")
+        calls = []
+        f_second = RegularizedEnergy.f_second
+
+        def counted(self, t):
+            calls.append(np.shape(t))
+            return f_second(self, t)
+
+        monkeypatch.setattr(RegularizedEnergy, "f_second", counted)
+        a, b = tf.run_parabolic(cfg.problem, cfg.stability[0], **cfg.parabolic)
+        # One energy group: one call on the two runs' peaks per stacked
+        # super-step (83), not one per stage (827).
+        assert len(calls) == len(a.step_dt) == len(b.step_dt) == 83
+        assert int(np.sum(a.step_stages)) == 827
+        assert set(calls) == {(2,)}
