@@ -251,12 +251,17 @@ def read_states_csv(path: str | Path) -> dict[float, list[np.ndarray]]:
     Each time must list species 0..l-1, each (time, species) block must list
     cells 0..k-1 exactly once, in any order, and all species at one time must
     have the same k; anything else is a ValueError naming the file, time and
-    species.
+    species.  A row whose field count differs from the header's is a
+    ValueError naming the file and line.
     """
     rows: dict[float, dict[int, dict[int, float]]] = {}
     with Path(path).open() as fh:
         reader = csv.DictReader(fh)
         for row in reader:
+            if None in row or None in row.values():  # a surplus or a missing field
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: expected {len(reader.fieldnames)} fields"
+                )
             t = float(row["time"])
             s = int(row["species"])
             cells = rows.setdefault(t, {}).setdefault(s, {})

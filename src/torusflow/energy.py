@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 _KINDS = ("entropy", "power", "zero")
+_GROWTH_T_MAX = 10.0
+_GROWTH_SAMPLES = 200
+_MCCANN_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -139,9 +142,7 @@ class InternalEnergy:
         return float(np.sum(self.e(values)) * cell_volume)
 
 
-def validate_growth(
-    energy: InternalEnergy, t_max: float = 10.0, samples: int = 200
-) -> list[str]:
+def validate_growth(energy: InternalEnergy) -> list[str]:
     """Sampled check of the convexity/growth hypotheses; returns warnings.
 
     Checks E(0) = 0, midpoint convexity, E''(t) >= t^(m-2)/C and
@@ -151,7 +152,7 @@ def validate_growth(
     tol = 1e-10
     if abs(float(energy.e(0.0))) > tol:
         warnings.append(f"{energy.kind}: E(0) != 0")
-    t = np.linspace(1e-6, t_max, samples)
+    t = np.linspace(1e-6, _GROWTH_T_MAX, _GROWTH_SAMPLES)
     with np.errstate(over="ignore"):  # large exponents overflow; reported below
         e, e_mid = energy.e(t), energy.e(0.5 * (t[:-1] + t[1:]))
         e2, fp = energy.e_second(t), energy.f_prime(t)
@@ -244,16 +245,14 @@ def regularize(energy: InternalEnergy, eps: float) -> RegularizedEnergy:
     return RegularizedEnergy(base=energy, eps=float(eps))
 
 
-def mccann_check(energy: InternalEnergy, dim: int, samples: int = 64) -> bool:
+def mccann_check(energy: InternalEnergy, dim: int) -> bool:
     """Sampled displacement-convexity test: r -> r^d E(r^-d) must be convex
     nonincreasing on a log-spaced sample.
 
     Raises ValueError when no sampled interval is finite, since then nothing
     was tested.
     """
-    if samples < 3:
-        raise ValueError("need at least 3 sample points")
-    r = np.logspace(-2, 2, samples)
+    r = np.logspace(-2, 2, _MCCANN_SAMPLES)
 
     def g(rr):
         return rr**dim * np.asarray(energy.e(rr ** (-float(dim))), dtype=float)

@@ -193,10 +193,10 @@ def el_residual(
 
     Evaluates | int xi(y).(x - y) dplan + h int F'(rho_next) div xi
     - h int grad U . xi rho_next | with the displacement taken from the
-    transport plan of the step (run with plan retention).
+    step's dense plan: sinkhorn_w2(rho_prev, rho_next, eps, return_plan=True).
     """
     if plan is None:
-        raise ValueError("missing plan: run jko_step with return_plan=True")
+        raise ValueError("missing plan: take it from sinkhorn_w2(return_plan=True)")
     grid = rho_prev.grid
     vol = grid.cell_volume
     if plan.shape != (grid.cells, grid.cells):

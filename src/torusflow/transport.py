@@ -61,7 +61,8 @@ blur of the plain entropic scheme; ``debias=False`` gives the plain
 alternation.  The torus cost is a sum over axes, so the step's Gibbs kernel
 is the Kronecker product of one n x n per-axis kernel K1 and each kernel
 product runs axis by axis (K1 V K1^T in 2-d).  No cells x cells array is
-built unless the caller asks for the plan, and the step has no grid cap.
+built, and the step has no grid cap; its implicit plan is the unique entropic
+plan between its two states, which ``sinkhorn_w2`` rebuilds at its eps.
 A step that has not converged within ``_JKO_MAX_ITER`` iterations raises.
 """
 
@@ -113,6 +114,7 @@ class TransportResult:
     plan_marginal_err: float
     iterations: int
     converged: bool = True
+    # The dense plan; only sinkhorn_w2(return_plan=True) sets it.
     plan: np.ndarray | None = None
 
 
@@ -496,14 +498,13 @@ def jko_step(
     eps: float,
     tol: float = 1e-9,
     debias: bool = True,
-    return_plan: bool = False,
 ) -> tuple[Density, TransportResult]:
     """One semi-implicit minimizing-movement step via entropic scaling.
 
     The potential is the frozen field evaluated at the previous iterate, on
-    the density's grid, or None for no potential; the returned density is
-    the plan's second marginal renormalized to unit mass, and the result
-    carries the plan's primal cost as the step's W2^2.  From the second
+    the density's grid, or None for no potential; the returned density is the
+    implicit plan's second marginal renormalized to unit mass, and the result
+    carries that plan's primal cost as the step's W2^2.  From the second
     scaling iteration on, the row scaling u is over-relaxed by ``_relaxed``
     with mass a, and ``kl_prox`` starts from the previous iterate's density,
     which power energies use as a warm start.
@@ -528,13 +529,8 @@ def jko_step(
 
     k1 = np.exp(-c1 / eps)
     kernel = (k1,) * grid.dim
-    kernel_t = (k1.T,) * grid.dim
-    # The 1-d kernel applies directly; the 2-d one axis by axis.
-    if grid.dim == 1:
-        apply_k, apply_kt = k1.__matmul__, k1.T.__matmul__
-    else:
-        apply_k = functools.partial(_kron_apply, kernel)
-        apply_kt = functools.partial(_kron_apply, kernel_t)
+    apply_k = functools.partial(_kron_apply, kernel)
+    apply_kt = functools.partial(_kron_apply, (k1.T,) * grid.dim)
     v = np.ones_like(a)
     d = np.ones_like(a)
     rho_curr = a / vol
@@ -586,22 +582,18 @@ def jko_step(
     # The plan u_i K_ij v_j stays implicit: its marginals and its primal cost
     # are kernel products: K * C is the sum over axes of the product with
     # K1 * c1 on that axis and K1 on the others.
-    row_err = float(np.max(np.abs(u * _kron_apply(kernel, v) - a)))
-    col_err = float(np.max(np.abs(v * _kron_apply(kernel_t, u) - rho_curr * vol)))
+    row_err = float(np.max(np.abs(u * apply_k(v) - a)))
+    col_err = float(np.max(np.abs(v * apply_kt(u) - rho_curr * vol)))
     kc1 = k1 * c1
     w2_sq = sum(
         float(np.sum(u * _kron_apply(kernel[:ax] + (kc1,) + kernel[ax + 1 :], v)))
         for ax in range(grid.dim)
     )
-    plan = None
-    if return_plan:
-        plan = u[:, None] * functools.reduce(np.kron, kernel) * v[None, :]
     rho_out = normalize(Density(grid, rho_curr.reshape(grid.shape)))
     result = TransportResult(
         w2_sq=w2_sq,
         plan_marginal_err=max(row_err, col_err),
         iterations=iterations,
         converged=True,
-        plan=plan,
     )
     return rho_out, result

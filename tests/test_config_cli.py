@@ -829,6 +829,22 @@ class TestRunCli:
         assert "total w2_sq" not in captured.out
 
     @pytest.mark.parametrize(
+        "row", ["0.5,0,2", "0.5,0,2,1.0,7"], ids=["short-row", "long-row"]
+    )
+    def test_w2_rows_with_wrong_field_count_are_input_errors(self, tmp_path, capsys, row):
+        header = "time,species,cell_index,value\n"
+        good = tmp_path / "good.csv"
+        good.write_text(header + "".join(f"0.5,0,{c},1.0\n" for c in range(3)))
+        bad = tmp_path / "bad.csv"
+        bad.write_text(header + "0.5,0,0,1.0\n0.5,0,1,1.0\n" + row + "\n")
+        code = main(["w2", "--a", str(good), "--b", str(bad), "--time", "0.5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"failed to read states: {bad}: line 4: expected 4 fields" in captured.err
+        assert "Traceback" not in captured.err
+        assert "total w2_sq" not in captured.out
+
+    @pytest.mark.parametrize(
         "rows, problem",
         [
             ([(0, 0), (0, 1), (2, 0), (2, 1)], "species 2: species ids are not 0..1"),

@@ -160,10 +160,6 @@ class TestMcCann:
     def test_concave_stub_fails(self):
         assert tf.mccann_check(_ConcaveStub(), 1) is False
 
-    def test_sample_count_validated(self):
-        with pytest.raises(ValueError):
-            tf.mccann_check(ENTROPY, 1, samples=2)
-
     @pytest.mark.parametrize("dim", [1, 2])
     def test_overflowing_sample_tested_where_finite(self, dim):
         # Overflow on part of the sample must not widen the tolerance to inf.
