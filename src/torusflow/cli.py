@@ -95,6 +95,7 @@ def _ledger_rows(ledger: Ledger):
 
 
 _STATES_HEADER = ["time", "species", "cell_index", "value"]
+_STATES_KINDS = (float, int, int, float)
 _LEDGER_HEADER = ["step", "time", "w2_sq", "energy", "drift_term", "entropy", "sobolev", "flag"]
 _SERIES_HEADER = ["series", "time", "species", "value", "bound"]
 
@@ -245,30 +246,49 @@ def run_command(cfg: RunConfig, strict: bool = False) -> int:
     return 0
 
 
+def _field_error(path: str | Path, line: int, row: dict[str, str]) -> ValueError:
+    """The error of the first field of a states.csv row that does not parse."""
+    for column, kind in zip(_STATES_HEADER, _STATES_KINDS):
+        try:
+            kind(row[column])
+        except ValueError as exc:
+            return ValueError(f"{path}: line {line}: column {column!r}: {exc}")
+    raise AssertionError("every field of the row parses")
+
+
 def read_states_csv(path: str | Path) -> dict[float, list[np.ndarray]]:
     """Parse a states.csv into {time: [per-species flat value arrays]}.
 
     Each time must list species 0..l-1, each (time, species) block must list
     cells 0..k-1 exactly once, in any order, and all species at one time must
     have the same k; anything else is a ValueError naming the file, time and
-    species.  A row whose field count differs from the header's is a
-    ValueError naming the file and line.
+    species.  A header without one of the four columns, a row whose field
+    count differs from the header's, and a field that does not parse are
+    ValueErrors naming the file, the line and, for a column or a field, the
+    column.
     """
     rows: dict[float, dict[int, dict[int, float]]] = {}
     with Path(path).open() as fh:
         reader = csv.DictReader(fh)
+        for column in _STATES_HEADER:
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"{path}: line 1: no column {column!r}")
         for row in reader:
             if None in row or None in row.values():  # a surplus or a missing field
                 raise ValueError(
                     f"{path}: line {reader.line_num}: expected {len(reader.fieldnames)} fields"
                 )
-            t = float(row["time"])
-            s = int(row["species"])
+            try:
+                t = float(row["time"])
+                s = int(row["species"])
+                idx = int(row["cell_index"])
+                value = float(row["value"])
+            except ValueError:
+                raise _field_error(path, reader.line_num, row) from None
             cells = rows.setdefault(t, {}).setdefault(s, {})
-            idx = int(row["cell_index"])
             if idx in cells:
                 raise ValueError(f"{path}: time {t:g}, species {s}: cell {idx} repeated")
-            cells[idx] = float(row["value"])
+            cells[idx] = value
     out: dict[float, list[np.ndarray]] = {}
     for t, per_species in rows.items():
         species = []
@@ -300,7 +320,7 @@ def _w2_command(args) -> int:
     try:
         states_a = read_states_csv(args.a)
         states_b = read_states_csv(args.b)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"failed to read states: {exc}", file=sys.stderr)
         return 2
 

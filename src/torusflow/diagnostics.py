@@ -12,8 +12,10 @@ All Wasserstein evaluations here go through ``species_w2_sq``, which sets
 their accuracy: on 1-d grids its distances are exact, on 2-d grids they are
 Sinkhorn estimates at the entropic parameter 1e-4.  A distance that fails
 its optimality check (1-d) or a solve that does not converge (2-d) raises
-RuntimeError naming the species instead of feeding an unverified value into
-a ratio or a series.
+RuntimeError naming the species (and, in ``stability_compare``, the record
+time) instead of feeding an unverified value into a ratio or a series.
+``holder_check`` and ``stability_compare`` each make one ``species_w2_sq``
+call, so all their 1-d distances share one search.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .energy import InternalEnergy
 from .grid import Density, Grid, grad_values
 from .interaction import potential_from_kernel, velocity_field
 from .jko import Problem, Trajectory
-from .transport import species_w2_sq
+from .transport import TransportCheckError, species_w2_sq
 
 __all__ = [
     "Ledger",
@@ -178,13 +180,16 @@ def _pair_indices(n_states: int, sample_pairs: int) -> list[tuple[int, int]]:
 def holder_check(traj: Trajectory, sample_pairs: int = 20) -> float:
     """Empirical Holder constant: max W2(rho_t, rho_s)/sqrt(|t-s| + h).
 
-    For systems the product-space distance sqrt(sum_i W2^2) is used.
+    For systems the product-space distance sqrt(sum_i W2^2) is used.  All
+    sampled pairs share one ``species_w2_sq`` call.
     """
     if len(traj.states) < 2:
         raise ValueError("need at least two states")
+    pairs = _pair_indices(len(traj.states), sample_pairs)
+    w2 = species_w2_sq([traj.states[i] for i, _ in pairs], [traj.states[j] for _, j in pairs])
     worst = 0.0
-    for i, j in _pair_indices(len(traj.states), sample_pairs):
-        w2sq = float(np.sum(species_w2_sq(traj.states[i], traj.states[j])))
+    for (i, j), row in zip(pairs, w2):
+        w2sq = float(np.sum(row))
         dt = abs(traj.times[j] - traj.times[i])
         worst = max(worst, float(np.sqrt(w2sq) / np.sqrt(dt + traj.h)))
     return worst
@@ -313,15 +318,21 @@ def stability_compare(
     margin: float = 0.2,
 ) -> StabilitySeries:
     """Per-time sum_i W2^2 between two trajectories against the exponential
-    bound exp(4 c_hat t) * (initial sum) * (1 + margin)."""
+    bound exp(4 c_hat t) * (initial sum) * (1 + margin).
+
+    All record times share one ``species_w2_sq`` call; a distance that fails
+    its check raises naming its record time and species."""
     if traj_a.grid != traj_b.grid:
         raise ValueError("trajectories live on different grids")
     if traj_a.species_count != traj_b.species_count:
         raise ValueError("trajectories have different species counts")
     if not _same_record_times(np.asarray(traj_a.times), np.asarray(traj_b.times)):
         raise ValueError("trajectories use different time grids")
-    pairs = zip(traj_a.states, traj_b.states)
-    sums = np.array([np.sum(species_w2_sq(a, b)) for a, b in pairs])
+    try:
+        w2 = species_w2_sq(traj_a.states, traj_b.states)
+    except TransportCheckError as exc:
+        raise TransportCheckError(f"{exc} at time {traj_a.times[exc.pair]:g}", exc.pair) from exc
+    sums = np.array([np.sum(row) for row in w2])
     bounds = np.exp(4.0 * c_hat * traj_a.times) * sums[0] * (1.0 + margin)
     flags = sums > bounds
     return StabilitySeries(

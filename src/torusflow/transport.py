@@ -42,9 +42,10 @@ ladder only seed the next level, so they stop at marginal error
 ``species_w2_sq`` is the per-species distance every diagnostic uses, and
 this module alone sets its accuracy.  On 1-d grids it is exact:
 ``_circle_w2_sq`` minimizes the transport cost over one shift of the
-periodic quantile functions.  On 2-d grids it is the ``sinkhorn_w2``
-estimate at eps ``_W2_EPS`` and tol ``_W2_TOL``.  It raises when a 1-d value
-fails its optimality check or a 2-d solve has not converged.
+periodic quantile functions, with one bisection for all 1-d pairs of a
+call.  On 2-d grids it is the ``sinkhorn_w2`` estimate at eps ``_W2_EPS``
+and tol ``_W2_TOL``.  It raises when a 1-d value fails its optimality check
+or a 2-d solve has not converged.
 
 ``jko_step`` solves one semi-implicit minimizing-movement step
 
@@ -70,6 +71,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +84,7 @@ __all__ = [
     "cost_matrix",
     "sinkhorn_w2",
     "species_w2_sq",
+    "TransportCheckError",
     "jko_step",
 ]
 
@@ -385,73 +388,147 @@ def _shift_cost(
     return value, slope
 
 
-def _circle_w2_sq(mu: Density, nu: Density) -> tuple[float, float, float]:
-    """Exact squared W2 on the circle between the atoms at the cell centres.
+def _pair_keys(pair: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Complex search keys pair + 1j * value, built without rounding.
+
+    Complex numbers sort by real part and then by imaginary part, so keys
+    of pairs listed one after another sort by pair and then by value, and
+    one searchsorted serves every pair.
+    """
+    keys = np.empty(value.shape, dtype=complex)
+    keys.real, keys.imag = pair, value
+    return keys
+
+
+def _circle_w2_sq(pairs: list[tuple[Density, Density]]) -> list[tuple[float, float, float]]:
+    """Exact squared W2 on the circle between the atoms at the cell centres,
+    for each pair (mu, nu).
 
     On the circle the quadratic cost reduces to min over theta of the
     convex, piecewise linear ``_shift_cost`` (Delon, Salomon & Sobolevski,
     SIAM J. Appl. Math. 2010).  An optimal theta pairs mass at most 1/2
     apart, so it lies in [-1, 1]; bisection on the sign of the slope over
-    [-2, 2] runs to the float resolution of the cuts.  Returns the value at
-    the upper end of the final bracket with the slopes at both ends, which
-    change sign there when the search succeeded.
+    [-2, 2] runs to the float resolution of the cuts.  The bisection runs
+    for all pairs at once: each halving takes every pair's slope in one
+    array pass, by ``_shift_cost``'s rules and with its summation, so each
+    pair's bracket is the one a search of its own would reach.  Returns per
+    pair ``_shift_cost``'s value at the upper end of the final bracket with
+    its slopes at both ends, which change sign there when the search
+    succeeded.
     """
-    if mu.grid != nu.grid:
-        raise ValueError("densities live on different grids")
-    _check_normalized(mu, "mu")
-    _check_normalized(nu, "nu")
-    centers = mu.grid.axis_centers
-    a, b = mu.values, nu.values
-    x, y = centers[a > 0], centers[b > 0]
-    cum_a, cum_b = np.cumsum(a[a > 0]), np.cumsum(b[b > 0])
-    cum_a, cum_b = cum_a / cum_a[-1], cum_b / cum_b[-1]
-    lifts = np.arange(-2.0, 4.0)[:, None]
-    y, cum_b = (y + lifts).ravel(), (cum_b + lifts).ravel()
+    cases = []
+    for mu, nu in pairs:
+        if mu.grid != nu.grid:
+            raise ValueError("densities live on different grids")
+        _check_normalized(mu, "mu")
+        _check_normalized(nu, "nu")
+        centers = mu.grid.axis_centers
+        a, b = mu.values, nu.values
+        x, y = centers[a > 0], centers[b > 0]
+        cum_a, cum_b = np.cumsum(a[a > 0]), np.cumsum(b[b > 0])
+        cum_a, cum_b = cum_a / cum_a[-1], cum_b / cum_b[-1]
+        lifts = np.arange(-2.0, 4.0)[:, None]
+        y, cum_b = (y + lifts).ravel(), (cum_b + lifts).ravel()
+        cases.append((x, cum_a, y, cum_b))
+    if not cases:
+        return []
 
-    lo, hi = -2.0, 2.0
-    at_lo, at_hi = (_shift_cost(t, x, cum_a, y, cum_b) for t in (lo, hi))
+    # Each pair's atoms and lifted cuts fill one block of the flat arrays.
+    count = len(cases)
+    x_all = np.concatenate([case[0] for case in cases])
+    a_keys = np.concatenate([_pair_keys(p, case[1]) for p, case in enumerate(cases)])
+    y_all = np.concatenate([case[2] for case in cases])
+    cum_b_all = np.concatenate([case[3] for case in cases])
+    b_pair = np.repeat(np.arange(count), [case[3].size for case in cases])
+    lo, hi = np.full(count, -2.0), np.full(count, 2.0)
     # 54 exact halvings leave a bracket 2^-52 wide, the float spacing of the
     # cuts near 1: a finer shift does not move them.
     for _ in range(54):
         mid = 0.5 * (lo + hi)
-        at_mid = _shift_cost(mid, x, cum_a, y, cum_b)
-        if at_mid[1] < 0.0:
-            lo, at_lo = mid, at_mid
-        else:
-            hi, at_hi = mid, at_mid
-    return at_hi[0], at_lo[1], at_hi[1]
+        # As in _shift_cost: the b cuts in (theta, theta + 1], each read
+        # against the first a atom whose cut is not below it (on a tie the b
+        # cut sorts first).
+        theta = mid[b_pair]
+        j = np.flatnonzero((cum_b_all > theta) & (cum_b_all <= (mid + 1.0)[b_pair]))
+        pair = b_pair[j]
+        cut_b = np.minimum(cum_b_all[j] - theta[j], 1.0)
+        q = x_all[np.searchsorted(a_keys, _pair_keys(pair, cut_b), side="left")]
+        below, above = y_all[j], y_all[j + 1]
+        # np.sum adds a 1-d array's pairwise sum to 0, and reduceat adds a
+        # segment's tail to its head, so a 0 ahead of each pair's terms gives
+        # every pair _shift_cost's slope bit for bit.
+        padded = np.zeros(j.size + count)
+        padded[np.arange(j.size) + pair + 1] = (above - below) * (above + below - 2.0 * q)
+        sizes = np.bincount(pair, minlength=count)
+        slope = np.add.reduceat(padded, np.cumsum(sizes) - sizes + np.arange(count))
+        down = slope < 0.0
+        lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
+
+    out = []
+    for case, t_lo, t_hi in zip(cases, lo.tolist(), hi.tolist()):
+        at_lo, at_hi = (_shift_cost(t, *case) for t in (t_lo, t_hi))
+        out.append((at_hi[0], at_lo[1], at_hi[1]))
+    return out
 
 
-def species_w2_sq(rho_a: tuple[Density, ...], rho_b: tuple[Density, ...]) -> np.ndarray:
+class TransportCheckError(RuntimeError):
+    """A diagnostic distance that failed its check; ``pair`` is the index of
+    its pair of states in the ``species_w2_sq`` call (0 for a single pair)."""
+
+    def __init__(self, message: str, pair: int) -> None:
+        super().__init__(message)
+        self.pair = pair
+
+
+def species_w2_sq(
+    rho_a: tuple[Density, ...] | Sequence[tuple[Density, ...]],
+    rho_b: tuple[Density, ...] | Sequence[tuple[Density, ...]],
+) -> np.ndarray:
     """Per-species squared W2 between two density tuples, one entry each.
 
-    On 1-d grids the distance is exact (``_circle_w2_sq``); on 2-d grids it
-    is the entropic ``sinkhorn_w2`` estimate at eps ``_W2_EPS``.
-    Raises RuntimeError naming the species when a 1-d value fails its
-    optimality check or a 2-d solve does not converge, so no caller can sum
-    an unverified value.
+    Given two equal-length sequences of density tuples instead, it returns
+    one row per pair of tuples, each equal to the call on that pair alone.
+    On 1-d grids the distance is exact (``_circle_w2_sq``, one search for
+    all 1-d pairs of the call); on 2-d grids it is the entropic
+    ``sinkhorn_w2`` estimate at eps ``_W2_EPS``.  Raises TransportCheckError,
+    a RuntimeError, naming the species when a 1-d value fails its optimality
+    check or a 2-d solve does not converge, so no caller can sum an
+    unverified value.
     """
-    out = np.zeros(len(rho_a))
-    for i, (a, b) in enumerate(zip(rho_a, rho_b, strict=True)):
+    single = all(isinstance(rho, Density) for rho in rho_a)
+    states = [(rho_a, rho_b)] if single else list(zip(rho_a, rho_b, strict=True))
+    jobs = [
+        (k, i, a, b)
+        for k, (state_a, state_b) in enumerate(states)
+        for i, (a, b) in enumerate(zip(state_a, state_b, strict=True))
+    ]
+    out = [np.zeros(len(state_a)) for state_a, _ in states]
+
+    exact = [job for job in jobs if job[2].grid.dim == 1]
+    for (k, i, _, _), (value, left, right) in zip(
+        exact, _circle_w2_sq([(a, b) for _, _, a, b in exact])
+    ):
+        if not (left < 0.0 <= right and math.isfinite(value)):
+            raise TransportCheckError(
+                f"species {i} transport failed its optimality check (value "
+                f"{value:.3e}, slopes {left:.3e} and {right:.3e} around the "
+                "optimal shift)",
+                k,
+            )
+        out[k][i] = value
+    for k, i, a, b in jobs:
         if a.grid.dim == 1:
-            value, left, right = _circle_w2_sq(a, b)
-            if not (left < 0.0 <= right and math.isfinite(value)):
-                raise RuntimeError(
-                    f"species {i} transport failed its optimality check (value "
-                    f"{value:.3e}, slopes {left:.3e} and {right:.3e} around the "
-                    "optimal shift)"
-                )
-            out[i] = value
             continue
         res = sinkhorn_w2(a, b, eps=_W2_EPS, tol=_W2_TOL)
         if not res.converged:
-            raise RuntimeError(
+            raise TransportCheckError(
                 f"species {i} transport did not converge (marginal error "
                 f"{res.plan_marginal_err:.3e} after {res.iterations} iterations, "
-                f"tol {_W2_TOL:g})"
+                f"tol {_W2_TOL:g})",
+                k,
             )
-        out[i] = res.w2_sq
-    return out
+        out[k][i] = res.w2_sq
+    return out[0] if single else np.array(out)
 
 
 def _kron_apply(mats: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:

@@ -53,6 +53,37 @@ def lp_w2_sq(mu: tf.Density, nu: tf.Density) -> float:
     return float(res.fun)
 
 
+def reference_circle_w2_sq(mu: tf.Density, nu: tf.Density) -> tuple[float, float, float]:
+    """The single-pair bisection that ``_circle_w2_sq`` batches, verbatim:
+    one scalar ``_shift_cost`` call per halving.  The batched search must
+    return the same triple bit for bit."""
+    _shift_cost, _check_normalized = tr._shift_cost, tr._check_normalized
+    if mu.grid != nu.grid:
+        raise ValueError("densities live on different grids")
+    _check_normalized(mu, "mu")
+    _check_normalized(nu, "nu")
+    centers = mu.grid.axis_centers
+    a, b = mu.values, nu.values
+    x, y = centers[a > 0], centers[b > 0]
+    cum_a, cum_b = np.cumsum(a[a > 0]), np.cumsum(b[b > 0])
+    cum_a, cum_b = cum_a / cum_a[-1], cum_b / cum_b[-1]
+    lifts = np.arange(-2.0, 4.0)[:, None]
+    y, cum_b = (y + lifts).ravel(), (cum_b + lifts).ravel()
+
+    lo, hi = -2.0, 2.0
+    at_lo, at_hi = (_shift_cost(t, x, cum_a, y, cum_b) for t in (lo, hi))
+    # 54 exact halvings leave a bracket 2^-52 wide, the float spacing of the
+    # cuts near 1: a finer shift does not move them.
+    for _ in range(54):
+        mid = 0.5 * (lo + hi)
+        at_mid = _shift_cost(mid, x, cum_a, y, cum_b)
+        if at_mid[1] < 0.0:
+            lo, at_lo = mid, at_mid
+        else:
+            hi, at_hi = mid, at_mid
+    return at_hi[0], at_lo[1], at_hi[1]
+
+
 def exact_w2_permutation(xs, ys) -> float:
     """Exact squared W2 between uniform atomic measures by enumeration.
 

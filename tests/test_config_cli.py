@@ -411,9 +411,9 @@ class TestRunCli:
         original = tf.transport.species_w2_sq
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counted(rho_a, rho_b):
+            calls.append(len(rho_a))
+            return original(rho_a, rho_b)
 
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "torusflow":
@@ -422,8 +422,9 @@ class TestRunCli:
                         monkeypatch.setattr(module, attr, counted)
         path = write_config(tmp_path, stability_config(str(tmp_path / "out")))
         assert main(["run", "--config", str(path)]) == 0
-        # 3 recorded times compared; the drift constants solve no transport.
-        assert len(calls) == 3
+        # One call compares the 3 recorded times; the drift constants solve no
+        # transport.
+        assert calls == [3]
 
     @pytest.mark.parametrize("solver", ["jko", "parabolic"])
     def test_power_run_on_half_empty_state(self, tmp_path, solver):
@@ -843,6 +844,34 @@ class TestRunCli:
         assert f"failed to read states: {bad}: line 4: expected 4 fields" in captured.err
         assert "Traceback" not in captured.err
         assert "total w2_sq" not in captured.out
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("time,species,cell,value\n0.5,0,0,1.0\n", "line 1: no column 'cell_index'"),
+            (
+                "time,species,cell_index,value\n0.5,0,0,1.0\n0.5,0,1,1.O\n",
+                "line 3: column 'value': could not convert string to float: '1.O'",
+            ),
+            (
+                "time,species,cell_index,value\n0.5,0,0,1.0\n0.5,0,1.0,1.0\n",
+                "line 3: column 'cell_index': invalid literal for int() with base 10: '1.0'",
+            ),
+        ],
+        ids=["missing-column", "non-numeric-value", "non-integer-index"],
+    )
+    def test_w2_unreadable_fields_are_input_errors(self, tmp_path, capsys, text, problem):
+        good = tmp_path / "good.csv"
+        good.write_text("time,species,cell_index,value\n0.5,0,0,1.0\n0.5,0,1,1.0\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code = main(["w2", "--a", str(good), "--b", str(bad), "--time", "0.5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"failed to read states: {bad}: {problem}\n" == captured.err
+        assert "w2_sq" not in captured.out
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: {problem}")):
+            read_states_csv(bad)
 
     @pytest.mark.parametrize(
         "rows, problem",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import torusflow as tf
-from torusflow.diagnostics import default_ledger_slack, entropy_value
+from torusflow.diagnostics import _pair_indices, default_ledger_slack, entropy_value
 from torusflow.interaction import gaussian_bump_kernel
 
 from conftest import (
@@ -10,6 +10,7 @@ from conftest import (
     heat_problem,
     heat_values,
     lp_w2_sq,
+    same_bits,
     spectral_heat_trajectory,
 )
 
@@ -96,6 +97,17 @@ class TestHolder:
         traj = tf.run_jko(prob, eps=5e-4)
         ratio = tf.holder_check(traj, sample_pairs=10)
         assert 0 < ratio < 10
+
+    def test_matches_per_pair_loop(self):
+        # One species_w2_sq call for all sampled pairs gives the per-pair
+        # loop's value bit for bit.
+        traj = tf.run_jko(heat_problem(n=64, horizon=0.01, h=1e-3), eps=5e-4)
+        worst = 0.0
+        for i, j in _pair_indices(len(traj.states), 10):
+            w2sq = float(np.sum(tf.species_w2_sq(traj.states[i], traj.states[j])))
+            dt = abs(traj.times[j] - traj.times[i])
+            worst = max(worst, float(np.sqrt(w2sq) / np.sqrt(dt + traj.h)))
+        assert same_bits(tf.holder_check(traj, sample_pairs=10), worst)
 
     def test_needs_two_states(self):
         prob = uniform_problem()

@@ -2,8 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torusflow as tf
+from torusflow import transport as tr
 from torusflow.config import build_profile
 from torusflow.grid import minimal_image
 
@@ -13,6 +16,7 @@ from conftest import (
     lp_w2_sq,
     mode_amplitude,
     random_smooth_density,
+    reference_circle_w2_sq,
     reference_jko_step,
     same_bits,
 )
@@ -577,6 +581,94 @@ class TestCircleW2:
         rho = (cosine_density(g, 0.2),)
         with pytest.raises(RuntimeError, match="species 0 transport failed its optimality check"):
             tf.species_w2_sq(rho, rho)
+
+
+@st.composite
+def circle_density(draw, grid):
+    """A 1-d density: a few atoms (one, a point mass, at the least) or
+    arbitrary values with empty cells."""
+    n = grid.shape[0]
+    vals = np.zeros(n)
+    if draw(st.booleans()):
+        for cell in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+            vals[cell] += 1.0
+    else:
+        mass = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+        vals[:] = draw(st.lists(mass, min_size=n, max_size=n))
+        if not vals.any():
+            vals[draw(st.integers(0, n - 1))] = 1.0
+    return tf.normalize(tf.Density(grid, vals))
+
+
+@st.composite
+def circle_batch(draw):
+    """1 to 6 pairs on grids of 2 to 128 cells; a quarter of them identical."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        grid = tf.make_grid(1, draw(st.integers(2, 128)))
+        mu = draw(circle_density(grid))
+        nu = mu if draw(st.integers(0, 3)) == 0 else draw(circle_density(grid))
+        pairs.append((mu, nu))
+    return pairs
+
+
+def two_species_trajectory(seed, times, sparse_state=None):
+    """Random 1-d two-species states with empty cells at each record time;
+    species 1 of state ``sparse_state`` is the trajectory's only point mass."""
+    rng = np.random.default_rng(seed)
+    grid = tf.make_grid(1, 32)
+    states = []
+    for k in range(len(times)):
+        state = []
+        for i in range(2):
+            vals = rng.uniform(0.0, 1.0, 32) ** 3
+            vals[rng.integers(0, 32, size=8)] = 0.0
+            if (k, i) == (sparse_state, 1):
+                vals = np.where(np.arange(32) == 5, 1.0, 0.0)
+            state.append(tf.normalize(tf.Density(grid, vals)))
+        states.append(tuple(state))
+    return tf.Trajectory(grid=grid, h=times[1] - times[0], times=times, states=states)
+
+
+class TestCircleBatch:
+    """One bisection serves every 1-d pair of a species_w2_sq call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=circle_batch())
+    def test_matches_single_pair_search(self, pairs):
+        got = tr._circle_w2_sq(pairs)
+        assert same_bits(got, [reference_circle_w2_sq(mu, nu) for mu, nu in pairs])
+
+    def test_stability_compare_matches_per_time_loop(self):
+        times = np.linspace(0.0, 0.05, 11)
+        traj_a = two_species_trajectory(0, times)
+        traj_b = two_species_trajectory(1, times, sparse_state=4)
+        series = tf.stability_compare(traj_a, traj_b, c_hat=2.0)
+        pairs = zip(traj_a.states, traj_b.states)
+        sums = np.array([np.sum(tf.species_w2_sq(a, b)) for a, b in pairs])
+        assert same_bits(series.w2_sums, sums)
+        assert same_bits(series.bounds, np.exp(8.0 * times) * sums[0] * 1.2)
+
+    def test_failed_check_names_species_and_record_time(self, monkeypatch):
+        times = np.linspace(0.0, 0.05, 11)
+        traj_a = two_species_trajectory(0, times)
+        traj_b = two_species_trajectory(1, times, sparse_state=4)
+        shift_cost = tr._shift_cost
+
+        def fake(theta, x, cum_a, y, cum_b):
+            # Only the pair with the point mass fails.
+            value, slope = shift_cost(theta, x, cum_a, y, cum_b)
+            return (value, -1.0) if cum_b.size == 6 else (value, slope)
+
+        monkeypatch.setattr(tr, "_shift_cost", fake)
+        with pytest.raises(
+            tf.transport.TransportCheckError,
+            match=r"^species 1 transport failed its optimality check \(.*\) at time 0\.02$",
+        ) as failure:
+            tf.stability_compare(traj_a, traj_b, c_hat=2.0)
+        assert failure.value.pair == 4
+        with pytest.raises(RuntimeError, match=r"^species 1 transport failed .*\)$"):
+            tf.species_w2_sq(traj_a.states[4], traj_b.states[4])
 
 
 class TestJkoStep:
