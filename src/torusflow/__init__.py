@@ -29,7 +29,6 @@ from .energy import (
     InternalEnergy,
     RegularizedEnergy,
     kl_prox,
-    mccann_check,
     regularize,
 )
 from .grid import (
@@ -68,7 +67,6 @@ __all__ = [
     "InternalEnergy",
     "RegularizedEnergy",
     "regularize",
-    "mccann_check",
     "kl_prox",
     "DriftModel",
     "DriftConstants",

@@ -131,7 +131,6 @@ def emit_outputs(
         "version": __version__,
         "config": cfg.resolved,
         "constants": constants,
-        "warnings": cfg.warnings,
     }
     if ledger is not None:
         meta["slack"] = {"ledger": ledger.slack}
@@ -404,9 +403,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    for msg in cfg.warnings:
-        print(f"warning: {msg}", file=sys.stderr)
-
     if cfg.output_directory is not None:
         try:
             _check_output_directory(cfg.output_directory)
@@ -416,8 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "check":
         consts = cfg.load_constants
         print(
-            f"config OK ({len(cfg.warnings)} warning(s)); "
-            f"drift bounds: lip_x {consts.lip_x:g}, lap_plus {consts.lap_plus:g}"
+            f"config OK; drift bounds: lip_x {consts.lip_x:g}, lap_plus {consts.lap_plus:g}"
         )
         return 0
 

@@ -4,9 +4,11 @@ A config names the grid, the species (energy kind plus initial profile), the
 drift kernels, the solver(s) and their knobs, the horizon and the output
 location.  Parsing validates every field with an error naming the offending
 path, rejects unknown fields in every object (each profile and kernel kind
-has its own field list), and runs the hypothesis checks (energy growth,
-displacement convexity when a stability comparison is requested, drift
-constants, the JKO entropic scale) up front, collecting warnings.
+has its own field list), and rejects up front what the solvers would refuse
+at their start: non-finite drift bounds, a JKO entropic scale too small for
+the grid, and an energy the finite-volume route cannot regularize.  Every
+energy kind satisfies the paper's hypotheses in closed form (see energy.py),
+so none is sampled here.
 
 The parsed ``RunConfig`` is the run plan: it carries the run's ``Problem``
 (and the stability run's second one with ``stability_compare``'s margin),
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .energy import InternalEnergy, mccann_check, validate_growth
+from .energy import InternalEnergy, regularize
 from .grid import Density, Grid, make_grid, minimal_image, normalize
 from .interaction import (
     DriftConstants,
@@ -44,9 +46,9 @@ _ROOT_FIELDS = (
     "grid", "species", "drift", "solver", "horizon", "jko", "parabolic", "output", "stability"
 )
 _SPECIES_FIELDS = ("energy", "initial")
-# Every energy kind echoes m and C in the resolved config, so each accepts
-# both; entropy and zero take only m = 1.
-_ENERGY_FIELDS = ("kind", "m", "C")
+# Every energy kind echoes m in the resolved config, so each accepts it;
+# entropy and zero take only m = 1.
+_ENERGY_FIELDS = ("kind", "m")
 _PROFILE_FIELDS = {
     "uniform": ("profile",),
     "cosine": ("profile", "amplitude", "frequency"),
@@ -179,7 +181,6 @@ class RunConfig:
     output_cadence: int
     output_directory: str | None
     load_constants: DriftConstants  # the velocity form's drift bounds
-    warnings: list[str]
     resolved: dict
 
     @property
@@ -233,21 +234,20 @@ def _array(raw, where: str) -> np.ndarray:
 def _energy_from(raw: dict, where: str) -> InternalEnergy:
     _object(raw, where, _ENERGY_FIELDS)
     kind = _require(raw, "kind", where + ".")
-    C = _number(raw.get("C", 10.0), where + ".C", positive=True)
     if kind == "power":
         m = _number(_require(raw, "m", where + "."), where + ".m")
         if not m > 1:
             raise ConfigError(f"{where}.m: must exceed 1")
-        return InternalEnergy.power(m, C=C)
+        return InternalEnergy.power(m)
     if kind in ("entropy", "zero"):
         if _number(raw.get("m", 1.0), where + ".m") != 1.0:
             raise ConfigError(f"{where}.m: the {kind} energy has fixed exponent m = 1")
-        return InternalEnergy(kind=kind, C=C)
+        return InternalEnergy(kind=kind)
     raise ConfigError(f"{where}.kind: unknown energy kind {kind!r}")
 
 
 def parse_config(path: str | Path) -> RunConfig:
-    """Load, validate, and hypothesis-check a run configuration."""
+    """Load and validate a run configuration."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -264,7 +264,6 @@ def parse_config_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     _object(raw, "", _ROOT_FIELDS)
-    warnings: list[str] = []
 
     grid_raw = _object(_require(raw, "grid", ""), "grid", ("dim", "n"))
     dim = _integer(_require(grid_raw, "dim", "grid."), "grid.dim")
@@ -357,10 +356,6 @@ def parse_config_dict(raw: dict) -> RunConfig:
     if cfl_safety > 1:
         raise ConfigError("parabolic.cfl_safety: must lie in (0, 1]")
     parabolic = {"eps_reg": eps_reg, "cfl_safety": cfl_safety}
-    if solver in ("parabolic", "both") and any(e.kind == "zero" for e in energies):
-        raise ConfigError(
-            "parabolic solver: zero-kind energies cannot be regularized (F'' = 0)"
-        )
 
     out_raw = _object(raw.get("output", {}), "output", ("cadence", "directory"))
     cadence = _integer(out_raw.get("cadence", 1), "output.cadence")
@@ -386,8 +381,18 @@ def parse_config_dict(raw: dict) -> RunConfig:
             for k, spec in enumerate(init_list)
         )
 
-    # Hypothesis checks at load time.  The drift constants of the velocity
-    # form are closed-form kernel bounds; they feed meta.json and c_hat.
+    # The finite-volume route, which a stability section also takes,
+    # regularizes every energy at eps_reg; what it refuses is a config error.
+    if solver in ("parabolic", "both") or stab_raw is not None:
+        for idx, e in enumerate(energies):
+            try:
+                regularize(e, eps_reg)
+            except ValueError as exc:
+                at = "kind" if e.kind == "zero" else "m"
+                raise ConfigError(f"species[{idx}].energy.{at}: {exc}") from exc
+
+    # The drift constants of the velocity form are closed-form kernel bounds;
+    # they feed meta.json and c_hat.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             load_constants = estimate_constants(drift)
@@ -409,18 +414,6 @@ def parse_config_dict(raw: dict) -> RunConfig:
             f"grid.n: {grid.cells} cells exceed the {_MAX_COST_CELLS} cells of the "
             "dense W2 cost needed by a stability section"
         )
-    for idx, e in enumerate(energies):
-        for msg in validate_growth(e):
-            warnings.append(f"species[{idx}].energy: {msg}")
-    for idx, e in enumerate(energies):
-        if not mccann_check(e, grid.dim):
-            msg = (
-                f"species[{idx}].energy: fails McCann's displacement-convexity "
-                "condition (r -> r^d E(r^-d) convex nonincreasing)"
-            )
-            if stab_raw is not None:
-                raise ConfigError(msg + "; required for stability diagnostics")
-            warnings.append(msg)
 
     try:
         problem = Problem(grid, energies, drift, rho0, horizon, h)
@@ -437,7 +430,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
         "grid": {"dim": grid.dim, "n": grid.n},
         "species": [
             {
-                "energy": {"kind": e.kind, "m": e.m, "C": e.C},
+                "energy": {"kind": e.kind, "m": e.m},
                 "initial": species_raw[i]["initial"],
             }
             for i, e in enumerate(energies)
@@ -464,6 +457,5 @@ def parse_config_dict(raw: dict) -> RunConfig:
         output_cadence=cadence,
         output_directory=directory,
         load_constants=load_constants,
-        warnings=warnings,
         resolved=resolved,
     )

@@ -8,6 +8,17 @@ kinds:
     power(m)    E = t^m, m > 1  F = (m-1)/(m+1) t^(m+1) (porous medium)
     zero        E = 0           F = 0                   (pure drift)
 
+Every kind has E(0) = 0 and is convex, so ``InternalEnergy``'s kind and
+exponent checks are all the paper's hypotheses need; nothing is sampled.
+In closed form:
+
+* growth: E''(t) >= t^(m-2)/C and F'(t) <= C (1 + t^m) for t > 0, with
+  C = 1 for entropy (E'' = 1/t, F' = t) and C = max(m - 1, 1/(m (m - 1)))
+  for power (E'' = m (m-1) t^(m-2), F' = (m-1) t^m);
+* displacement convexity (McCann, Adv. Math. 128, 1997): r^d E(r^-d) is
+  -d log r for entropy, r^(d (1-m)) for power and 0 for zero.  Each is
+  convex and nonincreasing in r > 0 for every dimension d.
+
 ``regularize`` builds the uniformly elliptic truncation F_eps whose curvature
 is clamped to [eps, 1/eps]: quadratic of curvature eps below delta_eps, F
 itself on [delta_eps, M_eps], quadratic of curvature 1/eps above M_eps, glued
@@ -34,15 +45,10 @@ __all__ = [
     "InternalEnergy",
     "RegularizedEnergy",
     "regularize",
-    "mccann_check",
     "kl_prox",
-    "validate_growth",
 ]
 
 _KINDS = ("entropy", "power", "zero")
-_GROWTH_T_MAX = 10.0
-_GROWTH_SAMPLES = 200
-_MCCANN_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -50,8 +56,7 @@ class InternalEnergy:
     """Convex energy density on R+ with E(0) = 0, described by its kind."""
 
     kind: str
-    m: float = 1.0   # growth exponent; fixed to 1 for entropy and zero kinds
-    C: float = 10.0  # reference constant for the growth-hypothesis validator
+    m: float = 1.0  # growth exponent; fixed to 1 for entropy and zero kinds
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -60,23 +65,20 @@ class InternalEnergy:
             raise ValueError("power energies need exponent m > 1")
         if self.kind in ("entropy", "zero") and self.m != 1.0:
             raise ValueError(f"{self.kind} energy has fixed exponent m = 1")
-        if not self.C > 0:
-            raise ValueError("reference constant C must be positive")
 
     @classmethod
-    def entropy(cls, C: float = 10.0) -> "InternalEnergy":
-        return cls(kind="entropy", C=C)
+    def entropy(cls) -> "InternalEnergy":
+        return cls(kind="entropy")
 
     @classmethod
-    def power(cls, m: float, C: float = 10.0) -> "InternalEnergy":
-        return cls(kind="power", m=float(m), C=C)
+    def power(cls, m: float) -> "InternalEnergy":
+        return cls(kind="power", m=float(m))
 
     @classmethod
     def zero(cls) -> "InternalEnergy":
         return cls(kind="zero")
 
-    # Pointwise maps, vectorized over numpy arrays.  E'' is unbounded at 0
-    # for the entropy kind, so callers sample it on positive arguments only.
+    # Pointwise maps, vectorized over numpy arrays.
 
     def _apply(self, t, fn):
         t = np.asarray(t, dtype=float)
@@ -93,16 +95,6 @@ class InternalEnergy:
                 return out
             if self.kind == "power":
                 return tt**self.m
-            return np.zeros_like(tt)
-
-        return self._apply(t, fn)
-
-    def e_second(self, t):
-        def fn(tt):
-            if self.kind == "entropy":
-                return 1.0 / tt
-            if self.kind == "power":
-                return self.m * (self.m - 1.0) * tt ** (self.m - 2.0)
             return np.zeros_like(tt)
 
         return self._apply(t, fn)
@@ -142,31 +134,12 @@ class InternalEnergy:
         return float(np.sum(self.e(values)) * cell_volume)
 
 
-def validate_growth(energy: InternalEnergy) -> list[str]:
-    """Sampled check of the convexity/growth hypotheses; returns warnings.
-
-    Checks E(0) = 0, midpoint convexity, E''(t) >= t^(m-2)/C and
-    F'(t) <= C (1 + t^m) on a positive sample.
-    """
-    warnings: list[str] = []
-    tol = 1e-10
-    if abs(float(energy.e(0.0))) > tol:
-        warnings.append(f"{energy.kind}: E(0) != 0")
-    t = np.linspace(1e-6, _GROWTH_T_MAX, _GROWTH_SAMPLES)
-    with np.errstate(over="ignore"):  # large exponents overflow; reported below
-        e, e_mid = energy.e(t), energy.e(0.5 * (t[:-1] + t[1:]))
-        e2, fp = energy.e_second(t), energy.f_prime(t)
-    if not all(np.isfinite(v).all() for v in (e, e_mid, e2, fp)):
-        return warnings + [f"{energy.kind}: E, E'' or F' is not finite on sample"]
-    if np.any(e_mid > 0.5 * (e[:-1] + e[1:]) + tol):
-        warnings.append(f"{energy.kind}: E fails midpoint convexity on sample")
-    if energy.kind != "zero":
-        m, C = energy.m, energy.C
-        if np.any(e2 < t ** (m - 2.0) / C - tol):
-            warnings.append(f"{energy.kind}: E'' < t^(m-2)/C on sample (C={C})")
-        if np.any(fp > C * (1.0 + t**m) + tol):
-            warnings.append(f"{energy.kind}: F' > C(1+t^m) on sample (C={C})")
-    return warnings
+def _power_or_inf(base: float, exponent: float) -> float:
+    """base ** exponent for positive floats, inf where it overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -185,13 +158,21 @@ class RegularizedEnergy:
             raise ValueError("cannot regularize an energy with F'' identically zero")
         # Closed-form junctions: smallest rho with F'' >= eps, largest with
         # F'' <= 1/eps.  Entropy has F'' == 1, so the truncation is trivial.
+        # For m near 1 the powers overflow: an M_eps beyond the float range
+        # is no upper junction, as for entropy, but a delta_eps beyond it
+        # leaves no density at which the truncation could switch to F.
         if self.base.kind == "entropy":
             delta, M = 0.0, math.inf
         else:
             m = self.base.m
             c = m * (m - 1.0)
-            delta = (self.eps / c) ** (1.0 / (m - 1.0))
-            M = (1.0 / (self.eps * c)) ** (1.0 / (m - 1.0))
+            delta = _power_or_inf(self.eps / c, 1.0 / (m - 1.0))
+            if delta == math.inf:
+                raise ValueError(
+                    f"cannot regularize m = {m!r} at eps = {self.eps!r}: F'' reaches "
+                    "eps only beyond the float range"
+                )
+            M = _power_or_inf(1.0 / (self.eps * c), 1.0 / (m - 1.0))
         object.__setattr__(self, "delta_eps", delta)
         object.__setattr__(self, "M_eps", M)
 
@@ -243,35 +224,6 @@ class RegularizedEnergy:
 
 def regularize(energy: InternalEnergy, eps: float) -> RegularizedEnergy:
     return RegularizedEnergy(base=energy, eps=float(eps))
-
-
-def mccann_check(energy: InternalEnergy, dim: int) -> bool:
-    """Sampled displacement-convexity test: r -> r^d E(r^-d) must be convex
-    nonincreasing on a log-spaced sample.
-
-    Raises ValueError when no sampled interval is finite, since then nothing
-    was tested.
-    """
-    r = np.logspace(-2, 2, _MCCANN_SAMPLES)
-
-    def g(rr):
-        return rr**dim * np.asarray(energy.e(rr ** (-float(dim))), dtype=float)
-
-    mid = 0.5 * (r[:-1] + r[1:])
-    # Large exponents overflow on part of the sample.  Only the intervals with
-    # finite values at both ends and the midpoint are tested, each against a
-    # tolerance relative to its own values.
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals, at_mid = g(r), g(mid)
-        lo, hi = vals[:-1], vals[1:]
-        finite = np.isfinite(lo) & np.isfinite(hi) & np.isfinite(at_mid)
-        if not np.any(finite):
-            raise ValueError("cannot decide: r^d E(r^-d) is not finite on the sample")
-        lo, hi, at_mid = lo[finite], hi[finite], at_mid[finite]
-        tol = 1e-10 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-        nonincreasing = not np.any(hi - lo > tol)
-        convex = not np.any(at_mid > 0.5 * lo + 0.5 * hi + tol)
-    return nonincreasing and convex
 
 
 def _fsc_step(z: np.ndarray, y: np.ndarray) -> None:

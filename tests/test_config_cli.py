@@ -112,7 +112,6 @@ class TestParseConfig:
         cfg = parse_config(write_config(tmp_path, minimal_config()))
         assert cfg.species_count == 1
         assert cfg.problem.grid.n == 16
-        assert cfg.warnings == []
 
     def test_power_exponent_must_exceed_one(self, tmp_path):
         bad = minimal_config()
@@ -141,11 +140,36 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="potential-mode"):
             parse_config(write_config(tmp_path, bad))
 
-    def test_zero_energy_excludes_parabolic(self, tmp_path):
-        bad = minimal_config(solver="parabolic")
-        bad["species"][0]["energy"] = {"kind": "zero"}
-        with pytest.raises(ConfigError, match="regularized"):
-            parse_config(write_config(tmp_path, bad))
+    def test_zero_energy_excludes_parabolic(self, tmp_path, capsys):
+        # A stability section runs the finite-volume route whatever the solver.
+        stability = {"initial": [{"profile": "cosine", "amplitude": 0.4}]}
+        for overrides in ({"solver": "parabolic"}, {"stability": stability}):
+            bad = minimal_config(**overrides)
+            bad["species"][0]["energy"] = {"kind": "zero"}
+            path = write_config(tmp_path, bad)
+            with pytest.raises(
+                ConfigError, match=r"species\[0\]\.energy\.kind: cannot regularize"
+            ):
+                parse_config(path)
+            for command in ("check", "run"):
+                assert main([command, "--config", str(path)]) == 2
+                assert "species[0].energy.kind" in capsys.readouterr().err
+
+    def test_exponent_near_one_on_parabolic_route(self, tmp_path, capsys):
+        # m = 1.0001 has no representable truncation at eps_reg 1e-3; just
+        # above 1 the upper junction is beyond the float range, so there is none.
+        cfg = minimal_config(solver="parabolic")
+        cfg["species"][0]["energy"] = {"kind": "power", "m": 1.0001}
+        path = write_config(tmp_path, cfg)
+        assert main(["check", "--config", str(path)]) == 2
+        assert "species[0].energy.m" in capsys.readouterr().err
+        for m in (1.002, 1.01):
+            cfg = minimal_config(solver="parabolic", directory=str(tmp_path / f"out{m}"))
+            cfg["species"][0]["energy"] = {"kind": "power", "m": m}
+            path = write_config(tmp_path, cfg)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["run", "--config", str(path)]) == 0
 
     def test_inline_kernel_shape_checked(self, tmp_path):
         bad = minimal_config()
@@ -161,21 +185,6 @@ class TestParseConfig:
         bad["drift"] = {"mode": "potential", "kernels": [[{"kind": "zero"}], []]}
         with pytest.raises(ConfigError, match="matrix"):
             parse_config(write_config(tmp_path, bad))
-
-    def test_stability_with_non_mccann_energy_rejected(self, tmp_path, monkeypatch):
-        # Every built-in kind satisfies the condition, so force a failure to
-        # exercise the guard.
-        monkeypatch.setattr(cfg_mod, "mccann_check", lambda *a, **k: False)
-        cfg = minimal_config(
-            stability={"initial": [{"profile": "cosine", "amplitude": 0.4}]}
-        )
-        with pytest.raises(ConfigError, match="McCann"):
-            parse_config(write_config(tmp_path, cfg))
-
-    def test_non_mccann_energy_warns_without_stability(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cfg_mod, "mccann_check", lambda *a, **k: False)
-        cfg = parse_config(write_config(tmp_path, minimal_config()))
-        assert any("McCann" in w for w in cfg.warnings)
 
     def test_profiles_normalized(self):
         grid = tf.make_grid(1, 32)
@@ -244,6 +253,8 @@ class TestParseConfig:
             # used to be ignored: the run took the default amplitude 0.5.
             ("species.0.initial", "amplitud", 0.9),
             ("species.0.energy", "Cc", 10.0),
+            # The growth constant C is no field: no solver reads it.
+            ("species.0.energy", "C", 10.0),
             ("species.0", "colour", "red"),
             # A negative margin flags t = 0 by construction.
             pytest.param("stability", "margin", -2, id="stability-margin-negative"),

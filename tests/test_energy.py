@@ -9,7 +9,7 @@ from scipy.special import wrightomega
 
 import torusflow as tf
 from conftest import cold_kl_prox_power, same_bits
-from torusflow.energy import _log_wright_omega, validate_growth
+from torusflow.energy import _log_wright_omega
 
 ENTROPY = tf.InternalEnergy.entropy()
 POWER2 = tf.InternalEnergy.power(2.0)
@@ -44,25 +44,38 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("energy", [ENTROPY, POWER2, POWER3])
     def test_curvature_identity(self, energy):
+        # F'' against central differences of F', as F' is checked against E.
         ts = np.linspace(0.1, 3.0, 17)
-        np.testing.assert_allclose(
-            energy.f_second(ts), ts * energy.e_second(ts), rtol=1e-12
-        )
+        delta = 1e-6
+        f_prime_fd = (energy.f_prime(ts + delta) - energy.f_prime(ts - delta)) / (2 * delta)
+        np.testing.assert_allclose(energy.f_second(ts), f_prime_fd, rtol=1e-7)
 
     def test_power_exponent_validated(self):
         with pytest.raises(ValueError, match="m > 1"):
             tf.InternalEnergy.power(0.5)
 
-    def test_growth_hypotheses_pass_for_builtins(self):
-        for energy in ALL_KINDS:
-            assert validate_growth(energy) == []
 
-    def test_growth_overflow_is_a_warning_string(self):
-        # t^2000 overflows on the sample: reported, without numpy warnings.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            msgs = validate_growth(tf.InternalEnergy.power(2000.0))
-        assert msgs == ["power: E, E'' or F' is not finite on sample"]
+CLOSED_FORM_KINDS = [ENTROPY] + [tf.InternalEnergy.power(m) for m in (1.01, 1.5, 2.0, 3.0, 12.0)]
+
+
+class TestHypotheses:
+    @pytest.mark.parametrize("energy", CLOSED_FORM_KINDS, ids=lambda e: f"{e.kind}{e.m}")
+    def test_closed_form(self, energy):
+        """The growth constant C and McCann's r^d E(r^-d) stated in the
+        energy module's docstring."""
+        m = energy.m
+        C = 1.0 if energy.kind == "entropy" else max(m - 1.0, 1.0 / (m * (m - 1.0)))
+        t = np.logspace(-3, 1, 81)
+        e_second = energy.f_second(t) / t  # F'' = t E''
+        # At C = 1/(m (m-1)) the first inequality is an equality.
+        assert np.all(e_second >= t ** (m - 2.0) / C * (1 - 1e-12))
+        assert np.all(energy.f_prime(t) <= C * (1.0 + t**m))
+        r = np.logspace(-1, 1, 41)
+        for d in (1, 2):
+            stated = -d * np.log(r) if energy.kind == "entropy" else r ** (d * (1.0 - m))
+            np.testing.assert_allclose(
+                r**d * energy.e(r**-d), stated, rtol=1e-12, atol=1e-14
+            )
 
 
 class TestRegularize:
@@ -120,55 +133,23 @@ class TestRegularize:
         with pytest.raises(ValueError, match="identically zero"):
             tf.regularize(ZERO, 0.1)
 
+    def test_exponent_near_one(self):
+        # The junction powers overflow for m near 1: an M_eps beyond the
+        # float range is no upper junction, a delta_eps beyond it an error.
+        reg = tf.regularize(tf.InternalEnergy.power(1.01), 1e-3)
+        assert reg.M_eps == np.inf
+        assert 0 < reg.delta_eps < 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ts = np.linspace(0.0, 5.0, 11)
+            assert np.isfinite(reg.f(ts)).all() and np.isfinite(reg.f_prime(ts)).all()
+            assert np.isfinite(reg.f_second(ts)).all()
+        with pytest.raises(ValueError, match="float range"):
+            tf.regularize(tf.InternalEnergy.power(1.0001), 1e-3)
+
     def test_eps_range_validated(self):
         with pytest.raises(ValueError):
             tf.regularize(POWER2, 1.5)
-
-
-class _ConcaveStub:
-    """Energy-like object violating displacement convexity, for the checker."""
-
-    def e(self, t):
-        t = np.asarray(t, dtype=float)
-        return -(t**2)
-
-
-class _OverflowingConcaveStub:
-    """Concave where finite, overflowing on the small-r end of the sample."""
-
-    def e(self, t):
-        return -(np.asarray(t, dtype=float) ** 400)
-
-
-class _NonFiniteStub:
-    def e(self, t):
-        return np.full_like(np.asarray(t, dtype=float), np.inf)
-
-
-class TestMcCann:
-    def test_entropy(self):
-        assert tf.mccann_check(ENTROPY, 1) is True
-        assert tf.mccann_check(ENTROPY, 2) is True
-
-    def test_power(self):
-        assert tf.mccann_check(POWER2, 1) is True
-        assert tf.mccann_check(POWER3, 2) is True
-
-    def test_zero_degenerate_pass(self):
-        assert tf.mccann_check(ZERO, 1) is True
-
-    def test_concave_stub_fails(self):
-        assert tf.mccann_check(_ConcaveStub(), 1) is False
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_overflowing_sample_tested_where_finite(self, dim):
-        # Overflow on part of the sample must not widen the tolerance to inf.
-        assert tf.mccann_check(tf.InternalEnergy.power(2000), dim) is True
-        assert tf.mccann_check(_OverflowingConcaveStub(), dim) is False
-
-    def test_nowhere_finite_sample_cannot_decide(self):
-        with pytest.raises(ValueError, match="cannot decide"):
-            tf.mccann_check(_NonFiniteStub(), 1)
 
 
 class TestKlProx:
