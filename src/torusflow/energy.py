@@ -158,19 +158,23 @@ class RegularizedEnergy:
             raise ValueError("cannot regularize an energy with F'' identically zero")
         # Closed-form junctions: smallest rho with F'' >= eps, largest with
         # F'' <= 1/eps.  Entropy has F'' == 1, so the truncation is trivial.
-        # For m near 1 the powers overflow: an M_eps beyond the float range
-        # is no upper junction, as for entropy, but a delta_eps beyond it
-        # leaves no density at which the truncation could switch to F.
+        # For m near 1 (m (m-1) < eps) the powers grow huge: an M_eps beyond
+        # the float range is no upper junction, as for entropy.  A huge
+        # delta_eps puts every density on the lower piece, whose
+        # F'(delta) + eps (t - delta) resolves t only to ulp(delta); beyond
+        # 2^26 unit densities keep fewer than half the float digits (all of
+        # them are lost near 1e16), so such a delta_eps is refused.
         if self.base.kind == "entropy":
             delta, M = 0.0, math.inf
         else:
             m = self.base.m
             c = m * (m - 1.0)
             delta = _power_or_inf(self.eps / c, 1.0 / (m - 1.0))
-            if delta == math.inf:
+            if not delta <= 2.0**26:
                 raise ValueError(
                     f"cannot regularize m = {m!r} at eps = {self.eps!r}: F'' reaches "
-                    "eps only beyond the float range"
+                    f"eps only at delta_eps = {delta:.3g}, where the truncation cannot "
+                    "resolve unit densities"
                 )
             M = _power_or_inf(1.0 / (self.eps * c), 1.0 / (m - 1.0))
         object.__setattr__(self, "delta_eps", delta)

@@ -156,13 +156,16 @@ class TestParseConfig:
                 assert "species[0].energy.kind" in capsys.readouterr().err
 
     def test_exponent_near_one_on_parabolic_route(self, tmp_path, capsys):
-        # m = 1.0001 has no representable truncation at eps_reg 1e-3; just
-        # above 1 the upper junction is beyond the float range, so there is none.
-        cfg = minimal_config(solver="parabolic")
-        cfg["species"][0]["energy"] = {"kind": "power", "m": 1.0001}
-        path = write_config(tmp_path, cfg)
-        assert main(["check", "--config", str(path)]) == 2
-        assert "species[0].energy.m" in capsys.readouterr().err
+        # m = 1.0001 and 1.0008 have no truncation at eps_reg 1e-3 that
+        # resolves unit densities; just above 1 the upper junction is beyond
+        # the float range, so there is none.
+        for m in (1.0001, 1.0008):
+            cfg = minimal_config(solver="parabolic")
+            cfg["species"][0]["energy"] = {"kind": "power", "m": m}
+            path = write_config(tmp_path, cfg)
+            for command in ("check", "run"):
+                assert main([command, "--config", str(path)]) == 2
+                assert "species[0].energy.m" in capsys.readouterr().err
         for m in (1.002, 1.01):
             cfg = minimal_config(solver="parabolic", directory=str(tmp_path / f"out{m}"))
             cfg["species"][0]["energy"] = {"kind": "power", "m": m}

@@ -135,7 +135,9 @@ class TestRegularize:
 
     def test_exponent_near_one(self):
         # The junction powers overflow for m near 1: an M_eps beyond the
-        # float range is no upper junction, a delta_eps beyond it an error.
+        # float range is no upper junction; a delta_eps so large that the
+        # lower piece cannot resolve unit densities (overflowing at 1.0001,
+        # ~5e120 at 1.0008, ~3e8 at 1.00098) is an error.
         reg = tf.regularize(tf.InternalEnergy.power(1.01), 1e-3)
         assert reg.M_eps == np.inf
         assert 0 < reg.delta_eps < 1
@@ -144,8 +146,15 @@ class TestRegularize:
             ts = np.linspace(0.0, 5.0, 11)
             assert np.isfinite(reg.f(ts)).all() and np.isfinite(reg.f_prime(ts)).all()
             assert np.isfinite(reg.f_second(ts)).all()
-        with pytest.raises(ValueError, match="float range"):
-            tf.regularize(tf.InternalEnergy.power(1.0001), 1e-3)
+        for m in (1.0001, 1.0008, 1.00098):
+            with pytest.raises(ValueError, match="cannot resolve unit densities"):
+                tf.regularize(tf.InternalEnergy.power(m), 1e-3)
+        # Just above the band (delta_eps ~ 9e3) the lower piece still
+        # resolves unit densities.
+        reg = tf.regularize(tf.InternalEnergy.power(1.00099), 1e-3)
+        assert reg.delta_eps > 1.0
+        t = np.array([1.0, 1.001])
+        assert np.diff(reg.f_prime(t))[0] == pytest.approx(1e-6, rel=1e-6)
 
     def test_eps_range_validated(self):
         with pytest.raises(ValueError):
