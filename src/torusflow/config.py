@@ -38,7 +38,7 @@ from .interaction import (
     zero_kernel,
 )
 from .jko import Problem
-from .transport import _MAX_COST_CELLS, _gibbs_axis_cost
+from .transport import _MAX_COST_CELLS, _default_jko_eps, _gibbs_axis_cost
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "build_profile", "build_kernel"]
 
@@ -339,7 +339,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
             f"(h = {h:g})"
         )
     jko = {
-        "eps": _number(jko_raw.get("eps", 5.0 * grid.dx**2), "jko.eps", positive=True),
+        "eps": _number(jko_raw.get("eps", _default_jko_eps(grid)), "jko.eps", positive=True),
         "tol": _number(jko_raw.get("tol", 1e-9), "jko.tol", positive=True),
     }
     if solver in ("jko", "both"):

@@ -52,19 +52,35 @@ or a 2-d solve has not converged.
     min_rho  W2^2(rho, rho_prev)/(2h) + int E(rho) + int U rho
 
 through its entropic relaxation: the first marginal is matched by scaling,
-the second through the per-cell KL proximal of the energy with tau = 2h.
-The row block of that problem's dual is the Sinkhorn one with mass a, so
-from the second iteration on u takes the same safeguarded over-relaxed
-update ``_relaxed`` as ``sinkhorn_w2``'s rows, in place of u = a / (K v).
-By default the step is debiased with the symmetric self-transport scaling
-d (d * (K d) = second marginal at convergence), which cancels the O(eps)
-blur of the plain entropic scheme; ``debias=False`` gives the plain
-alternation.  The torus cost is a sum over axes, so the step's Gibbs kernel
-is the Kronecker product of one n x n per-axis kernel K1 and each kernel
-product runs axis by axis (K1 V K1^T in 2-d).  No cells x cells array is
-built, and the step has no grid cap; its implicit plan is the unique entropic
-plan between its two states, which ``sinkhorn_w2`` rebuilds at its eps.
-A step that has not converged within ``_JKO_MAX_ITER`` iterations raises.
+the second through the per-cell KL proximal of the energy with tau = 2h.  By
+default the step is debiased with the symmetric self-transport scaling d
+(d * (K d) = second marginal at convergence), which cancels the O(eps) blur of
+the plain entropic scheme; ``debias=False`` gives the plain alternation.
+One pass of the alternation maps the log scalings x = (log v, log d) to
+their plain update g(x): u = a / (K v), then v = mass / (K^T u) and the
+debiased d.  The step accelerates that fixed-point map by type-II Anderson
+mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011): the next x is g(x)
+minus the combination of the last ``_MIX_DEPTH`` differences of g whose
+residual differences best cancel the residual g(x) - x, in least squares.
+An extrapolated point with any |x| above half the log of ``_SCALING_BOUND``,
+or a singular least-squares system, gives the plain g instead.  A mixed step
+stops when the density changes by at most ``_MIX_STOP_CHANGE`` tol and the
+log residual is at most ``_MIX_STOP_RESIDUAL`` tol: a change of tol alone
+stops mixed iterates too early, and the residual test guards against
+iterates that stall with a small change.  A state with vacuum (a smallest
+mass below ``_MIX_MIN_RATIO`` of the largest) is not mixed.  Nor is a step
+once a scaling hits 0: it has no log, and no later pass revives its cell,
+which an overshooting mixed iterate may have emptied, so the step restarts
+unmixed from v = d = 1.  Unmixed, u takes ``sinkhorn_w2``'s safeguarded
+over-relaxed row update ``_relaxed`` from the second iteration on, the row
+block of this problem's dual being the Sinkhorn one with mass a, and the
+step stops at a density change of tol.  The torus cost is a sum over axes,
+so the step's Gibbs kernel is the Kronecker product of one n x n per-axis
+kernel K1 and each kernel product runs axis by axis (K1 V K1^T in 2-d).  No
+cells x cells array is built, and the step has no grid cap; its implicit
+plan is the unique entropic plan between its two states, which
+``sinkhorn_w2`` rebuilds at its eps.  A step that has not converged within
+``_JKO_MAX_ITER`` iterations raises.
 """
 
 from __future__ import annotations
@@ -88,7 +104,7 @@ __all__ = [
     "jko_step",
 ]
 
-_MAX_COST_CELLS = 16384
+_MAX_COST_CELLS = 4096
 _SCALING_BOUND = 1e290
 _MASS_FLOOR = 1e-300
 _JKO_MAX_ITER = 20000
@@ -104,6 +120,14 @@ _ASCENT = 0.05
 # always passes the dual-gain test, so that test is skipped.
 _FAST_LOG = 0.25
 _FAST_LO, _FAST_HI = math.exp(-_FAST_LOG), math.exp(_FAST_LOG)
+# Anderson mixing in jko_step: the number of past iterates it combines, the
+# least ratio of the smallest to the largest cell mass at which a step mixes,
+# and the shares of tol of its stop test on the density change and on the
+# log-scaling residual.
+_MIX_DEPTH = 5
+_MIX_MIN_RATIO = 1e-8
+_MIX_STOP_CHANGE = 0.1
+_MIX_STOP_RESIDUAL = 10.0
 # Marginal tolerance of sinkhorn_w2's warm-up levels, which only seed the next.
 _WARMUP_TOL = 1e-4
 _TINY = np.finfo(float).tiny
@@ -539,6 +563,12 @@ def _kron_apply(mats: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
     return (mats[0] @ x.reshape(n, n) @ mats[1].T).ravel()
 
 
+def _least_eps(need: float) -> float:
+    """need rounded up to three significant digits, and above it."""
+    unit = 10.0 ** (math.floor(math.log10(need)) - 2)
+    return math.ceil(need * (1 + 1e-12) / unit) * unit
+
+
 def _gibbs_axis_cost(grid: Grid, h: float, eps: float) -> np.ndarray:
     """Per-axis cost c1 of ``jko_step``'s Gibbs kernel, checked against eps.
 
@@ -553,9 +583,7 @@ def _gibbs_axis_cost(grid: Grid, h: float, eps: float) -> np.ndarray:
     # and finite for every finite h, where tau = 2h overflows near the
     # float maximum.
     if max(spread / eps, 2.0 * (h / eps)) > 600.0:
-        need = max(spread / 600.0, h / 300.0)
-        unit = 10.0 ** (math.floor(math.log10(need)) - 2)
-        least = math.ceil(need * (1 + 1e-12) / unit) * unit
+        least = _least_eps(max(spread / 600.0, h / 300.0))
         reason = (
             "the Gibbs kernel on this grid"
             if spread >= 2.0 * h
@@ -565,6 +593,16 @@ def _gibbs_axis_cost(grid: Grid, h: float, eps: float) -> np.ndarray:
             f"eps {eps:g} is too small for {reason}; increase eps to at least {least:.3g}"
         )
     return c1
+
+
+def _default_jko_eps(grid: Grid) -> float:
+    """5 dx^2, or the least eps the Gibbs kernel admits on grids where
+    5 dx^2 is smaller: 1-d grids with n >= 110 and 2-d grids with n >= 78."""
+    # Every centre is as far from the others as the first is: c1's largest
+    # entry is in its first row.
+    x = grid.axis_centers
+    spread = grid.dim * float(np.max(minimal_image(x - x[0]) ** 2))
+    return max(5.0 * grid.dx**2, _least_eps(spread / 600.0))
 
 
 def jko_step(
@@ -581,10 +619,12 @@ def jko_step(
     The potential is the frozen field evaluated at the previous iterate, on
     the density's grid, or None for no potential; the returned density is the
     implicit plan's second marginal renormalized to unit mass, and the result
-    carries that plan's primal cost as the step's W2^2.  From the second
-    scaling iteration on, the row scaling u is over-relaxed by ``_relaxed``
-    with mass a, and ``kl_prox`` starts from the previous iterate's density,
-    which power energies use as a warm start.
+    carries that plan's primal cost as the step's W2^2.  The log scalings
+    are Anderson-mixed, except from a state with vacuum or after a scaling
+    hits 0, which restarts the step unmixed: there the row scaling u is
+    over-relaxed by ``_relaxed`` with mass a from the second iteration on
+    (module docstring).  ``kl_prox`` starts from the previous iterate's
+    density, which power energies use as a warm start.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
@@ -608,19 +648,37 @@ def jko_step(
     kernel = (k1,) * grid.dim
     apply_k = functools.partial(_kron_apply, kernel)
     apply_kt = functools.partial(_kron_apply, (k1.T,) * grid.dim)
-    v = np.ones_like(a)
-    d = np.ones_like(a)
+    # The column and debiasing scalings v and d, as rows of one array so that
+    # the mixed loop takes their logs and exps in one call each.
+    scal = np.ones((2, a.size))
+    v, d = scal
     rho_curr = a / vol
     u = np.ones_like(a)
     change = np.empty_like(a)
+    mixing = a.min() >= _MIX_MIN_RATIO * a.max()
+    if mixing:
+        log_bound = math.log(_SCALING_BOUND) / 2.0
+        x = np.zeros_like(scal)  # log scalings the map was evaluated at
+        # Two buffers each for the plain update g and the residual g - x:
+        # this pass's and the previous pass's.
+        g_buf, f_buf = np.empty((2,) + scal.shape), np.empty((2,) + scal.shape)
+        # Ring buffers of the last _MIX_DEPTH differences of g and of g - x,
+        # flat, and the Gram matrix of the residual differences.
+        hist_g = np.empty((_MIX_DEPTH, scal.size))
+        hist_f = np.empty((_MIX_DEPTH, scal.size))
+        gram = np.empty((_MIX_DEPTH, _MIX_DEPTH))
     iterations = 0
+    passes = 0  # iterations since the (re)start of the unmixed loop
     converged = False
     for _ in range(_JKO_MAX_ITER):
-        u = _relaxed(u, a / apply_k(v), a) if iterations else a / apply_k(v)
+        if mixing or not passes:
+            u = a / apply_k(v)
+        else:
+            u = _relaxed(u, a / apply_k(v), a)
         s = apply_kt(u)  # second-marginal proposal in mass units
         sigma = s * d
         sigma /= vol
-        start = rho_curr if iterations else None
+        start = rho_curr if passes else None
         # Far from the support the prox centre underflows to 0: those cells
         # stay empty, and the prox runs on the others.
         full = sigma != 0
@@ -641,15 +699,62 @@ def jko_step(
             d /= kd
             np.sqrt(d, out=d)
         iterations += 1
+        passes += 1
         np.subtract(rho_new, rho_curr, out=change)
         delta = float(np.abs(change, out=change).max())
         rho_curr = rho_new
         big = max(float(u.max()), float(v.max()), float(d.max()))
         if not math.isfinite(big) or big > _SCALING_BOUND:
             raise RuntimeError("jko_step scalings left the stable range")
-        if delta <= tol and iterations > 1:
+        if not mixing:
+            if delta <= tol and passes > 1:
+                converged = True
+                break
+            continue
+        scal[0] = v
+        if float(scal.min()) <= 0.0:
+            # A zero scaling has no log, and no later pass revives its cell,
+            # which an overshooting mixed iterate may have emptied: restart
+            # unmixed from the first pass.
+            mixing = False
+            passes = 0
+            scal.fill(1.0)
+            v = scal[0]
+            rho_curr = a / vol
+            continue
+        # Type-II Anderson mixing of the log scalings: x moves to the plain
+        # update g minus the combination of the last g differences whose
+        # residual differences best cancel this pass's residual g - x.
+        g, f = g_buf[iterations % 2], f_buf[iterations % 2]
+        np.log(scal, out=g)
+        np.subtract(g, x, out=f)
+        if (
+            delta <= _MIX_STOP_CHANGE * tol
+            and iterations > 1
+            and float(np.abs(f).max()) <= _MIX_STOP_RESIDUAL * tol
+        ):
             converged = True
             break
+        mixed = False
+        if iterations > 1:
+            j = (iterations - 2) % _MIX_DEPTH
+            depth = min(iterations - 1, _MIX_DEPTH)
+            np.subtract(g, g_buf[(iterations - 1) % 2], out=hist_g[j].reshape(g.shape))
+            np.subtract(f, f_buf[(iterations - 1) % 2], out=hist_f[j].reshape(f.shape))
+            gram[j, :depth] = gram[:depth, j] = hist_f[:depth] @ hist_f[j]
+            try:
+                gamma = np.linalg.solve(gram[:depth, :depth], hist_f[:depth] @ f.ravel())
+            except np.linalg.LinAlgError:
+                pass  # a singular system: take the plain update
+            else:
+                np.matmul(gamma, hist_g[:depth], out=x.reshape(-1))
+                np.subtract(g, x, out=x)
+                # A NaN fails the comparison too.
+                mixed = float(np.abs(x).max()) <= log_bound
+        if not mixed:
+            x[...] = g
+        np.exp(x, out=scal)
+        v = scal[0]
     if not converged:
         raise RuntimeError(
             f"jko_step did not converge within {_JKO_MAX_ITER} iterations "

@@ -492,15 +492,32 @@ def reference_kl_prox(
 
 
 def reference_jko_step(
-    rho_prev, h, energy, potential, eps, tol=1e-9, debias=True, warm=True, relaxed=True
+    rho_prev,
+    h,
+    energy,
+    potential,
+    eps,
+    tol=1e-9,
+    debias=True,
+    warm=True,
+    relaxed=True,
+    mixed=True,
+    vacuum=False,
 ):
     """``jko_step`` with every kernel product through ``_kron_apply``, fresh
     arrays on each iteration and the whole-array scaling bound; returns the
     state values, the step's W2^2, marginal error and iteration count.
     With ``warm`` the prox starts from the previous iterate from the second
     iteration on, as ``jko_step`` does; without it every prox solves cold.
-    With ``relaxed`` the row scaling goes through ``_relaxed`` from the
-    second iteration on, as in ``jko_step``; without it u = a / (K v)."""
+    With ``relaxed`` the scalings are updated as in ``jko_step``: Anderson
+    mixing of the log scalings (with ``mixed``, when the smallest mass is at
+    least ``_MIX_MIN_RATIO`` of the largest, until a scaling is 0, which
+    restarts the step unmixed), else the row scaling through ``_relaxed``
+    from the second iteration on; without ``mixed`` the step never mixes, as
+    before mixing was added.  Without ``relaxed``, u = a / (K v) on every
+    iteration.
+    With ``vacuum`` cells whose prox centre is 0 get no mass, as in
+    ``jko_step``; without it the prox rejects them."""
     grid = rho_prev.grid
     c1 = tr._gibbs_axis_cost(grid, h, eps)
     tau = 2.0 * h
@@ -514,25 +531,75 @@ def reference_jko_step(
     d = np.ones_like(a)
     rho_curr = a / vol
     u = None
+    mixing = relaxed and mixed and a.min() >= tr._MIX_MIN_RATIO * a.max()
+    x = np.zeros((2, a.size))
+    g_prev = f_prev = None
+    hist_g = np.empty((tr._MIX_DEPTH, 2 * a.size))
+    hist_f = np.empty((tr._MIX_DEPTH, 2 * a.size))
+    gram = np.empty((tr._MIX_DEPTH, tr._MIX_DEPTH))
     iterations = 0
+    passes = 0
     for _ in range(tr._JKO_MAX_ITER):
         kv = tr._kron_apply(kernel, v)
-        u = tr._relaxed(u, a / kv, a) if relaxed and iterations else a / kv
+        u = tr._relaxed(u, a / kv, a) if relaxed and passes and not mixing else a / kv
         s = tr._kron_apply(kernel_t, u)
         sigma = s * d / vol
-        start = rho_curr if warm and iterations else None
-        rho_new = reference_kl_prox(energy, sigma, eps, tau, u_pot, start)
-        v = rho_new * vol / s
+        start = rho_curr if warm and passes else None
+        full = sigma != 0 if vacuum else np.ones(sigma.shape, dtype=bool)
+        rho_new = np.zeros_like(sigma)
+        rho_new[full] = reference_kl_prox(
+            energy, sigma[full], eps, tau, u_pot[full], None if start is None else start[full]
+        )
+        v = np.zeros_like(s)
+        v[full] = rho_new[full] * vol / s[full]
         if debias:
             d = np.sqrt(d * (rho_new * vol) / tr._kron_apply(kernel, d))
         iterations += 1
+        passes += 1
         delta = float(np.max(np.abs(rho_new - rho_curr)))
         rho_curr = rho_new
         big = max(float(np.max(u)), float(np.max(v)), float(np.max(d)))
         if not np.isfinite(big) or big > tr._SCALING_BOUND:
             raise RuntimeError("jko_step scalings left the stable range")
-        if delta <= tol and iterations > 1:
+        if not mixing:
+            if delta <= tol and passes > 1:
+                break
+            continue
+        if min(float(np.min(v)), float(np.min(d))) <= 0.0:
+            # A zero scaling: restart unmixed from the first pass.
+            mixing = False
+            passes = 0
+            v = np.ones_like(a)
+            d = np.ones_like(a)
+            rho_curr = a / vol
+            continue
+        g = np.log(np.stack([v, d]))
+        f = g - x
+        if (
+            delta <= tr._MIX_STOP_CHANGE * tol
+            and iterations > 1
+            and float(np.max(np.abs(f))) <= tr._MIX_STOP_RESIDUAL * tol
+        ):
             break
+        x = g
+        if iterations > 1:
+            # The differences of pass k (from 2) sit in row (k - 2) mod
+            # _MIX_DEPTH, and each new row updates its Gram row and column.
+            j = (iterations - 2) % tr._MIX_DEPTH
+            depth = min(iterations - 1, tr._MIX_DEPTH)
+            hist_g[j] = (g - g_prev).ravel()
+            hist_f[j] = (f - f_prev).ravel()
+            gram[j, :depth] = gram[:depth, j] = hist_f[:depth] @ hist_f[j]
+            try:
+                gamma = np.linalg.solve(gram[:depth, :depth], hist_f[:depth] @ f.ravel())
+            except np.linalg.LinAlgError:
+                gamma = None
+            if gamma is not None:
+                mixed_x = g - (gamma @ hist_g[:depth]).reshape(g.shape)
+                if float(np.max(np.abs(mixed_x))) <= np.log(tr._SCALING_BOUND) / 2.0:
+                    x = mixed_x
+        g_prev, f_prev = g, f
+        v, d = np.exp(x)
     else:
         raise RuntimeError("reference jko_step did not converge")
     row_err = float(np.max(np.abs(u * tr._kron_apply(kernel, v) - a)))

@@ -697,37 +697,41 @@ class TestRunCli:
     def test_w2_grid_beyond_dense_cost_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
         rows = ["time,species,cell_index,value"]
-        rows += [f"0.0,0,{c},1.0" for c in range(129 * 129)]
+        rows += [f"0.0,0,{c},1.0" for c in range(65 * 65)]
         path.write_text("\n".join(rows) + "\n")
         code = main(["w2", "--a", str(path), "--b", str(path), "--time", "0.0", "--dim", "2"])
         assert code == 2
         captured = capsys.readouterr()
-        assert "16641 cells" in captured.err
+        assert "4225 cells" in captured.err
         assert "total w2_sq" not in captured.out
 
     def test_check_drift_on_grid_beyond_dense_cost(self, tmp_path, capsys):
         # The drift constants are closed-form kernel bounds: no W2 solve.
         drift = {"kernels": [[{"kind": "cosine", "amplitude": 0.2}]]}
-        cfg = minimal_config(grid={"dim": 2, "n": 129}, drift=drift)
+        cfg = minimal_config(grid={"dim": 2, "n": 65}, drift=drift)
         assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 0
         assert "config OK" in capsys.readouterr().out
 
     def test_check_stability_on_2d_grid_beyond_dense_cost_is_config_error(
         self, tmp_path, capsys
     ):
-        # The stability series' 2-d distances need the dense Sinkhorn cost.
+        # The stability series' 2-d distances need the dense Sinkhorn cost,
+        # which fits in memory up to 64 x 64 cells.
         cfg = stability_config(None)
-        cfg["grid"] = {"dim": 2, "n": 129}
+        cfg["grid"] = {"dim": 2, "n": 64}
         cfg["species"][1]["initial"]["center"] = [0.3, 0.3]
         cfg["stability"]["initial"][1]["center"] = [0.35, 0.3]
+        assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 0
+        capsys.readouterr()
+        cfg["grid"]["n"] = 65
         assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 2
         err = capsys.readouterr().err
-        assert "config error: grid.n" in err and "stability section" in err
+        assert "config error: grid.n: 4225 cells" in err and "stability section" in err
 
     def test_check_stability_on_1d_grid_beyond_dense_cost(self, tmp_path, capsys):
         # 1-d distances are exact and build no dense cost, so no cap applies.
         cfg = json.loads((REPO / "configs" / "two_species_stability.json").read_text())
-        cfg["grid"]["n"] = 16400
+        cfg["grid"]["n"] = 4100
         assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 0
         assert "config OK" in capsys.readouterr().out
 
@@ -740,7 +744,7 @@ class TestRunCli:
         assert not out_dir.exists()
 
     def test_check_drift_free_on_grid_beyond_dense_cost(self, tmp_path, capsys):
-        cfg = minimal_config(grid={"dim": 2, "n": 130})
+        cfg = minimal_config(grid={"dim": 2, "n": 65})
         assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 0
         assert "config OK" in capsys.readouterr().out
 
@@ -748,9 +752,9 @@ class TestRunCli:
         "overrides, reason",
         [
             pytest.param(
-                {"grid": {"dim": 2, "n": 80}, "jko": {"h": 1e-3}},
+                {"grid": {"dim": 2, "n": 80}, "jko": {"h": 1e-3, "eps": 5 / 80**2}},
                 "too small for the Gibbs kernel",
-                id="default-eps-on-2d-n80",
+                id="eps-5dx2-on-2d-grid",
             ),
             pytest.param(
                 {"jko": {"h": 1.0, "eps": 1e-3}}, "h/eps is too large", id="h-over-eps"
@@ -773,6 +777,26 @@ class TestRunCli:
         # The smallest admissible eps the message names is accepted.
         cfg["jko"]["eps"] = float(re.search(r"at least (\S+)", err).group(1))
         assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 0
+
+    @pytest.mark.parametrize(
+        "dim, n, eps",
+        [(1, 64, 5 / 64**2), (1, 128, 4.17e-4), (2, 77, 5 / 77**2), (2, 80, 8.34e-4)],
+    )
+    def test_default_jko_eps_fits_the_grid(self, tmp_path, capsys, dim, n, eps):
+        # 5 dx^2, or on finer grids the least eps the Gibbs kernel admits,
+        # the value a refusal of a smaller eps would name.
+        cfg = minimal_config(grid={"dim": dim, "n": n}, jko={"h": 1e-3})
+        path = write_config(tmp_path, cfg)
+        assert main(["check", "--config", str(path)]) == 0
+        assert "config OK" in capsys.readouterr().out
+        assert parse_config(path).jko["eps"] == pytest.approx(eps, rel=1e-12)
+
+    def test_default_jko_eps_runs_on_fine_1d_grid(self, tmp_path):
+        out_dir = tmp_path / "out"
+        cfg = minimal_config(str(out_dir), grid={"dim": 1, "n": 128}, jko={"h": 1e-3})
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--strict"]) == 0
+        meta = json.loads((out_dir / "meta.json").read_text())
+        assert meta["config"]["jko"]["eps"] == 4.17e-4
 
     def test_check_rejects_nonfinite_initial_energy(self, tmp_path, capsys):
         cfg = minimal_config()

@@ -58,7 +58,7 @@ class TestCostMatrix:
 
     def test_size_guard(self):
         with pytest.raises(ValueError, match="cells"):
-            tf.cost_matrix(tf.make_grid(2, 129))
+            tf.cost_matrix(tf.make_grid(2, 65))
 
 
 class TestExactPermutation:
@@ -791,12 +791,12 @@ class TestJkoStep:
         assert res.plan_marginal_err <= 1e-10
 
     def test_2d_step_beyond_dense_cost_cap(self, monkeypatch):
-        # 130^2 cells exceed the dense-cost cap; the step never builds that cost.
+        # 65^2 cells exceed the dense-cost cap; the step never builds that cost.
         def no_dense_cost(grid):
             raise AssertionError("jko_step built the dense cost matrix")
 
         monkeypatch.setattr(tf.transport, "cost_matrix", no_dense_cost)
-        g = tf.make_grid(2, 130)
+        g = tf.make_grid(2, 65)
         assert g.cells > tf.transport._MAX_COST_CELLS
         x, y = g.coordinate_grids()
         rho = tf.normalize(tf.Density(g, 1 + 0.3 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)))
@@ -849,9 +849,33 @@ class TestRelaxedJkoRows:
         assert res.iterations <= plain_iterations
         assert np.max(np.abs(out.values - tight)) <= np.max(np.abs(plain - tight))
 
+    @pytest.mark.parametrize("name", ["bump-2d", "entropy-potential-1d"])
+    def test_mixed_rows_beat_both_loops(self, name):
+        # Steps on which the over-relaxed rows alone did worse than the
+        # plain loop: more iterations on the first, a state farther from a
+        # tight solve on the second.  The mixed step beats both loops on both.
+        if name == "bump-2d":
+            g = tf.make_grid(2, 24)
+            x, y = g.coordinate_grids()
+            r2 = (x - 0.5) ** 2 + (y - 0.45) ** 2
+            rho = tf.normalize(tf.Density(g, 1 + 0.4 * np.exp(-r2 / 0.18)))
+            h, energy, potential, eps = 2e-3, tf.InternalEnergy.power(2.0), None, 5 * g.dx**2
+        else:
+            g = tf.make_grid(1, 64)
+            rho = cosine_density(g, 0.4)
+            potential = tf.ScalarField(g, 0.3 * np.sin(2 * np.pi * g.axis_centers))
+            h, energy, eps = 1e-3, tf.InternalEnergy.entropy(), 1e-3
+        tight, _, _, _ = reference_jko_step(rho, h, energy, potential, eps, tol=1e-13)
+        out, res = tf.jko_step(rho, h, energy, potential, eps=eps)
+        err = np.max(np.abs(out.values - tight))
+        for loop in ({"relaxed": False}, {"mixed": False}):
+            values, _, _, iterations = reference_jko_step(rho, h, energy, potential, eps, **loop)
+            assert res.iterations < iterations
+            assert err < np.max(np.abs(values - tight))
+
 
 class TestJkoStepMatchesPreChangeLoop:
-    """``jko_step`` reproduces the pre-change scaling loop
+    """``jko_step`` reproduces the scaling loop written out plainly
     (``reference_jko_step``) bit for bit."""
 
     def check(self, rho, h, energy, potential, eps, debias=True):
@@ -879,6 +903,59 @@ class TestJkoStepMatchesPreChangeLoop:
     def test_plain_variant(self):
         g = tf.make_grid(1, 32)
         self.check(cosine_density(g, 0.5), 1e-3, tf.InternalEnergy.power(2.0), None, 2e-3, False)
+
+    def test_singular_mixing_system(self, monkeypatch):
+        # On step 77 of the porous-medium acceptance run a least-squares
+        # system of the mixing is singular: that pass takes the plain update.
+        g = tf.make_grid(1, 128)
+        rho, energy = cosine_density(g, 0.5), tf.InternalEnergy.power(2.0)
+        for _ in range(76):
+            rho, _ = tf.jko_step(rho, 1e-3, energy, None, eps=5e-4)
+        solve, singular = np.linalg.solve, []
+
+        def spy(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                singular.append(a)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        self.check(rho, 1e-3, energy, None, 5e-4)
+        assert singular
+
+    def test_half_empty_state_runs_the_relaxed_loop(self):
+        # Its smallest mass is the floor, far below _MIX_MIN_RATIO of the
+        # largest, so the step never mixes: it is the over-relaxed loop.
+        g = tf.make_grid(1, 128)
+        rho = tf.normalize(tf.Density(g, np.r_[np.full(64, 2.0), np.zeros(64)]))
+        energy = tf.InternalEnergy.power(2.0)
+        out, res = tf.jko_step(rho, 1e-3, energy, None, eps=5e-4)
+        values, w2_sq, err, iterations = reference_jko_step(
+            rho, 1e-3, energy, None, 5e-4, mixed=False, vacuum=True
+        )
+        assert same_bits(out.values, values)
+        assert same_bits(res.w2_sq, w2_sq)
+        assert same_bits(res.plan_marginal_err, err)
+        assert res.iterations == iterations > 1
+
+    def test_zero_scaling_restarts_unmixed(self, monkeypatch):
+        # Allowed to mix, the half-empty step mixes until a scaling hits 0.
+        # No later pass would revive that cell, so the step restarts with
+        # the over-relaxed loop and lands where that loop alone does.
+        monkeypatch.setattr(tf.transport, "_MIX_MIN_RATIO", 0.0)
+        g = tf.make_grid(1, 128)
+        rho = tf.normalize(tf.Density(g, np.r_[np.full(64, 2.0), np.zeros(64)]))
+        energy = tf.InternalEnergy.power(2.0)
+        out, res = tf.jko_step(rho, 1e-3, energy, None, eps=5e-4)
+        _, _, _, iterations = reference_jko_step(rho, 1e-3, energy, None, 5e-4, vacuum=True)
+        values, w2_sq, err, unmixed = reference_jko_step(
+            rho, 1e-3, energy, None, 5e-4, mixed=False, vacuum=True
+        )
+        assert same_bits(out.values, values)
+        assert same_bits(res.w2_sq, w2_sq)
+        assert same_bits(res.plan_marginal_err, err)
+        assert res.iterations == iterations > unmixed
 
     @pytest.mark.parametrize("m", [1.5, 2.0])
     @pytest.mark.parametrize("with_potential", [False, True])
