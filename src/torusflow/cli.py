@@ -411,9 +411,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "check":
         consts = cfg.load_constants
-        print(
-            f"config OK; drift bounds: lip_x {consts.lip_x:g}, lap_plus {consts.lap_plus:g}"
-        )
+        print(f"config OK; drift bounds: lip_x {consts.lip_x:g}")
         return 0
 
     return run_command(cfg, strict=args.strict)

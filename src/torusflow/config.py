@@ -346,7 +346,12 @@ def parse_config_dict(raw: dict) -> RunConfig:
         try:
             _gibbs_axis_cost(grid, h, jko["eps"])  # jko_step's own scale check
         except ValueError as exc:
-            raise ConfigError(f"jko.eps: {exc}") from exc
+            # The default eps fits the grid's kernel, so only h can refuse it.
+            if "eps" in jko_raw:
+                raise ConfigError(f"jko.eps: {exc}") from exc
+            raise ConfigError(
+                f"jko.h: h {h:g} is too large for the default eps (jko.eps is not set): {exc}"
+            ) from exc
 
     par_raw = _object(raw.get("parabolic", {}), "parabolic", ("eps_reg", "cfl_safety"))
     eps_reg = _number(par_raw.get("eps_reg", 1e-3), "parabolic.eps_reg", positive=True)

@@ -98,10 +98,6 @@ class Ledger:
     flags: np.ndarray       # violation > 0
     slack: float
 
-    @property
-    def flagged_steps(self) -> np.ndarray:
-        return np.nonzero(self.flags)[0]
-
 
 def energy_ledger(traj: Trajectory, problem: Problem) -> Ledger:
     """Check (per step) w2_sq/(2h) <= drop of [energy + frozen drift work].

@@ -18,10 +18,9 @@ time a model is evaluated and kept on it; a model whose kernels are all zero
 has none and takes no transform.
 
 ``estimate_constants`` bounds the regularity constants of the drift's
-velocity form in closed form: the velocity kernel gradients (lip_x), the
-Wasserstein-Lipschitz constant of rho -> V[rho] (lip_w2) and the positive
-part of the velocity kernel divergence (lap_plus).  No transport problem is
-solved.
+velocity form in closed form: the velocity kernel gradients (lip_x) and
+the Wasserstein-Lipschitz constant of rho -> V[rho] (lip_w2).  No transport
+problem is solved.
 """
 
 from __future__ import annotations
@@ -228,7 +227,6 @@ def velocity_field(model: DriftModel, rho: tuple[Density, ...]) -> tuple[VectorF
 class DriftConstants:
     lip_x: float
     lip_w2: float
-    lap_plus: float
 
     @property
     def c_hat(self) -> float:
@@ -242,7 +240,7 @@ def estimate_constants(model: DriftModel) -> DriftConstants:
     A potential model is first rewritten as its velocity kernels
     B_ij = -grad W_ij (``as_velocity_model``), so lip_x bounds the spatial
     Lipschitz constant of the velocity itself.  lip_x is the max over species
-    and cells of sum_j |grad B_ij| and lap_plus that of sum_j (div B_ij)_+.
+    and cells of sum_j |grad B_ij|.
     lip_w2 bounds the W2-Lipschitz constant of rho -> V[rho]: by
     Kantorovich-Rubinstein duality |V_i[rho] - V_i[nu]|_inf <=
     max_j Lip(B_ij) sum_j W2(rho_j, nu_j).  Between the cell centres, where
@@ -253,25 +251,19 @@ def estimate_constants(model: DriftModel) -> DriftConstants:
     """
     model = as_velocity_model(model)
     grid = model.grid
-    lip_x = step = lap_plus = 0.0
+    lip_x = step = 0.0
     for i in range(model.species_count):
         grad_acc = np.zeros(grid.shape)
-        lap_acc = np.zeros(grid.shape)
         for j in range(model.species_count):
             kernel = model.kernels[i, j]
             if not np.any(kernel):
                 continue
             comps = [centered_grad_values(grid, b) for b in kernel]
             grad_acc += np.sqrt(sum(np.sum(g**2, axis=0) for g in comps))
-            lap = np.zeros(grid.shape)
-            for a, g in enumerate(comps):
-                lap += g[a]
-            lap_acc += np.maximum(lap, 0.0)
             for b in kernel:
                 step = max(step, float(np.max(np.abs(grad_values(grid, b)))))
         lip_x = max(lip_x, float(np.max(grad_acc)))
-        lap_plus = max(lap_plus, float(np.max(lap_acc)))
-    return DriftConstants(lip_x=lip_x, lip_w2=math.sqrt(grid.dim) * step, lap_plus=lap_plus)
+    return DriftConstants(lip_x=lip_x, lip_w2=math.sqrt(grid.dim) * step)
 
 
 def as_velocity_model(model: DriftModel) -> DriftModel:

@@ -125,22 +125,16 @@ class Trajectory:
     def species_count(self) -> int:
         return len(self.states[0])
 
-    @property
-    def clipped_mass(self) -> float:
-        """The mass clipped over all super-steps, added in step order from
-        0.0 (a plain loop: ``sum`` compensates from Python 3.12 on)."""
-        total = 0.0
-        if self.step_clipped is not None:
-            for c in self.step_clipped.tolist():
-                total += c
-        return total
-
 
 def run_jko(problem: Problem, eps: float, tol: float = 1e-9) -> Trajectory:
     """Semi-implicit scheme with gradient drift for any number of species.
 
     All potentials are frozen at the previous tuple, so the per-species
-    minimizations are independent within a step.
+    minimizations are independent within a step.  Each species' step starts
+    from a guess of its log scalings: none on the first step, the last
+    step's on the second, and 2 x_k - x_(k-1) from its last two steps after
+    that.  A step that returns none (it did not mix) clears the species'
+    history, so its next step starts cold.
     """
     l = problem.species_count
     n_steps = problem.step_count
@@ -148,11 +142,20 @@ def run_jko(problem: Problem, eps: float, tol: float = 1e-9) -> Trajectory:
     states: list[tuple[Density, ...]] = [problem.rho0]
     w2 = np.zeros((n_steps, l))
 
+    # Per species, the log scalings of its last mixed steps, oldest first.
+    history: list[list[np.ndarray]] = [[] for _ in range(l)]
+
     current = problem.rho0
     for k in range(n_steps):
         potentials = potential_from_kernel(problem.drift, current)
         nxt: list[Density] = []
         for i in range(l):
+            past = history[i]
+            guess = None
+            if len(past) == 2:
+                guess = 2.0 * past[1] - past[0]
+            elif past:
+                guess = past[0]
             try:
                 rho_i, res = jko_step(
                     current[i],
@@ -161,11 +164,16 @@ def run_jko(problem: Problem, eps: float, tol: float = 1e-9) -> Trajectory:
                     potentials[i],
                     eps=eps,
                     tol=tol,
+                    guess=guess,
                 )
             except RuntimeError as exc:
                 raise RuntimeError(f"step {k} (species {i}) failed: {exc}") from exc
             nxt.append(rho_i)
             w2[k, i] = res.w2_sq
+            if res.log_scalings is None:
+                past.clear()
+            else:
+                history[i] = past[-1:] + [res.log_scalings]
         current = tuple(nxt)
         states.append(current)
 

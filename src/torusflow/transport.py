@@ -71,7 +71,12 @@ iterates that stall with a small change.  A state with vacuum (a smallest
 mass below ``_MIX_MIN_RATIO`` of the largest) is not mixed.  Nor is a step
 once a scaling hits 0: it has no log, and no later pass revives its cell,
 which an overshooting mixed iterate may have emptied, so the step restarts
-unmixed from v = d = 1.  Unmixed, u takes ``sinkhorn_w2``'s safeguarded
+unmixed from v = d = 1.  A mixed step starts from v = d = 1 too, or from
+the log scalings ``guess`` when it is given (``run_jko`` extrapolates it
+from the species' last two steps) and within that same bound; a plain step
+takes only its log v, as it never updates d.  It returns the stopping
+pass's g as ``log_scalings``, the guess for the next step; an unmixed step
+returns None.  Unmixed, u takes ``sinkhorn_w2``'s safeguarded
 over-relaxed row update ``_relaxed`` from the second iteration on, the row
 block of this problem's dual being the Sinkhorn one with mass a, and the
 step stops at a density change of tol.  The torus cost is a sum over axes,
@@ -143,6 +148,9 @@ class TransportResult:
     converged: bool = True
     # The dense plan; only sinkhorn_w2(return_plan=True) sets it.
     plan: np.ndarray | None = None
+    # The converged log scalings (log v, log d), shape (2, cells); only a
+    # mixed jko_step sets them.
+    log_scalings: np.ndarray | None = None
 
 
 @functools.lru_cache(maxsize=1)
@@ -613,6 +621,7 @@ def jko_step(
     eps: float,
     tol: float = 1e-9,
     debias: bool = True,
+    guess: np.ndarray | None = None,
 ) -> tuple[Density, TransportResult]:
     """One semi-implicit minimizing-movement step via entropic scaling.
 
@@ -625,6 +634,12 @@ def jko_step(
     over-relaxed by ``_relaxed`` with mass a from the second iteration on
     (module docstring).  ``kl_prox`` starts from the previous iterate's
     density, which power energies use as a warm start.
+
+    ``guess`` is a finite (2, cells) array of log scalings (log v, log d), a
+    ValueError otherwise.  A mixed step starts from it unless an entry it
+    uses exceeds half the log of ``_SCALING_BOUND``; an unmixed step, or
+    the unmixed restart, ignores it.  The result's ``log_scalings`` are the
+    converged log scalings of a mixed step, None otherwise.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
@@ -637,6 +652,12 @@ def jko_step(
 
     vol = grid.cell_volume
     a = np.maximum(rho_prev.values.ravel(), _MASS_FLOOR) * vol
+    if guess is not None:
+        guess = np.asarray(guess, dtype=float)
+        if guess.shape != (2, a.size):
+            raise ValueError(f"guess must have shape (2, {a.size}), got {guess.shape}")
+        if not np.all(np.isfinite(guess)):
+            raise ValueError("guess must be finite")
     if potential is None:
         u_pot = np.zeros_like(a)
     elif potential.grid != grid:
@@ -659,6 +680,11 @@ def jko_step(
     if mixing:
         log_bound = math.log(_SCALING_BOUND) / 2.0
         x = np.zeros_like(scal)  # log scalings the map was evaluated at
+        # Plain steps never update d, so they take only the guess's log v.
+        rows = 2 if debias else 1
+        if guess is not None and float(np.abs(guess[:rows]).max()) <= log_bound:
+            x[:rows] = guess[:rows]
+            np.exp(x, out=scal)
         # Two buffers each for the plain update g and the residual g - x:
         # this pass's and the previous pass's.
         g_buf, f_buf = np.empty((2,) + scal.shape), np.empty((2,) + scal.shape)
@@ -777,5 +803,6 @@ def jko_step(
         plan_marginal_err=max(row_err, col_err),
         iterations=iterations,
         converged=True,
+        log_scalings=g.copy() if mixing else None,
     )
     return rho_out, result

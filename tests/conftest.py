@@ -246,6 +246,17 @@ def barenblatt_l1(traj: tf.Trajectory, t0: float = 1e-3) -> float:
     return float(np.sum(np.abs(traj.states[-1][0].values - exact.values)) * grid.cell_volume)
 
 
+def clipped_mass(traj: tf.Trajectory) -> float:
+    """The mass clipped over all super-steps, added in step order from 0.0
+    (a plain loop: ``sum`` compensates from Python 3.12 on); 0.0 for a
+    minimizing-movement run, which records no super-steps."""
+    total = 0.0
+    if traj.step_clipped is not None:
+        for c in traj.step_clipped.tolist():
+            total += c
+    return total
+
+
 def spectral_heat_trajectory(problem: tf.Problem, amplitude: float = 0.5) -> tf.Trajectory:
     """Trajectory whose states sample the exact heat solution on the problem's
     time grid (the injected oracle for weak-form residual checks)."""
@@ -503,6 +514,7 @@ def reference_jko_step(
     relaxed=True,
     mixed=True,
     vacuum=False,
+    guess=None,
 ):
     """``jko_step`` with every kernel product through ``_kron_apply``, fresh
     arrays on each iteration and the whole-array scaling bound; returns the
@@ -517,7 +529,9 @@ def reference_jko_step(
     before mixing was added.  Without ``relaxed``, u = a / (K v) on every
     iteration.
     With ``vacuum`` cells whose prox centre is 0 get no mass, as in
-    ``jko_step``; without it the prox rejects them."""
+    ``jko_step``; without it the prox rejects them.  A mixed step starts
+    from the log scalings ``guess`` (only its log v without ``debias``)
+    when every entry it uses is within the mixing bound."""
     grid = rho_prev.grid
     c1 = tr._gibbs_axis_cost(grid, h, eps)
     tau = 2.0 * h
@@ -533,6 +547,11 @@ def reference_jko_step(
     u = None
     mixing = relaxed and mixed and a.min() >= tr._MIX_MIN_RATIO * a.max()
     x = np.zeros((2, a.size))
+    if mixing and guess is not None:
+        used = guess[: 2 if debias else 1]
+        if float(np.max(np.abs(used))) <= np.log(tr._SCALING_BOUND) / 2.0:
+            x[: used.shape[0]] = used
+            v, d = np.exp(x)
     g_prev = f_prev = None
     hist_g = np.empty((tr._MIX_DEPTH, 2 * a.size))
     hist_f = np.empty((tr._MIX_DEPTH, 2 * a.size))

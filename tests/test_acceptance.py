@@ -16,6 +16,7 @@ from torusflow.grid import centered_grad_values
 from torusflow.interaction import gaussian_bump_kernel
 
 from conftest import (
+    clipped_mass,
     cosine_density,
     exact_w2_permutation,
     heat_problem,
@@ -222,7 +223,7 @@ def test_c04_conservation_and_positivity(scenario1, scenario2, stability_runs):
             for rho in state:
                 worst_mass = max(worst_mass, abs(rho.mass() - 1.0))
                 worst_min = min(worst_min, float(np.min(rho.values)))
-        clipped = max(clipped, traj.clipped_mass)
+        clipped = max(clipped, clipped_mass(traj))
     ok = worst_mass <= 1e-12 and worst_min >= 0.0 and clipped <= 1e-8
     report(
         4,

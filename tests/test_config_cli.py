@@ -773,8 +773,22 @@ class TestRunCli:
         cfg = minimal_config(**overrides)
         assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 2
         err = capsys.readouterr().err
-        assert "config error: jko.eps:" in err and reason in err
+        # A refused default eps is h's fault: the message names jko.h.
+        field = "jko.eps" if "eps" in cfg["jko"] else "jko.h"
+        assert f"config error: {field}:" in err and reason in err
         # The smallest admissible eps the message names is accepted.
+        cfg["jko"]["eps"] = float(re.search(r"at least (\S+)", err).group(1))
+        assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 0
+
+    def test_h_too_large_for_default_eps_names_jko_h(self, tmp_path, capsys):
+        # The default eps 5 / 64^2 fits the grid's kernel but not h = 0.5:
+        # the refusal names jko.h and the default, not the unset jko.eps.
+        cfg = minimal_config(grid={"dim": 1, "n": 64}, horizon=1.0, jko={"h": 0.5})
+        assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: jko.h: h 0.5 is too large for the default eps")
+        assert "jko.eps is not set" in err and "eps 0.0012207 is too small for h" in err
+        # The eps the message names is accepted once set.
         cfg["jko"]["eps"] = float(re.search(r"at least (\S+)", err).group(1))
         assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 0
 
@@ -807,7 +821,7 @@ class TestRunCli:
         assert "config error: species: initial energy is not finite" in capsys.readouterr().err
 
     def test_overflowing_drift_is_config_error(self, tmp_path, capsys):
-        # A constant kernel has no gradient, so lip_x and lap_plus are 0; at
+        # A constant kernel has no gradient, so lip_x and lip_w2 are 0; at
         # 1e308 its transform would overflow, which the load-time bound on
         # the convolution path rejects before any run.
         out_dir = tmp_path / "out"

@@ -56,7 +56,7 @@ class TestEnergyLedger:
         )
         traj = tf.run_jko(prob, eps=5e-4)
         ledger = tf.energy_ledger(traj, prob)
-        assert len(ledger.flagged_steps) == 0
+        assert not np.any(ledger.flags)
 
     def test_corrupted_trajectory_flagged(self):
         prob = heat_problem(n=64, horizon=0.02, h=1e-3)

@@ -241,7 +241,6 @@ class TestConstants:
         consts = tf.estimate_constants(tf.DriftModel.none(grid))
         assert consts.lip_x == 0.0
         assert consts.lip_w2 == 0.0
-        assert consts.lap_plus == 0.0
 
     def test_cosine_gradient_bound(self):
         # W = cos(2 pi x) has velocity B = -W' = 2 pi sin(2 pi x), and
@@ -251,23 +250,14 @@ class TestConstants:
         consts = tf.estimate_constants(model)
         assert consts.lip_x == pytest.approx(4 * np.pi**2, rel=0.02)
 
-    def test_lap_plus_positive_part(self):
-        grid = tf.make_grid(1, 128)
-        model = tf.DriftModel.potential(grid, cosine_kernel(grid)[None, None])
-        consts = tf.estimate_constants(model)
-        # (Lap cos)_+ peaks at 4 pi^2.
-        assert consts.lap_plus == pytest.approx(4 * np.pi**2, rel=0.02)
-
     def test_2d_velocity_bounds(self):
-        # B = (cos 2 pi x, 0): |grad B| = 2 pi |sin 2 pi x| and
-        # (div B)_+ = 2 pi (-sin 2 pi x)_+, both peaking at 2 pi.
+        # B = (cos 2 pi x, 0): |grad B| = 2 pi |sin 2 pi x|, peaking at 2 pi.
         grid = tf.make_grid(2, 64)
         xs, _ = grid.offset_grids()
         kernels = np.zeros((1, 1, 2) + grid.shape)
         kernels[0, 0, 0] = np.cos(2 * np.pi * xs)
         consts = tf.estimate_constants(tf.DriftModel.velocity(grid, kernels))
         assert consts.lip_x == pytest.approx(2 * np.pi, rel=0.01)
-        assert consts.lap_plus == pytest.approx(2 * np.pi, rel=0.01)
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 4)])
     def test_kernel_sums_finite_within_bound(self, dim, n):

@@ -10,6 +10,7 @@ from conftest import (
     cosine_density,
     heat_problem,
     mode_amplitude,
+    same_bits,
     trig_vector_field,
 )
 
@@ -172,6 +173,115 @@ class TestTimeStepOrder:
         order = np.polyfit(np.log(steps), np.log(errors), 1)[0]
         assert 0.9 <= order <= 1.1
         assert gaps[0] > gaps[1] > gaps[2]
+
+
+def stepwise(problem, eps, tol=1e-9, guessed=True):
+    """States and total iterations of run_jko's loop through jko_step: cold
+    steps, or with ``guessed`` each species' step started from the log
+    scalings of its last step (second step) or extrapolated from its last
+    two, 2 x_k - x_(k-1); a step that returns none restarts the history."""
+    states, iterations = [problem.rho0], 0
+    history = [[] for _ in problem.rho0]
+    for _ in problem.record_times:
+        potentials = tf.potential_from_kernel(problem.drift, states[-1])
+        state = []
+        for i, rho in enumerate(states[-1]):
+            past = history[i] if guessed else []
+            guess = None
+            if len(past) == 2:
+                guess = 2.0 * past[1] - past[0]
+            elif past:
+                guess = past[0]
+            out, res = tf.jko_step(
+                rho, problem.h, problem.energies[i], potentials[i], eps=eps, tol=tol, guess=guess
+            )
+            x = res.log_scalings
+            history[i] = [] if x is None else (past + [x])[-2:]
+            iterations += res.iterations
+            state.append(out)
+        states.append(tuple(state))
+    return states, iterations
+
+
+def max_state_gap(states_a, states_b):
+    return max(
+        float(np.max(np.abs(a.values - b.values)))
+        for sa, sb in zip(states_a, states_b, strict=True)
+        for a, b in zip(sa, sb, strict=True)
+    )
+
+
+def two_power_problem_2d(n=16):
+    """An m = 2 bump and an m = 1.5 cosine on a 2-d grid, no drift."""
+    grid = tf.make_grid(2, n)
+    x, y = grid.coordinate_grids()
+    bump = 1 + 2 * np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / (2 * 0.3**2))
+    return tf.Problem(
+        grid=grid,
+        energies=(tf.InternalEnergy.power(2.0), tf.InternalEnergy.power(1.5)),
+        drift=tf.DriftModel.none(grid, species=2),
+        rho0=(tf.normalize(tf.Density(grid, bump)), cosine_density(grid, 0.4)),
+        horizon=0.02,
+        h=2e-3,
+    )
+
+
+class TestWarmStartedSteps:
+    """run_jko starts each step from its species' last log scalings."""
+
+    def test_matches_the_guessed_loop_bit_for_bit(self):
+        grid = tf.make_grid(1, 32)
+        w = gaussian_bump_kernel(grid, sigma=0.15, amplitude=0.2)
+        prob = two_species_problem(grid, w, -w, shift=2.5)
+        traj = tf.run_jko(prob, eps=1e-3)
+        want, _ = stepwise(prob, eps=1e-3)
+        cold, _ = stepwise(prob, eps=1e-3, guessed=False)
+        for got, ref in zip(traj.states, want, strict=True):
+            assert all(same_bits(a.values, b.values) for a, b in zip(got, ref, strict=True))
+        # The first step has no history and starts cold.
+        assert all(same_bits(a.values, b.values) for a, b in zip(traj.states[1], cold[1]))
+        assert not all(same_bits(a.values, b.values) for a, b in zip(traj.states[2], cold[2]))
+
+    def test_state_with_vacuum_runs_cold(self, monkeypatch):
+        # Half empty: no step mixes, so none returns scalings and none is
+        # guessed; the run is the cold one bit for bit, 6265 iterations.
+        grid = tf.make_grid(1, 128)
+        rho = tf.normalize(tf.Density(grid, np.r_[np.full(64, 2.0), np.zeros(64)]))
+        prob = tf.Problem(
+            grid=grid,
+            energies=(tf.InternalEnergy.power(2.0),),
+            drift=tf.DriftModel.none(grid),
+            rho0=(rho,),
+            horizon=8e-3,
+            h=1e-3,
+        )
+        cold, iterations = stepwise(prob, eps=5e-4, guessed=False)
+        assert iterations == 6265
+        guesses = []
+        step = tf.jko.jko_step
+
+        def spy(*args, guess=None, **kwargs):
+            guesses.append(guess)
+            return step(*args, **kwargs, guess=guess)
+
+        monkeypatch.setattr(tf.jko, "jko_step", spy)
+        traj = tf.run_jko(prob, eps=5e-4)
+        assert guesses == [None] * 8
+        for got, ref in zip(traj.states, cold, strict=True):
+            assert same_bits(got[0].values, ref[0].values)
+
+    @pytest.mark.parametrize("name", ["heat", "power-2d"])
+    def test_stays_near_a_tight_cold_trajectory(self, name):
+        prob, eps = (
+            (heat_problem(n=128, horizon=0.05, h=1e-3), 5e-4)
+            if name == "heat"
+            else (two_power_problem_2d(), 5 / 16**2)
+        )
+        tight, _ = stepwise(prob, eps, tol=1e-13, guessed=False)
+        assert max_state_gap(tf.run_jko(prob, eps=eps).states, tight) <= 1e-9
+        _, cold_iterations = stepwise(prob, eps, guessed=False)
+        _, warm_iterations = stepwise(prob, eps)
+        assert warm_iterations < cold_iterations
 
 
 class TestRunJkoSystem:

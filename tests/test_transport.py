@@ -977,6 +977,100 @@ class TestJkoStepMatchesPreChangeLoop:
         assert res.w2_sq == pytest.approx(w2_sq, rel=1e-14, abs=0.0)
 
 
+class TestJkoStepGuess:
+    """A mixed ``jko_step`` started from given log scalings (log v, log d)."""
+
+    @staticmethod
+    def two_steps(debias=True):
+        # The second step of a 2-d power run, guessed from the first.
+        g = tf.make_grid(2, 10)
+        energy = tf.InternalEnergy.power(1.5)
+        rho, res = tf.jko_step(cosine_density(g, 0.3), 2e-3, energy, None, eps=5e-3, debias=debias)
+        return rho, energy, res.log_scalings
+
+    @pytest.mark.parametrize("debias", [True, False])
+    def test_matches_reference_loop_from_the_guess(self, debias):
+        rho, energy, guess = self.two_steps(debias)
+        out, res = tf.jko_step(rho, 2e-3, energy, None, eps=5e-3, debias=debias, guess=guess)
+        values, w2_sq, err, iterations = reference_jko_step(
+            rho, 2e-3, energy, None, 5e-3, debias=debias, guess=guess
+        )
+        assert same_bits(out.values, values)
+        assert same_bits(res.w2_sq, w2_sq)
+        assert same_bits(res.plan_marginal_err, err)
+        assert res.iterations == iterations > 1
+        # The guess saves passes over a cold start.
+        _, cold = tf.jko_step(rho, 2e-3, energy, None, eps=5e-3, debias=debias)
+        assert res.iterations < cold.iterations
+
+    def test_returns_the_stopping_scalings(self):
+        rho, energy, _ = self.two_steps()
+        out, res = tf.jko_step(rho, 2e-3, energy, None, eps=5e-3)
+        assert res.log_scalings.shape == (2, rho.grid.cells)
+        # Restarted from them, the same step stops at its second pass, the
+        # first whose density change can pass the stop test, and lands well
+        # within tol = 1e-9 of where it stopped.
+        again, warm = tf.jko_step(rho, 2e-3, energy, None, eps=5e-3, guess=res.log_scalings)
+        assert warm.iterations == 2
+        assert np.max(np.abs(again.values - out.values)) <= 1e-10
+
+    def test_plain_step_keeps_d_at_one(self):
+        rho, energy, guess = self.two_steps(debias=False)
+        assert np.all(guess[1] == 0.0)
+        # A guess's log d cannot move a step that never updates d.
+        guess[1] = 5.0
+        out, res = tf.jko_step(rho, 2e-3, energy, None, eps=5e-3, debias=False, guess=guess)
+        guess[1] = 0.0
+        want, ref = tf.jko_step(rho, 2e-3, energy, None, eps=5e-3, debias=False, guess=guess)
+        assert same_bits(out.values, want.values) and res.iterations == ref.iterations
+        assert np.all(res.log_scalings[1] == 0.0)
+
+    def test_ignored_on_a_state_with_vacuum(self):
+        g = tf.make_grid(1, 128)
+        rho = tf.normalize(tf.Density(g, np.r_[np.full(64, 2.0), np.zeros(64)]))
+        energy = tf.InternalEnergy.power(2.0)
+        cold, res_cold = tf.jko_step(rho, 1e-3, energy, None, eps=5e-4)
+        guess = np.full((2, g.cells), 0.5)
+        out, res = tf.jko_step(rho, 1e-3, energy, None, eps=5e-4, guess=guess)
+        assert same_bits(out.values, cold.values)
+        assert res.iterations == res_cold.iterations
+        assert res.log_scalings is None is res_cold.log_scalings
+
+    def test_zero_scaling_restart_returns_no_scalings(self, monkeypatch):
+        monkeypatch.setattr(tf.transport, "_MIX_MIN_RATIO", 0.0)
+        g = tf.make_grid(1, 128)
+        rho = tf.normalize(tf.Density(g, np.r_[np.full(64, 2.0), np.zeros(64)]))
+        _, res = tf.jko_step(rho, 1e-3, tf.InternalEnergy.power(2.0), None, eps=5e-4)
+        assert res.log_scalings is None
+
+    def test_out_of_bound_guess_starts_cold(self):
+        rho, energy, guess = self.two_steps()
+        cold, res_cold = tf.jko_step(rho, 2e-3, energy, None, eps=5e-3)
+        guess[0, 3] = np.log(tr._SCALING_BOUND)
+        out, res = tf.jko_step(rho, 2e-3, energy, None, eps=5e-3, guess=guess)
+        assert same_bits(out.values, cold.values) and res.iterations == res_cold.iterations
+
+    @pytest.mark.parametrize(
+        "guess, match",
+        [
+            (np.zeros(16), "shape"),
+            (np.zeros((2, 15)), "shape"),
+            (np.zeros((3, 16)), "shape"),
+            (np.r_[[np.zeros(16)], [np.r_[np.zeros(15), np.nan]]], "finite"),
+            (np.r_[[np.zeros(16)], [np.r_[np.zeros(15), np.inf]]], "finite"),
+        ],
+    )
+    def test_invalid_guess_rejected(self, guess, match):
+        rho = cosine_density(tf.make_grid(1, 16), 0.2)
+        with pytest.raises(ValueError, match=match):
+            tf.jko_step(rho, 1e-3, tf.InternalEnergy.entropy(), None, eps=1e-3, guess=guess)
+
+    def test_sinkhorn_carries_no_scalings(self):
+        g = tf.make_grid(1, 16)
+        res = tf.sinkhorn_w2(cosine_density(g, 0.2), cosine_density(g, 0.3), eps=1e-2)
+        assert res.log_scalings is None
+
+
 class TestJkoStepGuards:
     def test_scaling_bound_raises(self, monkeypatch):
         monkeypatch.setattr(tf.transport, "_SCALING_BOUND", 1e-300)
