@@ -13,84 +13,50 @@ and stability estimates the schemes are supposed to satisfy.
 
 __version__ = "0.1.0"
 
-from .diagnostics import (
-    Ledger,
-    StabilitySeries,
-    TestFunction,
-    energy_ledger,
-    holder_check,
-    separable_test_function,
-    sobolev_estimate,
-    sobolev_integrand,
-    stability_compare,
-    weak_residual,
-)
-from .energy import (
-    InternalEnergy,
-    RegularizedEnergy,
-    kl_prox,
-    regularize,
-)
-from .grid import (
-    Density,
-    Grid,
-    ScalarField,
-    VectorField,
-    make_grid,
-    normalize,
-)
-from .interaction import (
-    DriftConstants,
-    DriftModel,
-    estimate_constants,
-    potential_from_kernel,
-    velocity_field,
-)
-from .jko import Problem, Trajectory, el_residual, run_jko
-from .parabolic import run_parabolic
-from .transport import (
-    TransportResult,
-    cost_matrix,
-    jko_step,
-    sinkhorn_w2,
-    species_w2_sq,
-)
+import importlib
 
-__all__ = [
-    "__version__",
-    "Grid",
-    "Density",
-    "ScalarField",
-    "VectorField",
-    "make_grid",
-    "normalize",
-    "InternalEnergy",
-    "RegularizedEnergy",
-    "regularize",
-    "kl_prox",
-    "DriftModel",
-    "DriftConstants",
-    "potential_from_kernel",
-    "velocity_field",
-    "estimate_constants",
-    "TransportResult",
-    "cost_matrix",
-    "sinkhorn_w2",
-    "species_w2_sq",
-    "jko_step",
-    "Problem",
-    "Trajectory",
-    "run_jko",
-    "el_residual",
-    "run_parabolic",
-    "Ledger",
-    "TestFunction",
-    "StabilitySeries",
-    "energy_ledger",
-    "holder_check",
-    "sobolev_integrand",
-    "sobolev_estimate",
-    "separable_test_function",
-    "weak_residual",
-    "stability_compare",
-]
+# Each submodule and the public names it defines.  ``import torusflow``
+# loads no submodule: a name is imported on first use (PEP 562), so a command
+# pays only for the modules it runs.
+_EXPORTS = {
+    "grid": ("Grid", "Density", "ScalarField", "VectorField", "make_grid", "normalize"),
+    "energy": ("InternalEnergy", "RegularizedEnergy", "regularize", "kl_prox"),
+    "interaction": (
+        "DriftModel",
+        "DriftConstants",
+        "potential_from_kernel",
+        "velocity_field",
+        "estimate_constants",
+    ),
+    "transport": ("TransportResult", "cost_matrix", "sinkhorn_w2", "species_w2_sq", "jko_step"),
+    "jko": ("Problem", "Trajectory", "run_jko", "el_residual"),
+    "parabolic": ("run_parabolic",),
+    "diagnostics": (
+        "Ledger",
+        "TestFunction",
+        "StabilitySeries",
+        "energy_ledger",
+        "holder_check",
+        "sobolev_integrand",
+        "sobolev_estimate",
+        "separable_test_function",
+        "weak_residual",
+        "stability_compare",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = ("cli", "config", *_EXPORTS)
+
+__all__ = ["__version__", *_SOURCE]
+
+
+def __getattr__(name: str):
+    if name in _SOURCE:
+        return getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

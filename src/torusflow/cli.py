@@ -7,6 +7,11 @@
 w2 distances are exact on 1-d grids and Sinkhorn estimates at eps 1e-4 on
 2-d grids.
 
+Each command imports only the modules it runs: w2 loads grid, and energy and
+transport once both files' states at the time match; check loads config (with
+energy, grid, interaction, jko and transport), not parabolic or diagnostics;
+run loads the solvers and diagnostics its route uses.
+
 Outputs of a run (all deterministic; floats printed as 17-significant-digit
 lowercase scientific text):
 
@@ -29,18 +34,20 @@ import csv
 import dataclasses
 import errno
 import json
+import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, parse_config
-from .diagnostics import Ledger, StabilitySeries, energy_ledger, stability_compare
 from .grid import Density, make_grid, normalize
-from .jko import Trajectory, run_jko
-from .parabolic import run_parabolic
-from .transport import species_w2_sq
+
+if TYPE_CHECKING:
+    from .config import RunConfig
+    from .diagnostics import Ledger, StabilitySeries
+    from .jko import Trajectory
 
 __all__ = ["main", "run_command", "emit_outputs", "read_states_csv"]
 
@@ -94,8 +101,16 @@ def _ledger_rows(ledger: Ledger):
         )
 
 
+def _record_time(text: str) -> float:
+    """A states.csv time: a finite float, so that --time can select it."""
+    t = float(text)
+    if not math.isfinite(t):
+        raise ValueError(f"time {text!r} is not finite")
+    return t
+
+
 _STATES_HEADER = ["time", "species", "cell_index", "value"]
-_STATES_KINDS = (float, int, int, float)
+_STATES_KINDS = (_record_time, int, int, float)
 _LEDGER_HEADER = ["step", "time", "w2_sq", "energy", "drift_term", "entropy", "sobolev", "flag"]
 _SERIES_HEADER = ["series", "time", "species", "value", "bound"]
 
@@ -158,10 +173,16 @@ def _solve_and_check(cfg: RunConfig):
     """Run the configured solver(s) and diagnostics; returns (primary, extra
     trajectory or None, ledger or None, stability or None, constants, rows)."""
     problem = cfg.problem
-    traj_jko = run_jko(problem, **cfg.jko) if cfg.solver in ("jko", "both") else None
+    traj_jko = None
+    if cfg.solver in ("jko", "both"):
+        from .jko import run_jko
+
+        traj_jko = run_jko(problem, **cfg.jko)
     wants_par = cfg.solver in ("parabolic", "both")
-    stability_runs = None
+    stability_runs = traj_par = None
     if cfg.stability is not None:
+        from .parabolic import run_parabolic
+
         problem_b, margin = cfg.stability
         # Both stability trajectories march in one lock-step call; the first
         # is also the finite-volume solution when the solver asks for one.
@@ -170,11 +191,15 @@ def _solve_and_check(cfg: RunConfig):
         except (RuntimeError, ValueError) as exc:
             raise type(exc)(f"stability run: {exc}") from exc
         traj_par = stability_runs[0] if wants_par else None
-    else:
-        traj_par = run_parabolic(problem, **cfg.parabolic) if wants_par else None
+    elif wants_par:
+        from .parabolic import run_parabolic
+
+        traj_par = run_parabolic(problem, **cfg.parabolic)
 
     ledger = None
     if traj_jko is not None:
+        from .diagnostics import energy_ledger
+
         ledger = energy_ledger(traj_jko, problem)
 
     series_rows: list[tuple] = []
@@ -195,6 +220,8 @@ def _solve_and_check(cfg: RunConfig):
     constants = dataclasses.asdict(cfg.load_constants)
     stability: StabilitySeries | None = None
     if stability_runs is not None:
+        from .diagnostics import stability_compare
+
         constants["c_hat"] = c_hat = cfg.load_constants.c_hat
         stability = stability_compare(*stability_runs, c_hat=c_hat, margin=margin)
         for k, t in enumerate(stability.times):
@@ -262,9 +289,9 @@ def read_states_csv(path: str | Path) -> dict[float, list[np.ndarray]]:
     cells 0..k-1 exactly once, in any order, and all species at one time must
     have the same k; anything else is a ValueError naming the file, time and
     species.  A header without one of the four columns, a row whose field
-    count differs from the header's, and a field that does not parse are
-    ValueErrors naming the file, the line and, for a column or a field, the
-    column.
+    count differs from the header's, and a field that does not parse or a
+    time that is not finite are ValueErrors naming the file, the line and,
+    for a column or a field, the column.
     """
     rows: dict[float, dict[int, dict[int, float]]] = {}
     with Path(path).open() as fh:
@@ -278,7 +305,7 @@ def read_states_csv(path: str | Path) -> dict[float, list[np.ndarray]]:
                     f"{path}: line {reader.line_num}: expected {len(reader.fieldnames)} fields"
                 )
             try:
-                t = float(row["time"])
+                t = _record_time(row["time"])
                 s = int(row["species"])
                 idx = int(row["cell_index"])
                 value = float(row["value"])
@@ -354,6 +381,8 @@ def _w2_command(args) -> int:
     if n**args.dim != cells:
         print(f"cannot infer a {args.dim}-d grid from {cells} cells", file=sys.stderr)
         return 2
+    from .transport import species_w2_sq
+
     try:
         grid = make_grid(args.dim, n)
         rho_a, rho_b = (
@@ -396,6 +425,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "w2":
         return _w2_command(args)
+
+    from .config import ConfigError, parse_config
 
     try:
         cfg = parse_config(args.config)

@@ -909,8 +909,18 @@ class TestRunCli:
                 "time,species,cell_index,value\n0.5,0,0,1.0\n0.5,0,1.0,1.0\n",
                 "line 3: column 'cell_index': invalid literal for int() with base 10: '1.0'",
             ),
+            # NaN != NaN would make each row its own time; an infinite time
+            # could never be selected by --time.
+            (
+                "time,species,cell_index,value\nnan,0,0,1.0\nnan,0,1,1.0\n",
+                "line 2: column 'time': time 'nan' is not finite",
+            ),
+            (
+                "time,species,cell_index,value\n0.5,0,0,1.0\n-inf,0,0,1.0\n",
+                "line 3: column 'time': time '-inf' is not finite",
+            ),
         ],
-        ids=["missing-column", "non-numeric-value", "non-integer-index"],
+        ids=["missing-column", "non-numeric-value", "non-integer-index", "nan-time", "inf-time"],
     )
     def test_w2_unreadable_fields_are_input_errors(self, tmp_path, capsys, text, problem):
         good = tmp_path / "good.csv"
@@ -961,7 +971,8 @@ class TestRunCli:
         def no_solve(*args, **kwargs):
             raise AssertionError("the run solved before checking output.directory")
 
-        monkeypatch.setattr("torusflow.cli.run_jko", no_solve)
+        # cli imports run_jko from torusflow.jko when a run solves.
+        monkeypatch.setattr("torusflow.jko.run_jko", no_solve)
         for command in ("check", "run"):
             assert main([command, "--config", str(path)]) == 2
             err = capsys.readouterr().err
