@@ -33,7 +33,6 @@ import argparse
 import csv
 import dataclasses
 import errno
-import json
 import math
 import sys
 from pathlib import Path
@@ -124,6 +123,8 @@ def emit_outputs(
     series_rows: list[tuple] | None = None,
 ) -> list[Path]:
     """Write the run's files into cfg.output_directory; returns their paths."""
+    import json
+
     out = Path(cfg.output_directory)
     out.mkdir(parents=True, exist_ok=True)
     cadence = cfg.output_cadence

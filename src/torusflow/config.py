@@ -290,9 +290,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
         rho0.append(build_profile(grid, _require(sp, "initial", where + "."), where + ".initial"))
     l = len(energies)
 
-    drift_raw = _object(
-        raw.get("drift", {"mode": "potential"}), "drift", ("mode", "kernels", "nonneg_shift")
-    )
+    drift_raw = _object(raw.get("drift", {"mode": "potential"}), "drift", ("mode", "kernels"))
     mode = drift_raw.get("mode", "potential")
     if mode not in ("potential", "velocity"):
         raise ConfigError(f"drift.mode: unknown mode {mode!r}")
@@ -314,13 +312,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
                 kernels[i, j] = build_kernel(
                     grid, kernels_raw[i][j], f"drift.kernels[{i}][{j}]", vector
                 )
-        if mode == "potential":
-            shift = drift_raw.get("nonneg_shift")
-            drift = DriftModel.potential(
-                grid, kernels, None if shift is None else _number(shift, "drift.nonneg_shift")
-            )
-        else:
-            drift = DriftModel.velocity(grid, kernels)
+        drift = (DriftModel.velocity if vector else DriftModel.potential)(grid, kernels)
 
     solver = raw.get("solver", "jko")
     if solver not in ("jko", "parabolic", "both"):
@@ -405,7 +397,6 @@ def parse_config_dict(raw: dict) -> RunConfig:
             raise ConfigError(f"drift.kernels: drift bounds are not finite ({exc})") from exc
         bounds = {
             **dataclasses.asdict(load_constants),
-            "nonneg_shift": drift.nonneg_shift,
             "kernel_sums": _kernel_sums_bound(drift),
         }
     if not all(math.isfinite(b) for b in bounds.values()):
@@ -440,11 +431,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
             }
             for i, e in enumerate(energies)
         ],
-        "drift": {
-            "mode": drift.mode,
-            "kernels": drift_raw.get("kernels"),
-            "nonneg_shift": drift.nonneg_shift,
-        },
+        "drift": {"mode": drift.mode, "kernels": drift_raw.get("kernels")},
         "solver": solver,
         "horizon": horizon,
         "jko": {"h": problem.h, **jko},

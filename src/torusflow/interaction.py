@@ -3,10 +3,11 @@
 A model couples l species through an l x l matrix of kernels sampled on the
 lattice offsets k*dx of the working grid:
 
-* potential mode: scalar kernels W_ij and U_i[rho] = sum_j W_ij * rho_j plus
-  a nonnegativity shift.  The induced advection velocity is -grad U_i (mass
-  slides down the potential), so the minimizing-movement route and the
-  finite-volume route integrate the same dynamics.
+* potential mode: scalar kernels W_ij and U_i[rho] = sum_j W_ij * rho_j.
+  The induced advection velocity is -grad U_i (mass slides down the
+  potential), so the minimizing-movement route and the finite-volume route
+  integrate the same dynamics.  A constant added to U would move neither:
+  the step keeps unit mass and the gradient drops it.
 * velocity mode: vector kernels B_ij and V_i[rho] = sum_j B_ij * rho_j, not
   necessarily a gradient.
 
@@ -83,7 +84,6 @@ class DriftModel:
     grid: Grid
     mode: str  # "potential" or "velocity"
     kernels: np.ndarray  # potential: (l, l, *shape); velocity: (l, l, dim, *shape)
-    nonneg_shift: float = 0.0
 
     def __post_init__(self) -> None:
         if self.mode not in ("potential", "velocity"):
@@ -110,13 +110,8 @@ class DriftModel:
         return self.kernels.shape[0]
 
     @classmethod
-    def potential(cls, grid: Grid, kernels, nonneg_shift: float | None = None) -> "DriftModel":
-        arr = np.asarray(kernels, dtype=float)
-        if nonneg_shift is None:
-            # sum_j max|W_ij| bounds |U_i| from below after shifting.
-            per_species = np.max(np.abs(arr), axis=tuple(range(2, arr.ndim))).sum(axis=1)
-            nonneg_shift = float(np.max(per_species)) if per_species.size else 0.0
-        return cls(grid=grid, mode="potential", kernels=arr, nonneg_shift=nonneg_shift)
+    def potential(cls, grid: Grid, kernels) -> "DriftModel":
+        return cls(grid=grid, mode="potential", kernels=np.asarray(kernels, dtype=float))
 
     @classmethod
     def velocity(cls, grid: Grid, kernels) -> "DriftModel":
@@ -128,7 +123,7 @@ class DriftModel:
             kernels = np.zeros((species, species) + grid.shape)
         else:
             kernels = np.zeros((species, species, grid.dim) + grid.shape)
-        return cls(grid=grid, mode=mode, kernels=kernels, nonneg_shift=0.0)
+        return cls(grid=grid, mode=mode, kernels=kernels)
 
     @cached_property
     def _kernel_hats(self) -> np.ndarray | None:
@@ -156,17 +151,17 @@ def _kernel_sums(model: DriftModel, values: np.ndarray) -> np.ndarray:
     """sum_j K_ij * rho_j for stacked densities ``values`` of shape
     (..., l, *shape); leading axes hold separate runs.
 
-    Potential mode returns U, shape (..., l, *shape), with the nonneg shift
-    added; velocity mode returns V, shape (..., l, dim, *shape).  Species j
-    is added in ascending order; a zero kernel adds an exact 0 (but spreads a
-    non-finite density through its run).
+    Potential mode returns U, shape (..., l, *shape); velocity mode returns
+    V, shape (..., l, dim, *shape).  Species j is added in ascending order; a
+    zero kernel adds an exact 0 (but spreads a non-finite density through its
+    run).
     """
     grid = model.grid
     l = model.species_count
     lead = values.shape[: -1 - grid.dim]
     potential = model.mode == "potential"
     comps = 1 if potential else grid.dim
-    out = np.full(lead + (l, comps) + grid.shape, model.nonneg_shift if potential else 0.0)
+    out = np.zeros(lead + (l, comps) + grid.shape)
     hats = model._kernel_hats
     if hats is not None:
         rho_hat = _transform(grid, values, np.fft.fft).reshape(lead + (1, 1, l) + grid.shape)
@@ -202,7 +197,7 @@ def _stacked(model: DriftModel, rho: tuple[Density, ...]) -> np.ndarray:
 
 
 def potential_from_kernel(model: DriftModel, rho: tuple[Density, ...]) -> tuple[ScalarField, ...]:
-    """U_i = sum_j W_ij * rho_j + nonneg_shift (potential mode only)."""
+    """U_i = sum_j W_ij * rho_j (potential mode only)."""
     if model.mode != "potential":
         raise ValueError("mode mismatch: potential_from_kernel needs a potential model")
     return tuple(

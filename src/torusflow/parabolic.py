@@ -396,7 +396,6 @@ def _same_drift(a: DriftModel, b: DriftModel) -> bool:
     return a is b or (
         a.grid == b.grid
         and a.mode == b.mode
-        and a.nonneg_shift == b.nonneg_shift
         and np.array_equal(a.kernels, b.kernels)
     )
 

@@ -85,7 +85,9 @@ kernel K1 and each kernel product runs axis by axis (K1 V K1^T in 2-d).  No
 cells x cells array is built, and the step has no grid cap; its implicit
 plan is the unique entropic plan between its two states, which
 ``sinkhorn_w2`` rebuilds at its eps.  A step that has not converged within
-``_JKO_MAX_ITER`` iterations raises.
+``_JKO_MAX_ITER`` iterations raises, and so does a stopped step whose plan
+misses its marginals by more than ``_JKO_MAX_PLAN_ERR`` tol: its density
+change stalled at a point that is not the step's minimizer.
 """
 
 from __future__ import annotations
@@ -133,6 +135,9 @@ _MIX_DEPTH = 5
 _MIX_MIN_RATIO = 1e-8
 _MIX_STOP_CHANGE = 0.1
 _MIX_STOP_RESIDUAL = 10.0
+# Largest plan marginal error, in shares of tol, at which a stopped jko_step
+# returns.
+_JKO_MAX_PLAN_ERR = 1e3
 # Marginal tolerance of sinkhorn_w2's warm-up levels, which only seed the next.
 _WARMUP_TOL = 1e-4
 _TINY = np.finfo(float).tiny
@@ -792,6 +797,12 @@ def jko_step(
     # K1 * c1 on that axis and K1 on the others.
     row_err = float(np.max(np.abs(u * apply_k(v) - a)))
     col_err = float(np.max(np.abs(v * apply_kt(u) - rho_curr * vol)))
+    plan_err = max(row_err, col_err)
+    if not plan_err <= _JKO_MAX_PLAN_ERR * tol:
+        raise RuntimeError(
+            f"jko_step stopped with plan marginal error {plan_err:.3e} after "
+            f"{iterations} iterations (tol {tol:.3e})"
+        )
     kc1 = k1 * c1
     w2_sq = sum(
         float(np.sum(u * _kron_apply(kernel[:ax] + (kc1,) + kernel[ax + 1 :], v)))
@@ -800,7 +811,7 @@ def jko_step(
     rho_out = normalize(Density(grid, rho_curr.reshape(grid.shape)))
     result = TransportResult(
         w2_sq=w2_sq,
-        plan_marginal_err=max(row_err, col_err),
+        plan_marginal_err=plan_err,
         iterations=iterations,
         converged=True,
         log_scalings=g.copy() if mixing else None,

@@ -252,6 +252,8 @@ class TestParseConfig:
             ("stability", "w2_eps", 1e-4),
             ("", "diagnostics", {"ledger_slack": 0.1}),
             ("parabolic", "cfl_saftey", 0.9),
+            # A constant added to the potential moves no unit-mass step.
+            ("drift", "nonneg_shift", 0.5),
             # A misspelt key inside a species entry, its energy or its profile
             # used to be ignored: the run took the default amplitude 0.5.
             ("species.0.initial", "amplitud", 0.9),
@@ -742,6 +744,29 @@ class TestRunCli:
         assert main(["run", "--config", str(path)]) == 3
         assert "jko_step did not converge within 1 iterations" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("amplitude, status", [(-20.0, 0), (20.0, 3)])
+    def test_stalled_jko_step_is_solver_failure(self, tmp_path, capsys, amplitude, status):
+        # At +20 the first step's density change stalls while its plan misses
+        # its marginals by 4.7e-2; the attractive -20 run converges.
+        out_dir = tmp_path / "out"
+        cfg = minimal_config(
+            directory=str(out_dir),
+            grid={"dim": 1, "n": 32},
+            species=[
+                {"energy": {"kind": "power", "m": 2.0}, "initial": {"profile": "cosine"}}
+            ],
+            drift={"kernels": [[{"kind": "gaussian_bump", "sigma": 0.1, "amplitude": amplitude}]]},
+            solver="both",
+            horizon=0.1,
+            jko={"h": 0.05, "eps": 5e-3},
+        )
+        path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", str(path), "--strict"]) == status
+        if status:
+            err = capsys.readouterr().err
+            assert "step 0 (species 0) failed: jko_step stopped with plan marginal error" in err
+            assert not out_dir.exists()
 
     def test_check_drift_free_on_grid_beyond_dense_cost(self, tmp_path, capsys):
         cfg = minimal_config(grid={"dim": 2, "n": 65})

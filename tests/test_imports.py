@@ -15,10 +15,11 @@ SRC = Path(tf.__file__).resolve().parents[1]
 
 
 def loaded_after(code: str, cwd: Path) -> set[str]:
-    """The torusflow submodules loaded after code runs in a fresh interpreter."""
+    """The torusflow submodules, and json if loaded, after code runs in a
+    fresh interpreter."""
     script = (
         f"{code}\nimport sys\n"
-        "print(' '.join(m for m in sys.modules if m.startswith('torusflow.')))"
+        "print(' '.join(m for m in sys.modules if m.startswith('torusflow.') or m == 'json'))"
     )
     done = subprocess.run(
         [sys.executable, "-c", script],
@@ -64,7 +65,7 @@ class TestCommandImports:
         argv = ["w2", *states_files, "--time", "0.5"]
         loaded = loaded_after(cli_code(argv, 0), tmp_path)
         assert "transport" in loaded
-        assert not {"config", "interaction", "jko", "parabolic", "diagnostics"} & loaded
+        assert not {"config", "interaction", "jko", "parabolic", "diagnostics", "json"} & loaded
 
 
 class TestLazyPackage:

@@ -53,19 +53,19 @@ class TestConvolution:
         rng = np.random.default_rng(4)
         kernel = rng.standard_normal(grid.shape)
         rho = tf.Density(grid, rng.uniform(0, 2, grid.shape))
-        model = tf.DriftModel.potential(grid, kernel[None, None], nonneg_shift=0.0)
+        model = tf.DriftModel.potential(grid, kernel[None, None])
         (fast,) = tf.potential_from_kernel(model, (rho,))
         slow = circular_convolve_direct(grid, kernel, rho.values)
         np.testing.assert_allclose(fast.values, slow, atol=1e-10)
 
     def test_cosine_half_amplitude(self):
-        # cos kernel against 1 + 0.5 cos gives 0.25 cos plus the shift.
+        # cos kernel against 1 + 0.5 cos gives 0.25 cos.
         grid = tf.make_grid(1, 64)
         kernel = cosine_kernel(grid)
-        model = tf.DriftModel.potential(grid, kernel[None, None], nonneg_shift=2.0)
+        model = tf.DriftModel.potential(grid, kernel[None, None])
         rho = cosine_density(grid, 0.5)
         (u,) = tf.potential_from_kernel(model, (rho,))
-        expected = 0.25 * np.cos(2 * np.pi * grid.axis_centers) + 2.0
+        expected = 0.25 * np.cos(2 * np.pi * grid.axis_centers)
         np.testing.assert_allclose(u.values, expected, atol=1e-12)
 
 
@@ -100,14 +100,14 @@ class TestSharedConvolutionPath:
         kernels[1] = 0.0
         kernels[0, 2] = 0.0
         if mode == "potential":
-            return tf.DriftModel.potential(grid, kernels, nonneg_shift=0.7)
+            return tf.DriftModel.potential(grid, kernels)
         return tf.DriftModel.velocity(grid, kernels)
 
     @pytest.mark.parametrize("dim,n", [(1, 24), (2, 6)])
     def test_potential_mode(self, dim, n):
         model = self.model(dim, n, "potential")
         rho = tuple(random_density(model.grid, s) for s in range(3))
-        expected = direct_fields(model, rho) + 0.7
+        expected = direct_fields(model, rho)
         potentials = tf.potential_from_kernel(model, rho)
         velocities = tf.velocity_field(model, rho)
         for i in range(3):
@@ -118,7 +118,7 @@ class TestSharedConvolutionPath:
                 rtol=0,
                 atol=1e-12,
             )
-        np.testing.assert_array_equal(potentials[1].values, 0.7)
+        np.testing.assert_array_equal(potentials[1].values, 0.0)
 
     @pytest.mark.parametrize("dim,n", [(1, 24), (2, 6)])
     def test_velocity_mode(self, dim, n):
@@ -147,46 +147,38 @@ class TestStackedRuns:
             solo = _kernel_sums(model, runs[r])
             assert same_bits(stacked[r], solo)
         if mode == "potential":
-            np.testing.assert_array_equal(stacked[:, 1], 0.7)
+            np.testing.assert_array_equal(stacked[:, 1], 0.0)
 
     def test_all_zero_kernels_take_no_transform(self):
         grid = tf.make_grid(2, 6)
-        model = tf.DriftModel.potential(grid, np.zeros((2, 2) + grid.shape), nonneg_shift=0.3)
+        model = tf.DriftModel.potential(grid, np.zeros((2, 2) + grid.shape))
         assert model._kernel_hats is None
         runs = np.stack(
             [[random_density(grid, 2 * r + s).values for s in range(2)] for r in range(3)]
         )
-        np.testing.assert_array_equal(_kernel_sums(model, runs), np.full(runs.shape, 0.3))
+        np.testing.assert_array_equal(_kernel_sums(model, runs), np.zeros(runs.shape))
 
 
 class TestPotential:
-    def test_zero_kernel_gives_shift(self):
+    def test_zero_kernel_gives_zero_potential(self):
         grid = tf.make_grid(1, 16)
-        model = tf.DriftModel.potential(grid, np.zeros((1, 1, 16)), nonneg_shift=1.5)
+        model = tf.DriftModel.potential(grid, np.zeros((1, 1, 16)))
         (u,) = tf.potential_from_kernel(model, (random_density(grid, 0),))
-        np.testing.assert_allclose(u.values, 1.5)
+        np.testing.assert_array_equal(u.values, 0.0)
 
     def test_uniform_density_averages_kernel(self):
         grid = tf.make_grid(1, 32)
         kernel = gaussian_bump_kernel(grid, sigma=0.1)
-        model = tf.DriftModel.potential(grid, kernel[None, None], nonneg_shift=0.3)
+        model = tf.DriftModel.potential(grid, kernel[None, None])
         uniform = tf.normalize(tf.Density(grid, np.ones(32)))
         (u,) = tf.potential_from_kernel(model, (uniform,))
-        expected = float(np.sum(kernel) * grid.cell_volume) + 0.3
+        expected = float(np.sum(kernel) * grid.cell_volume)
         np.testing.assert_allclose(u.values, expected, atol=1e-13)
-
-    def test_auto_shift_keeps_potential_nonnegative(self):
-        grid = tf.make_grid(1, 32)
-        kernel = cosine_kernel(grid, amplitude=-2.0)
-        model = tf.DriftModel.potential(grid, kernel[None, None])
-        assert model.nonneg_shift == pytest.approx(2.0)
-        (u,) = tf.potential_from_kernel(model, (random_density(grid, 1),))
-        assert np.all(u.values >= -1e-12)
 
     def test_translation_equivariance(self):
         grid = tf.make_grid(1, 32)
         kernel = gaussian_bump_kernel(grid, sigma=0.08)
-        model = tf.DriftModel.potential(grid, kernel[None, None], nonneg_shift=0.0)
+        model = tf.DriftModel.potential(grid, kernel[None, None])
         rho = random_density(grid, 2)
         (u,) = tf.potential_from_kernel(model, (rho,))
         shifted = tf.Density(grid, np.roll(rho.values, 5))
@@ -212,7 +204,7 @@ class TestVelocityField:
         # potential route exactly.
         grid = tf.make_grid(1, 48)
         kernel = gaussian_bump_kernel(grid, sigma=0.1)
-        pot = tf.DriftModel.potential(grid, kernel[None, None], nonneg_shift=0.0)
+        pot = tf.DriftModel.potential(grid, kernel[None, None])
         vel = as_velocity_model(pot)
         rho = (random_density(grid, 5),)
         (v_pot,) = tf.velocity_field(pot, rho)

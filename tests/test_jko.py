@@ -15,13 +15,13 @@ from conftest import (
 )
 
 
-def two_species_problem(grid, w12, w21, shift=3.0, h=2e-3, horizon=0.01):
+def two_species_problem(grid, w12, w21, h=2e-3, horizon=0.01):
     kernels = np.zeros((2, 2) + grid.shape)
     kernels[0, 0] = gaussian_bump_kernel(grid, sigma=0.12, amplitude=0.4)
     kernels[1, 1] = gaussian_bump_kernel(grid, sigma=0.10, amplitude=0.3)
     kernels[0, 1] = w12
     kernels[1, 0] = w21
-    drift = tf.DriftModel.potential(grid, kernels, nonneg_shift=shift)
+    drift = tf.DriftModel.potential(grid, kernels)
     rho_a = tf.normalize(tf.Density(grid, 1 + 0.4 * np.cos(2 * np.pi * grid.axis_centers)))
     rho_b = tf.normalize(tf.Density(grid, 1 + 0.4 * np.sin(2 * np.pi * grid.axis_centers)))
     return tf.Problem(
@@ -69,6 +69,32 @@ class TestRunJko:
             assert traj.times[-1] == pytest.approx(steps * 1e-3)
         # The last horizon is a multiple of h: both routes end at it.
         assert abs(traj.times[-1] - fv.times[-1]) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "energy",
+        [tf.InternalEnergy.entropy(), tf.InternalEnergy.power(2.0)],
+        ids=["entropy", "power"],
+    )
+    def test_constant_kernel_offset_moves_no_state(self, energy):
+        # W + c shifts U by c times the unit mass, which the unit-mass step
+        # absorbs: the potential needs no offset of its own.
+        grid = tf.make_grid(1, 32)
+        kernel = gaussian_bump_kernel(grid, sigma=0.1, amplitude=-1.0)
+        runs, potentials = [], []
+        for c in (0.0, 2.0):
+            prob = tf.Problem(
+                grid=grid,
+                energies=(energy,),
+                drift=tf.DriftModel.potential(grid, (kernel + c)[None, None]),
+                rho0=(cosine_density(grid, 0.5),),
+                horizon=5e-3,
+                h=1e-3,
+            )
+            (u,) = tf.potential_from_kernel(prob.drift, prob.rho0)
+            potentials.append(u.values)
+            runs.append(tf.run_jko(prob, eps=1e-3).states)
+        np.testing.assert_allclose(potentials[1] - potentials[0], 2.0, rtol=0, atol=1e-12)
+        assert max_state_gap(*runs) <= 1e-8
 
     def test_porous_medium_energy_decreases(self):
         grid = tf.make_grid(1, 64)
@@ -232,7 +258,7 @@ class TestWarmStartedSteps:
     def test_matches_the_guessed_loop_bit_for_bit(self):
         grid = tf.make_grid(1, 32)
         w = gaussian_bump_kernel(grid, sigma=0.15, amplitude=0.2)
-        prob = two_species_problem(grid, w, -w, shift=2.5)
+        prob = two_species_problem(grid, w, -w)
         traj = tf.run_jko(prob, eps=1e-3)
         want, _ = stepwise(prob, eps=1e-3)
         cold, _ = stepwise(prob, eps=1e-3, guessed=False)
@@ -288,15 +314,13 @@ class TestRunJkoSystem:
     def test_zero_cross_kernels_decouple_bitwise(self):
         grid = tf.make_grid(1, 32)
         zero = np.zeros(32)
-        system = two_species_problem(grid, zero, zero, shift=2.5)
+        system = two_species_problem(grid, zero, zero)
         traj_sys = tf.run_jko(system, eps=1e-3, tol=1e-10)
         for i in range(2):
             single = tf.Problem(
                 grid=grid,
                 energies=(system.energies[i],),
-                drift=tf.DriftModel.potential(
-                    grid, system.drift.kernels[i, i][None, None], nonneg_shift=2.5
-                ),
+                drift=tf.DriftModel.potential(grid, system.drift.kernels[i, i][None, None]),
                 rho0=(system.rho0[i],),
                 horizon=system.horizon,
                 h=system.h,
@@ -322,10 +346,8 @@ class TestRunJkoSystem:
                 prob.energies[i].total(state[i].values, vol) for i in range(2)
             )
             potentials = tf.potential_from_kernel(prob.drift, state)
-            shift = prob.drift.nonneg_shift
             for i in range(2):
-                conv = potentials[i].values - shift
-                total += 0.5 * float(np.sum(conv * state[i].values) * vol)
+                total += 0.5 * float(np.sum(potentials[i].values * state[i].values) * vol)
             return total
 
         values = [joint(s) for s in traj.states]
