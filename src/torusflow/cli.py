@@ -185,8 +185,10 @@ def _solve_and_check(cfg: RunConfig):
         from .parabolic import run_parabolic
 
         problem_b, margin = cfg.stability
-        # Both stability trajectories march in one lock-step call; the first
-        # is also the finite-volume solution when the solver asks for one.
+        # Both stability trajectories march in one lock-step call with one
+        # step sequence; the first is also the finite-volume solution when
+        # the solver asks for one, so the second run's CFL limits can
+        # shorten its steps.
         try:
             stability_runs = run_parabolic(problem, problem_b, **cfg.parabolic)
         except (RuntimeError, ValueError) as exc:

@@ -341,10 +341,14 @@ def kl_prox(energy: InternalEnergy, s, eps: float, tau: float, u=0.0, start=None
     s_arr = np.atleast_1d(s_arr)
     u_arr = np.atleast_1d(u_arr)
 
+    # A strong potential overflows the closed forms to inf, which jko_step's
+    # scaling guard reports.
     if energy.kind == "zero":
-        out = s_arr * np.exp(-tau * u_arr / eps)
+        with np.errstate(over="ignore"):
+            out = s_arr * np.exp(-tau * u_arr / eps)
     elif energy.kind == "entropy":
-        out = np.exp((eps * np.log(s_arr) - tau * (1.0 + u_arr)) / (eps + tau))
+        with np.errstate(over="ignore"):
+            out = np.exp((eps * np.log(s_arr) - tau * (1.0 + u_arr)) / (eps + tau))
     else:
         if start is not None:
             start = np.atleast_1d(np.asarray(start, dtype=float))

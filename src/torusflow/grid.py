@@ -3,8 +3,9 @@
 The torus [0, 1)^d (d = 1 or 2) is covered by n uniform cells per axis with
 cell centers at (i + 1/2)/n.  All index arithmetic wraps modulo n.  The
 gradient lives on cell faces (forward difference, entry i holding the value
-at face i + 1/2) and the divergence maps face values back to cells (backward
-difference), so that
+at face i + 1/2) and the divergence, which the finite-volume scheme forms
+from its face fluxes, maps face values back to cells (backward difference),
+so that
 
     sum(div(w) * phi) == -sum(w . grad(phi))        (exact telescoping)
 
@@ -28,7 +29,6 @@ __all__ = [
     "minimal_image",
     "normalize",
     "grad_values",
-    "div_values",
     "centered_grad_values",
 ]
 
@@ -157,14 +157,6 @@ def grad_values(grid: Grid, f: np.ndarray) -> np.ndarray:
     return np.stack(
         [(np.roll(f, -1, axis=a) - f) / grid.dx for a in range(grid.dim)]
     )
-
-
-def div_values(grid: Grid, w: np.ndarray) -> np.ndarray:
-    """Backward difference per axis, adjoint (up to sign) of grad_values."""
-    out = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        out += (w[a] - np.roll(w[a], 1, axis=a)) / grid.dx
-    return out
 
 
 def centered_grad_values(grid: Grid, f: np.ndarray) -> np.ndarray:

@@ -30,11 +30,13 @@ The step runs on all species of all runs at once, as one (runs, species,
 *shape) array: problems that share grid, energies, drift, horizon and h and
 differ only in their initial densities march in lock step, so the per-call
 cost of numpy, which dominates on small grids, is paid once per stage for all
-of them.  Each run keeps its own s and tau, and a run whose s stages are done
-is frozen while the others take theirs.  Every operation is per row or per
-element, so each run comes out bit for bit as it would alone.  The CFL bound,
-super-step, guards, clipping and records are per run; a run that reaches the
-horizon drops out of the stack.
+of them.  The runs share one step sequence: the CFL limits are taken over the
+whole stack (the largest F''_eps at any run's peak, the largest |V| of any
+run), and they set one length and one stage count for every run.  Every
+operation is per row or per element, so a run whose own limits bind on every
+super-step comes out bit for bit as it would alone; another run takes the
+shared steps, which stay within its own limits.  The guards, clipping and
+clipped mass are per run.
 The drift comes from the model's kernel transforms, taken once per model,
 with one batched forward and one batched inverse transform per stage; species
 with equal regularized energies are evaluated together, and periodic shifts
@@ -81,12 +83,6 @@ def _row_error(cls: type[Exception], message: str, row: int) -> Exception:
     return exc
 
 
-def _per_run(values: np.ndarray, factors: list[float]) -> np.ndarray:
-    """values scaled by one factor per run (row)."""
-    # Transposed, the runs axis comes last, so the factors broadcast one per run.
-    return (values.T * factors).T
-
-
 def _legendre_b(j: int) -> float:
     """The RKL2 weight b_j: 1/3 up to j = 2, then (j^2 + j - 2) / (2 j (j + 1))."""
     return 1.0 / 3.0 if j <= 2 else (j * j + j - 2) / (2.0 * j * (j + 1))
@@ -100,8 +96,8 @@ def _stage_limit(s: int) -> float:
 class _Scheme:
     """What the stacked step needs from a set of runs, evaluated once per call.
 
-    Values are stacked as (runs, species, *shape); every operation is per
-    row or per element, so each run evolves exactly as it would alone.
+    Values are stacked as (runs, species, *shape); every operation but the
+    CFL limits is per row or per element.
     """
 
     def __init__(self, reg_energies: tuple[RegularizedEnergy, ...], drift: DriftModel) -> None:
@@ -121,8 +117,8 @@ class _Scheme:
         cells = np.arange(n)
         self.ahead = (cells + 1) % n  # entry i holds cell i + 1
         self.behind = (cells - 1) % n  # entry i holds cell i - 1
-        # Scratch arrays of the flux, one pair per stacked shape.
-        self._scratch: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        # Scratch arrays of the flux, made on the first call.
+        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
 
     def _pressure(self, values: np.ndarray) -> np.ndarray:
         """F'_eps on stacked values, one call and one range test per energy
@@ -171,29 +167,25 @@ class _Scheme:
             raise _row_error(RuntimeError, "drift velocities are not finite", finite.index(False))
         return faces, pressure
 
-    def limits(
-        self, values: np.ndarray, faces: np.ndarray | None
-    ) -> tuple[list[float], list[float]]:
-        """Each run's diffusion limit dx^2 / (4 max F''_eps) and advection
-        limit dx / (2 max |V|) on values and their face velocities.
+    def limits(self, values: np.ndarray, faces: np.ndarray | None) -> tuple[float, float]:
+        """The stack's diffusion limit dx^2 / (4 max F''_eps) and advection
+        limit dx / (2 max |V|) on values and their face velocities: the
+        smallest of its runs' limits.
 
-        F''_eps is nondecreasing, so its max is F''_eps of the run's peak,
-        one call per energy group.  (Rounding can put the middle piece an
-        ulp below eps just above delta_eps, or above 1/eps just below M_eps;
-        only a peak within ulps of a junction sees it, as an ulp in the
-        limit.)  Without nonzero kernels the advection limit is inf.
+        F''_eps is nondecreasing, so its max is F''_eps of a run's peak, one
+        call per energy group.  (Rounding can put the middle piece an ulp
+        below eps just above delta_eps, or above 1/eps just below M_eps; only
+        a peak within ulps of a junction sees it, as an ulp in the limit.)
+        Without nonzero kernels the advection limit is inf.
         """
         dx = self.grid.dx
-        runs = len(values)
-        peaks = values.reshape(runs, self.species, -1).max(axis=2)
-        curvature = np.max(
-            [reg.f_second(peaks[:, idx].max(axis=1)) for reg, idx in self.groups], axis=0
+        peaks = values.reshape(len(values), self.species, -1).max(axis=2)
+        curvature = max(
+            float(reg.f_second(peaks[:, idx].max(axis=1)).max()) for reg, idx in self.groups
         )
-        diffusion = [0.25 * dx**2 / c if c > 0 else np.inf for c in curvature.tolist()]
-        if faces is None:
-            return diffusion, [np.inf] * runs
-        vmax = np.abs(faces).reshape(runs, -1).max(axis=1).tolist()
-        return diffusion, [0.5 * dx / v if v > 0 else np.inf for v in vmax]
+        diffusion = 0.25 * dx**2 / curvature if curvature > 0 else np.inf
+        vmax = 0.0 if faces is None else float(np.abs(faces).max())
+        return diffusion, 0.5 * dx / vmax if vmax > 0 else np.inf
 
     def divergence(
         self, values: np.ndarray, faces: np.ndarray | None, pressure: np.ndarray
@@ -201,10 +193,9 @@ class _Scheme:
         """The flux divergence, with velocities and pressure already evaluated
         on values: d_t values = -divergence."""
         grid, dx = self.grid, self.grid.dx
-        scratch = self._scratch.get(values.shape)
-        if scratch is None:
-            scratch = self._scratch[values.shape] = (np.empty(values.shape), np.empty(values.shape))
-        flux, term = scratch
+        if self._scratch is None:
+            self._scratch = (np.empty(values.shape), np.empty(values.shape))
+        flux, term = self._scratch
         divergence = np.empty(values.shape)
         for a in range(grid.dim):
             axis = 2 + a
@@ -273,8 +264,8 @@ class _Scheme:
 def _plan(
     time: float, next_time: float, reached: float, diffusion: float, advection: float, cfl: float
 ) -> tuple[float, int, str]:
-    """One run's next super-step from its CFL limits: its length, its stage
-    count and the CFL term that bounds it."""
+    """The next super-step from the stack's CFL limits: its length, its
+    stage count and the CFL term that bounds it."""
     rest = next_time - time
     euler = cfl * min(diffusion, advection)
     longest = min(cfl * diffusion * _stage_limit(_MAX_STAGES), cfl * advection)
@@ -296,100 +287,29 @@ def _super_step(
     values: np.ndarray,
     faces: np.ndarray | None,
     pressure: np.ndarray,
-    taus: list[float],
-    stages: list[int],
+    tau: float,
+    stages: int,
 ) -> np.ndarray:
-    """One RKL2 super-step per run, before its guards: run k takes stages[k]
-    stages over taus[k], with velocities and pressure already evaluated on
-    values.  One stage is the forward-Euler step."""
+    """One RKL2 super-step of every run, before its guards: stages stages
+    over tau, with velocities and pressure already evaluated on values.  One
+    stage is the forward-Euler step."""
     d0 = scheme.divergence(values, faces, pressure)
-    # w1 tau per run, w1 = 4 / (s^2 + s - 2); a one-stage run steps by tau.
-    scale = [tau if s == 1 else tau / _stage_limit(s) for tau, s in zip(taus, stages)]
-    first = [w if s == 1 else _legendre_b(1) * w for w, s in zip(scale, stages)]
-    y0, prev2, prev = values, values, values - _per_run(d0, first)
-    top = max(stages)
-    if top == 1:
-        return prev
-    out = np.empty_like(values)
-    live = list(range(len(values)))  # stacked row of each live row
-    for j in range(2, top + 1):
-        if any(stages[k] < j for k in live):
-            # Rows whose stages are done are frozen at their last stage.
-            keep = [r for r, k in enumerate(live) if stages[k] >= j]
-            done = [r for r, k in enumerate(live) if stages[k] < j]
-            out[[live[r] for r in done]] = prev[done]
-            y0, d0, prev2, prev = y0[keep], d0[keep], prev2[keep], prev[keep]
-            live = [live[r] for r in keep]
-            scale = [scale[r] for r in keep]
-        try:
-            dj = scheme.divergence(prev, *scheme.velocities(prev))
-        except (RuntimeError, ValueError) as exc:
-            if getattr(exc, "row", None) is not None:
-                exc.row = live[exc.row]
-            raise
+    if stages == 1:
+        return values - tau * d0
+    w = tau / _stage_limit(stages)  # w1 tau, w1 = 4 / (s^2 + s - 2)
+    prev2, prev = values, values - _legendre_b(1) * w * d0
+    for j in range(2, stages + 1):
+        dj = scheme.divergence(prev, *scheme.velocities(prev))
         b1, b2 = _legendre_b(j - 1), _legendre_b(j - 2)
         mu = (2 * j - 1) / j * _legendre_b(j) / b1
         nu = -(j - 1) / j * _legendre_b(j) / b2
         new = mu * prev
         new += nu * prev2
-        new += (1.0 - mu - nu) * y0
-        new -= _per_run(dj, [mu * w for w in scale])
-        new += _per_run(d0, [(1.0 - b1) * mu * w for w in scale])
+        new += (1.0 - mu - nu) * values
+        new -= mu * w * dj
+        new += (1.0 - b1) * mu * w * d0
         prev2, prev = prev, new
-    if len(live) == len(values):
-        return prev
-    out[live] = prev
-    return out
-
-
-class _Run:
-    """One problem's walk over the record times, with its per-step record."""
-
-    def __init__(self, index: int, problem: Problem, record_times: list[float]) -> None:
-        self.index = index
-        self.record_times = record_times
-        self.target = 0  # index of the next record time
-        self.time = 0.0
-        self.step_dt: list[float] = []
-        self.step_bound: list[str] = []
-        self.step_clipped: list[float] = []
-        self.step_stages: list[int] = []
-        self.states: list[tuple[Density, ...]] = [problem.rho0]
-        self.times = [0.0]
-        self.done = False
-        self._aim()
-
-    def _aim(self) -> None:
-        """Set the next record time and the time past which it is reached."""
-        self.next_time = self.record_times[self.target]
-        # The tolerance spares a roundoff-sized last step.  It shrinks with
-        # record intervals below 1e-10, so every record takes at least one
-        # step and recorded times strictly increase.
-        self.reached = self.next_time - min(1e-13, 1e-3 * (self.next_time - self.time))
-
-    def record(self, grid, values: np.ndarray) -> None:
-        """Record values at every record time reached: one, but for
-        intervals below the loop tolerance."""
-        while not self.time < self.reached:
-            self.states.append(tuple(Density(grid, v) for v in values))
-            self.times.append(self.time)
-            self.target += 1
-            self.done = self.target == len(self.record_times)
-            if self.done:
-                return
-            self._aim()
-
-    def trajectory(self, grid, h: float) -> Trajectory:
-        return Trajectory(
-            grid=grid,
-            h=h,
-            times=np.asarray(self.times),
-            states=self.states,
-            step_dt=np.asarray(self.step_dt),
-            step_bound=tuple(self.step_bound),
-            step_clipped=np.asarray(self.step_clipped),
-            step_stages=np.asarray(self.step_stages),
-        )
+    return prev
 
 
 def _same_drift(a: DriftModel, b: DriftModel) -> bool:
@@ -434,9 +354,12 @@ def run_parabolic(
     bounded it and the mass it clipped are recorded on the trajectory.
 
     Several problems that differ only in their initial densities march in
-    lock step, one stacked super-step for all, each with its own length,
-    stages and records; a run that has reached the horizon takes no further
-    step.  Each trajectory is bit for bit the one its problem gives alone.
+    lock step, one stacked super-step for all, with one step sequence: the
+    smallest of their CFL limits sets every super-step, so all trajectories
+    carry equal ``times``, ``step_dt``, ``step_stages`` and ``step_bound``,
+    and each its own states and ``step_clipped``.  A trajectory is bit for
+    bit the one its problem gives alone when that problem's limits bind on
+    every super-step; any other takes steps within its own limits.
     One problem returns its Trajectory, several a tuple with one per
     problem; a step failure of a lock-step call names the problem's index.
     """
@@ -447,44 +370,54 @@ def run_parabolic(
     _check_lock_step(problems)
     first = problems[0]
     reg = tuple(regularize(e, eps_reg) for e in first.energies)
-    grid, h = first.grid, first.h
-    record_times = first.record_times.tolist()
+    grid = first.grid
 
     scheme = _Scheme(reg, first.drift)
     values = np.stack([[rho.values for rho in p.rho0] for p in problems])
-    runs = [_Run(k, p, record_times) for k, p in enumerate(problems)]
-    active = runs
-    while active:
-        try:
-            faces, pressure = scheme.velocities(values)
-            diffusion, advection = scheme.limits(values, faces)
-            plans = [
-                _plan(run.time, run.next_time, run.reached, d, a, cfl_safety)
-                for run, d, a in zip(active, diffusion, advection)
-            ]
-            taus = [tau for tau, _, _ in plans]
-            stages = [s for _, s, _ in plans]
-            updated = _super_step(scheme, values, faces, pressure, taus, stages)
-            values, clipped = scheme.finish(values, updated)
-        except (RuntimeError, ValueError) as exc:
-            row = getattr(exc, "row", None)
-            if len(problems) == 1 or row is None:
-                raise
-            raise type(exc)(f"problem {active[row].index}: {exc}") from exc
-        finished = False
-        for row, (run, (tau, s, term), c) in enumerate(zip(active, plans, clipped)):
-            run.time = run.time + tau
-            run.step_dt.append(tau)
-            run.step_bound.append(term)
-            run.step_clipped.append(c)
-            run.step_stages.append(s)
-            if not run.time < run.reached:
-                run.record(grid, values[row])
-                finished = finished or run.done
-        if finished:
-            keep = [row for row, run in enumerate(active) if not run.done]
-            values = values[keep]
-            active = [active[row] for row in keep]
+    states: list[list[tuple[Density, ...]]] = [[p.rho0] for p in problems]
+    step_clipped: list[list[float]] = [[] for _ in problems]
+    times, step_dt, step_bound, step_stages = [0.0], [], [], []
+    time = 0.0
+    for next_time in first.record_times.tolist():
+        # The tolerance spares a roundoff-sized last step.  It shrinks with
+        # record intervals below 1e-10, so every record takes at least one
+        # step and recorded times strictly increase.
+        reached = next_time - min(1e-13, 1e-3 * (next_time - time))
+        while time < reached:
+            try:
+                faces, pressure = scheme.velocities(values)
+                diffusion, advection = scheme.limits(values, faces)
+                tau, stages, term = _plan(
+                    time, next_time, reached, diffusion, advection, cfl_safety
+                )
+                updated = _super_step(scheme, values, faces, pressure, tau, stages)
+                values, clipped = scheme.finish(values, updated)
+            except (RuntimeError, ValueError) as exc:
+                row = getattr(exc, "row", None)
+                if len(problems) == 1 or row is None:
+                    raise
+                raise type(exc)(f"problem {row}: {exc}") from exc
+            time = time + tau
+            step_dt.append(tau)
+            step_bound.append(term)
+            step_stages.append(stages)
+            for record, c in zip(step_clipped, clipped):
+                record.append(c)
+        times.append(time)
+        for record, run in zip(states, values):
+            record.append(tuple(Density(grid, v) for v in run))
 
-    trajectories = tuple(run.trajectory(grid, h) for run in runs)
+    trajectories = tuple(
+        Trajectory(
+            grid=grid,
+            h=first.h,
+            times=np.asarray(times),
+            states=record,
+            step_dt=np.asarray(step_dt),
+            step_bound=tuple(step_bound),
+            step_clipped=np.asarray(clipped),
+            step_stages=np.asarray(step_stages),
+        )
+        for record, clipped in zip(states, step_clipped)
+    )
     return trajectories[0] if len(problems) == 1 else trajectories

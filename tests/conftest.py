@@ -312,10 +312,11 @@ class ReferenceScheme:
     """The stacked finite-volume step with fresh temporaries, a zeroed
     divergence accumulator and every check on whole arrays; a drop-in
     replacement for ``torusflow.parabolic._Scheme``.  ``velocities``,
-    ``limits``, ``divergence`` and ``finish`` take (runs, species, *shape)
-    values and treat each run on its own; a failing run's row is set on the
-    error.  ``velocities`` returns no pressure, and ``divergence`` ignores the
-    one it is passed and evaluates F'_eps itself."""
+    ``divergence`` and ``finish`` take (runs, species, *shape) values and
+    treat each run on its own; a failing run's row is set on the error.
+    ``limits`` returns the smallest of the runs' limits.  ``velocities``
+    returns no pressure, and ``divergence`` ignores the one it is passed and
+    evaluates F'_eps itself."""
 
     def __init__(self, reg_energies, drift) -> None:
         self.grid = drift.grid
@@ -349,7 +350,7 @@ class ReferenceScheme:
             self.run_limits(v, None if faces is None else faces[row])
             for row, v in enumerate(values)
         ]
-        return [d for d, _ in out], [a for _, a in out]
+        return min(d for d, _ in out), min(a for _, a in out)
 
     def divergence(self, values, faces, pressure):
         return np.stack(

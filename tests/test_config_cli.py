@@ -768,6 +768,31 @@ class TestRunCli:
             assert "step 0 (species 0) failed: jko_step stopped with plan marginal error" in err
             assert not out_dir.exists()
 
+    @pytest.mark.parametrize("kind, amplitude", [("zero", -20.0), ("entropy", -1e5)])
+    def test_overflowing_closed_form_prox_is_solver_failure(
+        self, tmp_path, capsys, kind, amplitude
+    ):
+        # A strong attraction overflows the closed-form kl_prox to inf; the
+        # scaling guard reports it, and no RuntimeWarning escapes before.
+        out_dir = tmp_path / "out"
+        cfg = minimal_config(
+            directory=str(out_dir),
+            grid={"dim": 1, "n": 32},
+            species=[
+                {"energy": {"kind": kind}, "initial": {"profile": "cosine", "amplitude": 0.5}}
+            ],
+            drift={"kernels": [[{"kind": "gaussian_bump", "sigma": 0.1, "amplitude": amplitude}]]},
+            horizon=1.0,
+            jko={"h": 0.5, "eps": 5e-3},
+        )
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "step 0 (species 0) failed: jko_step scalings left the stable range" in err
+        assert not out_dir.exists()
+
     def test_check_drift_free_on_grid_beyond_dense_cost(self, tmp_path, capsys):
         cfg = minimal_config(grid={"dim": 2, "n": 65})
         assert main(["check", "--config", str(write_config(tmp_path, cfg))]) == 0

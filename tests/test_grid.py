@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import torusflow as tf
 from torusflow.grid import (
     centered_grad_values,
-    div_values,
     grad_values,
     minimal_image,
 )
@@ -151,31 +150,6 @@ class TestCalculus:
         g = tf.make_grid(2, 8)
         out = grad_values(g, np.full(g.shape, 3.7))
         np.testing.assert_allclose(out, 0.0, atol=1e-13)
-
-    def test_laplacian_eigenvalue(self):
-        # div(grad(.)) is the compact stencil, with its discrete Fourier
-        # symbol on mode cos(2 pi x).
-        g = tf.make_grid(1, 128)
-        f = np.cos(2 * np.pi * g.axis_centers)
-        lam = -(2.0 / g.dx**2) * (1.0 - np.cos(2 * np.pi * g.dx))
-        np.testing.assert_allclose(div_values(g, grad_values(g, f)), lam * f, atol=1e-9)
-
-    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 8)])
-    def test_integration_by_parts(self, dim, n):
-        g = tf.make_grid(dim, n)
-        rng = np.random.default_rng(11)
-        phi = rng.standard_normal(g.shape)
-        w = rng.standard_normal((dim,) + g.shape)
-        lhs = np.sum(div_values(g, w) * phi) * g.cell_volume
-        rhs = -np.sum(w * grad_values(g, phi)) * g.cell_volume
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 8)])
-    def test_divergence_sums_to_zero(self, dim, n):
-        g = tf.make_grid(dim, n)
-        rng = np.random.default_rng(5)
-        w = rng.standard_normal((dim,) + g.shape)
-        assert abs(np.sum(div_values(g, w))) <= 1e-11
 
     def test_centered_grad_of_mode(self):
         g = tf.make_grid(1, 256)

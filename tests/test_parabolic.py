@@ -428,9 +428,9 @@ def repulsive_problem_2d(n, amplitude, energies, rho0, horizon, h):
 
 
 def stage_split_pair():
-    """Two 1-d velocity-mode runs of power 2 whose super-steps take 8 and 9
-    stages: the second run's density has the smaller peak, so the larger
-    diffusion bound and longer super-steps."""
+    """Two 1-d velocity-mode runs of power 2 whose super-steps, each run
+    alone, take 8 and 9 stages: the second run's density has the smaller
+    peak, so the larger diffusion bound and longer super-steps."""
     grid = tf.make_grid(1, 32)
     offs = grid.offset_grids()[0]
     kernels = (0.3 * np.sin(2 * np.pi * offs))[None, None, None]
@@ -562,30 +562,41 @@ class TestSuperStep:
 
 
 class TestLockStep:
-    """Problems marched together come out bit for bit as each does alone."""
+    """Problems marched together share one step sequence.  The run whose CFL
+    limits bind on every super-step comes out bit for bit as it does alone;
+    every other run replays its states with the textbook super-step on the
+    shared record."""
 
-    def run_lock_step(self, *problems, **kwargs):
+    def run_lock_step(self, *problems, binding=0, **kwargs):
         together = tf.run_parabolic(*problems, **kwargs)
         assert isinstance(together, tuple) and len(together) == len(problems)
-        for problem, got in zip(problems, together):
-            assert_same_trajectory(got, tf.run_parabolic(problem, **kwargs))
+        shared = together[binding]
+        for problem, got in zip(problems, together, strict=True):
+            assert same_bits(got.times, shared.times)
+            assert same_bits(got.step_dt, shared.step_dt)
+            assert same_bits(got.step_stages, shared.step_stages)
+            assert got.step_bound == shared.step_bound
+            assert_textbook_super_steps(got, problem, **kwargs)
+        assert_same_trajectory(shared, tf.run_parabolic(problems[binding], **kwargs))
         return together
 
     def test_shipped_stability_pair(self):
         cfg = parse_config(REPO / "configs" / "two_species_stability.json")
         a, b = self.run_lock_step(cfg.problem, cfg.stability[0], **cfg.parabolic)
-        # 83 super-steps each (2071 and 2057 forward-Euler steps), 827 stages.
-        assert (len(a.step_dt), len(b.step_dt)) == (83, 83)
-        assert (int(np.sum(a.step_stages)), int(np.sum(b.step_stages))) == (827, 827)
+        # 83 super-steps (2071 and 2057 forward-Euler steps), 827 stages.
+        # Alone, each run picks the same steps, so both are their solo runs.
+        assert len(a.step_dt) == 83 and int(np.sum(a.step_stages)) == 827
+        assert_same_trajectory(b, tf.run_parabolic(cfg.stability[0], **cfg.parabolic))
         assert clipped_mass(a) == clipped_mass(b) == 0.0
 
     def test_runs_with_different_stage_counts(self):
-        # The first run takes 8 stages per super-step, the second 9: the
-        # first is frozen while the second takes its last stage, and takes
-        # its last two super-steps alone.
+        # Alone, the first run takes 4 super-steps of 8 stages and the
+        # second, whose lower peak allows longer steps, 2 of 9.  Together
+        # the first run's limits bind: both take its 4 super-steps of 8.
         first, second = self.run_lock_step(*stage_split_pair())
-        assert list(first.step_stages) == [8] * 4
-        assert list(second.step_stages) == [9] * 2
+        assert list(first.step_stages) == list(second.step_stages) == [8] * 4
+        alone = tf.run_parabolic(stage_split_pair()[1])
+        assert list(alone.step_stages) == [9] * 2
 
     def test_2d_potential_pair_where_one_run_clips(self):
         grid = tf.make_grid(2, 6)
@@ -595,11 +606,14 @@ class TestLockStep:
         calm = tf.normalize(tf.Density(grid, 1 + 0.01 * np.cos(2 * np.pi * x)))
         energy = (tf.InternalEnergy.entropy(),)
         prob = repulsive_problem_2d(6, 30.0, energy, (peak,), horizon=0.02, h=0.01)
-        clips, steady = self.run_lock_step(
-            prob, dataclasses.replace(prob, rho0=(calm,)), cfl_safety=1.0
-        )
+        calm_prob = dataclasses.replace(prob, rho0=(calm,))
+        clips, steady = self.run_lock_step(prob, calm_prob, cfl_safety=1.0)
+        # Clipping is per run; the calm run takes the clipping run's
+        # forward-Euler steps where alone it would take multi-stage ones.
         assert np.count_nonzero(clips.step_clipped) >= 2
         assert not np.any(steady.step_clipped)
+        assert set(steady.step_stages) == {1}
+        assert np.max(tf.run_parabolic(calm_prob, cfl_safety=1.0).step_stages) > 1
 
     def test_two_energy_groups(self):
         prob = velocity_problem_1d()
@@ -608,7 +622,11 @@ class TestLockStep:
             tf.normalize(tf.Density(prob.grid, 1 + 0.3 * rng.uniform(-1, 1, prob.grid.shape)))
             for _ in range(2)
         )
-        self.run_lock_step(prob, dataclasses.replace(prob, rho0=rho0))
+        # The problem's own densities have the tighter limits, so its run
+        # binds in either order.
+        other = dataclasses.replace(prob, rho0=rho0)
+        self.run_lock_step(prob, other)
+        self.run_lock_step(other, prob, binding=1)
 
     def test_drift_free_entropy_runs(self):
         prob = heat_problem(n=64, horizon=4e-3, h=2e-3)
@@ -647,32 +665,77 @@ class TestLockStep:
         self.run_lock_step(prob, twin)
 
     def test_step_failure_names_the_problem(self, monkeypatch):
-        # Poison the drift of one row of the stack: either run's at the
-        # first stage, then the second run's at the stage that it takes
-        # alone, where it is the one row of the stage's values.
+        # Poison the drift of one row of the stack at one call: the first,
+        # which sets the super-step's limits, or a later stage's.
         kernel_sums = tf.parabolic._kernel_sums
-        poison = []
+        calls, poison = [], []
 
         def poisoned(model, values):
             out = kernel_sums(model, values)
-            rows, row = poison
-            if len(values) == rows:
+            calls.append(None)
+            call, row = poison
+            if len(calls) == call:
                 out[row] = np.nan
             return out
 
         monkeypatch.setattr("torusflow.parabolic._kernel_sums", poisoned)
         pair = stage_split_pair()
-        for rows, row, index in ((2, 0, 0), (2, 1, 1), (1, 0, 1)):
-            poison[:] = [rows, row]
+        for call, row in ((1, 0), (1, 1), (5, 1), (12, 0)):
+            calls.clear()
+            poison[:] = [call, row]
             with np.errstate(all="ignore"), pytest.raises(
-                RuntimeError, match=f"^problem {index}: drift velocities are not finite$"
+                RuntimeError, match=f"^problem {row}: drift velocities are not finite$"
             ):
                 tf.run_parabolic(*pair)
+            assert len(calls) == call
         # One problem alone keeps the bare message.
+        calls.clear()
+        poison[:] = [1, 0]
         with np.errstate(all="ignore"), pytest.raises(
             RuntimeError, match="^drift velocities are not finite$"
         ):
             tf.run_parabolic(pair[0])
+
+
+class TestDivergence:
+    """The scheme's divergence takes backward differences of the face fluxes,
+    the face/cell convention of ``torusflow.grid``."""
+
+    def divergence(self, grid, values, faces, pressure):
+        reg = (regularize(tf.InternalEnergy.entropy(), 1e-3),)
+        scheme = tf.parabolic._Scheme(reg, tf.DriftModel.none(grid))
+        return scheme.divergence(values, faces, pressure)
+
+    def test_pressure_flux_is_the_compact_laplacian(self):
+        # -div(grad(.)) on mode cos(2 pi x): the compact stencil's symbol.
+        grid = tf.make_grid(1, 128)
+        p = np.cos(2 * np.pi * grid.axis_centers)
+        lam = -(2.0 / grid.dx**2) * (1.0 - np.cos(2 * np.pi * grid.dx))
+        div = self.divergence(grid, np.ones((1, 1, 128)), None, p[None, None])
+        np.testing.assert_allclose(div[0, 0], -lam * p, atol=1e-9)
+
+    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 8)])
+    def test_integration_by_parts(self, dim, n):
+        # The pressure flux is -grad p: sum(div * phi) = sum(grad p . grad phi).
+        grid = tf.make_grid(dim, n)
+        rng = np.random.default_rng(11)
+        p, phi = rng.standard_normal((2,) + grid.shape)
+        div = self.divergence(grid, np.ones((1, 1) + grid.shape), None, p[None, None])
+        lhs = np.sum(div[0, 0] * phi) * grid.cell_volume
+        rhs = np.sum(grad_values(grid, p) * grad_values(grid, phi)) * grid.cell_volume
+        assert lhs == pytest.approx(rhs, abs=1e-10)
+
+    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 8)])
+    def test_fluxes_telescope(self, dim, n):
+        # Pressure and upwind advection fluxes of two runs of two species:
+        # every row's divergence sums to zero.
+        grid = tf.make_grid(dim, n)
+        rng = np.random.default_rng(5)
+        values = rng.uniform(0.5, 1.5, (2, 2) + grid.shape)
+        faces = rng.standard_normal((2, 2, dim) + grid.shape)
+        pressure = rng.standard_normal((2, 2) + grid.shape)
+        div = self.divergence(grid, values, faces, pressure)
+        assert np.max(np.abs(div.reshape(4, -1).sum(axis=1))) <= 1e-11
 
 
 class TestStepGuards:
@@ -721,7 +784,8 @@ class TestStepGuards:
 
 
 class TestLimits:
-    """The CFL limits are taken once per super-step, from each run's peak."""
+    """The CFL limits are taken once per super-step, from every run's peak,
+    and the smallest over the runs sets the step."""
 
     @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
     def test_diffusion_limit_matches_cellwise_curvature(self, m):
@@ -739,13 +803,30 @@ class TestLimits:
         assert values[0, 0].max() < regs[0].delta_eps
         assert values[2, 0].max() > regs[0].M_eps
         scheme = tf.parabolic._Scheme(regs, tf.DriftModel.none(grid, species=2))
-        diffusion, advection = scheme.limits(values, None)
         want = [
             0.25 * grid.dx**2 / max(float(np.max(reg.f_second(v))) for reg, v in zip(regs, run))
             for run in values
         ]
-        assert all(same_bits(got, w) for got, w in zip(diffusion, want, strict=True))
-        assert advection == [np.inf] * 3
+        for k in range(3):
+            assert same_bits(scheme.limits(values[k : k + 1], None), (want[k], np.inf))
+        # Stacked, the runs take the smallest limit: run 2's, then run 1's.
+        assert same_bits(scheme.limits(values, None), (min(want), np.inf))
+        assert same_bits(scheme.limits(values[:2], None), (want[1], np.inf))
+
+    def test_limits_are_the_smallest_over_runs(self):
+        # Velocity drift with two energy groups, three runs whose reference
+        # limits all differ: the stack takes the smallest of each.
+        prob = velocity_problem_1d()
+        regs = tuple(regularize(e, 1e-3) for e in prob.energies)
+        rng = np.random.default_rng(3)
+        values = 1 + 0.5 * rng.uniform(-1, 1, (3, 2) + prob.grid.shape)
+        scheme = tf.parabolic._Scheme(regs, prob.drift)
+        reference = ReferenceScheme(regs, prob.drift)
+        faces, _ = scheme.velocities(values)
+        got = scheme.limits(values, faces)
+        want = [reference.run_limits(v, f) for v, f in zip(values, faces)]
+        assert len({d for d, _ in want}) == len({a for _, a in want}) == 3
+        assert same_bits(got, (min(d for d, _ in want), min(a for _, a in want)))
 
     def test_curvature_once_per_super_step(self, monkeypatch):
         cfg = parse_config(REPO / "configs" / "two_species_stability.json")
