@@ -23,8 +23,9 @@ lowercase scientific text):
                  (when a ledger exists)
 
 Exit codes: 0 success, 1 flagged inequality under --strict, 2 configuration,
-input or output error (an unusable output.directory, found by check and by
-run before any solve), 3 solver failure.
+input or output error (a config file that cannot be read, parsed or
+validated; an unusable output.directory, found by check and by run before
+any solve), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -178,26 +179,25 @@ def _solve_and_check(cfg: RunConfig):
     if cfg.solver in ("jko", "both"):
         from .jko import run_jko
 
-        traj_jko = run_jko(problem, **cfg.jko)
+        traj_jko = run_jko(problem, eps=cfg.jko_eps)
     wants_par = cfg.solver in ("parabolic", "both")
     stability_runs = traj_par = None
     if cfg.stability is not None:
         from .parabolic import run_parabolic
 
-        problem_b, margin = cfg.stability
         # Both stability trajectories march in one lock-step call with one
         # step sequence; the first is also the finite-volume solution when
         # the solver asks for one, so the second run's CFL limits can
         # shorten its steps.
         try:
-            stability_runs = run_parabolic(problem, problem_b, **cfg.parabolic)
+            stability_runs = run_parabolic(problem, cfg.stability)
         except (RuntimeError, ValueError) as exc:
             raise type(exc)(f"stability run: {exc}") from exc
         traj_par = stability_runs[0] if wants_par else None
     elif wants_par:
         from .parabolic import run_parabolic
 
-        traj_par = run_parabolic(problem, **cfg.parabolic)
+        traj_par = run_parabolic(problem)
 
     ledger = None
     if traj_jko is not None:
@@ -226,7 +226,7 @@ def _solve_and_check(cfg: RunConfig):
         from .diagnostics import stability_compare
 
         constants["c_hat"] = c_hat = cfg.load_constants.c_hat
-        stability = stability_compare(*stability_runs, c_hat=c_hat, margin=margin)
+        stability = stability_compare(*stability_runs, c_hat=c_hat)
         for k, t in enumerate(stability.times):
             series_rows.append(
                 (

@@ -1,19 +1,21 @@
 """JSON run configuration: parsing, validation and scenario vocabulary.
 
 A config names the grid, the species (energy kind plus initial profile), the
-drift kernels, the solver(s) and their knobs, the horizon and the output
-location.  Parsing validates every field with an error naming the offending
-path, rejects unknown fields in every object (each profile and kernel kind
-has its own field list), and rejects up front what the solvers would refuse
-at their start: non-finite drift bounds, a JKO entropic scale too small for
-the grid, and an energy the finite-volume route cannot regularize.  Every
-energy kind satisfies the paper's hypotheses in closed form (see energy.py),
-so none is sampled here.
+drift kernels, the solver(s), the horizon, the step h and the JKO entropic
+scale, the stability check's second initial profiles and the output
+location; the solvers' other constants (the JKO tolerance, eps_reg, the CFL
+safety factor, the stability margin) are their defaults.  Parsing validates
+every field with an error naming the offending path, rejects unknown fields
+in every object (each profile and kernel kind has its own field list), and
+rejects up front what the solvers would refuse at their start: non-finite
+drift bounds, a JKO entropic scale too small for the grid, and an energy the
+finite-volume route cannot regularize at ``EPS_REG``.  Every energy kind
+satisfies the paper's hypotheses in closed form (see energy.py), so none is
+sampled here.
 
 The parsed ``RunConfig`` is the run plan: it carries the run's ``Problem``
-(and the stability run's second one with ``stability_compare``'s margin),
-and the exact keyword arguments of ``run_jko`` and ``run_parabolic``; its
-``resolved`` echo is built from those same values.
+(and the stability run's second one) and the JKO eps; its ``resolved`` echo
+is built from those same values.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .energy import InternalEnergy, regularize
+from .energy import EPS_REG, InternalEnergy, regularize
 from .grid import Density, Grid, make_grid, minimal_image, normalize
 from .interaction import (
     DriftConstants,
@@ -42,9 +44,7 @@ from .transport import _MAX_COST_CELLS, _default_jko_eps, _gibbs_axis_cost
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "build_profile", "build_kernel"]
 
-_ROOT_FIELDS = (
-    "grid", "species", "drift", "solver", "horizon", "jko", "parabolic", "output", "stability"
-)
+_ROOT_FIELDS = ("grid", "species", "drift", "solver", "horizon", "jko", "output", "stability")
 _SPECIES_FIELDS = ("energy", "initial")
 # Every energy kind echoes m in the resolved config, so each accepts it;
 # entropy and zero take only m = 1.
@@ -175,17 +175,12 @@ def build_kernel(grid: Grid, spec: dict, where: str, vector: bool) -> np.ndarray
 class RunConfig:
     problem: Problem
     solver: str
-    jko: dict  # run_jko keyword arguments: eps, tol
-    parabolic: dict  # run_parabolic keyword arguments: eps_reg, cfl_safety
-    stability: tuple[Problem, float] | None  # the second run and its margin
+    jko_eps: float  # run_jko's eps
+    stability: Problem | None  # the stability check's second run
     output_cadence: int
     output_directory: str | None
     load_constants: DriftConstants  # the velocity form's drift bounds
     resolved: dict
-
-    @property
-    def species_count(self) -> int:
-        return self.problem.species_count
 
 
 def _require(raw: dict, key: str, where: str):
@@ -249,14 +244,16 @@ def _energy_from(raw: dict, where: str) -> InternalEnergy:
 def parse_config(path: str | Path) -> RunConfig:
     """Load and validate a run configuration."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        # A directory, bytes that are not UTF-8, nesting past the parser's depth.
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config file {path}: {reason}") from exc
     return parse_config_dict(raw)
 
 
@@ -322,7 +319,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
 
     horizon = _number(_require(raw, "horizon", ""), "horizon", positive=True)
 
-    jko_raw = _object(raw.get("jko", {}), "jko", ("h", "eps", "tol"))
+    jko_raw = _object(raw.get("jko", {}), "jko", ("h", "eps"))
     h = _number(jko_raw.get("h", 1e-3), "jko.h", positive=True)
     # Both solvers build their step times with np.arange (8-byte entries).
     if not horizon / h < np.iinfo(np.intp).max / 8:
@@ -330,13 +327,10 @@ def parse_config_dict(raw: dict) -> RunConfig:
             f"jko.h: horizon / h = {horizon / h:g} steps exceed what an array can hold "
             f"(h = {h:g})"
         )
-    jko = {
-        "eps": _number(jko_raw.get("eps", _default_jko_eps(grid)), "jko.eps", positive=True),
-        "tol": _number(jko_raw.get("tol", 1e-9), "jko.tol", positive=True),
-    }
+    jko_eps = _number(jko_raw.get("eps", _default_jko_eps(grid)), "jko.eps", positive=True)
     if solver in ("jko", "both"):
         try:
-            _gibbs_axis_cost(grid, h, jko["eps"])  # jko_step's own scale check
+            _gibbs_axis_cost(grid, h, jko_eps)  # jko_step's own scale check
         except ValueError as exc:
             # The default eps fits the grid's kernel, so only h can refuse it.
             if "eps" in jko_raw:
@@ -344,15 +338,6 @@ def parse_config_dict(raw: dict) -> RunConfig:
             raise ConfigError(
                 f"jko.h: h {h:g} is too large for the default eps (jko.eps is not set): {exc}"
             ) from exc
-
-    par_raw = _object(raw.get("parabolic", {}), "parabolic", ("eps_reg", "cfl_safety"))
-    eps_reg = _number(par_raw.get("eps_reg", 1e-3), "parabolic.eps_reg", positive=True)
-    if not eps_reg < 1:
-        raise ConfigError("parabolic.eps_reg: must lie in (0, 1)")
-    cfl_safety = _number(par_raw.get("cfl_safety", 0.9), "parabolic.cfl_safety", positive=True)
-    if cfl_safety > 1:
-        raise ConfigError("parabolic.cfl_safety: must lie in (0, 1]")
-    parabolic = {"eps_reg": eps_reg, "cfl_safety": cfl_safety}
 
     out_raw = _object(raw.get("output", {}), "output", ("cadence", "directory"))
     cadence = _integer(out_raw.get("cadence", 1), "output.cadence")
@@ -364,12 +349,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
 
     stab_raw = raw.get("stability")
     if stab_raw is not None:
-        _object(stab_raw, "stability", ("initial", "margin"))
-        # The series equals its initial sum at t = 0, so a negative margin
-        # would flag t = 0 by construction.
-        margin = _number(stab_raw.get("margin", 0.2), "stability.margin")
-        if margin < 0:
-            raise ConfigError("stability.margin: must be nonnegative")
+        _object(stab_raw, "stability", ("initial",))
         init_list = _require(stab_raw, "initial", "stability.")
         if not isinstance(init_list, list) or len(init_list) != l:
             raise ConfigError("stability.initial: needs one profile per species")
@@ -379,11 +359,11 @@ def parse_config_dict(raw: dict) -> RunConfig:
         )
 
     # The finite-volume route, which a stability section also takes,
-    # regularizes every energy at eps_reg; what it refuses is a config error.
+    # regularizes every energy at EPS_REG; what it refuses is a config error.
     if solver in ("parabolic", "both") or stab_raw is not None:
         for idx, e in enumerate(energies):
             try:
-                regularize(e, eps_reg)
+                regularize(e, EPS_REG)
             except ValueError as exc:
                 at = "kind" if e.kind == "zero" else "m"
                 raise ConfigError(f"species[{idx}].energy.{at}: {exc}") from exc
@@ -418,7 +398,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
     stability = None
     if stab_raw is not None:
         try:
-            stability = (dataclasses.replace(problem, rho0=stability_rho0), margin)
+            stability = dataclasses.replace(problem, rho0=stability_rho0)
         except ValueError as exc:
             raise ConfigError(f"stability.initial: {exc}") from exc
 
@@ -434,8 +414,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
         "drift": {"mode": drift.mode, "kernels": drift_raw.get("kernels")},
         "solver": solver,
         "horizon": horizon,
-        "jko": {"h": problem.h, **jko},
-        "parabolic": parabolic,
+        "jko": {"h": problem.h, "eps": jko_eps},
         "output": {"cadence": cadence, "directory": directory},
         "stability": stab_raw,
     }
@@ -443,8 +422,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
     return RunConfig(
         problem=problem,
         solver=solver,
-        jko=jko,
-        parabolic=parabolic,
+        jko_eps=jko_eps,
         stability=stability,
         output_cadence=cadence,
         output_directory=directory,

@@ -226,6 +226,10 @@ class RegularizedEnergy:
         )
 
 
+# The finite-volume route's eps_reg; config checks every energy against it.
+EPS_REG = 1e-3
+
+
 def regularize(energy: InternalEnergy, eps: float) -> RegularizedEnergy:
     return RegularizedEnergy(base=energy, eps=float(eps))
 

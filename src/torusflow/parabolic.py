@@ -62,7 +62,7 @@ import math
 
 import numpy as np
 
-from .energy import RegularizedEnergy, regularize
+from .energy import EPS_REG, RegularizedEnergy, regularize
 from .grid import Density
 from .interaction import DriftModel, _kernel_sums
 from .jko import Problem, Trajectory
@@ -340,7 +340,7 @@ def _check_lock_step(problems: tuple[Problem, ...]) -> None:
 
 def run_parabolic(
     *problems: Problem,
-    eps_reg: float = 1e-3,
+    eps_reg: float = EPS_REG,
     cfl_safety: float = 0.9,
 ) -> Trajectory | tuple[Trajectory, ...]:
     """March the regularized equation to the problem horizon.

@@ -33,7 +33,7 @@ def minimal_config(directory=None, **overrides):
         ],
         "solver": "jko",
         "horizon": 2e-3,
-        "jko": {"h": 1e-3, "eps": 2e-3, "tol": 1e-8},
+        "jko": {"h": 1e-3, "eps": 2e-3},
         "output": {"cadence": 1, "directory": directory},
     }
     cfg.update(overrides)
@@ -110,7 +110,7 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 class TestParseConfig:
     def test_minimal_heat_config(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, minimal_config()))
-        assert cfg.species_count == 1
+        assert cfg.problem.species_count == 1
         assert cfg.problem.grid.n == 16
 
     def test_power_exponent_must_exceed_one(self, tmp_path):
@@ -124,6 +124,25 @@ class TestParseConfig:
         path.write_text('{"grid": {"dim": 1,, }')
         with pytest.raises(ConfigError, match="line 1"):
             parse_config(path)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda path: path.mkdir(), id="directory"),
+            pytest.param(lambda path: path.write_bytes(b'{"grid": "\xff"}'), id="not-utf8"),
+            pytest.param(lambda path: path.write_text("[" * 100000), id="nested-too-deep"),
+        ],
+    )
+    def test_unreadable_file_is_config_error(self, tmp_path, capsys, make):
+        path = tmp_path / "cfg.json"
+        make(path)
+        with pytest.raises(ConfigError, match=re.escape(f"cannot read config file {path}")):
+            parse_config(path)
+        for command in ("check", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: cannot read config file {path}: ")
+            assert "Traceback" not in err
 
     def test_missing_field_named(self, tmp_path):
         bad = minimal_config()
@@ -252,6 +271,9 @@ class TestParseConfig:
             ("stability", "w2_eps", 1e-4),
             ("", "diagnostics", {"ledger_slack": 0.1}),
             ("parabolic", "cfl_saftey", 0.9),
+            pytest.param("", "parabolic", {"eps_reg": 1e-3, "cfl_safety": 0.9}, id="parabolic"),
+            ("jko", "tol", 1e-9),
+            ("stability", "margin", 0.2),
             # A constant added to the potential moves no unit-mass step.
             ("drift", "nonneg_shift", 0.5),
             # A misspelt key inside a species entry, its energy or its profile
@@ -261,8 +283,6 @@ class TestParseConfig:
             # The growth constant C is no field: no solver reads it.
             ("species.0.energy", "C", 10.0),
             ("species.0", "colour", "red"),
-            # A negative margin flags t = 0 by construction.
-            pytest.param("stability", "margin", -2, id="stability-margin-negative"),
         ],
     )
     def test_mistyped_field_rejected(self, tmp_path, capsys, section, key, value):
@@ -274,6 +294,8 @@ class TestParseConfig:
             target = target[int(part)] if part.isdigit() else target.setdefault(part, {})
         target[key] = value
         field = re.sub(r"\.(\d+)", r"[\1]", f"{section}.{key}".lstrip("."))
+        if field.split(".")[0] not in cfg_mod._ROOT_FIELDS:
+            field = field.split(".")[0]  # an unknown section is named alone
         path = write_config(tmp_path, cfg)
         with pytest.raises(ConfigError, match=re.escape(field)):
             parse_config(path)
@@ -342,7 +364,7 @@ class TestRunCli:
         cfg = minimal_config(directory=str(out_dir))
         cfg["grid"] = {"dim": 1, "n": 4}
         cfg["horizon"] = 2.5e-3
-        cfg["jko"] = {"h": 1e-3, "eps": 5e-2, "tol": 1e-8}
+        cfg["jko"] = {"h": 1e-3, "eps": 5e-2}
         path = write_config(tmp_path, cfg)
         assert main(["run", "--config", str(path)]) == 0
         states = (out_dir / "states.csv").read_text().strip().splitlines()
@@ -357,7 +379,7 @@ class TestRunCli:
         cfg = minimal_config(directory=str(out_dir))
         cfg["grid"] = {"dim": 1, "n": 4}
         cfg["horizon"] = 4.5e-3
-        cfg["jko"] = {"h": 1e-3, "eps": 5e-2, "tol": 1e-8}
+        cfg["jko"] = {"h": 1e-3, "eps": 5e-2}
         cfg["output"] = {"cadence": 2, "directory": str(out_dir)}
         path = write_config(tmp_path, cfg)
         assert main(["run", "--config", str(path)]) == 0
@@ -561,7 +583,7 @@ class TestRunCli:
             ],
             "solver": "both",
             "horizon": 2e-3,
-            "jko": {"h": 1e-3, "eps": 8e-3, "tol": 1e-8},
+            "jko": {"h": 1e-3, "eps": 8e-3},
             "output": {"cadence": 1, "directory": str(out_dir)},
         }
         path = write_config(tmp_path, cfg)
@@ -853,7 +875,7 @@ class TestRunCli:
         path = write_config(tmp_path, cfg)
         assert main(["check", "--config", str(path)]) == 0
         assert "config OK" in capsys.readouterr().out
-        assert parse_config(path).jko["eps"] == pytest.approx(eps, rel=1e-12)
+        assert parse_config(path).jko_eps == pytest.approx(eps, rel=1e-12)
 
     def test_default_jko_eps_runs_on_fine_1d_grid(self, tmp_path):
         out_dir = tmp_path / "out"
@@ -896,7 +918,7 @@ class TestRunCli:
         assert main(["run", "--config", str(path)]) == 0
         meta = json.loads((out_dir / "meta.json").read_text())
         cfg = parse_config(path)
-        ledger = tf.energy_ledger(tf.run_jko(cfg.problem, **cfg.jko), cfg.problem)
+        ledger = tf.energy_ledger(tf.run_jko(cfg.problem, eps=cfg.jko_eps), cfg.problem)
         assert meta["slack"] == {"ledger": ledger.slack}
 
     @pytest.mark.parametrize("dim", ["0", "-1"])

@@ -582,11 +582,11 @@ class TestLockStep:
 
     def test_shipped_stability_pair(self):
         cfg = parse_config(REPO / "configs" / "two_species_stability.json")
-        a, b = self.run_lock_step(cfg.problem, cfg.stability[0], **cfg.parabolic)
+        a, b = self.run_lock_step(cfg.problem, cfg.stability)
         # 83 super-steps (2071 and 2057 forward-Euler steps), 827 stages.
         # Alone, each run picks the same steps, so both are their solo runs.
         assert len(a.step_dt) == 83 and int(np.sum(a.step_stages)) == 827
-        assert_same_trajectory(b, tf.run_parabolic(cfg.stability[0], **cfg.parabolic))
+        assert_same_trajectory(b, tf.run_parabolic(cfg.stability))
         assert clipped_mass(a) == clipped_mass(b) == 0.0
 
     def test_runs_with_different_stage_counts(self):
@@ -838,7 +838,7 @@ class TestLimits:
             return f_second(self, t)
 
         monkeypatch.setattr(RegularizedEnergy, "f_second", counted)
-        a, b = tf.run_parabolic(cfg.problem, cfg.stability[0], **cfg.parabolic)
+        a, b = tf.run_parabolic(cfg.problem, cfg.stability)
         # One energy group: one call on the two runs' peaks per stacked
         # super-step (83), not one per stage (827).
         assert len(calls) == len(a.step_dt) == len(b.step_dt) == 83
