@@ -14,8 +14,8 @@ satisfies the paper's hypotheses in closed form (see energy.py), so none is
 sampled here.
 
 The parsed ``RunConfig`` is the run plan: it carries the run's ``Problem``
-(and the stability run's second one) and the JKO eps; its ``resolved`` echo
-is built from those same values.
+(and the stability run's initial densities, checked as that problem's) and
+the JKO eps; its ``resolved`` echo is built from those same values.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ class RunConfig:
     problem: Problem
     solver: str
     jko_eps: float  # run_jko's eps
-    stability: Problem | None  # the stability check's second run
+    stability: tuple[Density, ...] | None  # the stability run's initial densities
     output_cadence: int
     output_directory: str | None
     load_constants: DriftConstants  # the velocity form's drift bounds
@@ -344,8 +344,11 @@ def parse_config_dict(raw: dict) -> RunConfig:
     if cadence < 1:
         raise ConfigError("output.cadence: must be a positive integer")
     directory = out_raw.get("directory")
-    if directory is not None and not isinstance(directory, str):
-        raise ConfigError("output.directory: expected a string or null")
+    # "" would write into the working directory; no filesystem accepts NUL.
+    if directory is not None and (
+        not isinstance(directory, str) or not directory or "\0" in directory
+    ):
+        raise ConfigError("output.directory: expected a nonempty string without NUL, or null")
 
     stab_raw = raw.get("stability")
     if stab_raw is not None:
@@ -398,7 +401,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
     stability = None
     if stab_raw is not None:
         try:
-            stability = dataclasses.replace(problem, rho0=stability_rho0)
+            stability = dataclasses.replace(problem, rho0=stability_rho0).rho0
         except ValueError as exc:
             raise ConfigError(f"stability.initial: {exc}") from exc
 

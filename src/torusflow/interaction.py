@@ -13,10 +13,11 @@ lattice offsets k*dx of the working grid:
 
 Every drift evaluation goes through one convolution path, ``_kernel_sums``:
 one batched forward transform of the stacked densities, one broadcast
-product with the kernel transforms for every run at once, and one batched
-inverse transform.  The kernel transforms are one array, taken the first
-time a model is evaluated and kept on it; a model whose kernels are all zero
-has none and takes no transform.
+product with the kernel transforms for every run at once, one batched
+inverse transform, and one sum of the products over the source species j.
+The kernel transforms are one array, taken the first time a model is
+evaluated and kept on it; a model whose kernels are all zero has none and
+takes no transform.
 
 ``estimate_constants`` bounds the regularity constants of the drift's
 velocity form in closed form: the velocity kernel gradients (lip_x) and
@@ -160,15 +161,13 @@ def _kernel_sums(model: DriftModel, values: np.ndarray) -> np.ndarray:
     l = model.species_count
     lead = values.shape[: -1 - grid.dim]
     potential = model.mode == "potential"
-    comps = 1 if potential else grid.dim
-    out = np.zeros(lead + (l, comps) + grid.shape)
     hats = model._kernel_hats
-    if hats is not None:
+    if hats is None:
+        out = np.zeros(lead + (l, 1 if potential else grid.dim) + grid.shape)
+    else:
         rho_hat = _transform(grid, values, np.fft.fft).reshape(lead + (1, 1, l) + grid.shape)
         conv = np.real(_transform(grid, hats * rho_hat, np.fft.ifft))
-        conv = conv * grid.cell_volume
-        for term in np.moveaxis(conv, -1 - grid.dim, 0):
-            out += term
+        out = (conv * grid.cell_volume).sum(axis=-1 - grid.dim)
     return out.reshape(lead + (l,) + grid.shape) if potential else out
 
 

@@ -106,10 +106,10 @@ class Trajectory:
     states.  Finite-volume runs also record, per super-step, the ``step_dt``
     taken, the CFL term that bounded it (``step_bound``: "diffusion" or
     "advection"), the mass clipped (``step_clipped``) and the number of RKL2
-    stages (``step_stages``; 1 is a forward-Euler step); the trajectories of
-    one lock-step ``run_parabolic`` call share one step sequence, so they
-    differ only in their states and ``step_clipped``.  Minimizing-movement
-    runs leave these None.
+    stages (``step_stages``; 1 is a forward-Euler step); the trajectories
+    that one ``run_parabolic`` call returns for several initial states share
+    one step sequence, so they differ only in their states and
+    ``step_clipped``.  Minimizing-movement runs leave these None.
     """
 
     grid: Grid

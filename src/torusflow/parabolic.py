@@ -27,16 +27,15 @@ taken once per super-step, on its start values, and the guards, clipping
 and renormalization once, on its result.
 
 The step runs on all species of all runs at once, as one (runs, species,
-*shape) array: problems that share grid, energies, drift, horizon and h and
-differ only in their initial densities march in lock step, so the per-call
-cost of numpy, which dominates on small grids, is paid once per stage for all
-of them.  The runs share one step sequence: the CFL limits are taken over the
-whole stack (the largest F''_eps at any run's peak, the largest |V| of any
-run), and they set one length and one stage count for every run.  Every
-operation is per row or per element, so a run whose own limits bind on every
-super-step comes out bit for bit as it would alone; another run takes the
-shared steps, which stay within its own limits.  The guards, clipping and
-clipped mass are per run.
+*shape) array: runs of one problem from several initial states march in lock
+step, so the per-call cost of numpy, which dominates on small grids, is paid
+once per stage for all of them.  The runs share one step sequence: the CFL
+limits are taken over the whole stack (the largest F''_eps at any run's
+peak, the largest |V| of any run), and they set one length and one stage
+count for every run.  Every operation is per row or per element, so a run
+whose own limits bind on every super-step comes out bit for bit as it would
+alone; another run takes the shared steps, which stay within its own
+limits.  The guards, clipping and clipped mass are per run.
 The drift comes from the model's kernel transforms, taken once per model,
 with one batched forward and one batched inverse transform per stage; species
 with equal regularized energies are evaluated together, and periodic shifts
@@ -58,6 +57,7 @@ count, and ``traj.step_stages`` reads 1 on every step.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -312,34 +312,9 @@ def _super_step(
     return prev
 
 
-def _same_drift(a: DriftModel, b: DriftModel) -> bool:
-    return a is b or (
-        a.grid == b.grid
-        and a.mode == b.mode
-        and np.array_equal(a.kernels, b.kernels)
-    )
-
-
-def _check_lock_step(problems: tuple[Problem, ...]) -> None:
-    """Problems marched together share everything but their initial data."""
-    first = problems[0]
-    for k, other in enumerate(problems[1:], 1):
-        for name, same in (
-            ("grid", other.grid == first.grid),
-            ("energies", other.energies == first.energies),
-            ("drift", _same_drift(other.drift, first.drift)),
-            ("horizon", other.horizon == first.horizon),
-            ("h", other.h == first.h),
-        ):
-            if not same:
-                raise ValueError(
-                    f"problem {k} differs from problem 0 in {name}; problems run "
-                    "together share grid, energies, drift, horizon and h"
-                )
-
-
 def run_parabolic(
-    *problems: Problem,
+    problem: Problem,
+    *rho0: tuple[Density, ...],
     eps_reg: float = EPS_REG,
     cfl_safety: float = 0.9,
 ) -> Trajectory | tuple[Trajectory, ...]:
@@ -353,32 +328,34 @@ def run_parabolic(
     record.  Each super-step's length, stage count, the CFL term that
     bounded it and the mass it clipped are recorded on the trajectory.
 
-    Several problems that differ only in their initial densities march in
-    lock step, one stacked super-step for all, with one step sequence: the
-    smallest of their CFL limits sets every super-step, so all trajectories
-    carry equal ``times``, ``step_dt``, ``step_stages`` and ``step_bound``,
-    and each its own states and ``step_clipped``.  A trajectory is bit for
-    bit the one its problem gives alone when that problem's limits bind on
-    every super-step; any other takes steps within its own limits.
-    One problem returns its Trajectory, several a tuple with one per
-    problem; a step failure of a lock-step call names the problem's index.
+    Each further argument is a tuple of initial densities, one per species:
+    the problem run from that state instead of ``problem.rho0``, checked as
+    ``Problem`` checks its own (species count, grid, unit mass, finite
+    energy) before any step.  The runs march in lock step, one stacked
+    super-step for all, with one step sequence: the smallest of their CFL
+    limits sets every super-step, so all trajectories carry equal ``times``,
+    ``step_dt``, ``step_stages`` and ``step_bound``, and each its own states
+    and ``step_clipped``.  A trajectory is bit for bit the one its run gives
+    alone when that run's limits bind on every super-step; any other takes
+    steps within its own limits.
+    Without initial states the call returns the problem's Trajectory, with
+    them a tuple, one per run and the problem's own first; a step failure of
+    a lock-step call names the run as ``problem k``, k its index in that
+    tuple.
     """
-    if not problems:
-        raise TypeError("run_parabolic needs at least one problem")
     if not (0 < cfl_safety <= 1):
         raise ValueError("cfl_safety must lie in (0, 1]")
-    _check_lock_step(problems)
-    first = problems[0]
-    reg = tuple(regularize(e, eps_reg) for e in first.energies)
-    grid = first.grid
+    starts = [problem.rho0] + [dataclasses.replace(problem, rho0=r).rho0 for r in rho0]
+    reg = tuple(regularize(e, eps_reg) for e in problem.energies)
+    grid = problem.grid
 
-    scheme = _Scheme(reg, first.drift)
-    values = np.stack([[rho.values for rho in p.rho0] for p in problems])
-    states: list[list[tuple[Density, ...]]] = [[p.rho0] for p in problems]
-    step_clipped: list[list[float]] = [[] for _ in problems]
+    scheme = _Scheme(reg, problem.drift)
+    values = np.stack([[rho.values for rho in start] for start in starts])
+    states: list[list[tuple[Density, ...]]] = [[start] for start in starts]
+    step_clipped: list[list[float]] = [[] for _ in starts]
     times, step_dt, step_bound, step_stages = [0.0], [], [], []
     time = 0.0
-    for next_time in first.record_times.tolist():
+    for next_time in problem.record_times.tolist():
         # The tolerance spares a roundoff-sized last step.  It shrinks with
         # record intervals below 1e-10, so every record takes at least one
         # step and recorded times strictly increase.
@@ -394,7 +371,7 @@ def run_parabolic(
                 values, clipped = scheme.finish(values, updated)
             except (RuntimeError, ValueError) as exc:
                 row = getattr(exc, "row", None)
-                if len(problems) == 1 or row is None:
+                if not rho0 or row is None:
                     raise
                 raise type(exc)(f"problem {row}: {exc}") from exc
             time = time + tau
@@ -410,7 +387,7 @@ def run_parabolic(
     trajectories = tuple(
         Trajectory(
             grid=grid,
-            h=first.h,
+            h=problem.h,
             times=np.asarray(times),
             states=record,
             step_dt=np.asarray(step_dt),
@@ -420,4 +397,4 @@ def run_parabolic(
         )
         for record, clipped in zip(states, step_clipped)
     )
-    return trajectories[0] if len(problems) == 1 else trajectories
+    return trajectories if rho0 else trajectories[0]

@@ -1051,6 +1051,25 @@ class TestRunCli:
             assert f"output error: output.directory '{directory}': " in err
         assert (tmp_path / "blocker").read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("directory", ["", "out\0x"], ids=["empty", "nul-byte"])
+    def test_unnameable_output_directory_is_config_error(
+        self, tmp_path, capsys, monkeypatch, directory
+    ):
+        # "" would write the files into the working directory; a NUL byte
+        # failed in os.mkdir only after the whole run.
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, minimal_config(directory=directory))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the run solved before checking output.directory")
+
+        monkeypatch.setattr("torusflow.jko.run_jko", no_solve)
+        for command in ("check", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: output.directory: expected a nonempty")
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_read_states_csv_round_trip(self, tmp_path):
         out_dir = tmp_path / "out"
         path = write_config(tmp_path, minimal_config(directory=str(out_dir)))

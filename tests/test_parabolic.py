@@ -428,9 +428,10 @@ def repulsive_problem_2d(n, amplitude, energies, rho0, horizon, h):
 
 
 def stage_split_pair():
-    """Two 1-d velocity-mode runs of power 2 whose super-steps, each run
-    alone, take 8 and 9 stages: the second run's density has the smaller
-    peak, so the larger diffusion bound and longer super-steps."""
+    """A 1-d velocity-mode problem of power 2 and a second initial state
+    whose super-steps, each run alone, take 8 and 9 stages: the second
+    state has the smaller peak, so the larger diffusion bound and longer
+    super-steps."""
     grid = tf.make_grid(1, 32)
     offs = grid.offset_grids()[0]
     kernels = (0.3 * np.sin(2 * np.pi * offs))[None, None, None]
@@ -442,7 +443,7 @@ def stage_split_pair():
         horizon=4e-3,
         h=2e-3,
     )
-    return prob, dataclasses.replace(prob, rho0=(cosine_density(grid, 0.2),))
+    return prob, (cosine_density(grid, 0.2),)
 
 
 class TestMatchesPreChangeStep:
@@ -549,8 +550,9 @@ class TestSuperStep:
         assert_textbook_super_steps(traj, prob)
 
     def test_lock_step_pair_with_different_stage_counts(self):
-        pair = stage_split_pair()
-        for problem, traj in zip(pair, tf.run_parabolic(*pair), strict=True):
+        prob, rho0 = stage_split_pair()
+        runs = (prob, dataclasses.replace(prob, rho0=rho0))
+        for problem, traj in zip(runs, tf.run_parabolic(prob, rho0), strict=True):
             assert_textbook_super_steps(traj, problem)
 
     def test_one_stage_is_the_forward_euler_step(self):
@@ -562,21 +564,22 @@ class TestSuperStep:
 
 
 class TestLockStep:
-    """Problems marched together share one step sequence.  The run whose CFL
-    limits bind on every super-step comes out bit for bit as it does alone;
-    every other run replays its states with the textbook super-step on the
-    shared record."""
+    """Runs of one problem from several initial states share one step
+    sequence.  The run whose CFL limits bind on every super-step comes out
+    bit for bit as it does alone; every other run replays its states with
+    the textbook super-step on the shared record."""
 
-    def run_lock_step(self, *problems, binding=0, **kwargs):
-        together = tf.run_parabolic(*problems, **kwargs)
+    def run_lock_step(self, problem, *rho0, binding=0, **kwargs):
+        together = tf.run_parabolic(problem, *rho0, **kwargs)
+        problems = (problem, *(dataclasses.replace(problem, rho0=r) for r in rho0))
         assert isinstance(together, tuple) and len(together) == len(problems)
         shared = together[binding]
-        for problem, got in zip(problems, together, strict=True):
+        for run, got in zip(problems, together, strict=True):
             assert same_bits(got.times, shared.times)
             assert same_bits(got.step_dt, shared.step_dt)
             assert same_bits(got.step_stages, shared.step_stages)
             assert got.step_bound == shared.step_bound
-            assert_textbook_super_steps(got, problem, **kwargs)
+            assert_textbook_super_steps(got, run, **kwargs)
         assert_same_trajectory(shared, tf.run_parabolic(problems[binding], **kwargs))
         return together
 
@@ -586,16 +589,18 @@ class TestLockStep:
         # 83 super-steps (2071 and 2057 forward-Euler steps), 827 stages.
         # Alone, each run picks the same steps, so both are their solo runs.
         assert len(a.step_dt) == 83 and int(np.sum(a.step_stages)) == 827
-        assert_same_trajectory(b, tf.run_parabolic(cfg.stability))
+        alone = tf.run_parabolic(dataclasses.replace(cfg.problem, rho0=cfg.stability))
+        assert_same_trajectory(b, alone)
         assert clipped_mass(a) == clipped_mass(b) == 0.0
 
     def test_runs_with_different_stage_counts(self):
         # Alone, the first run takes 4 super-steps of 8 stages and the
         # second, whose lower peak allows longer steps, 2 of 9.  Together
         # the first run's limits bind: both take its 4 super-steps of 8.
-        first, second = self.run_lock_step(*stage_split_pair())
+        prob, rho0 = stage_split_pair()
+        first, second = self.run_lock_step(prob, rho0)
         assert list(first.step_stages) == list(second.step_stages) == [8] * 4
-        alone = tf.run_parabolic(stage_split_pair()[1])
+        alone = tf.run_parabolic(dataclasses.replace(prob, rho0=rho0))
         assert list(alone.step_stages) == [9] * 2
 
     def test_2d_potential_pair_where_one_run_clips(self):
@@ -607,7 +612,7 @@ class TestLockStep:
         energy = (tf.InternalEnergy.entropy(),)
         prob = repulsive_problem_2d(6, 30.0, energy, (peak,), horizon=0.02, h=0.01)
         calm_prob = dataclasses.replace(prob, rho0=(calm,))
-        clips, steady = self.run_lock_step(prob, calm_prob, cfl_safety=1.0)
+        clips, steady = self.run_lock_step(prob, (calm,), cfl_safety=1.0)
         # Clipping is per run; the calm run takes the clipping run's
         # forward-Euler steps where alone it would take multi-stage ones.
         assert np.count_nonzero(clips.step_clipped) >= 2
@@ -624,45 +629,42 @@ class TestLockStep:
         )
         # The problem's own densities have the tighter limits, so its run
         # binds in either order.
-        other = dataclasses.replace(prob, rho0=rho0)
-        self.run_lock_step(prob, other)
-        self.run_lock_step(other, prob, binding=1)
+        self.run_lock_step(prob, rho0)
+        self.run_lock_step(dataclasses.replace(prob, rho0=rho0), prob.rho0, binding=1)
 
     def test_drift_free_entropy_runs(self):
         prob = heat_problem(n=64, horizon=4e-3, h=2e-3)
-        other = dataclasses.replace(prob, rho0=(cosine_density(prob.grid, 0.2, frequency=3),))
-        self.run_lock_step(prob, other, prob)
+        other = (cosine_density(prob.grid, 0.2, frequency=3),)
+        self.run_lock_step(prob, other, prob.rho0)
 
-    @pytest.mark.parametrize("field", ["grid", "energies", "drift", "horizon", "h"])
-    def test_problems_must_share_all_but_initial_data(self, field):
+    @pytest.mark.parametrize(
+        "state, error, message",
+        [
+            ("species", ValueError, "need one energy per species"),
+            ("grid", ValueError, "initial density lives on a different grid"),
+            ("mass", ValueError, "initial densities must be normalized"),
+            ("problem", TypeError, "not iterable"),
+        ],
+        ids=["species", "grid", "mass", "problem"],
+    )
+    def test_bad_initial_state_is_refused_before_any_step(
+        self, monkeypatch, state, error, message
+    ):
         prob = velocity_problem_1d()
-        if field == "grid":
-            grid = tf.make_grid(1, 16)
-            other = tf.Problem(
-                grid=grid,
-                energies=prob.energies,
-                drift=tf.DriftModel.none(grid, species=2, mode="velocity"),
-                rho0=(cosine_density(grid, 0.2), cosine_density(grid, 0.3)),
-                horizon=prob.horizon,
-                h=prob.h,
-            )
-        else:
-            changed = {
-                "energies": (tf.InternalEnergy.power(2.0),) * 2,
-                "drift": tf.DriftModel.velocity(prob.grid, 2.0 * prob.drift.kernels),
-                "horizon": 2 * prob.horizon,
-                "h": prob.h / 2,
-            }[field]
-            other = dataclasses.replace(prob, **{field: changed})
-        with pytest.raises(ValueError, match=f"problem 1 differs from problem 0 in {field};"):
-            tf.run_parabolic(prob, other)
+        other = tf.make_grid(1, 16)
+        bad = {
+            "species": prob.rho0[:1],
+            "grid": (cosine_density(other, 0.2), cosine_density(other, 0.3)),
+            "mass": (prob.rho0[0], tf.Density(prob.grid, 2 * prob.rho0[1].values)),
+            "problem": prob,
+        }[state]
 
-    def test_equal_drift_models_may_be_distinct_objects(self):
-        prob = velocity_problem_1d()
-        twin = dataclasses.replace(
-            prob, drift=tf.DriftModel.velocity(prob.grid, prob.drift.kernels.copy())
-        )
-        self.run_lock_step(prob, twin)
+        def no_step(*args):
+            raise AssertionError("a step was set up")
+
+        monkeypatch.setattr("torusflow.parabolic._Scheme", no_step)
+        with pytest.raises(error, match=message):
+            tf.run_parabolic(prob, prob.rho0, bad)
 
     def test_step_failure_names_the_problem(self, monkeypatch):
         # Poison the drift of one row of the stack at one call: the first,
@@ -679,14 +681,14 @@ class TestLockStep:
             return out
 
         monkeypatch.setattr("torusflow.parabolic._kernel_sums", poisoned)
-        pair = stage_split_pair()
+        prob, rho0 = stage_split_pair()
         for call, row in ((1, 0), (1, 1), (5, 1), (12, 0)):
             calls.clear()
             poison[:] = [call, row]
             with np.errstate(all="ignore"), pytest.raises(
                 RuntimeError, match=f"^problem {row}: drift velocities are not finite$"
             ):
-                tf.run_parabolic(*pair)
+                tf.run_parabolic(prob, rho0)
             assert len(calls) == call
         # One problem alone keeps the bare message.
         calls.clear()
@@ -694,7 +696,7 @@ class TestLockStep:
         with np.errstate(all="ignore"), pytest.raises(
             RuntimeError, match="^drift velocities are not finite$"
         ):
-            tf.run_parabolic(pair[0])
+            tf.run_parabolic(prob)
 
 
 class TestDivergence:
