@@ -61,7 +61,9 @@ class Problem:
             raise ValueError("drift model species count does not match")
         if self.drift.grid != self.grid:
             raise ValueError("drift model lives on a different grid")
-        for r in rho0:
+        for k, r in enumerate(rho0):
+            if not isinstance(r, Density):
+                raise TypeError(f"rho0[{k}] must be a Density, not {type(r).__name__}")
             if r.grid != self.grid:
                 raise ValueError("initial density lives on a different grid")
             if abs(r.mass() - 1.0) > 1e-8:
@@ -70,7 +72,9 @@ class Problem:
             raise ValueError("horizon must be positive")
         if not self.h > 0:
             raise ValueError("step size must be positive")
-        for e, r in zip(energies, rho0):
+        for k, (e, r) in enumerate(zip(energies, rho0)):
+            if not isinstance(e, InternalEnergy):
+                raise TypeError(f"energies[{k}] must be an InternalEnergy, not {type(e).__name__}")
             with np.errstate(over="ignore"):  # an overflow is reported below
                 val = e.total(r.values, self.grid.cell_volume)
             if not np.isfinite(val):

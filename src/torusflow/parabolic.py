@@ -330,7 +330,7 @@ def run_parabolic(
 
     Each further argument is a tuple of initial densities, one per species:
     the problem run from that state instead of ``problem.rho0``, checked as
-    ``Problem`` checks its own (species count, grid, unit mass, finite
+    ``Problem`` checks its own (species count, type, grid, unit mass, finite
     energy) before any step.  The runs march in lock step, one stacked
     super-step for all, with one step sequence: the smallest of their CFL
     limits sets every super-step, so all trajectories carry equal ``times``,

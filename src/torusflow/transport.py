@@ -76,11 +76,9 @@ the log scalings ``guess`` when it is given (``run_jko`` extrapolates it
 from the species' last two steps) and within that same bound; a plain step
 takes only its log v, as it never updates d.  It returns the stopping
 pass's g as ``log_scalings``, the guess for the next step; an unmixed step
-returns None.  Unmixed, u takes ``sinkhorn_w2``'s safeguarded
-over-relaxed row update ``_relaxed`` from the second iteration on, the row
-block of this problem's dual being the Sinkhorn one with mass a, and the
-step stops at a density change of tol.  The torus cost is a sum over axes,
-so the step's Gibbs kernel is the Kronecker product of one n x n per-axis
+returns None.  Unmixed, each pass takes the plain update, and the step
+stops at a density change of tol.  The torus cost is a sum over axes, so
+the step's Gibbs kernel is the Kronecker product of one n x n per-axis
 kernel K1 and each kernel product runs axis by axis (K1 V K1^T in 2-d).  No
 cells x cells array is built, and the step has no grid cap; its implicit
 plan is the unique entropic plan between its two states, which
@@ -238,9 +236,9 @@ def _relaxed(x: np.ndarray, plain: np.ndarray, mass: np.ndarray) -> np.ndarray:
     ``_ASCENT`` of what the plain update gains; otherwise the plain update
     is returned.  Every cell with |s| <= ``_FAST_LOG`` has h((1 - _OMEGA) s)
     <= (1 - _ASCENT) h(s), so when all cells do, the update is kept
-    without forming the gains.  It is then finite: both callers keep x below
-    ``_SCALING_BOUND``, so plain, and the step, stay within e^(2 _FAST_LOG)
-    of that bound.
+    without forming the gains.  It is then finite: ``sinkhorn_w2`` keeps x
+    below ``_SCALING_BOUND``, so plain, and the step, stay within
+    e^(2 _FAST_LOG) of that bound.
     """
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         q = x / plain
@@ -635,10 +633,9 @@ def jko_step(
     implicit plan's second marginal renormalized to unit mass, and the result
     carries that plan's primal cost as the step's W2^2.  The log scalings
     are Anderson-mixed, except from a state with vacuum or after a scaling
-    hits 0, which restarts the step unmixed: there the row scaling u is
-    over-relaxed by ``_relaxed`` with mass a from the second iteration on
-    (module docstring).  ``kl_prox`` starts from the previous iterate's
-    density, which power energies use as a warm start.
+    hits 0, which restarts the step unmixed (module docstring).  ``kl_prox``
+    starts from the previous iterate's density, which power energies use as
+    a warm start.
 
     ``guess`` is a finite (2, cells) array of log scalings (log v, log d), a
     ValueError otherwise.  A mixed step starts from it unless an entry it
@@ -679,7 +676,6 @@ def jko_step(
     scal = np.ones((2, a.size))
     v, d = scal
     rho_curr = a / vol
-    u = np.ones_like(a)
     change = np.empty_like(a)
     mixing = a.min() >= _MIX_MIN_RATIO * a.max()
     if mixing:
@@ -702,14 +698,10 @@ def jko_step(
     passes = 0  # iterations since the (re)start of the unmixed loop
     converged = False
     for _ in range(_JKO_MAX_ITER):
-        if mixing or not passes:
-            u = a / apply_k(v)
-        else:
-            u = _relaxed(u, a / apply_k(v), a)
+        u = a / apply_k(v)
         s = apply_kt(u)  # second-marginal proposal in mass units
         sigma = s * d
         sigma /= vol
-        start = rho_curr if passes else None
         # Far from the support the prox centre underflows to 0: those cells
         # stay empty, and the prox runs on the others.
         full = sigma != 0
@@ -720,7 +712,7 @@ def jko_step(
             eps,
             tau,
             u_pot[full],
-            start=None if start is None else start[full],
+            start=rho_curr[full] if passes else None,
         )
         mass_new = rho_new * vol
         v = np.divide(mass_new, s, out=np.zeros_like(s), where=full)

@@ -512,7 +512,6 @@ def reference_jko_step(
     tol=1e-9,
     debias=True,
     warm=True,
-    relaxed=True,
     mixed=True,
     vacuum=False,
     guess=None,
@@ -522,13 +521,10 @@ def reference_jko_step(
     state values, the step's W2^2, marginal error and iteration count.
     With ``warm`` the prox starts from the previous iterate from the second
     iteration on, as ``jko_step`` does; without it every prox solves cold.
-    With ``relaxed`` the scalings are updated as in ``jko_step``: Anderson
-    mixing of the log scalings (with ``mixed``, when the smallest mass is at
-    least ``_MIX_MIN_RATIO`` of the largest, until a scaling is 0, which
-    restarts the step unmixed), else the row scaling through ``_relaxed``
-    from the second iteration on; without ``mixed`` the step never mixes, as
-    before mixing was added.  Without ``relaxed``, u = a / (K v) on every
-    iteration.
+    With ``mixed`` the log scalings are Anderson-mixed as in ``jko_step``
+    (when the smallest mass is at least ``_MIX_MIN_RATIO`` of the largest,
+    until a scaling is 0, which restarts the step unmixed); without it the
+    step never mixes.  u = a / (K v) on every iteration.
     With ``vacuum`` cells whose prox centre is 0 get no mass, as in
     ``jko_step``; without it the prox rejects them.  A mixed step starts
     from the log scalings ``guess`` (only its log v without ``debias``)
@@ -545,8 +541,7 @@ def reference_jko_step(
     v = np.ones_like(a)
     d = np.ones_like(a)
     rho_curr = a / vol
-    u = None
-    mixing = relaxed and mixed and a.min() >= tr._MIX_MIN_RATIO * a.max()
+    mixing = mixed and a.min() >= tr._MIX_MIN_RATIO * a.max()
     x = np.zeros((2, a.size))
     if mixing and guess is not None:
         used = guess[: 2 if debias else 1]
@@ -560,8 +555,7 @@ def reference_jko_step(
     iterations = 0
     passes = 0
     for _ in range(tr._JKO_MAX_ITER):
-        kv = tr._kron_apply(kernel, v)
-        u = tr._relaxed(u, a / kv, a) if relaxed and passes and not mixing else a / kv
+        u = a / tr._kron_apply(kernel, v)
         s = tr._kron_apply(kernel_t, u)
         sigma = s * d / vol
         start = rho_curr if warm and passes else None

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,25 @@ class TestRunJko:
         with pytest.raises(ValueError, match="potential"):
             tf.run_jko(prob, eps=1e-3)
 
+    @pytest.mark.parametrize("case", ["rho0", "run_parabolic", "energy"])
+    def test_wrong_types_are_type_errors(self, case):
+        # A bare array for a Density, or a name for an InternalEnergy, is
+        # refused by name and position before any attribute of it is read.
+        prob = heat_problem(n=16, horizon=2e-3, h=1e-3)
+        with pytest.raises(TypeError) as raised:
+            if case == "rho0":
+                dataclasses.replace(prob, rho0=(np.ones(16),))
+            elif case == "run_parabolic":
+                tf.run_parabolic(prob, (np.ones(16),))
+            else:
+                dataclasses.replace(prob, energies=("entropy",))
+        want = {
+            "rho0": "rho0[0] must be a Density, not ndarray",
+            "run_parabolic": "rho0[0] must be a Density, not ndarray",
+            "energy": "energies[0] must be an InternalEnergy, not str",
+        }[case]
+        assert str(raised.value) == want
+
 
 class TestTimeStepOrder:
     """The h -> 0 limit that the existence proof takes, on configs/heat.json."""
@@ -270,7 +291,7 @@ class TestWarmStartedSteps:
 
     def test_state_with_vacuum_runs_cold(self, monkeypatch):
         # Half empty: no step mixes, so none returns scalings and none is
-        # guessed; the run is the cold one bit for bit, 6265 iterations.
+        # guessed; the run is the cold one bit for bit, 6639 iterations.
         grid = tf.make_grid(1, 128)
         rho = tf.normalize(tf.Density(grid, np.r_[np.full(64, 2.0), np.zeros(64)]))
         prob = tf.Problem(
@@ -282,7 +303,7 @@ class TestWarmStartedSteps:
             h=1e-3,
         )
         cold, iterations = stepwise(prob, eps=5e-4, guessed=False)
-        assert iterations == 6265
+        assert iterations == 6639
         guesses = []
         step = tf.jko.jko_step
 

@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import torusflow as tf
 from torusflow import transport as tr
-from torusflow.config import build_profile
+from torusflow.config import build_profile, parse_config, parse_config_dict
 from torusflow.grid import minimal_image
 
 from conftest import (
@@ -837,23 +838,22 @@ def first_jko_step(name):
 
 
 class TestRelaxedJkoRows:
-    """The over-relaxed row scaling of ``jko_step`` against the plain
-    u = a / (K v) loop (``reference_jko_step(relaxed=False)``)."""
+    """The mixed ``jko_step`` against the plain unmixed loop
+    (``reference_jko_step(mixed=False)``)."""
 
     @pytest.mark.parametrize("name", ["heat", "pme-bump", "pme-cosine"])
     def test_lands_at_least_as_close_to_a_tight_solve(self, name):
         rho, h, energy, eps = first_jko_step(name)
-        tight, _, _, _ = reference_jko_step(rho, h, energy, None, eps, tol=1e-13, relaxed=False)
-        plain, _, _, plain_iterations = reference_jko_step(rho, h, energy, None, eps, relaxed=False)
+        tight, _, _, _ = reference_jko_step(rho, h, energy, None, eps, tol=1e-13, mixed=False)
+        plain, _, _, plain_iterations = reference_jko_step(rho, h, energy, None, eps, mixed=False)
         out, res = tf.jko_step(rho, h, energy, None, eps=eps)
         assert res.iterations <= plain_iterations
         assert np.max(np.abs(out.values - tight)) <= np.max(np.abs(plain - tight))
 
     @pytest.mark.parametrize("name", ["bump-2d", "entropy-potential-1d"])
     def test_mixed_rows_beat_both_loops(self, name):
-        # Steps on which the over-relaxed rows alone did worse than the
-        # plain loop: more iterations on the first, a state farther from a
-        # tight solve on the second.  The mixed step beats both loops on both.
+        # The mixed step takes fewer iterations than the plain loop and
+        # lands closer to a tight solve.
         if name == "bump-2d":
             g = tf.make_grid(2, 24)
             x, y = g.coordinate_grids()
@@ -868,25 +868,25 @@ class TestRelaxedJkoRows:
         tight, _, _, _ = reference_jko_step(rho, h, energy, potential, eps, tol=1e-13)
         out, res = tf.jko_step(rho, h, energy, potential, eps=eps)
         err = np.max(np.abs(out.values - tight))
-        for loop in ({"relaxed": False}, {"mixed": False}):
-            values, _, _, iterations = reference_jko_step(rho, h, energy, potential, eps, **loop)
-            assert res.iterations < iterations
-            assert err < np.max(np.abs(values - tight))
+        values, _, _, iterations = reference_jko_step(rho, h, energy, potential, eps, mixed=False)
+        assert res.iterations < iterations
+        assert err < np.max(np.abs(values - tight))
 
 
 class TestJkoStepMatchesPreChangeLoop:
     """``jko_step`` reproduces the scaling loop written out plainly
     (``reference_jko_step``) bit for bit."""
 
-    def check(self, rho, h, energy, potential, eps, debias=True):
+    def check(self, rho, h, energy, potential, eps, debias=True, **loop):
         out, res = tf.jko_step(rho, h, energy, potential, eps=eps, debias=debias)
         values, w2_sq, err, iterations = reference_jko_step(
-            rho, h, energy, potential, eps, debias=debias
+            rho, h, energy, potential, eps, debias=debias, **loop
         )
         assert same_bits(out.values, values)
         assert same_bits(res.w2_sq, w2_sq)
         assert same_bits(res.plan_marginal_err, err)
         assert res.iterations == iterations > 1
+        return res
 
     def test_1d_entropy_with_potential(self):
         g = tf.make_grid(1, 48)
@@ -924,25 +924,29 @@ class TestJkoStepMatchesPreChangeLoop:
         self.check(rho, 1e-3, energy, None, 5e-4)
         assert singular
 
-    def test_half_empty_state_runs_the_relaxed_loop(self):
+    def test_half_empty_state_runs_the_plain_loop(self):
         # Its smallest mass is the floor, far below _MIX_MIN_RATIO of the
-        # largest, so the step never mixes: it is the over-relaxed loop.
+        # largest, so the step never mixes: it is the plain loop.
         g = tf.make_grid(1, 128)
         rho = tf.normalize(tf.Density(g, np.r_[np.full(64, 2.0), np.zeros(64)]))
         energy = tf.InternalEnergy.power(2.0)
-        out, res = tf.jko_step(rho, 1e-3, energy, None, eps=5e-4)
-        values, w2_sq, err, iterations = reference_jko_step(
-            rho, 1e-3, energy, None, 5e-4, mixed=False, vacuum=True
-        )
-        assert same_bits(out.values, values)
-        assert same_bits(res.w2_sq, w2_sq)
-        assert same_bits(res.plan_marginal_err, err)
-        assert res.iterations == iterations > 1
+        res = self.check(rho, 1e-3, energy, None, 5e-4, mixed=False, vacuum=True)
+        assert res.log_scalings is None
+
+    def test_2d_vacuum_state_runs_the_plain_loop(self):
+        # A narrow bump leaves the corners at 6e-37 of the peak: the step
+        # does not mix (535 iterations).
+        g = tf.make_grid(2, 12)
+        rho = build_profile(g, {"profile": "bump", "center": [0.5, 0.5], "width": 0.05})
+        energy = tf.InternalEnergy.power(2.0)
+        eps = tr._default_jko_eps(g)
+        res = self.check(rho, 1e-3, energy, None, eps, mixed=False, vacuum=True)
+        assert res.log_scalings is None and res.iterations == 535
 
     def test_zero_scaling_restarts_unmixed(self, monkeypatch):
         # Allowed to mix, the half-empty step mixes until a scaling hits 0.
         # No later pass would revive that cell, so the step restarts with
-        # the over-relaxed loop and lands where that loop alone does.
+        # the plain loop and lands where that loop alone does.
         monkeypatch.setattr(tf.transport, "_MIX_MIN_RATIO", 0.0)
         g = tf.make_grid(1, 128)
         rho = tf.normalize(tf.Density(g, np.r_[np.full(64, 2.0), np.zeros(64)]))
@@ -975,6 +979,57 @@ class TestJkoStepMatchesPreChangeLoop:
         assert res.iterations == iterations > 1
         assert np.max(np.abs(out.values - values)) <= 1e-14
         assert res.w2_sq == pytest.approx(w2_sq, rel=1e-14, abs=0.0)
+
+
+class TestJkoStepRowUpdate:
+    """Every pass of ``jko_step`` takes the plain row update u = a / (K v)."""
+
+    def test_never_takes_the_over_relaxed_update(self, monkeypatch):
+        calls = []
+        relaxed = tr._relaxed
+
+        def spy(*args):
+            calls.append(args)
+            return relaxed(*args)
+
+        monkeypatch.setattr(tr, "_relaxed", spy)
+        g = tf.make_grid(1, 128)
+        half_empty = tf.normalize(tf.Density(g, np.r_[np.full(64, 2.0), np.zeros(64)]))
+        energy = tf.InternalEnergy.power(2.0)
+        for rho in (half_empty, cosine_density(g, 0.5)):
+            tf.jko_step(rho, 1e-3, energy, None, eps=5e-4)
+        assert not calls
+        # sinkhorn_w2 still takes it through the patched name.
+        small = tf.make_grid(1, 16)
+        tf.sinkhorn_w2(cosine_density(small, 0.5), cosine_density(small, 0.2), eps=1e-2)
+        assert calls
+
+    @pytest.mark.parametrize("name", ["heat1d", "pme2d"])
+    def test_benchmark_start_states_mix(self, name):
+        # The benchmark's JKO runs start from these states (pme2d's bump at
+        # its narrowest seeded width); a first step that mixes returns its
+        # log scalings, so no workload reaches the unmixed loop unseen.
+        if name == "heat1d":
+            cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "heat.json")
+        else:
+            bump = {"profile": "bump", "center": [0.5, 0.5], "width": 0.27}
+            cosine = {"profile": "cosine", "amplitude": 0.45}
+            cfg = parse_config_dict(
+                {
+                    "grid": {"dim": 2, "n": 48},
+                    "species": [
+                        {"energy": {"kind": "power", "m": 2.0}, "initial": bump},
+                        {"energy": {"kind": "power", "m": 1.5}, "initial": cosine},
+                    ],
+                    "solver": "jko",
+                    "horizon": 0.02,
+                    "jko": {"h": 2e-3},
+                }
+            )
+        prob = cfg.problem
+        for rho, energy in zip(prob.rho0, prob.energies, strict=True):
+            _, res = tf.jko_step(rho, prob.h, energy, None, eps=cfg.jko_eps)
+            assert res.log_scalings is not None
 
 
 class TestJkoStepGuess:
