@@ -278,12 +278,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
     for idx, sp in enumerate(species_raw):
         where = f"species[{idx}]"
         _object(sp, where, _SPECIES_FIELDS)
-        try:
-            energies.append(_energy_from(_require(sp, "energy", where + "."), where + ".energy"))
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"{where}.energy: {exc}") from exc
+        energies.append(_energy_from(_require(sp, "energy", where + "."), where + ".energy"))
         rho0.append(build_profile(grid, _require(sp, "initial", where + "."), where + ".initial"))
     l = len(energies)
 

@@ -339,13 +339,18 @@ def run_parabolic(
     alone when that run's limits bind on every super-step; any other takes
     steps within its own limits.
     Without initial states the call returns the problem's Trajectory, with
-    them a tuple, one per run and the problem's own first; a step failure of
-    a lock-step call names the run as ``problem k``, k its index in that
-    tuple.
+    them a tuple, one per run and the problem's own first; a refused initial
+    state or a step failure of a lock-step call names the run as ``problem
+    k``, k its index in that tuple.
     """
     if not (0 < cfl_safety <= 1):
         raise ValueError("cfl_safety must lie in (0, 1]")
-    starts = [problem.rho0] + [dataclasses.replace(problem, rho0=r).rho0 for r in rho0]
+    starts = [problem.rho0]
+    for k, start in enumerate(rho0, start=1):
+        try:
+            starts.append(dataclasses.replace(problem, rho0=start).rho0)
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"problem {k}: {exc}") from exc
     reg = tuple(regularize(e, eps_reg) for e in problem.energies)
     grid = problem.grid
 

@@ -9,17 +9,13 @@ are capped at ``_MAX_COST_CELLS`` cells.  The reported value is the primal
 transport cost <c, plan> of the computed plan, without the entropic term.
 ``sinkhorn_w2`` reports convergence; it stops after ``_SINKHORN_MAX_ITER``
 iterations over all levels of the warm start.  Kernel entries below the
-smallest normal float are set to 0, so no mat-vec runs on subnormals.  A
-kernel row that underflows at a ladder level after the first (a potential
-absorbed at the coarser level, divided by the finer one) has its potential
-reset by a log-domain row update; this rescues cells with mass down to
-about 1e-250.  A row that still underflows, or underflows on the first
-level, raises RuntimeError naming the cell, its mass and the level.  A
-column that underflows (a near-empty cell of the second density) has g
-reset by the same update along the other axis, and so do its entries at
-the start of every later level.  It raises only when even the reset column
-underflows: its largest entry, at least the cell's mass over the number of
-rows, is below the smallest normal float.
+smallest normal float are set to 0, so no mat-vec runs on subnormals.  The
+support leaves out every cell whose mass is at most tol / cells: such a
+cell gets no plan mass, as an empty cell does, and its mass counts in
+``plan_marginal_err``, so each errs by at most tol / cells and all of them
+together hold at most tol.  A kernel row or column whose entries all
+underflow, on any level of the ladder, raises RuntimeError naming the cell,
+its mass and the level.
 
 The scaling updates are over-relaxed (Thibault, Chizat, Dossal & Papadakis,
 Algorithms 14(5), 2021): u <- u (a / (u K v))^omega, then v <- v (b / (v
@@ -211,19 +207,6 @@ def _gibbs(f: np.ndarray, g: np.ndarray, c: np.ndarray, level: float) -> np.ndar
     return kernel
 
 
-def _row_reset(g: np.ndarray, c: np.ndarray, a: np.ndarray, level: float) -> np.ndarray:
-    """Potential f with rows of exp((f_i + g_j - c_ij) / level) summing to a.
-
-    The log-domain row update f_i = level (log a_i - logsumexp_j((g_j -
-    c_ij) / level)); its largest kernel entry in row i is at least
-    a_i / (number of columns), whatever g was.  Called with c.T and the
-    column marginal, it resets the column potential against f.
-    """
-    z = (g[None, :] - c) / level
-    top = z.max(axis=1)
-    return level * (np.log(a) - top - np.log(np.exp(z - top[:, None]).sum(axis=1)))
-
-
 def _relaxed(x: np.ndarray, plain: np.ndarray, mass: np.ndarray) -> np.ndarray:
     """Over-relaxed scaling update x (plain / x)^_OMEGA, or plain.
 
@@ -265,11 +248,16 @@ def sinkhorn_w2(
 ) -> TransportResult:
     """Entropic estimate of W2^2 on the torus, deterministic given inputs.
 
-    The scalings run on the supports of the two densities only; empty cells
-    carry no plan mass, and a returned plan is zero on their rows/columns.
+    The scalings run on the supports of the two densities only, the cells
+    with mass above tol / cells; empty or left-out cells carry no plan mass,
+    a returned plan is zero on their rows/columns, and ``plan_marginal_err``
+    counts their mass.  ``tol`` must lie in (0, 1).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    # From tol = 1 on, a uniform density would leave every cell out.
+    if not 0 < tol < 1:
+        raise ValueError("tol must lie in (0, 1)")
     if mu.grid != nu.grid:
         raise ValueError("densities live on different grids")
     _check_normalized(mu, "mu")
@@ -277,7 +265,10 @@ def sinkhorn_w2(
     c_full = cost_matrix(mu.grid)
     vol = mu.grid.cell_volume
     a_full, b_full = mu.values.ravel() * vol, nu.values.ravel() * vol
-    rows, cols = np.flatnonzero(a_full), np.flatnonzero(b_full)
+    # A cell at or below the floor errs by at most tol / cells when it gets
+    # no plan mass, and all of them together hold at most tol.
+    floor = tol / a_full.size
+    rows, cols = np.flatnonzero(a_full > floor), np.flatnonzero(b_full > floor)
     a, b = a_full[rows], b_full[cols]
     # Indexing copies, so a fully supported pair keeps the shared cost array.
     c = c_full if a.size * b.size == c_full.size else c_full[np.ix_(rows, cols)]
@@ -285,82 +276,38 @@ def sinkhorn_w2(
     f = np.zeros_like(a)
     g = np.zeros_like(b)
     total_iter = 0
-    first_stop = 2
-    # Rows and columns that underflowed at some level.
-    near_empty_rows = near_empty_cols = np.zeros(0, dtype=int)
-    levels = _eps_schedule(eps, float(np.max(c_full)))
-    for level in levels:
+    for level in _eps_schedule(eps, float(np.max(c_full))):
         level_tol = tol if level == eps else max(tol, _WARMUP_TOL)
         level_budget = (
             _SINKHORN_MAX_ITER - total_iter if level == eps else min(5000, _SINKHORN_MAX_ITER)
         )
-        if near_empty_rows.size:
-            i = near_empty_rows
-            f[i] = _row_reset(g, c[i], a[i], level)
-        if near_empty_cols.size:
-            j = near_empty_cols
-            g[j] = _row_reset(f, c[:, j].T, b[j], level)
         kernel = _gibbs(f, g, c, level)
         u = np.ones_like(a)
         v = np.ones_like(b)
         for _ in range(max(level_budget, 1)):
             kv = kernel @ v
             if kv.min() <= 0:
-                # A potential f_i absorbed at the previous level is divided
-                # by this 5x smaller one, so its row's entries are raised to
-                # the 5th power and can all underflow.  Reset f against g;
-                # the reset rows match their marginals at once, so the stop
-                # test waits for one full u/v alternation.  Each finer level
-                # would underflow these rows again, so every later level
-                # resets them before it builds its kernel.  The first level
-                # has no absorbed potential to blame, so there a zero row
-                # raises at once.
-                if level != levels[0]:
-                    near_empty_rows = np.union1d(near_empty_rows, np.flatnonzero(kv <= 0))
-                    g = g + level * np.log(v)
-                    f = _row_reset(g, c, a, level)
-                    kernel = _gibbs(f, g, c, level)
-                    u = np.ones_like(a)
-                    v = np.ones_like(b)
-                    kv = kernel @ v
-                    first_stop = total_iter + 2
-                if kv.min() <= 0:
-                    i = int(np.argmin(kv))
-                    raise RuntimeError(
-                        f"sinkhorn kernel row of cell {rows[i]} (mass {a[i]:.3e}) "
-                        f"underflows at eps level {level:.3e}"
-                    )
+                i = int(np.argmin(kv))
+                raise RuntimeError(
+                    f"sinkhorn kernel row of cell {rows[i]} (mass {a[i]:.3e}) "
+                    f"underflows at eps level {level:.3e}"
+                )
             err = np.abs(u * kv - a).max()
             total_iter += 1
             if (
                 err <= level_tol
-                and total_iter >= first_stop
+                and total_iter > 1
                 and np.abs(v * (kernel.T @ u) - b).max() <= level_tol
             ):
                 break
             u = _relaxed(u, a / kv, a)
             ktu = kernel.T @ u
             if ktu.min() <= 0:
-                # A near-empty cell of nu: its column underflows once g_j
-                # has absorbed its small scaling.  Absorb u and reset g
-                # against f, the log-domain form of the v update, so the
-                # columns match their marginals at once; v restarts from
-                # the reset g's own scaling, 1.  Each finer level would
-                # underflow these columns again, so every later level
-                # resets them before it builds its kernel.
-                near_empty_cols = np.union1d(near_empty_cols, np.flatnonzero(ktu <= 0))
-                f = f + level * np.log(u)
-                g = _row_reset(f, c.T, b, level)
-                kernel = _gibbs(f, g, c, level)
-                u = np.ones_like(a)
-                v = np.ones_like(b)
-                ktu = kernel.T @ u
-                if ktu.min() <= 0:
-                    j = int(np.argmin(ktu))
-                    raise RuntimeError(
-                        f"sinkhorn kernel column of cell {cols[j]} (mass {b[j]:.3e}) "
-                        f"underflows at eps level {level:.3e}"
-                    )
+                j = int(np.argmin(ktu))
+                raise RuntimeError(
+                    f"sinkhorn kernel column of cell {cols[j]} (mass {b[j]:.3e}) "
+                    f"underflows at eps level {level:.3e}"
+                )
             v = _relaxed(v, b / ktu, b)
             if (
                 u.max() > _SCALING_BOUND
@@ -378,9 +325,10 @@ def sinkhorn_w2(
         g = g + level * np.log(v)
 
     plan = _gibbs(f, g, c, eps)
-    row_err = float(np.max(np.abs(plan.sum(axis=1) - a)))
-    col_err = float(np.max(np.abs(plan.sum(axis=0) - b)))
-    err = max(row_err, col_err)
+    # Over all cells, so a left-out cell's mass counts as its error.
+    row_sum, col_sum = np.zeros_like(a_full), np.zeros_like(b_full)
+    row_sum[rows], col_sum[cols] = plan.sum(axis=1), plan.sum(axis=0)
+    err = float(max(np.abs(row_sum - a_full).max(), np.abs(col_sum - b_full).max()))
     w2_sq = float(np.sum(plan * c))
     if return_plan and plan.shape != c_full.shape:
         full = np.zeros(c_full.shape)

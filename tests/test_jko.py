@@ -178,7 +178,8 @@ class TestRunJko:
     @pytest.mark.parametrize("case", ["rho0", "run_parabolic", "energy"])
     def test_wrong_types_are_type_errors(self, case):
         # A bare array for a Density, or a name for an InternalEnergy, is
-        # refused by name and position before any attribute of it is read.
+        # refused by name and position before any attribute of it is read;
+        # run_parabolic also names the run whose initial state it refuses.
         prob = heat_problem(n=16, horizon=2e-3, h=1e-3)
         with pytest.raises(TypeError) as raised:
             if case == "rho0":
@@ -189,7 +190,7 @@ class TestRunJko:
                 dataclasses.replace(prob, energies=("entropy",))
         want = {
             "rho0": "rho0[0] must be a Density, not ndarray",
-            "run_parabolic": "rho0[0] must be a Density, not ndarray",
+            "run_parabolic": "problem 1: rho0[0] must be a Density, not ndarray",
             "energy": "energies[0] must be an InternalEnergy, not str",
         }[case]
         assert str(raised.value) == want

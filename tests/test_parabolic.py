@@ -663,7 +663,8 @@ class TestLockStep:
             raise AssertionError("a step was set up")
 
         monkeypatch.setattr("torusflow.parabolic._Scheme", no_step)
-        with pytest.raises(error, match=message):
+        # The bad tuple is the call's third run, index 2 of its trajectories.
+        with pytest.raises(error, match=f"^problem 2: .*{message}"):
             tf.run_parabolic(prob, prob.rho0, bad)
 
     def test_step_failure_names_the_problem(self, monkeypatch):

@@ -147,6 +147,14 @@ class TestSinkhorn:
         with pytest.raises(ValueError, match="normalized"):
             tf.sinkhorn_w2(rho, bad, eps=1e-3)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, 1.0, np.nan])
+    def test_tol_outside_the_unit_interval_rejected(self, tol):
+        # At tol = 1 every cell of a uniform density is at the mass floor.
+        g = tf.make_grid(1, 4)
+        rho = tf.Density(g, np.ones(4))
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+            tf.sinkhorn_w2(rho, rho, eps=1e-2, tol=tol)
+
     def test_plan_with_empty_cells_is_full_size(self):
         # The solve runs on the supports; the plan is scattered back with
         # exact zeros on the rows and columns of the empty cells.
@@ -188,13 +196,27 @@ BUMP_PAIRS = [
 ]
 
 
-def bump_pair(index, empty_mass=None):
-    """Densities of one pair; empty_mass, if given, replaces mu's cell (0, 0)."""
+def bump_pair(index, cell_value=None, side=0):
+    """Densities of one pair; cell_value, if given, replaces cell (0, 0) of
+    mu (side 0) or nu (side 1) before both are normalized."""
     g = tf.make_grid(2, 16)
-    a, b = (two_bumps(16, *spec) for spec in BUMP_PAIRS[index])
-    if empty_mass is not None:
-        a[0, 0] = empty_mass
-    return tf.normalize(tf.Density(g, a)), tf.normalize(tf.Density(g, b))
+    pair = [two_bumps(16, *spec) for spec in BUMP_PAIRS[index]]
+    if cell_value is not None:
+        pair[side][0, 0] = cell_value
+    return tuple(tf.normalize(tf.Density(g, values)) for values in pair)
+
+
+def count_builds(monkeypatch):
+    """The eps level of each Gibbs kernel sinkhorn_w2 builds from now on."""
+    builds = []
+    gibbs = tf.transport._gibbs
+
+    def counted(*args):
+        builds.append(args[3])
+        return gibbs(*args)
+
+    monkeypatch.setattr("torusflow.transport._gibbs", counted)
+    return builds
 
 
 class TestSinkhornUnderflow:
@@ -227,78 +249,84 @@ class TestSinkhornUnderflow:
         ):
             tf.sinkhorn_w2(mu, nu, eps=1e-4)
 
-    @pytest.mark.parametrize("mass", [1e-100, 1e-250])
+    @pytest.mark.parametrize("mass", [1e-100, 1e-250, 1e-310])
     def test_near_empty_cell_matches_empty_cell(self, monkeypatch, mass):
-        # The cell's potential underflows its kernel row at each finer level
-        # of the ladder, so the row is reset there.
-        resets = []
-        row_reset = tf.transport._row_reset
+        # A cell far below tol / cells is left out of the support, so in
+        # either density the solve is the empty cell's, kernel builds included.
+        builds = count_builds(monkeypatch)
 
-        def counted(*args):
-            resets.append(args)
-            return row_reset(*args)
+        def solve(mu, nu):
+            builds.clear()
+            return tf.sinkhorn_w2(mu, nu, eps=1e-4, tol=1e-9), list(builds)
 
-        monkeypatch.setattr("torusflow.transport._row_reset", counted)
-        got = tf.sinkhorn_w2(*bump_pair(0, mass), eps=1e-4, tol=1e-9)
-        want = tf.sinkhorn_w2(*bump_pair(0, 0.0), eps=1e-4, tol=1e-9)
-        assert resets
-        assert got.converged
-        assert got.w2_sq == pytest.approx(want.w2_sq, rel=1e-12)
-
-    @pytest.mark.parametrize("mass", [1e-100, 1e-250])
-    def test_near_empty_row_is_reset_before_each_build(self, monkeypatch, mass):
-        # The rescued row is remembered, so each finer level builds its
-        # kernel once: one more build than the zero cell's 6, at the level
-        # where the row first underflows.
-        calls = []
-        gibbs = tf.transport._gibbs
-
-        def counted(*args):
-            calls.append(args[3])
-            return gibbs(*args)
-
-        want = tf.sinkhorn_w2(*bump_pair(0, 0.0), eps=1e-4, tol=1e-9)
-        monkeypatch.setattr("torusflow.transport._gibbs", counted)
-        got = tf.sinkhorn_w2(*bump_pair(0, mass), eps=1e-4, tol=1e-9)
-        assert got.converged
-        assert got.w2_sq == pytest.approx(want.w2_sq, rel=1e-12)
-        assert len(calls) <= 7
+        for index in (0, 1):
+            for side in (0, 1):
+                (got, got_builds), (want, want_builds) = (
+                    solve(*bump_pair(index, value, side)) for value in (mass, 0.0)
+                )
+                assert got.converged
+                assert got.w2_sq == want.w2_sq
+                assert got.iterations == want.iterations
+                assert got_builds == want_builds
 
     @pytest.mark.parametrize("index, cell", [(0, (3, 5)), (0, (8, 8)), (1, (0, 0)), (1, (12, 4))])
     def test_near_empty_column_matches_empty_cell(self, monkeypatch, index, cell):
-        # A near-empty cell of nu underflows its kernel column at each finer
-        # level; the column is reset there, and the kernel is not rebuilt on
-        # every iteration.
-        calls = []
-        gibbs = tf.transport._gibbs
-
-        def counted(*args):
-            calls.append(args[3])
-            return gibbs(*args)
-
+        # A near-empty cell of nu, wherever it lies, is left out as a zero
+        # cell is: its column is never built, let alone rebuilt on every
+        # iteration.
         mu, nu = bump_pair(index)
         values = nu.values.copy()
         values[cell] = 0.0
         want = tf.sinkhorn_w2(mu, tf.normalize(tf.Density(nu.grid, values)), eps=1e-4, tol=1e-9)
         values[cell] = 1e-300
-        monkeypatch.setattr("torusflow.transport._gibbs", counted)
+        builds = count_builds(monkeypatch)
         got = tf.sinkhorn_w2(mu, tf.normalize(tf.Density(nu.grid, values)), eps=1e-4, tol=1e-9)
         assert got.converged
         assert got.w2_sq == pytest.approx(want.w2_sq, rel=1e-12)
-        assert len(calls) <= 9
+        assert len(builds) <= 9
 
-    def test_subnormal_column_mass_raises(self):
-        mu, nu = bump_pair(0)
-        values = nu.values.copy()
-        values[3, 5] = 1e-310
-        nu = tf.normalize(tf.Density(nu.grid, values))
-        with pytest.raises(RuntimeError, match=r"column of cell 53 \(mass .*e-31\d\) underflows"):
-            tf.sinkhorn_w2(mu, nu, eps=1e-4, tol=1e-9)
+    @pytest.mark.parametrize("share, kept", [(0.5, False), (2.0, True)])
+    def test_cells_at_the_mass_floor(self, share, kept):
+        # The support is the cells with mass above tol / cells; a left-out
+        # cell's row of the plan is zero and its mass counts as its error.
+        tol = 1e-9
+        # Density share * tol on cells of volume 1 / cells: mass share * tol / cells.
+        mu, nu = bump_pair(0, share * tol)
+        mass = mu.values[0, 0] * mu.grid.cell_volume
+        res = tf.sinkhorn_w2(mu, nu, eps=1e-4, tol=tol, return_plan=True)
+        assert res.converged
+        if kept:
+            assert np.any(res.plan[0] > 0.0)
+        else:
+            assert np.all(res.plan[0] == 0.0)
+            assert res.plan_marginal_err >= mass
 
-    def test_subnormal_cell_mass_raises(self):
-        # Its reset row peaks at mass / 256 cells, below the smallest normal.
-        with pytest.raises(RuntimeError, match=r"row of cell 0 \(mass .*e-31\d\) underflows"):
-            tf.sinkhorn_w2(*bump_pair(0, 1e-310), eps=1e-4, tol=1e-9)
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_scaling_bound_absorption_converges(self, monkeypatch, index):
+        # The w2_2d pairs never reach _SCALING_BOUND; at 1e10 their scalings
+        # are absorbed into the potentials several times per solve.
+        builds = count_builds(monkeypatch)
+        want = tf.sinkhorn_w2(*bump_pair(index), eps=1e-4, tol=1e-9)
+        levels = len(builds)
+        builds.clear()
+        monkeypatch.setattr(tf.transport, "_SCALING_BOUND", 1e10)
+        got = tf.sinkhorn_w2(*bump_pair(index), eps=1e-4, tol=1e-9)
+        assert len(builds) > levels
+        assert got.converged
+        assert got.w2_sq == pytest.approx(want.w2_sq, rel=0, abs=1e-9)
+
+    def test_column_underflow_raises(self, monkeypatch):
+        # One level at eps 1e-4 on 4 x 4 cells: the row of cell 0 reaches
+        # itself, but the column of cell 10, (2, 2), reaches no row.
+        monkeypatch.setattr("torusflow.transport._eps_schedule", lambda eps, c_max: [eps])
+        g = tf.make_grid(2, 4)
+        mu, nu = atom_density(g, [(0, 0)]), atom_density(g, [(0, 0), (2, 2)])
+        with pytest.raises(
+            RuntimeError,
+            match=r"sinkhorn kernel column of cell 10 \(mass 5\.000e-01\) underflows at "
+            r"eps level 1\.000e-04",
+        ):
+            tf.sinkhorn_w2(mu, nu, eps=1e-4)
 
 
 def random_pair(n, index):
