@@ -269,6 +269,21 @@ class TestSinkhornUnderflow:
                 assert got.iterations == want.iterations
                 assert got_builds == want_builds
 
+    @pytest.mark.parametrize("mass", [1e-100, 1e-250])
+    def test_near_empty_row_is_reset_before_each_build(self, monkeypatch, mass):
+        # The near-empty row of mu's cell (0, 0) never needs a reset: the cell
+        # is left out of the support, so each level builds its kernel once,
+        # on the same levels as for the zero cell.
+        builds = count_builds(monkeypatch)
+        want = tf.sinkhorn_w2(*bump_pair(0, 0.0), eps=1e-4, tol=1e-9)
+        want_builds = list(builds)
+        builds.clear()
+        got = tf.sinkhorn_w2(*bump_pair(0, mass), eps=1e-4, tol=1e-9)
+        assert got.converged
+        assert got.w2_sq == want.w2_sq
+        assert builds == want_builds
+        assert len(builds) <= 7
+
     @pytest.mark.parametrize("index, cell", [(0, (3, 5)), (0, (8, 8)), (1, (0, 0)), (1, (12, 4))])
     def test_near_empty_column_matches_empty_cell(self, monkeypatch, index, cell):
         # A near-empty cell of nu, wherever it lies, is left out as a zero
