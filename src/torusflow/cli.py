@@ -63,28 +63,30 @@ def _output_indices(n_times: int, cadence: int) -> list[int]:
     return idx
 
 
-def _write_csv(path: Path, header: list[str], rows=(), blocks=()) -> None:
-    """Write header, rows through csv.writer, then preformatted text blocks;
-    rows and blocks may be generators, so large files stream."""
+def _line(fields) -> str:
+    """One CSV line: the fields as given, joined by commas, in csv.writer's
+    line ending."""
+    return ",".join(map(str, fields)) + "\r\n"
+
+
+def _write_csv(path: Path, header: list[str], lines) -> None:
+    """Write the header, then lines of CSV text that each end in "\r\n";
+    lines may be a generator, so large files stream."""
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-        fh.writelines(blocks)
+        fh.write(_line(header))
+        fh.writelines(lines)
 
 
 def _state_blocks(traj: Trajectory, cadence: int):
-    """One block of CSV text per (time, species), each formatted by a single
-    %-format over the cell indices interleaved with the values; ``%.16e``
-    prints exactly what ``_fmt`` does, in csv.writer's line endings."""
+    """One block of CSV text per (time, species): a single %-format of the
+    cell-index template, built once, over the block's values; ``%.16e``
+    prints exactly what ``_fmt`` does."""
+    template = [f"{j},%.16e\r\n" for j in range(traj.states[0][0].values.size)]
     for k in _output_indices(len(traj.times), cadence):
         t = _fmt(traj.times[k])
         for i, rho in enumerate(traj.states[k]):
-            values = rho.values.ravel().tolist()
-            fields: list = [None] * (2 * len(values))
-            fields[0::2] = range(len(values))
-            fields[1::2] = values
-            yield (f"{t},{i},%d,%.16e\r\n" * len(values)) % tuple(fields)
+            head = f"{t},{i},"
+            yield (head + head.join(template)) % tuple(rho.values.ravel().tolist())
 
 
 def _ledger_rows(ledger: Ledger):
@@ -123,24 +125,27 @@ def emit_outputs(
     extra_traj: Trajectory | None = None,
     series_rows: list[tuple] | None = None,
 ) -> list[Path]:
-    """Write the run's files into cfg.output_directory; returns their paths."""
+    """Write the run's files into cfg.output_directory; returns their paths.
+
+    Row fields, the ledger's and series_rows', are written as given, joined
+    by commas: each must be a number formatted by _fmt, an int or a string
+    that csv.writer would not quote.
+    """
     import json
 
     out = Path(cfg.output_directory)
     out.mkdir(parents=True, exist_ok=True)
     cadence = cfg.output_cadence
-    tables = [("states.csv", _STATES_HEADER, (), _state_blocks(traj, cadence))]
+    tables = [("states.csv", _STATES_HEADER, _state_blocks(traj, cadence))]
     if extra_traj is not None:
-        tables.append(
-            ("states_parabolic.csv", _STATES_HEADER, (), _state_blocks(extra_traj, cadence))
-        )
+        tables.append(("states_parabolic.csv", _STATES_HEADER, _state_blocks(extra_traj, cadence)))
     if ledger is not None:
-        tables.append(("ledger.csv", _LEDGER_HEADER, _ledger_rows(ledger), ()))
+        tables.append(("ledger.csv", _LEDGER_HEADER, map(_line, _ledger_rows(ledger))))
     if series_rows:
-        tables.append(("series.csv", _SERIES_HEADER, series_rows, ()))
+        tables.append(("series.csv", _SERIES_HEADER, map(_line, series_rows)))
     written: list[Path] = []
-    for name, header, rows, blocks in tables:
-        _write_csv(out / name, header, rows, blocks)
+    for name, header, lines in tables:
+        _write_csv(out / name, header, lines)
         written.append(out / name)
 
     meta = {

@@ -101,11 +101,8 @@ def build_profile(grid: Grid, spec: dict, where: str = "initial") -> Density:
                 spread = 2.0 * width**2
             except OverflowError as exc:
                 raise ConfigError(f"{at}: too large (its square overflows)") from exc
-            try:
-                center = spec.get(center_key, center_default)
-                center = np.atleast_1d(np.asarray(center, dtype=float))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{where}.{center_key}: expected numbers") from exc
+            center = spec.get(center_key, center_default)
+            center = np.atleast_1d(_array(center, f"{where}.{center_key}"))
             if center.size != grid.dim:
                 raise ConfigError(f"{where}.{center_key}: needs one coordinate per axis")
             r2 = np.zeros(grid.shape)
@@ -192,7 +189,10 @@ def _require(raw: dict, key: str, where: str):
 def _number(raw, where: str, positive: bool = False) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"{where}: expected a number")
-    val = float(raw)
+    try:
+        val = float(raw)
+    except OverflowError:  # an integer beyond the float range
+        val = math.inf
     if not math.isfinite(val):
         raise ConfigError(f"{where}: must be finite")
     if positive and val <= 0:
@@ -219,6 +219,8 @@ def _object(raw, where: str, fields: tuple[str, ...] | None = None) -> dict:
 def _array(raw, where: str) -> np.ndarray:
     try:
         arr = np.asarray(raw, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigError(f"{where}: must be finite") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: expected an array of numbers") from exc
     if not np.all(np.isfinite(arr)):

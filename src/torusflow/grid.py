@@ -41,10 +41,14 @@ class Grid:
     n: int
 
     def __post_init__(self) -> None:
-        if self.dim not in (1, 2):
+        # numpy integers are stored as int; floats and bools are refused.
+        dim, n = (int(v) if isinstance(v, np.integer) else v for v in (self.dim, self.n))
+        if type(dim) is not int or dim not in (1, 2):
             raise ValueError(f"unsupported dimension {self.dim}; expected 1 or 2")
-        if int(self.n) != self.n or self.n < 2:
+        if type(n) is not int or n < 2:
             raise ValueError(f"cells per axis must be an integer >= 2, got {self.n}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "n", n)
 
     @property
     def dx(self) -> float:

@@ -5,6 +5,7 @@ import operator
 import re
 import shutil
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,15 @@ from hypothesis import strategies as st
 
 import torusflow as tf
 from torusflow import config as cfg_mod
-from torusflow.cli import _fmt, _state_blocks, _write_csv, main, read_states_csv
+from torusflow.cli import (
+    _fmt,
+    _ledger_rows,
+    _line,
+    _state_blocks,
+    _write_csv,
+    main,
+    read_states_csv,
+)
 from torusflow.config import ConfigError, parse_config, parse_config_dict
 from torusflow.interaction import as_velocity_model
 from torusflow.transport import TransportResult
@@ -322,6 +331,35 @@ class TestParseConfig:
             parse_config(config_path)
         assert main(["check", "--config", str(config_path)]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, key, value, field",
+        [
+            ((), "horizon", 10**400, "horizon"),
+            (("jko",), "h", 10**400, "jko.h"),
+            (("species", 0), "energy", {"kind": "power", "m": 10**400}, "species[0].energy.m"),
+            (
+                ("species", 0),
+                "initial",
+                {"profile": "bump", "center": [10**400]},
+                "species[0].initial.center",
+            ),
+            (
+                ("species", 0),
+                "initial",
+                {"profile": "inline", "values": [10**400] + [1] * 15},
+                "species[0].initial.values",
+            ),
+        ],
+        ids=["horizon", "jko.h", "energy.m", "bump.center", "inline.values"],
+    )
+    def test_integer_beyond_float_range_rejected(self, tmp_path, capsys, path, key, value, field):
+        # json reads 1 followed by 400 zeros as a Python int that no float holds.
+        cfg = minimal_config()
+        functools.reduce(operator.getitem, path, cfg)[key] = value
+        config_path = write_config(tmp_path, cfg)
+        assert main(["check", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {field}: must be finite\n"
 
     def test_entropy_exponent_is_fixed(self, tmp_path):
         cfg = minimal_config()
@@ -1083,24 +1121,67 @@ class TestRunCli:
     def test_state_blocks_match_csv_writer(self, tmp_path):
         # One %-format per (time, species) block must print what csv.writer
         # printed row by row, for 0, -0, the smallest subnormal, other
-        # subnormals, normal values and large ones.
-        grid = tf.make_grid(1, 8)
+        # subnormals, normal values and large ones, on 1-d and 2-d grids;
+        # ledger and series rows, joined by commas, must print what
+        # csv.writer printed too, empty fields included.
         edge = np.array([0.0, -0.0, 5e-324, 2.5e-310, 1e-300, 0.1, 1e5, 7.0])
-        states = [
-            (tf.Density(grid, edge), tf.Density(grid, edge[::-1].copy())),
-            (tf.Density(grid, np.full(8, 1.0)), tf.Density(grid, np.linspace(0.0, 3.0, 8))),
-        ]
-        traj = tf.Trajectory(grid=grid, h=0.1, times=np.array([0.0, 0.1]), states=states)
+        grid = tf.make_grid(1, 8)
+        line = tf.Trajectory(
+            grid=grid,
+            h=0.1,
+            times=np.array([0.0, 0.1]),
+            states=[
+                (tf.Density(grid, edge), tf.Density(grid, edge[::-1].copy())),
+                (tf.Density(grid, np.full(8, 1.0)), tf.Density(grid, np.linspace(0.0, 3.0, 8))),
+            ],
+        )
+        grid = tf.make_grid(2, 3)
+        square = np.append(edge, 3.5).reshape(3, 3)
+        plane = tf.Trajectory(
+            grid=grid,
+            h=0.05,
+            times=np.array([0.0, 0.05, 0.1]),
+            states=[
+                (tf.Density(grid, square), tf.Density(grid, square.T.copy())),
+                (tf.Density(grid, np.full((3, 3), 1.0)), tf.Density(grid, square[::-1].copy())),
+                (tf.Density(grid, square[:, ::-1].copy()), tf.Density(grid, np.eye(3))),
+            ],
+        )
         header = ["time", "species", "cell_index", "value"]
-        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        _write_csv(got, header, blocks=_state_blocks(traj, 1))
-        with want.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for t, state in zip(traj.times, traj.states):
-                for i, rho in enumerate(state):
-                    for cell, value in enumerate(rho.values):
-                        writer.writerow((_fmt(t), i, cell, _fmt(value)))
-        assert got.read_bytes() == want.read_bytes()
-        assert b"-0.0000000000000000e+00" in got.read_bytes()
-        assert b"4.9406564584124654e-324" in got.read_bytes()
+        for k, traj in enumerate((line, plane)):
+            got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
+            _write_csv(got, header, _state_blocks(traj, 1))
+            with want.open("w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                for t, state in zip(traj.times, traj.states):
+                    for i, rho in enumerate(state):
+                        for cell, value in enumerate(rho.values.ravel()):
+                            writer.writerow((_fmt(t), i, cell, _fmt(value)))
+            assert got.read_bytes() == want.read_bytes()
+            assert b"-0.0000000000000000e+00" in got.read_bytes()
+            assert b"4.9406564584124654e-324" in got.read_bytes()
+
+        ledger = types.SimpleNamespace(
+            times=np.array([0.0, 0.1, 0.2]),
+            w2_sq=np.array([2.5e-310, 0.1]),
+            energy=np.array([-0.0, 1e5]),
+            drift_term=np.array([0.0, -7.0]),
+            entropy=np.array([5e-324, 1e-300]),
+            sobolev=np.array([3.0, 0.5]),
+            flags=np.array([False, True]),
+        )
+        series = [
+            ("cross_l1", _fmt(0.1), 0, _fmt(5e-324), ""),
+            ("stability_w2_sum", _fmt(0.1), "", _fmt(-0.0), _fmt(1e5)),
+            ("stability_w2_sum", _fmt(0.2), "", _fmt(0.5), ""),
+        ]
+        for name, rows in (("ledger", list(_ledger_rows(ledger))), ("series", series)):
+            got, want = tmp_path / f"{name}_got.csv", tmp_path / f"{name}_want.csv"
+            _write_csv(got, ["a", "b", "c"], map(_line, rows))
+            with want.open("w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["a", "b", "c"])
+                writer.writerows(rows)
+            assert got.read_bytes() == want.read_bytes()
+        assert b",,5.0000000000000000e-01,\r\n" in got.read_bytes()

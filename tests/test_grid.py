@@ -32,6 +32,26 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             tf.make_grid(1, 1)
 
+    @pytest.mark.parametrize(
+        "dim, n, message",
+        [
+            (1.0, 16, "unsupported dimension"),
+            (True, 16, "unsupported dimension"),
+            (1, 16.0, "cells per axis must be an integer"),
+            (1, True, "cells per axis must be an integer"),
+        ],
+    )
+    def test_non_integer_sizes_rejected(self, dim, n, message):
+        # A float grid would equal its integer twin but fail on .shape, and
+        # a float n would pass until a drift or a cost matrix built arrays.
+        with pytest.raises(ValueError, match=message):
+            tf.make_grid(dim, n)
+
+    def test_numpy_integer_sizes_stored_as_int(self):
+        g = tf.make_grid(np.int64(2), np.int32(4))
+        assert type(g.dim) is int and type(g.n) is int
+        assert g == tf.make_grid(2, 4) and g.shape == (4, 4)
+
     def test_centers_row_major(self):
         g = tf.make_grid(2, 2)
         centers = g.cell_centers()
